@@ -63,11 +63,11 @@ def cmd_invariants(args) -> int:
     s = read_state(args.path)
     inv = concomitants.invariants(s)
     payload = _invariants_payload(inv)
-    semistable, witness = concomitants.is_semistable(s)
+    semistable, witness = concomitants.is_semistable(s, inv)
     payload["semistable"] = semistable
     payload["witness"] = witness
     if semistable:
-        payload["projective"] = list(concomitants.projective_point(s))
+        payload["projective"] = list(concomitants.projective_point(s, inv))
     else:
         payload["projective"] = None
     emit_report("invariants", payload)
@@ -99,6 +99,7 @@ def cmd_normal_form(args) -> int:
     s = read_state(args.path)
     inv = concomitants.invariants(s)
     limit, trace = slocc_normalize.normalize_slocc(s, tol=args.tol, max_iter=args.max_iter)
+    limit_inv = concomitants.invariants(limit)
     payload = {
         "status": trace.status,
         "steps": len(trace.steps) - 1,
@@ -106,16 +107,15 @@ def cmd_normal_form(args) -> int:
         "final_norm_sq": trace.steps[-1].norm_sq,
         "final_max_rel_deviation": trace.steps[-1].max_rel_deviation,
         "input_invariants": _invariants_payload(inv),
+        "limit_invariants": _invariants_payload(limit_inv),
     }
     if trace.status != slocc_normalize.CONVERGED:
-        payload["limit_invariants"] = _invariants_payload(concomitants.invariants(limit))
         payload["verdict"] = None
         emit_report("normal-form", payload)
         return EXIT_NUMERICAL if trace.status == slocc_normalize.MAX_ITERATIONS else EXIT_OK
     sol = form_problem.solve(form_problem.FormProblemInput(
         inv.i6, inv.i12, inv.i18, i9=inv.i9))
-    report = slocc_normalize.verify_vinberg(limit, sol)
-    payload["limit_invariants"] = _invariants_payload(concomitants.invariants(limit))
+    report = slocc_normalize.verify_vinberg(limit, sol, limit_inv=limit_inv)
     payload["candidate_count"] = sol.filtered_count
     payload["candidates_sample"] = [list(t) for t in sol.triples[:args.max_candidates]]
     payload["verdict"] = report

@@ -1,12 +1,15 @@
 """Concomitants, fundamental invariants and the ternary-cubic invariants.
 
-Everything here is driven by transvectants of the ground form f with the
-pairing forms P_alpha = sum xi_i x_i, P_beta = sum eta_j y_j and
-P_gamma = sum zeta_k z_k.  The degree-6/9/12 invariants are full
-contractions of those concomitants; their normalization constants are not
-trusted from any printed source but fixed once by an exact calibration
-against the closed normal-form formulas, and recorded in a machine
-readable report (see `calibration`).
+The invariants of a state are computed on the runtime path as fixed-order
+numpy contractions of its 3x3x3 amplitude array with Levi-Civita symbols
+(`dense_raws`): I6 and I9 directly, I12 from the Aronhold S of a slice cubic.
+The concomitants are transvectants of the ground form f with the pairing
+forms P_alpha = sum xi_i x_i, P_beta = sum eta_j y_j and
+P_gamma = sum zeta_k z_k, and the degree-6/9/12 invariants are also full
+transvectant contractions of them (`invariant_raws`).  That exact route
+fixes every normalization constant once, by calibration against the closed
+normal-form formulas recorded in a machine readable report (see
+`calibration`); it also serves the syzygies and the tests as an oracle.
 """
 from __future__ import annotations
 
@@ -203,6 +206,68 @@ def invariant_raws(f: MultiPoly) -> dict:
         "i9": transvectant(ea, eb, eb, upper=(1, 1, 1), lower=(1, 1, 1)).constant_value(),
         "i12": transvectant(baf, baf, baf, upper=(4, 1, 1)).constant_value(),
     }
+
+
+# --- dense invariant contractions (the runtime path) -----------------------
+
+def _levi_civita() -> np.ndarray:
+    """The symbol eps_ijk; integer, so integer arrays contract exactly."""
+    eps = np.zeros((3, 3, 3), dtype=np.int64)
+    for sigma, sign in PERMS3:
+        eps[sigma] = sign
+    return eps
+
+
+_EPS3 = _levi_civita()
+
+# raw dense contraction -> calibrated invariant; the tests pin both against
+# calibration() exactly on integer arrays
+I6_DENSE_SCALE = Fraction(-1, 6)
+I9_DENSE_SCALE = Fraction(-1, 72)
+# I12 = -6^4 S for the Aronhold S of any slice cubic
+I12_FROM_S = -1296
+
+
+def _triple_tensor(a) -> np.ndarray:
+    """T[b0,b1,b2,c0,c1,c2] = eps_{a0a1a2} A[a0,b0,c0] A[a1,b1,c1] A[a2,b2,c2]:
+    three copies of the array with their party-1 legs antisymmetrized."""
+    t = np.einsum("xyz,xbj->yzbj", _EPS3, a)
+    t = np.einsum("yzbj,yck->zbjck", t, a)
+    return np.einsum("zbjck,zdl->bcdjkl", t, a)
+
+
+def dense_raws(a) -> tuple:
+    """Raw I6 and I9 of a 3x3x3 array as full contractions with eps symbols.
+
+    Copy n of the array carries the legs (a_n, b_n, c_n) of the three
+    parties.  I6 contracts six copies: party 1 on copies {0,1,2}, {3,4,5},
+    party 2 on {0,1,3}, {2,4,5}, party 3 on {0,3,5}, {1,2,4}.  I9 contracts
+    nine: party 1 on {0,1,2}, {3,4,5}, {6,7,8}, party 2 on {0,3,6}, {1,4,7},
+    {2,5,8}, party 3 on {0,3,7}, {1,4,8}, {2,5,6}.  Every party-1 triple is
+    one `_triple_tensor`.  The einsum letters name the legs b0..b8 as
+    a..i and c0..c8 as j..r, and the contraction order is fixed by hand: a
+    path search over all nine copies costs seconds per call.
+    """
+    e = _EPS3
+    t = _triple_tensor(a)
+    # I6 = sum T[b0 b1 b2 c0 c1 c2] T[b3 b4 b5 c3 c4 c5]
+    #        eps(b0 b1 b3) eps(b2 b4 b5) eps(c0 c3 c5) eps(c1 c2 c4)
+    u = np.einsum("abcjkl,abd->dcjkl", t, e)
+    u = np.einsum("dcjkl,kln->dcjn", u, e)
+    v = np.einsum("defmno,cef->dcmno", t, e)
+    v = np.einsum("dcmno,jmo->dcjn", v, e)
+    raw6 = np.einsum("dcjn,dcjn->", u, v)
+    # I9: the party-2 symbols of copies 0, 1, 2 first, then the second
+    # triple joined over b3 b4 b5, then the party-3 symbols, then the third
+    x = np.einsum("abcjkl,adg->bcjkldg", t, e)
+    x = np.einsum("bcjkldg,beh->cjkldgeh", x, e)
+    x = np.einsum("cjkldgeh,cfi->jklghidef", x, e)
+    y = np.tensordot(x, t, axes=3)
+    y = np.einsum("jklghimno,jmq->klghinoq", y, e)
+    y = np.einsum("klghinoq,knr->lghioqr", y, e)
+    y = np.einsum("lghioqr,lop->ghipqr", y, e)
+    raw9 = np.einsum("ghipqr,ghipqr->", y, t)
+    return raw6, raw9
 
 
 # --- closed normal-form formulas -------------------------------------------
@@ -408,16 +473,18 @@ def discriminant_delta(s_val, t_val):
 
 def invariants(s: State) -> InvariantSet:
     """Fundamental invariants (I6, I9, I12), the derived I18 and the
-    discriminant Delta of a state, via transvectants of its form."""
-    cal = calibration()
-    raws = invariant_raws(s.form())
-    i6 = complex(cal["i6_scale"]) * raws["i6"]
-    i9 = complex(cal["i9_scale"]) * raws["i9"]
-    i12 = complex(cal["i12_scale"]) * raws["i12"]
-    i18 = i18_from_fundamentals(i6, i9, i12)
+    discriminant Delta of a state, as Python complex numbers: I6 and I9 by
+    dense contraction of its amplitudes, I12 and Delta from the Aronhold
+    pair of its x-slice cubic."""
+    raw6, raw9 = dense_raws(s.amplitudes)
     ar = aronhold(slice_cubic(s, "x"))
-    delta = discriminant_delta(ar.s, ar.t)
-    return InvariantSet(i6, i9, i12, i18, delta)
+    # a cubic with no terms gives exact zeros; keep every field complex
+    s_val, t_val = complex(ar.s), complex(ar.t)
+    i6 = complex(raw6) * float(I6_DENSE_SCALE)
+    i9 = complex(raw9) * float(I9_DENSE_SCALE)
+    i12 = I12_FROM_S * s_val
+    i18 = i18_from_fundamentals(i6, i9, i12)
+    return InvariantSet(i6, i9, i12, i18, discriminant_delta(s_val, t_val))
 
 
 def i18_from_fundamentals(i6, i9, i12):
@@ -438,55 +505,57 @@ def invariants_of_triple(u, v, w) -> InvariantSet:
     return InvariantSet(c.c6, c.c9, c.c12, c.c18, c.c12_prime ** 3)
 
 
-def is_semistable(s: State, tol: float = 1e-8):
-    """True iff some fundamental invariant is nonzero at scale; returns the
-    (flag, witness-name) pair."""
-    inv = invariants(s)
+# an invariant of degree d vanishes below VANISH_TOL * norm**d, the relative
+# accuracy of its contraction; the semistability flag and the projective
+# point share this rule, so a state flagged semistable has a point
+VANISH_TOL = 1e-10
+
+
+def _leading_degree(s: State, inv: InvariantSet) -> int | None:
+    """Degree of the first of I6, I9, I12 that does not vanish at the scale
+    of s, or None when all three vanish (the null cone)."""
     norm = math.sqrt(s.norm_sq)
-    scaled = [
-        (abs(inv.i6) ** (1 / 6), "I6"),
-        (abs(inv.i9) ** (1 / 9), "I9"),
-        (abs(inv.i12) ** (1 / 12), "I12"),
-    ]
-    best, witness = max(scaled)
-    if best > tol * norm:
-        return True, witness
-    return False, None
+    for degree, value in ((6, inv.i6), (9, inv.i9), (12, inv.i12)):
+        if abs(value) > VANISH_TOL * norm ** degree:
+            return degree
+    return None
 
 
-def projective_point(s: State, vanish_tol: float = 1e-10):
+def is_semistable(s: State, inv: InvariantSet | None = None):
+    """True iff some fundamental invariant does not vanish at scale; returns
+    the (flag, witness-name) pair, the witness being the leading invariant
+    that `projective_point` sets to 1.  `inv` passes the invariants of s
+    when the caller has them already."""
+    degree = _leading_degree(s, invariants(s) if inv is None else inv)
+    return (False, None) if degree is None else (True, f"I{degree}")
+
+
+def projective_point(s: State, inv: InvariantSet | None = None):
     """Weighted projective coordinates (I6 : I9 : I12), canonicalized so the
     first nonvanishing invariant equals 1 and the residual root-of-unity
-    ambiguity is fixed deterministically.
-
-    An invariant of degree d counts as vanishing when it is below
-    vanish_tol * norm**d, the relative accuracy of the contraction; this is
-    deliberately looser than the semistability witness rule, which would
-    treat numerical noise on a true zero as a nonzero leading invariant.
+    ambiguity is fixed deterministically.  `inv` passes the invariants of s
+    when the caller has them already.
     """
-    inv = invariants(s)
-    norm = math.sqrt(s.norm_sq)
-    if norm == 0:
+    if s.norm_sq == 0:
         raise ValueError("zero state has no projective invariant point")
-
-    def vanishes(value, degree):
-        return abs(value) <= vanish_tol * norm ** degree
+    inv = invariants(s) if inv is None else inv
+    degree = _leading_degree(s, inv)
 
     def lex_max(candidates):
         return max(candidates, key=lambda c: (round(c.real, 12), round(c.imag, 12)))
 
-    if not vanishes(inv.i6, 6):
+    if degree == 6:
         t9 = inv.i6 ** (-1.5)      # t**9 for t = i6**(-1/6)
         t12 = inv.i6 ** (-2.0)     # t**12
         i9n = inv.i9 * t9
         i9n = lex_max([i9n, -i9n])  # remaining sixth-root ambiguity is a sign
         return (1.0 + 0.0j, i9n, inv.i12 * t12)
-    if not vanishes(inv.i9, 9):
+    if degree == 9:
         i12n = inv.i12 * inv.i9 ** (-12.0 / 9.0)
         cube = cmath.exp(2j * cmath.pi / 3)
         i12n = lex_max([i12n, i12n * cube, i12n * cube ** 2])
         return (0.0 + 0.0j, 1.0 + 0.0j, i12n)
-    if not vanishes(inv.i12, 12):
+    if degree == 12:
         return (0.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j)
     raise ValueError("state is not semi-stable: all fundamental invariants vanish")
 

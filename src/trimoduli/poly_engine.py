@@ -453,41 +453,6 @@ def omega_apply(p: MultiPoly, group: str, power: int = 1) -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
-def _joint_structure(powers: tuple[int, ...]):
-    """Vectorized layout of the joint omega expansion for a budget.
-
-    For the Cartesian product of per-group expansions, returns the float
-    coefficient array plus, per slot, the combo -> assignment-id index array
-    and the assignment list in id order.  Depends only on the budget, so it
-    is cached across evaluations.
-    """
-    import numpy as np
-
-    tables = [_omega_expansion(n) for n in powers]
-    coeffs = []
-    slot_ids: tuple[list, list, list] = ([], [], [])
-    slot_maps: tuple[dict, dict, dict] = ({}, {}, {})
-    for combo in itertools.product(*tables):
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        coeffs.append(coeff)
-        per_slot = tuple(zip(*(ms for ms, _ in combo)))
-        for s in range(3):
-            m = slot_maps[s]
-            assignment = per_slot[s]
-            idx = m.get(assignment)
-            if idx is None:
-                idx = len(m)
-                m[assignment] = idx
-            slot_ids[s].append(idx)
-    assignments = tuple(tuple(m.keys()) for m in slot_maps)
-    return (np.array(coeffs, dtype=float),
-            tuple(np.array(ids, dtype=np.int64) for ids in slot_ids),
-            assignments)
-
-
-@lru_cache(maxsize=None)
 def _omega_expansion(power: int):
     """Expansion of omega^power as joint derivative assignments.
 
@@ -609,22 +574,6 @@ class FactoredTriple:
                             val = 0
                     cache[assignment] = val
                 return val
-
-            if all(isinstance(c, (complex, float)) for f in self.factors
-                   for c in itertools.islice(f.terms.values(), 1)):
-                # float mode: vectorize the joint sum over a cached structure
-                import numpy as np
-
-                coeff_arr, slot_ids, slot_assignments = _joint_structure(
-                    tuple(budget[g] for g in groups))
-                total = coeff_arr.copy()
-                for s in range(3):
-                    values = np.fromiter(
-                        (complex(deriv_value(s, a)) for a in slot_assignments[s]),
-                        dtype=complex, count=len(slot_assignments[s]))
-                    total = total * values[slot_ids[s]]
-                val = complex(total.sum())
-                return MultiPoly.constant(val, catalog) if val else MultiPoly.zero(catalog)
 
             total = 0
             for combo in itertools.product(*tables):

@@ -249,6 +249,8 @@ def read_state(path) -> State:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise StateIOError(f"malformed JSON in state file: {exc}") from exc
+    except OSError as exc:
+        raise StateIOError(f"cannot read state file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != STATE_FORMAT:
         raise StateIOError(f"unknown state file format (expected {STATE_FORMAT!r})")
     amps = payload.get("amplitudes")

@@ -289,7 +289,9 @@ def _dedup_points(pts: np.ndarray, tol: float):
 
 def stabilizer(group: MatrixGroup, triple, tol: float = 1e-9) -> MatrixGroup:
     """Subgroup fixing a triple; exact when the triple is exact, otherwise
-    selected numerically but returned as exact group elements."""
+    selected numerically but returned as exact group elements.  The float
+    test allows tol times the largest entry of the triple, so the subgroup
+    does not depend on the scale of the triple."""
     exact = not any(isinstance(c, (complex, float)) for c in triple)
     members = []
     if exact:
@@ -299,7 +301,7 @@ def stabilizer(group: MatrixGroup, triple, tol: float = 1e-9) -> MatrixGroup:
                 members.append(g)
     else:
         t = np.array([complex(c) for c in triple])
-        scale = max(1.0, float(np.max(np.abs(t))))
+        scale = float(np.max(np.abs(t)))
         for g, m in zip(group.elements, _complex_matrices(group)):
             if np.max(np.abs(m @ t - t)) <= tol * scale:
                 members.append(g)

@@ -146,7 +146,8 @@ def normalize_slocc(s: State, tol: float = 1e-10, max_iter: int = 10000):
 
 
 def verify_vinberg(limit: State, candidates, norm_rel_tol: float = 1e-5,
-                   invariant_rel_tol: float = 1e-4) -> dict:
+                   invariant_rel_tol: float = 1e-4,
+                   limit_inv: concomitants.InvariantSet | None = None) -> dict:
     """Check a filtering limit against the solved normal-form candidates.
 
     All candidates of one solution set share the squared norm
@@ -154,7 +155,8 @@ def verify_vinberg(limit: State, candidates, norm_rel_tol: float = 1e-5,
     the limit must match it, and the limit's invariants must match the
     closed formulas of the candidates.  The candidates must come from the
     original state's own invariants including its sign datum; the mirror
-    sign class is reported as a mismatch.
+    sign class is reported as a mismatch.  `limit_inv` passes the limit's
+    invariants when the caller has them already.
     """
     triples = list(getattr(candidates, "triples", candidates))
     if not triples:
@@ -164,7 +166,7 @@ def verify_vinberg(limit: State, candidates, norm_rel_tol: float = 1e-5,
     norm_spread = (max(norms) - min(norms)) / max(max(norms), 1e-300)
     norm_err = abs(limit.norm_sq - norms[0]) / max(norms[0], 1e-300)
 
-    inv = concomitants.invariants(limit)
+    inv = concomitants.invariants(limit) if limit_inv is None else limit_inv
     u, v, w = triples[0]
     cv = concomitants.c_formulas(u, v, w)
     targets = {"I6": cv.c6, "I9": cv.c9, "I12": cv.c12, "I18": cv.c18}

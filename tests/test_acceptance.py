@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v` to get one pass/fail line per
 criterion; each test also prints an ACCEPTANCE line (visible with -s / -rA).
 """
+import json
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -65,7 +66,9 @@ def test_criterion_02_slocc_invariance():
 
 
 def test_criterion_03_calibration_specialization():
-    con.write_calibration_report(REPO_ROOT / "calibration_report.json")
+    # the committed report must be what the exact calibration derives
+    committed = json.loads((REPO_ROOT / "calibration_report.json").read_text())
+    assert committed == con.calibration_report()
     worst = 0.0
     for seed in TRIPLE_SEEDS:
         t = random_parameter_triple(seed)

@@ -154,3 +154,36 @@ def test_17_digit_float_format():
     text = cli._fmt({"x": 0.1 + 0.2})
     assert text == '{"x": 0.30000000000000004}'
     assert cli._fmt(1 + 2j) == "[1, 2]"
+
+
+def test_null_cone_states(tmp_path, capsys):
+    import numpy as np
+
+    from trimoduli.qutrit_state import State
+
+    product = np.zeros((3, 3, 3), dtype=complex)
+    product[0, 0, 0] = 1.0
+    w_state = np.zeros((3, 3, 3), dtype=complex)
+    w_state[0, 0, 1] = w_state[0, 1, 0] = w_state[1, 0, 0] = 1.0
+    rng = np.random.default_rng(12)
+    legs = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    float_product = np.einsum("i,j,k->ijk", *legs)
+    for name, amp in (("product", product), ("w", w_state), ("float-product", float_product)):
+        path = tmp_path / f"{name}.json"
+        write_state(path, State(amp))
+        code, out, _ = run_cli(capsys, "invariants", str(path))
+        assert code == 0, name
+        payload = json.loads(out)
+        assert payload["semistable"] is False and payload["projective"] is None, name
+    for name in ("product", "w"):
+        code, out, _ = run_cli(capsys, "normal-form", str(tmp_path / f"{name}.json"))
+        assert code == 0, name
+        assert json.loads(out)["status"] == "unstable", name
+
+
+def test_missing_state_file(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "invariants", str(tmp_path / "absent.json"))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -185,6 +185,39 @@ class TestInvariants:
                 assert abs(a - b) < 1e-8 * abs(a)
 
 
+class TestDenseContraction:
+    def test_integer_arrays_pin_calibration(self, calibrated):
+        # integer amplitudes contract exactly on both routes
+        rng = np.random.default_rng(140)
+        for _ in range(3):
+            amp = rng.integers(-3, 4, size=(3, 3, 3))
+            raw6, raw9 = con.dense_raws(amp)
+            assert isinstance(raw6, np.integer) and isinstance(raw9, np.integer)
+            exact = con.invariant_raws(trilinear_form(
+                [[[Fraction(int(amp[i, j, k])) for k in range(3)]
+                  for j in range(3)] for i in range(3)]))
+            assert exact["i9"] != 0
+            assert int(raw6) * con.I6_DENSE_SCALE == calibrated["i6_scale"] * exact["i6"]
+            assert int(raw9) * con.I9_DENSE_SCALE == calibrated["i9_scale"] * exact["i9"]
+
+    def test_matches_transvectant_route(self, calibrated):
+        from trimoduli.qutrit_state import apply_local, random_local_transform
+
+        for seed in (141, 142):
+            s = apply_local(normal_form_state(random_parameter_triple(seed)),
+                            random_local_transform(seed + 10))
+            inv = con.invariants(s)
+            raws = con.invariant_raws(s.form())
+            for key, got in (("i6", inv.i6), ("i9", inv.i9), ("i12", inv.i12)):
+                want = complex(calibrated[f"{key}_scale"]) * raws[key]
+                assert abs(got - want) <= 1e-9 * abs(want), key
+
+    def test_fields_are_complex_on_the_null_cone(self):
+        for s in (ZERO_STATE, State(PRODUCT_111)):
+            inv = con.invariants(s)
+            assert all(type(v) is complex for v in inv)
+
+
 class TestCFormulas:
     def test_all_ones(self):
         cv = con.c_formulas(1, 1, 1)

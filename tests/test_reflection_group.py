@@ -126,6 +126,15 @@ class TestStabilizerTypes:
         assert stab.order == 3
         assert rg.stabilizer_type(stab) == "C3"
 
+    def test_order_does_not_depend_on_scale(self, group_k):
+        # a generic triple and one point of the 216-, 72- and 27-point strata
+        points = ((tuple(random_parameter_triple(32)), 1), ((1, 1, 0), 3),
+                  ((1, 0, 0), 9), ((0, 1, -1), 24))
+        for point, order in points:
+            for scale in (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3):
+                triple = tuple(complex(c) * scale for c in point)
+                assert rg.stabilizer(group_k, triple, tol=1e-6).order == order, (point, scale)
+
     def test_unexpected_order_label(self):
         sub = rg.generate_closure((rg.generators()["B"],))
         assert sub.order == 2

@@ -125,9 +125,8 @@ def cmd_normal_form(args) -> int:
 
 def cmd_solve(args) -> int:
     inp = form_problem.FormProblemInput(args.a, args.b, args.c, i9=args.i9)
-    oc = form_problem.classify(inp)
-    sol = form_problem.solve(form_problem.FormProblemInput(
-        args.a, args.b, args.c, i9=oc.i9_used))
+    sol = form_problem.solve(inp)
+    oc = form_problem.classify(inp, sol=sol)
     payload = _orbit_class_payload(args.a, args.b, args.c, oc)
     payload["raw_count"] = sol.raw_count
     if args.full:

@@ -7,9 +7,11 @@ The concomitants are transvectants of the ground form f with the pairing
 forms P_alpha = sum xi_i x_i, P_beta = sum eta_j y_j and
 P_gamma = sum zeta_k z_k, and the degree-6/9/12 invariants are also full
 transvectant contractions of them (`invariant_raws`).  That exact route
-fixes every normalization constant once, by calibration against the closed
-normal-form formulas recorded in a machine readable report (see
-`calibration`); it also serves the syzygies and the tests as an oracle.
+derives every normalization constant by calibration against the closed
+normal-form formulas, recorded in a machine readable report (see
+`calibration`).  The runtime path uses the constants as pinned literals
+and never calls `calibration`; the tests re-derive each literal exactly.
+The exact route also serves the syzygies and the tests as an oracle.
 """
 from __future__ import annotations
 
@@ -226,6 +228,15 @@ I6_DENSE_SCALE = Fraction(-1, 6)
 I9_DENSE_SCALE = Fraction(-1, 72)
 # I12 = -6^4 S for the Aronhold S of any slice cubic
 I12_FROM_S = -1296
+# the Aronhold scales, the discriminant scale and the I18 combination as
+# pinned literals, so no runtime call derives them; the tests re-derive each
+# one exactly with calibration()
+ARONHOLD_S_SCALE = Fraction(-1, 24)
+ARONHOLD_T_SCALE = Fraction(-1, 216)
+DELTA_SCALE = Fraction(-19683)
+I18_COEFF_I6_CUBED = Fraction(-1, 2)
+I18_COEFF_I6_I12 = Fraction(3, 2)
+I18_COEFF_I9_SQ = Fraction(216)
 
 
 def _triple_tensor(a) -> np.ndarray:
@@ -451,12 +462,11 @@ def _hessian_coeffs(coeffs: dict) -> dict:
 
 
 def aronhold_from_coeffs(coeffs: dict) -> AronholdPair:
-    cal = calibration()
     c = _sym_tensor(coeffs)
     s_raw = _bracket_contract(c, c, c, c)
     ch = _sym_tensor(_hessian_coeffs(coeffs))
     t_raw = _bracket_contract(c, c, c, ch)
-    return AronholdPair(s_raw * cal["aronhold_s_scale"], t_raw * cal["aronhold_t_scale"])
+    return AronholdPair(s_raw * ARONHOLD_S_SCALE, t_raw * ARONHOLD_T_SCALE)
 
 
 def aronhold(cubic: MultiPoly) -> AronholdPair:
@@ -466,7 +476,7 @@ def aronhold(cubic: MultiPoly) -> AronholdPair:
 
 def discriminant_delta(s_val, t_val):
     """The degree-36 discriminant invariant from a cubic's (S, T)."""
-    return calibration()["delta_scale"] * (64 * s_val ** 3 + t_val ** 2)
+    return DELTA_SCALE * (64 * s_val ** 3 + t_val ** 2)
 
 
 # --- calibrated invariants ---------------------------------------------------
@@ -490,8 +500,7 @@ def invariants(s: State) -> InvariantSet:
 def i18_from_fundamentals(i6, i9, i12):
     """I18 as the unique weighted-degree-18 combination of the fundamentals
     matching the normal-form equation system."""
-    cal = calibration()
-    p, q, r = cal["i18_coeff_i6_cubed"], cal["i18_coeff_i6_i12"], cal["i18_coeff_i9_sq"]
+    p, q, r = I18_COEFF_I6_CUBED, I18_COEFF_I6_I12, I18_COEFF_I9_SQ
     if isinstance(i6, (complex, float)) or isinstance(i9, (complex, float)) \
             or isinstance(i12, (complex, float)):
         p, q, r = float(p), float(q), float(r)

@@ -2,20 +2,24 @@
 
 The order-1296 group is generated by the five matrices of Table `generators`;
 dropping the bare swap B leaves the index-2 reflection subgroup of order 648
-whose polynomial invariants are exactly the closed normal-form invariants.
-All closure, orbit and stabilizer computations run over Q(eps); floating
-point enters only when matching group orbits against numerically solved
-points.
+whose polynomial invariants are exactly the closed normal-form invariants
+(G26 and G25 in the Shephard-Todd list).  Every entry of every group element
+lies in (1/3)Z[eps], so an element is stored as 3 * entry in integer pairs and
+closure runs in exact integer arithmetic; the exact orbit, stabilizer and
+invariance computations see the entries as `Cyclo` values of Q(eps).
+Floating point enters only when matching group orbits against numerically
+solved points.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import EPS, Cyclo
+from .cyclotomic import EPS, EPS_COMPLEX, Cyclo
 from .poly_engine import MultiPoly, VariableRef, group_catalog
 
 _ZERO = Cyclo(0)
@@ -27,30 +31,68 @@ def _as_cyclo_rows(rows):
                  for row in rows)
 
 
+def _product9(x, y) -> list:
+    """9 * (g @ h) in integer pairs, row-major, for g and h given as their
+    18 ints (3 * entry = a + b*eps as the pair a, b, row-major)."""
+    out = []
+    for i in (0, 6, 12):
+        a0, b0, a1, b1, a2, b2 = x[i:i + 6]
+        for j in (0, 2, 4):
+            c0, d0 = y[j], y[j + 1]
+            c1, d1 = y[j + 6], y[j + 7]
+            c2, d2 = y[j + 12], y[j + 13]
+            # (a + b eps)(c + d eps) with eps^2 = -1 - eps
+            bd = b0 * d0 + b1 * d1 + b2 * d2
+            out.append(a0 * c0 + a1 * c1 + a2 * c2 - bd)
+            out.append(a0 * d0 + a1 * d1 + a2 * d2 + b0 * c0 + b1 * c1 + b2 * c2 - bd)
+    return out
+
+
+_IDENTITY9 = (9, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 9, 0)
+
+
 @dataclass(frozen=True)
 class GroupElement:
-    """A 3x3 matrix over Q(eps) acting on parameter triples (u, v, w)."""
+    """A 3x3 matrix over (1/3)Z[eps] acting on parameter triples (u, v, w).
 
-    rows: tuple
+    `ints` holds 3 * entry as the integer pair (a, b) of a + b*eps for the
+    nine entries in row-major order, 18 ints in all."""
+
+    ints: tuple
 
     @classmethod
     def from_rows(cls, rows) -> "GroupElement":
         rows = _as_cyclo_rows(rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("group elements are 3x3 matrices")
-        return cls(rows)
+        ints = []
+        for row in rows:
+            for e in row:
+                a, b = 3 * e.a, 3 * e.b
+                if a.denominator != 1 or b.denominator != 1:
+                    raise ValueError(f"entry {e} of a group element is not in (1/3)Z[eps]")
+                ints += (a.numerator, b.numerator)
+        return cls(tuple(ints))
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as a 3x3 tuple of exact `Cyclo` values."""
+        v = self.ints
+        return tuple(tuple(Cyclo(Fraction(v[k], 3), Fraction(v[k + 1], 3))
+                           for k in range(i, i + 6, 2))
+                     for i in (0, 6, 12))
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        a, b = self.rows, other.rows
-        return GroupElement(tuple(
-            tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
-                  for j in range(3))
-            for i in range(3)))
+        p = _product9(self.ints, other.ints)
+        if any(v % 3 for v in p):
+            raise ArithmeticError("a product entry left (1/3)Z[eps]")
+        return GroupElement(tuple(v // 3 for v in p))
 
     def apply(self, triple):
-        """Matrix-vector action on an exact or numeric (u, v, w)."""
+        """Matrix-vector action on an exact (u, v, w)."""
         u, v, w = triple
-        return tuple(self.rows[i][0] * u + self.rows[i][1] * v + self.rows[i][2] * w
+        rows = self.rows
+        return tuple(rows[i][0] * u + rows[i][1] * v + rows[i][2] * w
                      for i in range(3))
 
     def det(self) -> Cyclo:
@@ -69,14 +111,20 @@ class GroupElement:
                 minor = sub[0] * sub[3] - sub[1] * sub[2]
                 cof[i][j] = minor if (i + j) % 2 == 0 else -minor
         inv = tuple(tuple(cof[j][i] / d for j in range(3)) for i in range(3))
-        return GroupElement(inv)
+        return GroupElement.from_rows(inv)
 
     def conjugate_transpose(self) -> "GroupElement":
-        return GroupElement(tuple(
-            tuple(self.rows[j][i].conjugate() for j in range(3)) for i in range(3)))
+        # conj(a + b eps) = (a - b) - b eps
+        v = self.ints
+        out = []
+        for i in range(3):
+            for j in range(3):
+                a, b = v[6 * j + 2 * i], v[6 * j + 2 * i + 1]
+                out += (a - b, -b)
+        return GroupElement(tuple(out))
 
     def is_unitary(self) -> bool:
-        return self @ self.conjugate_transpose() == identity()
+        return tuple(_product9(self.ints, self.conjugate_transpose().ints)) == _IDENTITY9
 
     def order(self, cap: int = 2000) -> int:
         e = identity()
@@ -89,7 +137,8 @@ class GroupElement:
 
     def fixed_space_dim(self) -> int:
         """Dimension of the fixed subspace, i.e. 3 - rank(g - I), exactly."""
-        m = [[self.rows[i][j] - (_ONE if i == j else _ZERO) for j in range(3)]
+        rows = self.rows
+        m = [[rows[i][j] - (_ONE if i == j else _ZERO) for j in range(3)]
              for i in range(3)]
         return 3 - _rank3(m)
 
@@ -97,10 +146,11 @@ class GroupElement:
         return self != identity() and self.fixed_space_dim() == 2
 
     def to_complex(self) -> np.ndarray:
-        return np.array([[e.to_complex() for e in row] for row in self.rows])
+        return _to_complex(np.array(self.ints)).reshape(3, 3)
 
     def sort_key(self):
-        return tuple(e.sort_key() for row in self.rows for e in row)
+        # (a, b) of 3 * entry orders entries as (a, b) of the entry itself
+        return self.ints
 
     def entry_pairs(self):
         """Entries as (a, b) rational pairs meaning a + b*eps, row-major."""
@@ -108,6 +158,13 @@ class GroupElement:
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
+
+
+def _to_complex(ints: np.ndarray) -> np.ndarray:
+    """Complex entries from integer pairs (a, b) of 3 * entry along the last
+    axis, rounded as `Cyclo.to_complex` rounds a/3 + (b/3)*eps."""
+    a, b = ints[..., 0::2] / 3, ints[..., 1::2] / 3
+    return a.astype(complex) + b.astype(complex) * EPS_COMPLEX
 
 
 def _rank3(m) -> int:
@@ -182,7 +239,8 @@ class MatrixGroup:
     def _complex_matrices(self) -> np.ndarray:
         cached = getattr(self, "_matrices", None)
         if cached is None:
-            cached = np.array([g.to_complex() for g in self.elements])
+            ints = np.array([g.ints for g in self.elements]).reshape(-1, 18)
+            cached = _to_complex(ints).reshape(-1, 3, 3)
             object.__setattr__(self, "_matrices", cached)
         return cached
 
@@ -302,9 +360,8 @@ def stabilizer(group: MatrixGroup, triple, tol: float = 1e-9) -> MatrixGroup:
     else:
         t = np.array([complex(c) for c in triple])
         scale = float(np.max(np.abs(t)))
-        for g, m in zip(group.elements, _complex_matrices(group)):
-            if np.max(np.abs(m @ t - t)) <= tol * scale:
-                members.append(g)
+        moved = np.max(np.abs(_complex_matrices(group) @ t - t), axis=1)
+        members = [g for g, fixed in zip(group.elements, moved <= tol * scale) if fixed]
     return MatrixGroup(tuple(sorted(members, key=GroupElement.sort_key)), ())
 
 

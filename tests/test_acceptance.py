@@ -135,8 +135,11 @@ def test_criterion_07_cubic_geometry():
             worst_st = max(worst_st, abs(p.s - pairs[0].s) / scale,
                            abs(p.t - pairs[0].t) / scale)
         assert worst_st < 1e-9
-        i12 = con.invariants(s).i12
-        rel = abs(1296 * pairs[0].s + i12) / abs(i12)
+        # -6^4 S against the closed C12 of a det-1-scrambled normal form
+        t = random_parameter_triple(8000 + i)
+        scrambled = apply_local(normal_form_state(t), random_local_transform(8100 + i))
+        i12 = con.c_formulas(*t).c12
+        rel = abs(1296 * con.aronhold(slice_cubic(scrambled, "x")).s + i12) / abs(i12)
         worst_s12 = max(worst_s12, rel)
         assert rel < 1e-9
     worst_delta = 0.0

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from trimoduli import cli
+import trimoduli
+from trimoduli import cli, form_problem
 from trimoduli.qutrit_state import (
     apply_local,
     normal_form_state,
     random_local_transform,
+    random_state,
     write_state,
 )
 
@@ -56,6 +62,35 @@ def test_solve_full_listing(capsys):
     assert code == 0
     assert payload["count"] == 1
     assert payload["triples"] == [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]
+
+
+def test_solve_solves_once(capsys, monkeypatch):
+    calls = []
+    solve = form_problem.solve
+
+    def counted(inp):
+        calls.append(inp)
+        return solve(inp)
+
+    monkeypatch.setattr(form_problem, "solve", counted)
+    code, out, _ = run_cli(capsys, "solve", "--a", "1", "--b", "1", "--c", "1")
+    assert code == 0
+    assert json.loads(out)["count"] == 72
+    assert len(calls) == 1
+
+
+def test_classify_never_calibrates(tmp_path):
+    # a fresh interpreter: the runtime path uses the pinned constants only
+    path = tmp_path / "state.json"
+    write_state(path, random_state(3))
+    code = ("import sys\n"
+            "from trimoduli import cli, concomitants\n"
+            "assert cli.main(['classify', sys.argv[1]]) == 0\n"
+            "assert concomitants.calibration.cache_info().currsize == 0\n")
+    src = str(Path(trimoduli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_orbit_command(capsys):

@@ -40,6 +40,12 @@ class TestCalibration:
         assert calibrated["delta_scale"] == Fraction(-19683)
         assert calibrated["i9_variant"] == "e_alpha,e_beta,e_beta"
 
+    def test_pinned_constants_equal_calibration(self, calibrated):
+        for name in ("aronhold_s_scale", "aronhold_t_scale", "delta_scale",
+                     "i18_coeff_i6_cubed", "i18_coeff_i6_i12", "i18_coeff_i9_sq"):
+            pinned = getattr(con, name.upper())
+            assert isinstance(pinned, Fraction) and pinned == calibrated[name], name
+
     def test_report_round_trips(self, calibrated):
         report = con.calibration_report()
         assert Fraction(report["i12_scale"]) == calibrated["i12_scale"]
@@ -295,11 +301,16 @@ class TestAronhold:
         assert abs(64 * smooth.s ** 3 + smooth.t ** 2) > 1e-6
 
     def test_s_matches_degree12_invariant(self):
+        # -6^4 S of a slice cubic against the closed C12 of the generating
+        # triple of a det-1-scrambled normal form
+        from trimoduli.qutrit_state import apply_local, random_local_transform
+
         for seed in (92, 93, 94):
-            s = random_state(seed)
-            inv = con.invariants(s)
+            t = random_parameter_triple(seed)
+            s = apply_local(normal_form_state(t), random_local_transform(seed + 10))
             pair = con.aronhold(slice_cubic(s, "x"))
-            assert abs(1296 * pair.s + inv.i12) < 1e-9 * abs(inv.i12)
+            want = con.c_formulas(*t).c12
+            assert abs(1296 * pair.s + want) < 1e-9 * abs(want)
 
     def test_slices_share_invariants(self):
         s = random_state(95)

@@ -264,6 +264,17 @@ class TestScaleRobustness:
             sol = fp.solve(fp.FormProblemInput(s ** 6, s ** 12, s ** 18, i9=0))
             assert sol.filtered_count == 72
 
+    def test_classify_state_across_scales(self):
+        from trimoduli.concomitants import invariants
+        from trimoduli.qutrit_state import random_state
+
+        s = random_state(7)
+        for scale in (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e5, 1e8):
+            inv = invariants(s.scaled(scale))
+            oc = fp.classify(fp.FormProblemInput(inv.i6, inv.i12, inv.i18, i9=inv.i9))
+            assert (oc.count, oc.case_tree_prediction, oc.stabilizer_label) \
+                == (648, 648, "trivial"), scale
+
     def test_solver_scaling_extreme_coefficients(self):
         roots = fp.solve_quartic_radicals(1.0, 0.0, 0.0, 0.0, -1e120)
         for r in roots:

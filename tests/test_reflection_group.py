@@ -1,5 +1,7 @@
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trimoduli import form_problem as fp
@@ -16,7 +18,7 @@ class TestGenerators:
 
     def test_e_squared_is_minus_swap(self):
         g = rg.generators()
-        minus_b = rg.GroupElement(tuple(tuple(-x for x in row) for row in g["B"].rows))
+        minus_b = rg.GroupElement.from_rows(tuple(tuple(-x for x in row) for row in g["B"].rows))
         assert g["E"] @ g["E"] == minus_b
 
     def test_cycle_has_order_three(self):
@@ -27,6 +29,57 @@ class TestGenerators:
     def test_generators_are_unitary(self):
         for name, g in rg.generators().items():
             assert g.is_unitary(), name
+
+
+def _cyclo_closure(gens):
+    """Breadth-first closure of 3x3 `Cyclo` row tuples, sorted by entry: the
+    oracle for the integer-encoded closure of `generate_closure`."""
+    def mul(x, y):
+        return tuple(tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] + x[i][2] * y[2][j]
+                           for j in range(3)) for i in range(3))
+
+    ident = rg.identity().rows
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        new = []
+        for g in frontier:
+            for h in gens:
+                prod = mul(g, h)
+                if prod not in seen:
+                    seen.add(prod)
+                    new.append(prod)
+        frontier = new
+    return sorted(seen, key=lambda m: tuple(e.sort_key() for row in m for e in row))
+
+
+class TestIntegerEncoding:
+    def test_from_rows_rejects_entries_outside_third_integers(self):
+        with pytest.raises(ValueError, match=r"\(1/3\)Z\[eps\]"):
+            rg.GroupElement.from_rows(((Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 1)))
+
+    def test_inverse_rejects_non_unit_scaling(self):
+        with pytest.raises(ValueError):
+            rg.GroupElement.from_rows(((2, 0, 0), (0, 1, 0), (0, 0, 1))).inverse()
+
+    def test_product_leaving_third_integers_raises(self):
+        third = rg.GroupElement.from_rows(((Fraction(1, 3), 0, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(ArithmeticError):
+            third @ third
+
+    def test_rows_round_trip(self):
+        for g in rg.generators().values():
+            assert rg.GroupElement.from_rows(g.rows) == g
+            assert all(isinstance(e, Cyclo) for row in g.rows for e in row)
+
+    def test_complex_entries_match_cyclo(self, group_k):
+        for g in group_k.elements[::37]:
+            want = [[e.to_complex() for e in row] for row in g.rows]
+            assert g.to_complex().tolist() == want
+
+    def test_closure_matches_cyclo_oracle(self, group_k):
+        for grp in (group_k, rg.group_h()):
+            oracle = _cyclo_closure([g.rows for g in grp.gens])
+            assert [g.rows for g in grp.elements] == oracle
 
 
 class TestClosure:
@@ -85,6 +138,11 @@ class TestOrbits:
                            for x in p) for p in exact]
         assert fp.set_distance(exact_pts, flo) < 1e-12
 
+    def test_float_stabilizer_matches_exact(self, group_k):
+        exact = rg.stabilizer(group_k, (1, -1, 0))
+        flo = rg.stabilizer(group_k, (1.0 + 0j, -1.0 + 0j, 0j))
+        assert flo.elements == exact.elements
+
     def test_origin(self, group_k):
         orb = rg.orbit(group_k, (0, 0, 0), mode="exact")
         assert len(orb) == 1
@@ -134,6 +192,16 @@ class TestStabilizerTypes:
             for scale in (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3):
                 triple = tuple(complex(c) * scale for c in point)
                 assert rg.stabilizer(group_k, triple, tol=1e-6).order == order, (point, scale)
+
+    def test_float_selection_matches_elementwise_loop(self, group_k):
+        # the per-element test that the one batched product replaced
+        points = (tuple(random_parameter_triple(33)), (1, 1, 0), (1, 0, 0), (0, 1, -1))
+        for point in points:
+            t = np.array([complex(c) for c in point]) * (0.3 - 0.4j)
+            bound = 1e-6 * np.max(np.abs(t))
+            want = tuple(g for g in group_k.elements
+                         if np.max(np.abs(g.to_complex() @ t - t)) <= bound)
+            assert rg.stabilizer(group_k, tuple(t), tol=1e-6).elements == want
 
     def test_unexpected_order_label(self):
         sub = rg.generate_closure((rg.generators()["B"],))

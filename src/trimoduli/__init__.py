@@ -44,8 +44,6 @@ from .poly_engine import (  # noqa: F401
     MultiPoly,
     VariableRef,
     group_catalog,
-    omega_apply,
-    trace_collapse,
     transvectant,
 )
 from .qutrit_state import (  # noqa: F401

@@ -140,7 +140,7 @@ def cmd_solve(args) -> int:
 def cmd_orbit(args) -> int:
     group = reflection_group.group_k()
     triple = (args.u, args.v, args.w)
-    points = reflection_group.orbit(group, triple, mode="float")
+    points = reflection_group.orbit(group, triple)
     stab = reflection_group.stabilizer(group, triple)
     label = reflection_group.stabilizer_type(stab)
     if len(points) * stab.order != group.order:

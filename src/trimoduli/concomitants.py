@@ -1,8 +1,12 @@
 """Concomitants, fundamental invariants and the ternary-cubic invariants.
 
 The invariants of a state are computed on the runtime path as fixed-order
-numpy contractions of its 3x3x3 amplitude array with Levi-Civita symbols
-(`dense_raws`): I6 and I9 directly, I12 from the Aronhold S of a slice cubic.
+numpy contractions of its 3x3x3 amplitude array with Levi-Civita symbols:
+I6 and I9 directly (`dense_raws`), I12 and Delta from the Aronhold S and T
+of its slice tensor, each one `bracket` of four such tensors (the Hessian's
+tensor is the slice tensor of the cubic's own), and I18 from I6, I9, I12.
+`aronhold` runs the same contractions on a cubic polynomial, exactly on
+exact coefficients.
 The concomitants are transvectants of the ground form f with the pairing
 forms P_alpha = sum xi_i x_i, P_beta = sum eta_j y_j and
 P_gamma = sum zeta_k z_k, and the degree-6/9/12 invariants are also full
@@ -35,10 +39,11 @@ from .poly_engine import (
     transvectant,
 )
 from .qutrit_state import (
+    LEVI_CIVITA,
     ParameterTriple,
     State,
     normal_form_amplitudes,
-    slice_cubic,
+    slice_tensor,
     trilinear_form,
 )
 
@@ -212,16 +217,6 @@ def invariant_raws(f: MultiPoly) -> dict:
 
 # --- dense invariant contractions (the runtime path) -----------------------
 
-def _levi_civita() -> np.ndarray:
-    """The symbol eps_ijk; integer, so integer arrays contract exactly."""
-    eps = np.zeros((3, 3, 3), dtype=np.int64)
-    for sigma, sign in PERMS3:
-        eps[sigma] = sign
-    return eps
-
-
-_EPS3 = _levi_civita()
-
 # raw dense contraction -> calibrated invariant; the tests pin both against
 # calibration() exactly on integer arrays
 I6_DENSE_SCALE = Fraction(-1, 6)
@@ -242,7 +237,7 @@ I18_COEFF_I9_SQ = Fraction(216)
 def _triple_tensor(a) -> np.ndarray:
     """T[b0,b1,b2,c0,c1,c2] = eps_{a0a1a2} A[a0,b0,c0] A[a1,b1,c1] A[a2,b2,c2]:
     three copies of the array with their party-1 legs antisymmetrized."""
-    t = np.einsum("xyz,xbj->yzbj", _EPS3, a)
+    t = np.einsum("xyz,xbj->yzbj", LEVI_CIVITA, a)
     t = np.einsum("yzbj,yck->zbjck", t, a)
     return np.einsum("zbjck,zdl->bcdjkl", t, a)
 
@@ -259,7 +254,7 @@ def dense_raws(a) -> tuple:
     a..i and c0..c8 as j..r, and the contraction order is fixed by hand: a
     path search over all nine copies costs seconds per call.
     """
-    e = _EPS3
+    e = LEVI_CIVITA
     t = _triple_tensor(a)
     # I6 = sum T[b0 b1 b2 c0 c1 c2] T[b3 b4 b5 c3 c4 c5]
     #        eps(b0 b1 b3) eps(b2 b4 b5) eps(c0 c3 c5) eps(c1 c2 c4)
@@ -377,101 +372,57 @@ def jacobian_check(t: ParameterTriple | tuple) -> JacobianCheck:
 
 # --- Aronhold invariants of a ternary cubic ---------------------------------
 
-def _cubic_coeff_map(cubic: MultiPoly) -> dict:
-    """Exponent->coefficient map of a cubic in one group; validates shape."""
-    groups = {v.group for v in cubic.variables_present()}
-    if len(groups) > 1:
-        raise ValueError("cubic must involve a single variable group")
-    coeffs = {}
-    for exps, coeff in cubic.terms.items():
-        key = [0, 0, 0]
-        tot = 0
-        for v, e in zip(cubic.catalog, exps):
-            if e:
-                key[v.index - 1] += e
-                tot += e
-        if tot != 3:
-            raise ValueError("polynomial is not homogeneous of degree 3")
-        key = tuple(key)
-        coeffs[key] = coeffs.get(key, 0) + coeff
-    return coeffs
+def _cubic_tensor(terms) -> np.ndarray:
+    """The K tensor of a cubic given by ((e1, e2, e3), coefficient) pairs, as
+    `slice_tensor` gives it (six times the symmetric coefficient tensor):
+    K[a,b,c] is the coefficient of x_a x_b x_c times e1! e2! e3!.  Exact
+    coefficients give an object array."""
+    k = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for (e1, e2, e3), val in terms:
+        weighted = val * math.factorial(e1) * math.factorial(e2) * math.factorial(e3)
+        for i, j, m in set(permutations([0] * e1 + [1] * e2 + [2] * e3)):
+            k[i][j][m] += weighted
+    return np.array(k)
 
 
-def _sym_tensor(coeffs: dict):
-    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    for (e1, e2, e3), val in coeffs.items():
-        idx = [0] * e1 + [1] * e2 + [2] * e3
-        arrangements = set(permutations(idx))
-        share = val / len(arrangements)
-        for (i, j, k) in arrangements:
-            c[i][j][k] = share
-    return c
+def bracket(t1, t2, t3, t4):
+    """Full contraction of four 3x3x3 tensors against the bracket monomial
+    (123)(124)(134)(234), that is eps_abc eps_def eps_ghi eps_jkl
+    t1[a,d,g] t2[b,e,j] t3[c,h,k] t4[f,i,l], in a fixed einsum order."""
+    e = LEVI_CIVITA
+    u = np.einsum("adg,abc->dgbc", t1, e)
+    u = np.einsum("dgbc,bej->dgcej", u, t2)
+    u = np.einsum("dgcej,def->gcjf", u, e)
+    u = np.einsum("gcjf,chk->gjfhk", u, t3)
+    u = np.einsum("gjfhk,ghi->jfki", u, e)
+    v = np.einsum("fil,jkl->fijk", t4, e)
+    return np.einsum("jfki,fijk->", u, v)
 
 
-def _bracket_contract(t1, t2, t3, t4):
-    """Full contraction of four symmetric cubic tensors against the bracket
-    monomial (123)(124)(134)(234)."""
-    total = 0
-    for s1, g1 in PERMS3:
-        for s2, g2 in PERMS3:
-            a = t1[s1[0]][s2[0]]
-            b = t2[s1[1]][s2[1]]
-            for s3, g3 in PERMS3:
-                aa = a[s3[0]]
-                if not aa:
-                    continue
-                c = t3[s1[2]][s3[1]]
-                g123 = g1 * g2 * g3
-                for s4, g4 in PERMS3:
-                    v = aa * b[s4[0]] * c[s4[1]] * t4[s2[2]][s3[2]][s4[2]]
-                    if v:
-                        total = total + g123 * g4 * v
-    return total
-
-
-def _hessian_coeffs(coeffs: dict) -> dict:
-    """Coefficient map of the Hessian cubic det(d^2 F / dx_a dx_b)."""
-    h = [[[0] * 3 for _ in range(3)] for _ in range(3)]  # h[a][b][i] x_i
-    for e, val in coeffs.items():
-        for a in range(3):
-            for b in range(3):
-                ee = list(e)
-                if ee[a] == 0:
-                    continue
-                fac = ee[a]
-                ee[a] -= 1
-                if ee[b] == 0:
-                    continue
-                fac *= ee[b]
-                ee[b] -= 1
-                h[a][b][ee.index(1)] += val * fac
-    out: dict = {}
-    for sigma, sign in PERMS3:
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    v = h[0][sigma[0]][i] * h[1][sigma[1]][j] * h[2][sigma[2]][k]
-                    if v:
-                        key = [0, 0, 0]
-                        key[i] += 1
-                        key[j] += 1
-                        key[k] += 1
-                        key = tuple(key)
-                        out[key] = out.get(key, 0) + sign * v
-    return {k: v for k, v in out.items() if v}
-
-
-def aronhold_from_coeffs(coeffs: dict) -> AronholdPair:
-    c = _sym_tensor(coeffs)
-    s_raw = _bracket_contract(c, c, c, c)
-    ch = _sym_tensor(_hessian_coeffs(coeffs))
-    t_raw = _bracket_contract(c, c, c, ch)
-    return AronholdPair(s_raw * ARONHOLD_S_SCALE, t_raw * ARONHOLD_T_SCALE)
+def aronhold_raws(k) -> tuple:
+    """Raw Aronhold S and T of the cubic with K tensor k, before the pinned
+    scales.  The Hessian matrix d^2F/dx_a dx_b is sum_c K[a,b,c] x_c, so
+    `slice_tensor(k)` is the K tensor of the Hessian cubic; each bracket of
+    four K tensors carries the factor 6^4 of the symmetric tensors."""
+    scale = Fraction(1, 1296)
+    return bracket(k, k, k, k) * scale, bracket(k, k, k, slice_tensor(k)) * scale
 
 
 def aronhold(cubic: MultiPoly) -> AronholdPair:
-    """Aronhold S and T of a ternary cubic given as a one-group polynomial."""
-    return aronhold_from_coeffs(_cubic_coeff_map(cubic))
+    """Aronhold S and T of a ternary cubic given as a one-group polynomial;
+    exact on exact coefficients."""
+    if len({v.group for v in cubic.variables_present()}) > 1:
+        raise ValueError("cubic must involve a single variable group")
+    terms = []
+    for exps, coeff in cubic.terms.items():
+        key = [0, 0, 0]
+        for v, e in zip(cubic.catalog, exps):
+            key[v.index - 1] += e
+        if sum(key) != 3:
+            raise ValueError("polynomial is not homogeneous of degree 3")
+        terms.append((key, coeff))
+    s_raw, t_raw = aronhold_raws(_cubic_tensor(terms))
+    return AronholdPair(s_raw * ARONHOLD_S_SCALE, t_raw * ARONHOLD_T_SCALE)
 
 
 def discriminant_delta(s_val, t_val):
@@ -485,11 +436,11 @@ def invariants(s: State) -> InvariantSet:
     """Fundamental invariants (I6, I9, I12), the derived I18 and the
     discriminant Delta of a state, as Python complex numbers: I6 and I9 by
     dense contraction of its amplitudes, I12 and Delta from the Aronhold
-    pair of its x-slice cubic."""
+    pair of its x-slice cubic, all by fixed-order numpy contractions."""
     raw6, raw9 = dense_raws(s.amplitudes)
-    ar = aronhold(slice_cubic(s, "x"))
-    # a cubic with no terms gives exact zeros; keep every field complex
-    s_val, t_val = complex(ar.s), complex(ar.t)
+    s_raw, t_raw = aronhold_raws(slice_tensor(s.amplitudes))
+    s_val = complex(s_raw) * float(ARONHOLD_S_SCALE)
+    t_val = complex(t_raw) * float(ARONHOLD_T_SCALE)
     i6 = complex(raw6) * float(I6_DENSE_SCALE)
     i9 = complex(raw9) * float(I9_DENSE_SCALE)
     i12 = I12_FROM_S * s_val
@@ -505,13 +456,6 @@ def i18_from_fundamentals(i6, i9, i12):
             or isinstance(i12, (complex, float)):
         p, q, r = float(p), float(q), float(r)
     return p * i6 ** 3 + q * i6 * i12 + r * i9 ** 2
-
-
-def invariants_of_triple(u, v, w) -> InvariantSet:
-    """InvariantSet of the normal form with parameters (u, v, w), from the
-    closed formulas (I18 from the equation system, Delta = C12'**3)."""
-    c = c_formulas(u, v, w)
-    return InvariantSet(c.c6, c.c9, c.c12, c.c18, c.c12_prime ** 3)
 
 
 # an invariant of degree d vanishes below VANISH_TOL * norm**d, the relative
@@ -647,6 +591,12 @@ def _fit_constant(pairs, name):
     return next(iter(ratios))
 
 
+def _hesse_tensor(phi, psi) -> np.ndarray:
+    """K tensor of the Hesse cubic -phi*(x^3+y^3+z^3) + psi*xyz."""
+    return _cubic_tensor((((3, 0, 0), -phi), ((0, 3, 0), -phi), ((0, 0, 3), -phi),
+                          ((1, 1, 1), psi)))
+
+
 @lru_cache(maxsize=None)
 def calibration() -> dict:
     """Exact one-time calibration of every normalization constant, done on
@@ -693,11 +643,7 @@ def calibration() -> dict:
     s_pairs = []
     t_pairs = []
     for (phi, psi) in ((0, 1), (1, 1), (1, 2), (-1, 0), (2, 3)):
-        coeffs = {(3, 0, 0): Fraction(-phi), (0, 3, 0): Fraction(-phi),
-                  (0, 0, 3): Fraction(-phi), (1, 1, 1): Fraction(psi)}
-        c = _sym_tensor(coeffs)
-        s_raw = _bracket_contract(c, c, c, c)
-        t_raw = _bracket_contract(c, c, c, _sym_tensor(_hessian_coeffs(coeffs)))
+        s_raw, t_raw = aronhold_raws(_hesse_tensor(Fraction(phi), Fraction(psi)))
         s_target = Fraction(-psi * (psi ** 3 + 216 * phi ** 3), 1296)
         t_target = Fraction(46656 * phi ** 6 + 4320 * phi ** 3 * psi ** 3 - 8 * psi ** 6, 46656)
         s_pairs.append((s_raw, s_target))
@@ -712,11 +658,9 @@ def calibration() -> dict:
         uf, vf, wf = Fraction(u), Fraction(v), Fraction(w)
         phi = uf * vf * wf
         psi = uf ** 3 + vf ** 3 + wf ** 3
-        coeffs = {(3, 0, 0): -phi, (0, 3, 0): -phi, (0, 0, 3): -phi, (1, 1, 1): psi}
-        c = _sym_tensor(coeffs)
-        s_val = data["aronhold_s_scale"] * _bracket_contract(c, c, c, c)
-        t_val = data["aronhold_t_scale"] * _bracket_contract(
-            c, c, c, _sym_tensor(_hessian_coeffs(coeffs)))
+        s_raw, t_raw = aronhold_raws(_hesse_tensor(phi, psi))
+        s_val = data["aronhold_s_scale"] * s_raw
+        t_val = data["aronhold_t_scale"] * t_raw
         disc = 64 * s_val ** 3 + t_val ** 2
         d_pairs.append((disc, Fraction(c12_prime(uf, vf, wf)) ** 3))
     data["delta_scale"] = _fit_constant(d_pairs, "delta_scale")

@@ -64,7 +64,7 @@ class OrbitClass:
     polytope_label: str
     stabilizer_label: str
     stabilizer_order: int
-    d_discriminant: complex
+    d_discriminant: complex | None  # None where b^2 (b^3 - c^2)^4 leaves float range
     delta: complex
     i9_used: complex
     case_tree_prediction: int | None
@@ -201,11 +201,6 @@ def _poly_eval(coeffs, x):
 def _poly_derivative(coeffs):
     n = len(coeffs) - 1
     return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
-
-
-def companion_roots(coeffs) -> list[complex]:
-    """Eigenvalue root-finder (numpy companion matrix); test oracle only."""
-    return [complex(r) for r in np.roots([complex(c) for c in coeffs])]
 
 
 def cluster_roots(roots, coeffs=None, rel_tol: float = 2e-5):
@@ -372,40 +367,16 @@ def enumerate_triples(branches, inp: FormProblemInput) -> SolutionSet:
 
 
 def _dedup_triples(candidates, rel_tol: float = 1e-8):
+    """Merge the candidates closer than rel_tol times the diameter of the set
+    into their mean."""
     if not candidates:
         return []
     pts = np.array(candidates)
     flat = np.column_stack([pts.real, pts.imag])
-    if len(candidates) == 1:
-        diameter = 0.0
-    else:
-        lo, hi = flat.min(axis=0), flat.max(axis=0)
-        diameter = float(np.linalg.norm(hi - lo))
-    tol = rel_tol * max(diameter, 1e-12)
-
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(flat)
-    pairs = tree.query_pairs(tol)
-    parent = list(range(len(candidates)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(len(candidates)):
-        groups.setdefault(find(i), []).append(i)
-    out = []
-    for members in groups.values():
-        mean = pts[members].mean(axis=0)
-        out.append(tuple(complex(z) for z in mean))
+    diameter = float(np.linalg.norm(flat.max(axis=0) - flat.min(axis=0)))
+    clusters = reflection_group.cluster_points(flat, rel_tol * max(diameter, 1e-12))
+    out = [tuple(complex(z) for z in pts[members].mean(axis=0))
+           for members in clusters.values()]
     out.sort(key=lambda t: tuple((z.real, z.imag) for z in t))
     return out
 
@@ -505,6 +476,8 @@ def classify(inp: FormProblemInput, sol: SolutionSet | None = None) -> OrbitClas
     count = sol.filtered_count
     a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
     d_val = b ** 2 * (b ** 3 - c ** 2) ** 4
+    if not cmath.isfinite(d_val):
+        d_val = None
     delta = a ** 3 - 3 * a * b + 2 * c
     if count not in POLYTOPE_LABELS:
         raise FormProblemError(
@@ -551,7 +524,7 @@ def emit_configuration(case: str, scale: complex = 1.0, path=None):
 
     # certify the points form a single orbit of the symmetry group
     group = reflection_group.group_k()
-    orbit_pts = reflection_group.orbit(group, sol.triples[0], mode="float")
+    orbit_pts = reflection_group.orbit(group, sol.triples[0])
     if len(orbit_pts) != expected:
         raise FormProblemError(f"{case}: sample point orbit has {len(orbit_pts)} points")
     dist = set_distance(orbit_pts, sol.triples)

@@ -326,23 +326,6 @@ class MultiPoly:
             terms[tuple(key)] = coeff
         return MultiPoly(catalog, terms)
 
-    def map_variables(self, mapping) -> "MultiPoly":
-        """Rename variables via mapping(var) -> var; exponents of collided
-        variables add (this is what identifying slots means)."""
-        image = {v: VariableRef(*mapping(v)) for v in self.catalog}
-        catalog = make_catalog(image.values())
-        pos = {v: i for i, v in enumerate(catalog)}
-        terms: dict[tuple, object] = {}
-        for exps, coeff in self.terms.items():
-            key = [0] * len(catalog)
-            for v, e in zip(self.catalog, exps):
-                if e:
-                    key[pos[image[v]]] += e
-            k = tuple(key)
-            acc = terms.get(k)
-            terms[k] = coeff if acc is None else acc + coeff
-        return MultiPoly(catalog, terms)
-
     def substitute(self, replacements: Mapping[VariableRef, "MultiPoly"]) -> "MultiPoly":
         """Substitute polynomials for variables (used for linear changes of
         coordinates).  All replacement polynomials must share one catalog,
@@ -419,37 +402,6 @@ def _one_like(p: MultiPoly):
             return Cyclo(1)
         return Fraction(1)
     return 1
-
-
-def reslot(p: MultiPoly, slot: int) -> MultiPoly:
-    """Move every variable of a polynomial into the given slot copy."""
-    return p.map_variables(lambda v: VariableRef(v.group, v.index, slot))
-
-
-def trace_collapse(p: MultiPoly) -> MultiPoly:
-    """Identify all slot copies of every group (the multiplication map)."""
-    return p.map_variables(lambda v: VariableRef(v.group, v.index, 1))
-
-
-def omega_apply(p: MultiPoly, group: str, power: int = 1) -> MultiPoly:
-    """Apply the omega operator of one group `power` times.
-
-    Omega is the determinant of the 3x3 matrix of partials d/d(group_i^(slot));
-    the polynomial must carry all three slot copies of the group in its
-    catalog.  A degree deficit simply produces the zero polynomial.
-    """
-    if group not in _GROUP_RANK:
-        raise PolyError(f"unknown variable group {group!r}")
-    needed = {VariableRef(group, i, s) for i in (1, 2, 3) for s in (1, 2, 3)}
-    if not needed.issubset(p.catalog):
-        raise PolyError(f"catalog lacks slot copies 1..3 of group {group!r}")
-    for _ in range(power):
-        acc = MultiPoly.zero(p.catalog)
-        for sigma, sign in PERMS3:
-            q = p.diff_multi({VariableRef(group, sigma[s] + 1, s + 1): 1 for s in range(3)})
-            acc = acc + (q if sign > 0 else -q)
-        p = acc
-    return p
 
 
 @lru_cache(maxsize=None)
@@ -652,27 +604,3 @@ def transvectant(f1: MultiPoly, f2: MultiPoly, f3: MultiPoly,
     omega_xi^m1 omega_eta^m2 omega_zeta^m3, and identifies the slots.
     """
     return FactoredTriple(f1, f2, f3, upper, lower).evaluate()
-
-
-def transvectant_naive(f1: MultiPoly, f2: MultiPoly, f3: MultiPoly,
-                       upper: tuple[int, int, int] = (0, 0, 0),
-                       lower: tuple[int, int, int] = (0, 0, 0)) -> MultiPoly:
-    """Reference implementation: expand the triple product, then apply the
-    omega operators symbolically and trace.  Exponential in the budget;
-    test oracle only."""
-    budget = {g: n for g, n in zip(GROUPS, (*upper, *lower)) if n}
-    vs = set()
-    slotted = []
-    for s, f in enumerate((f1, f2, f3), start=1):
-        fs = reslot(f, s)
-        slotted.append(fs)
-        vs.update(fs.catalog)
-    for g in budget:
-        vs.update(VariableRef(g, i, s) for i in (1, 2, 3) for s in (1, 2, 3))
-    catalog = make_catalog(vs)
-    prod = slotted[0].with_catalog(catalog)
-    for fs in slotted[1:]:
-        prod = prod * fs.with_catalog(catalog)
-    for g in sorted(budget, key=_GROUP_RANK.get):
-        prod = omega_apply(prod, g, budget[g])
-    return trace_collapse(prod)

@@ -2,20 +2,23 @@
 
 A state is identified with the trilinear form sum_ijk A[i,j,k] x_i y_j z_k;
 the local group SL(3,C)^x3 acts by contracting each tensor leg with the
-matching matrix.  This module also builds the three-parameter normal-form
-family, slice-determinant cubics, reduced densities, the tangent-map orbit
-dimension, and the JSON state file format.
+matching matrix.  This module also holds the one Levi-Civita symbol of the
+package and the slice tensor, the determinant of a slice as a symmetric
+3x3x3 tensor (by numpy einsum; `slice_cubic` writes it out as a polynomial),
+and builds the three-parameter normal-form family, reduced densities, the
+tangent-map orbit dimension, and the JSON state file format.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
 
-from .poly_engine import MultiPoly, VariableRef, group_catalog
+from .poly_engine import PERMS3, MultiPoly, VariableRef, group_catalog
 
 STATE_FORMAT = "trimoduli-state-v1"
 
@@ -23,6 +26,18 @@ STATE_FORMAT = "trimoduli-state-v1"
 # v multiplies the odd arrangements of (1,2,3), w the even ones.
 ODD_TRIPLES = ((1, 3, 2), (2, 1, 3), (3, 2, 1))
 EVEN_TRIPLES = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+
+
+def _levi_civita() -> np.ndarray:
+    """The symbol eps_ijk; integer, so integer arrays contract exactly."""
+    eps = np.zeros((3, 3, 3), dtype=np.int64)
+    for sigma, sign in PERMS3:
+        eps[sigma] = sign
+    eps.setflags(write=False)
+    return eps
+
+
+LEVI_CIVITA = _levi_civita()
 
 
 class StateIOError(ValueError):
@@ -154,36 +169,32 @@ def apply_local(s: State, g: LocalTransform) -> State:
     return State(amp)
 
 
+def slice_tensor(a) -> np.ndarray:
+    """K[a,b,c] = eps_jlm eps_kno A[a,j,k] A[b,l,n] A[c,m,o] of a 3x3x3 array.
+
+    det(sum_a x_a A[a]) = (1/6) sum_abc K[a,b,c] x_a x_b x_c and K is
+    symmetric, so K is six times the symmetric coefficient tensor of that
+    cubic.  The einsum order is fixed; integer arrays give an integer K and
+    object arrays of Fractions stay exact."""
+    e = LEVI_CIVITA
+    t = np.einsum("jlm,ajk->almk", e, a)
+    t = np.einsum("almk,bln->amkbn", t, a)
+    t = np.einsum("amkbn,kno->ambo", t, e)
+    return np.einsum("ambo,cmo->abc", t, a)
+
+
 def slice_cubic(s: State, axis: str) -> MultiPoly:
     """Determinant of the 3x3 matrix of linear forms obtained by contracting
-    the chosen leg with its variables; a ternary cubic in that group."""
+    the chosen leg with its variables; a ternary cubic in that group, whose
+    coefficient of x^e is K[a,b,c] / (e1! e2! e3!) for `slice_tensor` K."""
     if axis not in ("x", "y", "z"):
         raise ValueError("axis must be one of 'x', 'y', 'z'")
-    A = s.amplitudes
-    if axis == "x":
-        rows = lambda i, j, k: (i, j, k)   # noqa: E731  entry M[j,k] = sum_i A_ijk x_i
-    elif axis == "y":
-        rows = lambda j, i, k: (i, j, k)   # noqa: E731  entry M[i,k] = sum_j A_ijk y_j
-    else:
-        rows = lambda k, i, j: (i, j, k)   # noqa: E731  entry M[i,j] = sum_k A_ijk z_k
-    catalog = group_catalog((axis,))
-    pos = {v: n for n, v in enumerate(catalog)}
-    terms: dict[tuple, complex] = {}
-    perms = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-             ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
-    for sigma, sign in perms:
-        for a in range(3):
-            for b in range(3):
-                for c in range(3):
-                    coeff = (A[rows(a, 0, sigma[0])] * A[rows(b, 1, sigma[1])]
-                             * A[rows(c, 2, sigma[2])])
-                    if coeff:
-                        key = [0] * 3
-                        for idx in (a, b, c):
-                            key[pos[VariableRef(axis, idx + 1)]] += 1
-                        k = tuple(key)
-                        terms[k] = terms.get(k, 0) + sign * coeff
-    return MultiPoly(catalog, terms)
+    k = slice_tensor(np.moveaxis(s.amplitudes, "xyz".index(axis), 0))
+    terms = {}
+    for idx in combinations_with_replacement(range(3), 3):
+        exps = tuple(idx.count(i) for i in range(3))
+        terms[exps] = k[idx] / math.prod(map(math.factorial, exps))
+    return MultiPoly(group_catalog((axis,)), terms)
 
 
 def reduced_density(s: State, party: int) -> np.ndarray:

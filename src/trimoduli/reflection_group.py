@@ -7,8 +7,10 @@ whose polynomial invariants are exactly the closed normal-form invariants
 lies in (1/3)Z[eps], so an element is stored as 3 * entry in integer pairs and
 closure runs in exact integer arithmetic; the exact orbit, stabilizer and
 invariance computations see the entries as `Cyclo` values of Q(eps).
-Floating point enters only when matching group orbits against numerically
-solved points.
+`orbit` and `stabilizer` are exact on exact triples and use the complex
+matrices on float or complex ones.  Floating point enters only when matching
+group orbits against numerically solved points; `cluster_points` (a k-d tree
+union-find) merges near points here and in the form problem.
 """
 from __future__ import annotations
 
@@ -26,9 +28,8 @@ _ZERO = Cyclo(0)
 _ONE = Cyclo(1)
 
 
-def _as_cyclo_rows(rows):
-    return tuple(tuple(Cyclo.coerce(e) if not isinstance(e, Cyclo) else e for e in row)
-                 for row in rows)
+def _as_cyclo(values) -> tuple:
+    return tuple(Cyclo.coerce(e) if not isinstance(e, Cyclo) else e for e in values)
 
 
 def _product9(x, y) -> list:
@@ -62,7 +63,7 @@ class GroupElement:
 
     @classmethod
     def from_rows(cls, rows) -> "GroupElement":
-        rows = _as_cyclo_rows(rows)
+        rows = tuple(_as_cyclo(row) for row in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("group elements are 3x3 matrices")
         ints = []
@@ -298,36 +299,33 @@ def group_h() -> MatrixGroup:
     return generate_closure((g["A"], g["B"], g["C"], g["D"], g["E"]))
 
 
-def orbit(group: MatrixGroup, triple, mode: str = "float", tol: float = 1e-9):
-    """The orbit {g.t} as a deduplicated point list.
+def _is_exact(triple) -> bool:
+    """A triple without float or complex entries is handled exactly."""
+    return not any(isinstance(c, (complex, float)) for c in triple)
 
-    exact mode: entries must be exact scalars, dedup is exact equality.
-    float mode: complex arithmetic, dedup by distance tol.
-    """
-    if mode == "exact":
-        pts = {g.apply(tuple(Cyclo.coerce(c) if not isinstance(c, Cyclo) else c
-                             for c in triple)) for g in group.elements}
+
+def orbit(group: MatrixGroup, triple, tol: float = 1e-9):
+    """The orbit {g.t} as a deduplicated point list: exact points, deduplicated
+    by equality, when the triple is exact; otherwise complex points whose
+    clusters within tol (times max(1, largest coordinate)) keep one point."""
+    if _is_exact(triple):
+        t = _as_cyclo(triple)
+        pts = {g.apply(t) for g in group.elements}
         return sorted(pts, key=lambda p: tuple(x.sort_key() for x in p))
-    if mode != "float":
-        raise ValueError("mode must be 'exact' or 'float'")
-    t = np.array([complex(c) for c in triple])
-    mats = _complex_matrices(group)
-    pts = mats @ t
-    return _dedup_points(pts, tol)
+    pts = group._complex_matrices() @ np.array([complex(c) for c in triple])
+    flat = np.column_stack([pts.real, pts.imag])
+    clusters = cluster_points(flat, tol * max(1.0, float(np.max(np.abs(flat)))))
+    out = [tuple(pts[i]) for i in sorted(clusters)]
+    out.sort(key=lambda p: tuple((z.real, z.imag) for z in p))
+    return out
 
 
-def _complex_matrices(group: MatrixGroup) -> np.ndarray:
-    return group._complex_matrices()
-
-
-def _dedup_points(pts: np.ndarray, tol: float):
+def cluster_points(flat: np.ndarray, radius: float) -> dict:
+    """Clusters of the rows of flat joined by pairs at most radius apart
+    (union-find over a k-d tree), as {root: member indices in order}."""
     from scipy.spatial import cKDTree
 
-    flat = np.column_stack([pts.real, pts.imag])
-    scale = max(1.0, float(np.max(np.abs(flat))))
-    tree = cKDTree(flat)
-    pairs = tree.query_pairs(tol * scale)
-    parent = list(range(len(pts)))
+    parent = list(range(len(flat)))
 
     def find(i):
         while parent[i] != i:
@@ -335,14 +333,14 @@ def _dedup_points(pts: np.ndarray, tol: float):
             i = parent[i]
         return i
 
-    for i, j in pairs:
+    for i, j in cKDTree(flat).query_pairs(radius):
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[rj] = ri
-    reps = sorted({find(i) for i in range(len(pts))})
-    out = [tuple(pts[i]) for i in reps]
-    out.sort(key=lambda p: tuple((z.real, z.imag) for z in p))
-    return out
+    groups: dict[int, list[int]] = {}
+    for i in range(len(flat)):
+        groups.setdefault(find(i), []).append(i)
+    return groups
 
 
 def stabilizer(group: MatrixGroup, triple, tol: float = 1e-9) -> MatrixGroup:
@@ -350,17 +348,13 @@ def stabilizer(group: MatrixGroup, triple, tol: float = 1e-9) -> MatrixGroup:
     selected numerically but returned as exact group elements.  The float
     test allows tol times the largest entry of the triple, so the subgroup
     does not depend on the scale of the triple."""
-    exact = not any(isinstance(c, (complex, float)) for c in triple)
-    members = []
-    if exact:
-        t = tuple(Cyclo.coerce(c) if not isinstance(c, Cyclo) else c for c in triple)
-        for g in group.elements:
-            if g.apply(t) == t:
-                members.append(g)
+    if _is_exact(triple):
+        t = _as_cyclo(triple)
+        members = [g for g in group.elements if g.apply(t) == t]
     else:
         t = np.array([complex(c) for c in triple])
         scale = float(np.max(np.abs(t)))
-        moved = np.max(np.abs(_complex_matrices(group) @ t - t), axis=1)
+        moved = np.max(np.abs(group._complex_matrices() @ t - t), axis=1)
         members = [g for g, fixed in zip(group.elements, moved <= tol * scale) if fixed]
     return MatrixGroup(tuple(sorted(members, key=GroupElement.sort_key)), ())
 

@@ -1,0 +1,176 @@
+"""Slow reference implementations that the tests compare the package with.
+
+Nothing in the package calls these: the slot-copy omega calculus (expand the
+triple product, differentiate symbolically, identify the slots), the numpy
+companion-matrix root finder, the slice cubic as a direct expansion of its
+determinant, and the Aronhold brackets as loops over permutations.
+"""
+from __future__ import annotations
+
+from itertools import permutations
+
+import numpy as np
+
+from trimoduli.poly_engine import (
+    _GROUP_RANK,
+    GROUPS,
+    PERMS3,
+    MultiPoly,
+    PolyError,
+    VariableRef,
+    make_catalog,
+)
+
+
+def map_variables(p: MultiPoly, mapping) -> MultiPoly:
+    """Rename variables via mapping(var) -> var; exponents of collided
+    variables add (this is what identifying slots means)."""
+    image = {v: VariableRef(*mapping(v)) for v in p.catalog}
+    catalog = make_catalog(image.values())
+    pos = {v: i for i, v in enumerate(catalog)}
+    terms: dict[tuple, object] = {}
+    for exps, coeff in p.terms.items():
+        key = [0] * len(catalog)
+        for v, e in zip(p.catalog, exps):
+            if e:
+                key[pos[image[v]]] += e
+        k = tuple(key)
+        acc = terms.get(k)
+        terms[k] = coeff if acc is None else acc + coeff
+    return MultiPoly(catalog, terms)
+
+
+def reslot(p: MultiPoly, slot: int) -> MultiPoly:
+    """Move every variable of a polynomial into the given slot copy."""
+    return map_variables(p, lambda v: VariableRef(v.group, v.index, slot))
+
+
+def trace_collapse(p: MultiPoly) -> MultiPoly:
+    """Identify all slot copies of every group (the multiplication map)."""
+    return map_variables(p, lambda v: VariableRef(v.group, v.index, 1))
+
+
+def omega_apply(p: MultiPoly, group: str, power: int = 1) -> MultiPoly:
+    """Apply the omega operator of one group `power` times.
+
+    Omega is the determinant of the 3x3 matrix of partials d/d(group_i^(slot));
+    the polynomial must carry all three slot copies of the group in its
+    catalog.  A degree deficit simply produces the zero polynomial.
+    """
+    if group not in _GROUP_RANK:
+        raise PolyError(f"unknown variable group {group!r}")
+    needed = {VariableRef(group, i, s) for i in (1, 2, 3) for s in (1, 2, 3)}
+    if not needed.issubset(p.catalog):
+        raise PolyError(f"catalog lacks slot copies 1..3 of group {group!r}")
+    for _ in range(power):
+        acc = MultiPoly.zero(p.catalog)
+        for sigma, sign in PERMS3:
+            q = p.diff_multi({VariableRef(group, sigma[s] + 1, s + 1): 1 for s in range(3)})
+            acc = acc + (q if sign > 0 else -q)
+        p = acc
+    return p
+
+
+def transvectant_naive(f1: MultiPoly, f2: MultiPoly, f3: MultiPoly,
+                       upper: tuple[int, int, int] = (0, 0, 0),
+                       lower: tuple[int, int, int] = (0, 0, 0)) -> MultiPoly:
+    """Expand the triple product, then apply the omega operators symbolically
+    and trace.  Exponential in the budget."""
+    budget = {g: n for g, n in zip(GROUPS, (*upper, *lower)) if n}
+    vs = set()
+    slotted = []
+    for s, f in enumerate((f1, f2, f3), start=1):
+        fs = reslot(f, s)
+        slotted.append(fs)
+        vs.update(fs.catalog)
+    for g in budget:
+        vs.update(VariableRef(g, i, s) for i in (1, 2, 3) for s in (1, 2, 3))
+    catalog = make_catalog(vs)
+    prod = slotted[0].with_catalog(catalog)
+    for fs in slotted[1:]:
+        prod = prod * fs.with_catalog(catalog)
+    for g in sorted(budget, key=_GROUP_RANK.get):
+        prod = omega_apply(prod, g, budget[g])
+    return trace_collapse(prod)
+
+
+def companion_roots(coeffs) -> list[complex]:
+    """Eigenvalue root-finder (numpy companion matrix)."""
+    return [complex(r) for r in np.roots([complex(c) for c in coeffs])]
+
+
+def slice_cubic_expansion(a, axis: int) -> dict:
+    """Coefficients {(e1, e2, e3): c} of det(sum_i x_i M_i), where M_i is the
+    matrix of the array with index i on the given axis, expanded term by term
+    over the six permutations; integer arrays give integer coefficients."""
+    m = np.moveaxis(np.asarray(a), axis, 0)
+    coeffs: dict[tuple, int] = {}
+    for sigma, sign in PERMS3:
+        for i in range(3):
+            for j in range(3):
+                for k in range(3):
+                    key = [0, 0, 0]
+                    for idx in (i, j, k):
+                        key[idx] += 1
+                    key = tuple(key)
+                    term = m[i, 0, sigma[0]] * m[j, 1, sigma[1]] * m[k, 2, sigma[2]]
+                    coeffs[key] = coeffs.get(key, 0) + sign * int(term)
+    return coeffs
+
+
+def _sym_tensor(coeffs: dict):
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for (e1, e2, e3), val in coeffs.items():
+        arrangements = set(permutations([0] * e1 + [1] * e2 + [2] * e3))
+        for (i, j, k) in arrangements:
+            c[i][j][k] = val / len(arrangements)
+    return c
+
+
+def _bracket_loop(t1, t2, t3, t4):
+    """Full contraction of four symmetric cubic tensors against the bracket
+    monomial (123)(124)(134)(234), summed over all sign-weighted permutations."""
+    total = 0
+    for s1, g1 in PERMS3:
+        for s2, g2 in PERMS3:
+            for s3, g3 in PERMS3:
+                for s4, g4 in PERMS3:
+                    total += (g1 * g2 * g3 * g4 * t1[s1[0]][s2[0]][s3[0]]
+                              * t2[s1[1]][s2[1]][s4[0]] * t3[s1[2]][s3[1]][s4[1]]
+                              * t4[s2[2]][s3[2]][s4[2]])
+    return total
+
+
+def _hessian_coeffs(coeffs: dict) -> dict:
+    """Coefficient map of the Hessian cubic det(d^2 F / dx_a dx_b)."""
+    h = [[[0] * 3 for _ in range(3)] for _ in range(3)]  # h[a][b][i] x_i
+    for e, val in coeffs.items():
+        for a in range(3):
+            for b in range(3):
+                ee = list(e)
+                fac = ee[a]
+                ee[a] -= 1
+                fac *= ee[b]
+                ee[b] -= 1
+                if fac:
+                    h[a][b][ee.index(1)] += val * fac
+    out: dict = {}
+    for sigma, sign in PERMS3:
+        for i in range(3):
+            for j in range(3):
+                for k in range(3):
+                    key = [0, 0, 0]
+                    for idx in (i, j, k):
+                        key[idx] += 1
+                    key = tuple(key)
+                    v = h[0][sigma[0]][i] * h[1][sigma[1]][j] * h[2][sigma[2]][k]
+                    out[key] = out.get(key, 0) + sign * v
+    return out
+
+
+def aronhold_raws_loop(coeffs: dict) -> tuple:
+    """Raw Aronhold S and T of the cubic with coefficient map {(e1, e2, e3): c},
+    as brackets of its symmetric tensor and its Hessian's."""
+    c = _sym_tensor(coeffs)
+    return (_bracket_loop(c, c, c, c),
+            _bracket_loop(c, c, c, _sym_tensor(_hessian_coeffs(coeffs))))

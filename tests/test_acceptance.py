@@ -120,7 +120,7 @@ def test_criterion_06_round_trip():
         sol = fp.solve_for_triple(t)
         contains = min(max(abs(a - b) for a, b in zip(tr, t)) for tr in sol.triples)
         assert contains < 1e-7
-        orbit_pts = rg.orbit(group, tuple(t), mode="float")
+        orbit_pts = rg.orbit(group, tuple(t))
         assert fp.set_distance(orbit_pts, sol.triples) < 1e-6
     _report(6, "round trip: solution sets equal group orbits and contain the seed triple")
 

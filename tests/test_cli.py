@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -222,3 +223,19 @@ def test_missing_state_file(tmp_path, capsys):
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_classify_discriminant_out_of_float_range(tmp_path, capsys):
+    # D = b^2 (b^3 - c^2)^4 has weighted degree 168: finite at unit scale,
+    # beyond float range (reported as null) for states scaled by 1e3 or more
+    for scale in (1.0, 1e3, 1e8):
+        path = tmp_path / f"scaled-{scale:g}.json"
+        write_state(path, random_state(7).scaled(scale))
+        code, out, _ = run_cli(capsys, "classify", str(path))
+        assert code == 0, scale
+        payload = json.loads(out)
+        assert payload["count"] == 648, scale
+        if scale == 1.0:
+            assert len(payload["D"]) == 2 and all(map(math.isfinite, payload["D"]))
+        else:
+            assert payload["D"] is None, scale

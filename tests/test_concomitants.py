@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,8 @@ from trimoduli.qutrit_state import (
     slice_cubic,
     trilinear_form,
 )
+
+from oracles import aronhold_raws_loop, slice_cubic_expansion
 
 ZERO_STATE = State(np.zeros((3, 3, 3), dtype=complex))
 PRODUCT_111 = np.zeros((3, 3, 3), dtype=complex)
@@ -218,6 +221,20 @@ class TestDenseContraction:
                 want = complex(calibrated[f"{key}_scale"]) * raws[key]
                 assert abs(got - want) <= 1e-9 * abs(want), key
 
+    def test_runtime_path_builds_no_polynomials(self, monkeypatch):
+        from trimoduli import form_problem
+        from trimoduli.poly_engine import MultiPoly
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("MultiPoly built on the runtime path")
+
+        s = random_state(3)
+        monkeypatch.setattr(MultiPoly, "__init__", refuse)
+        inv = con.invariants(s)
+        oc = form_problem.classify(form_problem.FormProblemInput(
+            inv.i6, inv.i12, inv.i18, i9=inv.i9))
+        assert oc.count == 648
+
     def test_fields_are_complex_on_the_null_cone(self):
         for s in (ZERO_STATE, State(PRODUCT_111)):
             inv = con.invariants(s)
@@ -326,6 +343,41 @@ class TestAronhold:
             inv = con.invariants(normal_form_state(t))
             want = con.c12_prime(*t) ** 3
             assert abs(inv.delta - want) <= 1e-9 * max(abs(want), 1e-9)
+
+    def test_hessian_tensor_is_slice_tensor(self):
+        # the Hessian det(d^2F/dx_a dx_b) of an integer cubic, expanded as a
+        # polynomial, has K tensor slice_tensor(K) for the K of the cubic
+        from trimoduli.poly_engine import PERMS3, MultiPoly, VariableRef, group_catalog
+        from trimoduli.qutrit_state import slice_tensor
+
+        cat = group_catalog(("x",))
+        xs = [VariableRef("x", i) for i in (1, 2, 3)]
+        amp = np.random.default_rng(107).integers(-3, 4, size=(3, 3, 3))
+        k = slice_tensor(amp)
+        cubic = MultiPoly(cat, {e: Fraction(c) for e, c in slice_cubic_expansion(amp, 0).items()})
+        second = [[cubic.diff(a).diff(b) for b in xs] for a in xs]
+        hessian = MultiPoly.zero(cat)
+        for sigma, sign in PERMS3:
+            term = second[0][sigma[0]] * second[1][sigma[1]] * second[2][sigma[2]]
+            hessian = hessian + (term if sign > 0 else -term)
+        kh = slice_tensor(k)
+        assert kh.dtype == np.int64
+        for idx in np.ndindex(3, 3, 3):
+            exps = tuple(idx.count(i) for i in range(3))
+            coeff = hessian.terms.get(exps, 0)
+            assert kh[idx] == coeff * math.prod(map(math.factorial, exps))
+
+    def test_matches_permutation_loops_exactly(self):
+        from trimoduli.poly_engine import MultiPoly, group_catalog
+
+        rng = np.random.default_rng(108)
+        exps = [e for e in np.ndindex(4, 4, 4) if sum(e) == 3]
+        for _ in range(3):
+            coeffs = {e: Fraction(int(c)) for e, c in zip(exps, rng.integers(-4, 5, len(exps)))}
+            pair = con.aronhold(MultiPoly(group_catalog(("x",)), coeffs))
+            s_raw, t_raw = aronhold_raws_loop(coeffs)
+            assert pair.s == s_raw * con.ARONHOLD_S_SCALE != 0
+            assert pair.t == t_raw * con.ARONHOLD_T_SCALE != 0
 
     def test_rejects_non_cubic(self):
         from trimoduli.poly_engine import MultiPoly, VariableRef, group_catalog

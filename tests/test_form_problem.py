@@ -10,6 +10,8 @@ from trimoduli import reflection_group as rg
 from trimoduli.concomitants import c_formulas
 from trimoduli.qutrit_state import random_parameter_triple
 
+from oracles import companion_roots
+
 
 def poly_residual(coeffs, roots):
     scale = max(abs(complex(c)) for c in coeffs)
@@ -64,7 +66,7 @@ class TestRadicalSolvers:
                     mine = fp.solve_cubic_radicals(*coeffs)
                 else:
                     mine = fp.solve_quartic_radicals(*coeffs)
-                oracle = fp.companion_roots(coeffs)
+                oracle = companion_roots(coeffs)
                 assert len(mine) == len(oracle)
                 used = set()
                 for r in mine:
@@ -222,7 +224,7 @@ class TestRoundTrip:
             assert sol.filtered_count == 648
             contains = min(max(abs(a - b) for a, b in zip(tr, t)) for tr in sol.triples)
             assert contains < 1e-7
-            orb = rg.orbit(group_k, tuple(t), mode="float")
+            orb = rg.orbit(group_k, tuple(t))
             assert fp.set_distance(orb, sol.triples) < 1e-6
 
     def test_reproduction_of_invariants(self):

@@ -14,13 +14,11 @@ from trimoduli.poly_engine import (
     VariableRef,
     group_catalog,
     make_catalog,
-    omega_apply,
-    reslot,
-    trace_collapse,
     transvectant,
-    transvectant_naive,
 )
 from trimoduli.qutrit_state import normal_form_amplitudes, trilinear_form
+
+from oracles import omega_apply, reslot, trace_collapse, transvectant_naive
 
 X1, X2, X3 = (VariableRef("x", i) for i in (1, 2, 3))
 CAT_X = group_catalog(("x",))

@@ -20,8 +20,11 @@ from trimoduli.qutrit_state import (
     read_state,
     reduced_density,
     slice_cubic,
+    slice_tensor,
     write_state,
 )
+
+from oracles import slice_cubic_expansion
 
 PRODUCT_111 = np.zeros((3, 3, 3), dtype=complex)
 PRODUCT_111[0, 0, 0] = 1.0
@@ -133,6 +136,21 @@ class TestSliceCubic:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             slice_cubic(random_state(1), "q")
+
+    def test_tensor_is_six_times_the_determinant_expansion(self):
+        # K[a,b,c] times the number of arrangements of its monomial is six
+        # times that monomial's coefficient, exactly, in int64
+        rng = np.random.default_rng(23)
+        for _ in range(4):
+            amp = rng.integers(-4, 5, size=(3, 3, 3))
+            for axis in range(3):
+                k = slice_tensor(np.moveaxis(amp, axis, 0))
+                assert k.dtype == np.int64
+                coeffs = slice_cubic_expansion(amp, axis)
+                for idx in np.ndindex(3, 3, 3):
+                    exps = tuple(idx.count(i) for i in range(3))
+                    arrangements = 6 // math.prod(map(math.factorial, exps))
+                    assert int(k[idx]) * arrangements == 6 * coeffs[exps]
 
 
 class TestReducedDensity:

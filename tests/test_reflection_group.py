@@ -124,15 +124,15 @@ class TestClosure:
 
 class TestOrbits:
     def test_mirror_point_orbit(self, group_k):
-        orb = rg.orbit(group_k, (1, -1, 0), mode="exact")
+        orb = rg.orbit(group_k, (1, -1, 0))
         assert len(orb) == 27
         stab = rg.stabilizer(group_k, (1, -1, 0))
         assert stab.order == 24
         assert len(orb) * stab.order == group_k.order
 
     def test_orbit_float_matches_exact(self, group_k):
-        exact = rg.orbit(group_k, (1, -1, 0), mode="exact")
-        flo = rg.orbit(group_k, (1.0 + 0j, -1.0 + 0j, 0j), mode="float")
+        exact = rg.orbit(group_k, (1, -1, 0))
+        flo = rg.orbit(group_k, (1.0 + 0j, -1.0 + 0j, 0j))
         assert len(flo) == len(exact)
         exact_pts = [tuple(x.to_complex() if isinstance(x, Cyclo) else complex(x)
                            for x in p) for p in exact]
@@ -144,7 +144,7 @@ class TestOrbits:
         assert flo.elements == exact.elements
 
     def test_origin(self, group_k):
-        orb = rg.orbit(group_k, (0, 0, 0), mode="exact")
+        orb = rg.orbit(group_k, (0, 0, 0))
         assert len(orb) == 1
         stab = rg.stabilizer(group_k, (0, 0, 0))
         assert stab.order == 648
@@ -152,15 +152,11 @@ class TestOrbits:
 
     def test_generic_orbit(self, group_k):
         t = random_parameter_triple(7)
-        orb = rg.orbit(group_k, tuple(t), mode="float")
+        orb = rg.orbit(group_k, tuple(t))
         assert len(orb) == 648
         stab = rg.stabilizer(group_k, tuple(t))
         assert stab.order == 1
         assert rg.stabilizer_type(stab) == "trivial"
-
-    def test_mode_validation(self, group_k):
-        with pytest.raises(ValueError):
-            rg.orbit(group_k, (1, 0, 0), mode="symbolic")
 
 
 class TestStabilizerTypes:
@@ -230,7 +226,7 @@ class TestInvariance:
 
     def test_orbit_shares_hermitian_norm(self, group_k):
         t = random_parameter_triple(31)
-        orb = rg.orbit(group_k, tuple(t), mode="float")
+        orb = rg.orbit(group_k, tuple(t))
         norms = [sum(abs(z) ** 2 for z in p) for p in orb]
         assert max(norms) - min(norms) < 1e-9 * max(norms)
 
@@ -240,6 +236,6 @@ class TestFormProblemAgreement:
         for seed in (41, 42):
             t = random_parameter_triple(seed)
             sol = fp.solve_for_triple(t)
-            orb = rg.orbit(group_k, tuple(t), mode="float")
+            orb = rg.orbit(group_k, tuple(t))
             assert len(orb) == sol.filtered_count == 648
             assert fp.set_distance(orb, sol.triples) < 1e-6

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import cmath
 import csv
+import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +66,7 @@ class OrbitClass:
     polytope_label: str
     stabilizer_label: str
     stabilizer_order: int
-    d_discriminant: complex | None  # None where b^2 (b^3 - c^2)^4 leaves float range
+    d_discriminant: complex | None  # None where b^2 (b^3 - c^2)^4 leaves the normal float range
     delta: complex
     i9_used: complex
     case_tree_prediction: int | None
@@ -253,9 +255,11 @@ def _refine_multiple_root(coeffs, x, mult, steps: int = 4):
 
 # --- the psi system -----------------------------------------------------------
 
-def _fast_cvalues(u, v, w):
-    """(C6, C9, C12, C18) via the symmetric-function forms."""
-    u3, v3, w3 = u ** 3, v ** 3, w ** 3
+def _cvalues(t):
+    """(C6, C9, C12, C18) of the triples along the last axis of t, via the
+    symmetric-function forms."""
+    t = np.asarray(t, dtype=complex)
+    u3, v3, w3 = t[..., 0] ** 3, t[..., 1] ** 3, t[..., 2] ** 3
     psi = u3 + v3 + w3
     chi = u3 * v3 + u3 * w3 + v3 * w3
     lam = 216 * u3 * v3 * w3
@@ -315,6 +319,41 @@ def solve_psi_system(inp: FormProblemInput) -> list[PsiBranch]:
     return branches
 
 
+# the six orderings of the three cube roots, and for each the 27 cube-root
+# choices (cu outer, cw inner) as rows of indices into a branch's 3x3 table
+# of choices (root, choice)
+_ORDERINGS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+_PICK_ORDERING = np.repeat(np.arange(6), 27)
+_PICK_ROOT = np.repeat(np.array(_ORDERINGS), 27, axis=0)
+_PICK_CHOICE = np.tile(np.indices((3, 3, 3)).reshape(3, 27).T, (6, 1))
+_PICKS = 3 * _PICK_ROOT + _PICK_CHOICE
+
+
+def _branch_candidates(br) -> np.ndarray:
+    """The (u, v, w) candidates of one branch cubic as rows: distinct
+    orderings of its roots {u^3, v^3, w^3} times all cube-root choices."""
+    coeffs = [1.0, -br.psi, br.chi, -br.lam / 216]
+    roots = solve_cubic_radicals(*coeffs)
+    clustered = cluster_roots(roots, coeffs)
+    cube_scale = max((abs(r) for r, _ in clustered), default=0.0)
+    expanded: list[complex] = []
+    for r, m in clustered:
+        expanded.extend([r] * m)
+    table = np.zeros((3, 3), dtype=complex)
+    n_choices = np.ones(3, dtype=int)
+    for i, r in enumerate(expanded):
+        if abs(r) > 1e-9 * max(cube_scale, 1e-300):
+            base = r ** (1.0 / 3.0)
+            table[i] = (base, base * _OMEGA, base * _OMEGA ** 2)
+            n_choices[i] = 3
+    # repeated roots are identical floats after clustering, so exact values
+    # dedup the orderings at any overall scale
+    orders = [tuple(expanded[k] for k in perm) for perm in _ORDERINGS]
+    fresh = np.array([order not in orders[:i] for i, order in enumerate(orders)])
+    rows = fresh[_PICK_ORDERING] & (_PICK_CHOICE < n_choices[_PICK_ROOT]).all(axis=1)
+    return table.ravel()[_PICKS[rows]]
+
+
 def enumerate_triples(branches, inp: FormProblemInput) -> SolutionSet:
     """All (u, v, w) from the branch cubics: orderings of {u^3, v^3, w^3}
     times all cube-root choices, globally deduplicated, each candidate
@@ -323,62 +362,34 @@ def enumerate_triples(branches, inp: FormProblemInput) -> SolutionSet:
     # characteristic parameter size; relative errors are judged against it
     s = max(abs(a) ** (1 / 6), abs(b) ** (1 / 12), abs(c) ** (1 / 18), 1e-30)
     den6, den12, den18 = max(abs(a), s ** 6), max(abs(b), s ** 12), max(abs(c), s ** 18)
-    candidates: list[tuple[complex, complex, complex]] = []
-    dropped = 0
-
-    for br in branches:
-        coeffs = [1.0, -br.psi, br.chi, -br.lam / 216]
-        roots = solve_cubic_radicals(*coeffs)
-        clustered = cluster_roots(roots, coeffs)
-        cube_scale = max((abs(r) for r, _ in clustered), default=0.0)
-        expanded: list[complex] = []
-        for r, m in clustered:
-            expanded.extend([r] * m)
-        choices = []
-        for r in expanded:
-            if abs(r) <= 1e-9 * max(cube_scale, 1e-300):
-                choices.append((0j,))
-            else:
-                base = r ** (1.0 / 3.0)
-                choices.append((base, base * _OMEGA, base * _OMEGA ** 2))
-        seen_orders = set()
-        for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            order = (expanded[perm[0]], expanded[perm[1]], expanded[perm[2]])
-            # repeated roots are identical floats after clustering, so exact
-            # values dedup the orderings at any overall scale
-            if order in seen_orders:
-                continue
-            seen_orders.add(order)
-            pick = (choices[perm[0]], choices[perm[1]], choices[perm[2]])
-            for cu in pick[0]:
-                for cv in pick[1]:
-                    for cw in pick[2]:
-                        c6, _, c12, c18 = _fast_cvalues(cu, cv, cw)
-                        if (abs(c6 - a) <= inp.tol * den6
-                                and abs(c12 - b) <= inp.tol * den12
-                                and abs(c18 - c) <= inp.tol * den18):
-                            candidates.append((cu, cv, cw))
-                        else:
-                            dropped += 1
-
-    triples = _dedup_triples(candidates)
+    cands = np.concatenate([np.empty((0, 3), dtype=complex)]
+                           + [_branch_candidates(br) for br in branches])
+    c6, _, c12, c18 = _cvalues(cands)
+    ok = ((np.abs(c6 - a) <= inp.tol * den6)
+          & (np.abs(c12 - b) <= inp.tol * den12)
+          & (np.abs(c18 - c) <= inp.tol * den18))
+    triples = _dedup_triples(cands[ok])
     return SolutionSet(triples=triples, raw_count=len(triples),
-                       dropped=dropped, branches=list(branches))
+                       dropped=int(np.count_nonzero(~ok)), branches=list(branches))
 
 
-def _dedup_triples(candidates, rel_tol: float = 1e-8):
-    """Merge the candidates closer than rel_tol times the diameter of the set
-    into their mean."""
-    if not candidates:
+def _dedup_triples(pts: np.ndarray, rel_tol: float = 1e-8):
+    """Merge the rows of pts closer than rel_tol times the diameter of the
+    set into their mean; the merged triples sorted by (Re u, Im u, ..., Im w)."""
+    if not len(pts):
         return []
-    pts = np.array(candidates)
     flat = np.column_stack([pts.real, pts.imag])
     diameter = float(np.linalg.norm(flat.max(axis=0) - flat.min(axis=0)))
-    clusters = reflection_group.cluster_points(flat, rel_tol * max(diameter, 1e-12))
-    out = [tuple(complex(z) for z in pts[members].mean(axis=0))
-           for members in clusters.values()]
-    out.sort(key=lambda t: tuple((z.real, z.imag) for z in t))
-    return out
+    labels = reflection_group.cluster_points(flat, rel_tol * max(diameter, 1e-12))
+    # clusters in the order of their first members; sums in member order
+    _, group = np.unique(labels, return_inverse=True)
+    counts = np.bincount(group)
+    sums = np.zeros((len(counts), 3), dtype=complex)
+    np.add.at(sums, group, pts)
+    means = sums / counts[:, None]
+    order = np.lexsort((means[:, 2].imag, means[:, 2].real, means[:, 1].imag,
+                        means[:, 1].real, means[:, 0].imag, means[:, 0].real))
+    return list(map(tuple, means[order].tolist()))
 
 
 def filter_sign(raw: SolutionSet, i9: complex, tol: float = 1e-6) -> SolutionSet:
@@ -387,13 +398,11 @@ def filter_sign(raw: SolutionSet, i9: complex, tol: float = 1e-6) -> SolutionSet
     The comparison threshold is tol times the natural degree-9 scale of the
     solution set (with |i9| as a lower bound), so the two sign classes stay
     separated whatever the overall normalization of the input."""
-    pt_scale = max((abs(z) for t in raw.triples for z in t), default=0.0)
+    pts = np.fromiter(itertools.chain.from_iterable(raw.triples), dtype=complex).reshape(-1, 3)
+    pt_scale = float(np.abs(pts).max(initial=0.0))
     threshold = tol * max(abs(i9), pt_scale ** 9, 1e-300)
-    kept = []
-    for t in raw.triples:
-        _, c9, _, _ = _fast_cvalues(*t)
-        if abs(c9 - i9) < threshold:
-            kept.append(t)
+    match = np.abs(_cvalues(pts)[1] - i9) < threshold
+    kept = list(itertools.compress(raw.triples, match.tolist()))
     if not kept:
         raise FormProblemError(
             f"no solutions match the sign datum i9={i9}: inconsistent input")
@@ -424,7 +433,7 @@ def solve(inp: FormProblemInput) -> SolutionSet:
 
 def solve_for_triple(t, tol: float = 1e-6) -> SolutionSet:
     """Solve the form problem for the invariants of a known triple."""
-    c6, c9, c12, c18 = _fast_cvalues(*(complex(z) for z in t))
+    c6, c9, c12, c18 = (complex(x) for x in _cvalues([complex(z) for z in t]))
     return solve(FormProblemInput(c6, c12, c18, i9=c9, tol=tol))
 
 
@@ -434,6 +443,34 @@ def _at_unit_scale(x: complex, s: float, degree: int) -> complex:
     for _ in range(degree):
         x /= s
     return x
+
+
+def _ldexp(z: complex, n: int) -> complex:
+    """z * 2**n, exact while the result stays in the normal float range;
+    OverflowError above it."""
+    return complex(math.ldexp(z.real, n), math.ldexp(z.imag, n))
+
+
+def _d_discriminant(b: complex, c: complex) -> complex | None:
+    """D = b^2 (b^3 - c^2)^4, of weighted degree 168, formed on b / 2^(12e)
+    and c / 2^(18e), where 2^e is the power of two just above the weighted
+    size of b and c, and multiplied back by 2^(168e).  Scaling by powers of
+    two is exact, so D is the direct formula's value wherever that stays in
+    float range; None where a nonzero D leaves the range of normal floats,
+    above or below."""
+    s = max(abs(b) ** (1 / 12), abs(c) ** (1 / 18))
+    if s == 0:
+        return 0j
+    e = math.frexp(s)[1]
+    ub, uc = _ldexp(b, -12 * e), _ldexp(c, -18 * e)
+    d = ub ** 2 * (ub ** 3 - uc ** 2) ** 4
+    if d == 0:
+        return d
+    try:
+        d = _ldexp(d, 168 * e)
+    except OverflowError:
+        return None
+    return d if max(abs(d.real), abs(d.imag)) >= sys.float_info.min else None
 
 
 def _case_tree_prediction(inp: FormProblemInput, i9: complex) -> int | None:
@@ -475,9 +512,6 @@ def classify(inp: FormProblemInput, sol: SolutionSet | None = None) -> OrbitClas
         sol = solve(FormProblemInput(inp.a, inp.b, inp.c, i9, inp.tol))
     count = sol.filtered_count
     a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
-    d_val = b ** 2 * (b ** 3 - c ** 2) ** 4
-    if not cmath.isfinite(d_val):
-        d_val = None
     delta = a ** 3 - 3 * a * b + 2 * c
     if count not in POLYTOPE_LABELS:
         raise FormProblemError(
@@ -500,7 +534,7 @@ def classify(inp: FormProblemInput, sol: SolutionSet | None = None) -> OrbitClas
         polytope_label=POLYTOPE_LABELS[count],
         stabilizer_label=label,
         stabilizer_order=stab.order,
-        d_discriminant=d_val,
+        d_discriminant=_d_discriminant(b, c),
         delta=delta,
         i9_used=i9,
         case_tree_prediction=prediction,
@@ -544,11 +578,9 @@ def emit_configuration(case: str, scale: complex = 1.0, path=None):
 
 
 def set_distance(points_a, points_b) -> float:
-    """Two-sided max point-to-set distance between triple sets in C^3."""
-    from scipy.spatial import cKDTree
-
-    fa = np.array([[z.real for z in t] + [z.imag for z in t] for t in points_a])
-    fb = np.array([[z.real for z in t] + [z.imag for z in t] for t in points_b])
-    da, _ = cKDTree(fb).query(fa)
-    db, _ = cKDTree(fa).query(fb)
-    return float(max(da.max(), db.max()))
+    """Two-sided max point-to-set distance between triple sets in C^3, by
+    brute force over all pairs (the sets hold at most 648 points)."""
+    fa = np.array(points_a, dtype=complex).reshape(-1, 3)
+    fb = np.array(points_b, dtype=complex).reshape(-1, 3)
+    dist = np.linalg.norm(fa[:, None, :] - fb[None, :, :], axis=2)
+    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))

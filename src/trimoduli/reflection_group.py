@@ -9,8 +9,9 @@ closure runs in exact integer arithmetic; the exact orbit, stabilizer and
 invariance computations see the entries as `Cyclo` values of Q(eps).
 `orbit` and `stabilizer` are exact on exact triples and use the complex
 matrices on float or complex ones.  Floating point enters only when matching
-group orbits against numerically solved points; `cluster_points` (a k-d tree
-union-find) merges near points here and in the form problem.
+group orbits against numerically solved points; `cluster_points` (a sort
+along one direction, then a union of the close pairs) merges near points here
+and in the form problem.
 """
 from __future__ import annotations
 
@@ -314,33 +315,63 @@ def orbit(group: MatrixGroup, triple, tol: float = 1e-9):
         return sorted(pts, key=lambda p: tuple(x.sort_key() for x in p))
     pts = group._complex_matrices() @ np.array([complex(c) for c in triple])
     flat = np.column_stack([pts.real, pts.imag])
-    clusters = cluster_points(flat, tol * max(1.0, float(np.max(np.abs(flat)))))
-    out = [tuple(pts[i]) for i in sorted(clusters)]
+    labels = cluster_points(flat, tol * max(1.0, float(np.max(np.abs(flat)))))
+    out = [tuple(pts[i]) for i in np.unique(labels)]
     out.sort(key=lambda p: tuple((z.real, z.imag) for z in p))
     return out
 
 
-def cluster_points(flat: np.ndarray, radius: float) -> dict:
-    """Clusters of the rows of flat joined by pairs at most radius apart
-    (union-find over a k-d tree), as {root: member indices in order}."""
-    from scipy.spatial import cKDTree
+# a fixed unit direction with distinct, non-zero components, so that rows
+# differing in any coordinate rarely project to the same value
+_PROJECTION = np.linspace(1.0, 2.0, 6) / np.linalg.norm(np.linspace(1.0, 2.0, 6))
 
-    parent = list(range(len(flat)))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+def cluster_points(flat: np.ndarray, radius: float) -> np.ndarray:
+    """Cluster labels of the rows of flat (n x 6), joined by pairs at most
+    radius apart in Euclidean distance; each label is the smallest row index
+    of its cluster.
 
-    for i, j in cKDTree(flat).query_pairs(radius):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(len(flat)):
-        groups.setdefault(find(i), []).append(i)
-    return groups
+    The rows are sorted by their projection on a fixed unit direction.  The
+    projection shrinks distances, so a close pair is at most radius apart in
+    the sorted order too: rows k places apart are compared for k = 1, 2, ...
+    while some projected gap is within radius, and each such pair is kept
+    when its full squared distance is at most radius**2."""
+    n = len(flat)
+    labels = np.arange(n)
+    if n < 2:
+        return labels
+    proj = flat @ _PROJECTION
+    # a margin for the rounding of the projections and of the distances, so
+    # that no pair within radius is missed
+    rounding = 8 * flat.shape[1] * np.finfo(float).eps * float(np.abs(flat).sum(axis=1).max())
+    reach = radius * (1 + 1e-9) + rounding
+    order = np.argsort(proj, kind="stable")
+    ranked = proj[order]
+    close_i, close_j = [], []
+    for k in range(1, n):
+        near = ranked[k:] - ranked[:-k] <= reach
+        if not near.any():
+            break
+        i, j = order[:-k][near], order[k:][near]
+        diff = flat[i] - flat[j]
+        d2 = diff[:, 0] * diff[:, 0]
+        for col in range(1, flat.shape[1]):
+            d2 += diff[:, col] * diff[:, col]
+        keep = d2 <= radius * radius
+        close_i.append(i[keep])
+        close_j.append(j[keep])
+    if not close_i:
+        return labels
+    i, j = np.concatenate(close_i), np.concatenate(close_j)
+    # propagate the smallest index along the pairs, jumping to the label's
+    # label, until every pair agrees
+    while True:
+        low = np.minimum(labels[i], labels[j])
+        np.minimum.at(labels, i, low)
+        np.minimum.at(labels, j, low)
+        labels = labels[labels]
+        if np.array_equal(labels[i], labels[j]):
+            return labels
 
 
 def stabilizer(group: MatrixGroup, triple, tol: float = 1e-9) -> MatrixGroup:

@@ -3,7 +3,9 @@
 Nothing in the package calls these: the slot-copy omega calculus (expand the
 triple product, differentiate symbolically, identify the slots), the numpy
 companion-matrix root finder, the slice cubic as a direct expansion of its
-determinant, and the Aronhold brackets as loops over permutations.
+determinant, the Aronhold brackets as loops over permutations, and the form
+problem's candidate check, dedup and sign filter as scalar loops over an
+all-pairs union-find.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
+from trimoduli import form_problem as fp
 from trimoduli.poly_engine import (
     _GROUP_RANK,
     GROUPS,
@@ -174,3 +177,121 @@ def aronhold_raws_loop(coeffs: dict) -> tuple:
     c = _sym_tensor(coeffs)
     return (_bracket_loop(c, c, c, c),
             _bracket_loop(c, c, c, _sym_tensor(_hessian_coeffs(coeffs))))
+
+
+def cluster_labels_brute(flat, radius: float) -> np.ndarray:
+    """Union-find over all pairs of rows at squared distance <= radius**2
+    (summed over the columns in order); each label is the smallest row index
+    of its cluster."""
+    n = len(flat)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a in range(n - 1):
+        diff = flat[a + 1:] - flat[a]
+        d2 = diff[:, 0] * diff[:, 0]
+        for col in range(1, flat.shape[1]):
+            d2 += diff[:, col] * diff[:, col]
+        for b in np.flatnonzero(d2 <= radius * radius) + a + 1:
+            ra, rb = find(a), find(int(b))
+            parent[max(ra, rb)] = min(ra, rb)
+    return np.array([find(i) for i in range(n)], dtype=int)
+
+
+def cvalues_scalar(u, v, w):
+    """(C6, C9, C12, C18) of one triple in Python complex arithmetic."""
+    u3, v3, w3 = u ** 3, v ** 3, w ** 3
+    psi = u3 + v3 + w3
+    chi = u3 * v3 + u3 * w3 + v3 * w3
+    lam = 216 * u3 * v3 * w3
+    c6 = psi * psi - 12 * chi
+    c9 = (u3 - v3) * (u3 - w3) * (v3 - w3)
+    c12 = psi ** 4 + lam * psi
+    c18 = psi ** 6 - 2.5 * lam * psi ** 3 - 0.125 * lam * lam
+    return c6, c9, c12, c18
+
+
+def enumerate_triples_loop(branches, inp):
+    """The candidate enumeration and check, one candidate at a time."""
+    a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
+    s = max(abs(a) ** (1 / 6), abs(b) ** (1 / 12), abs(c) ** (1 / 18), 1e-30)
+    den6, den12, den18 = max(abs(a), s ** 6), max(abs(b), s ** 12), max(abs(c), s ** 18)
+    candidates = []
+    dropped = 0
+    for br in branches:
+        coeffs = [1.0, -br.psi, br.chi, -br.lam / 216]
+        roots = fp.solve_cubic_radicals(*coeffs)
+        clustered = fp.cluster_roots(roots, coeffs)
+        cube_scale = max((abs(r) for r, _ in clustered), default=0.0)
+        expanded = []
+        for r, m in clustered:
+            expanded.extend([r] * m)
+        choices = []
+        for r in expanded:
+            if abs(r) <= 1e-9 * max(cube_scale, 1e-300):
+                choices.append((0j,))
+            else:
+                base = r ** (1.0 / 3.0)
+                choices.append((base, base * fp._OMEGA, base * fp._OMEGA ** 2))
+        seen_orders = set()
+        for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+            order = (expanded[perm[0]], expanded[perm[1]], expanded[perm[2]])
+            if order in seen_orders:
+                continue
+            seen_orders.add(order)
+            pick = (choices[perm[0]], choices[perm[1]], choices[perm[2]])
+            for cu in pick[0]:
+                for cv in pick[1]:
+                    for cw in pick[2]:
+                        c6, _, c12, c18 = cvalues_scalar(cu, cv, cw)
+                        if (abs(c6 - a) <= inp.tol * den6
+                                and abs(c12 - b) <= inp.tol * den12
+                                and abs(c18 - c) <= inp.tol * den18):
+                            candidates.append((cu, cv, cw))
+                        else:
+                            dropped += 1
+    triples = dedup_triples_loop(candidates)
+    return fp.SolutionSet(triples=triples, raw_count=len(triples),
+                          dropped=dropped, branches=list(branches))
+
+
+def dedup_triples_loop(candidates, rel_tol: float = 1e-8):
+    """Each cluster of candidates replaced by its np.mean, sorted by tuples."""
+    if not candidates:
+        return []
+    pts = np.array(candidates)
+    flat = np.column_stack([pts.real, pts.imag])
+    diameter = float(np.linalg.norm(flat.max(axis=0) - flat.min(axis=0)))
+    labels = cluster_labels_brute(flat, rel_tol * max(diameter, 1e-12))
+    clusters: dict[int, list[int]] = {}
+    for i, root in enumerate(labels.tolist()):
+        clusters.setdefault(root, []).append(i)
+    out = [tuple(complex(z) for z in pts[members].mean(axis=0))
+           for members in clusters.values()]
+    out.sort(key=lambda t: tuple((z.real, z.imag) for z in t))
+    return out
+
+
+def filter_sign_loop(raw, i9: complex, tol: float = 1e-6):
+    """The sign filter, one triple at a time."""
+    pt_scale = max((abs(z) for t in raw.triples for z in t), default=0.0)
+    threshold = tol * max(abs(i9), pt_scale ** 9, 1e-300)
+    kept = [t for t in raw.triples if abs(cvalues_scalar(*t)[1] - i9) < threshold]
+    if not kept:
+        raise fp.FormProblemError(
+            f"no solutions match the sign datum i9={i9}: inconsistent input")
+    return fp.SolutionSet(triples=kept, raw_count=raw.raw_count,
+                          filtered_count=len(kept), dropped=raw.dropped,
+                          branches=raw.branches)
+
+
+def solve_loop(inp):
+    """`form_problem.solve` with the loop enumeration, dedup and filter."""
+    raw = enumerate_triples_loop(fp.solve_psi_system(inp), inp)
+    i9 = inp.i9 if inp.i9 is not None else fp.infer_i9(inp)
+    return filter_sign_loop(raw, complex(i9), inp.tol)

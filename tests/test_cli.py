@@ -228,7 +228,8 @@ def test_missing_state_file(tmp_path, capsys):
 def test_classify_discriminant_out_of_float_range(tmp_path, capsys):
     # D = b^2 (b^3 - c^2)^4 has weighted degree 168: finite at unit scale,
     # beyond float range (reported as null) for states scaled by 1e3 or more
-    for scale in (1.0, 1e3, 1e8):
+    # and below it (about 3e-434 at 1e-3) for states scaled by 1e-3 or less
+    for scale in (1.0, 1e-3, 1e-12, 1e3, 1e8):
         path = tmp_path / f"scaled-{scale:g}.json"
         write_state(path, random_state(7).scaled(scale))
         code, out, _ = run_cli(capsys, "classify", str(path))
@@ -237,5 +238,24 @@ def test_classify_discriminant_out_of_float_range(tmp_path, capsys):
         assert payload["count"] == 648, scale
         if scale == 1.0:
             assert len(payload["D"]) == 2 and all(map(math.isfinite, payload["D"]))
+            assert payload["D"] != [0.0, 0.0]
         else:
             assert payload["D"] is None, scale
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    # a fresh interpreter: the commands run on numpy alone
+    path = tmp_path / "state.json"
+    write_state(path, random_state(3))
+    code = ("import sys\n"
+            "from trimoduli import cli\n"
+            "assert cli.main(['classify', sys.argv[1]]) == 0\n"
+            "assert cli.main(['solve', '--a', '1', '--b', '0.5', '--c', '0.25']) == 0\n"
+            "assert cli.main(['orbit', '--u', '1', '--v=-0.5', '--w', '0.25j']) == 0\n"
+            "assert cli.main(['emit-points', '--case', 'hessian-vertices', sys.argv[2]]) == 0\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+    src = str(Path(trimoduli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "pts.csv")],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,7 @@ from trimoduli import reflection_group as rg
 from trimoduli.concomitants import c_formulas
 from trimoduli.qutrit_state import random_parameter_triple
 
-from oracles import companion_roots
+from oracles import companion_roots, dedup_triples_loop, solve_loop
 
 
 def poly_residual(coeffs, roots):
@@ -158,6 +158,69 @@ class TestSignFilter:
             fp.filter_sign(raw, 5.0)
 
 
+def _bits(sol):
+    """The triples of a solution set as raw float bits, row by row."""
+    return np.array(sol.triples, dtype=complex).reshape(-1, 3).view(np.uint64)
+
+
+def _oracle_inputs():
+    """Seeded inputs on every stratum: generic triples, complex multiples of
+    one point of each degenerate stratum, the origin, and a sign datum that
+    matches no solution."""
+    rng = np.random.default_rng(808)
+    triples = [tuple(random_parameter_triple(300 + k)) for k in range(6)]
+    for point in ((0, 1, -1), (1, 0, 0), (1, 1, 0)):
+        for _ in range(4):
+            z = complex(*rng.standard_normal(2)) * 10 ** rng.uniform(-3, 3)
+            triples.append(tuple(z * c for c in point))
+    triples.append((0j, 0j, 0j))
+    inputs = []
+    for t in triples:
+        cv = c_formulas(*t)
+        c6, c12, c18, c9 = (complex(x) for x in (cv.c6, cv.c12, cv.c18, cv.c9))
+        inputs.append(fp.FormProblemInput(c6, c12, c18, i9=c9))
+        inputs.append(fp.FormProblemInput(c6, c12, c18))
+    inputs.append(fp.FormProblemInput(12, 0, 0, i9=5.0))
+    return inputs
+
+
+class TestLoopOracle:
+    """The vectorised enumeration, dedup and sign filter against the scalar
+    loops in tests/oracles.py: the arithmetic that builds the candidates is
+    unchanged, so the solution sets agree bit for bit."""
+
+    @pytest.mark.parametrize("inp", _oracle_inputs())
+    def test_solve_matches_loop(self, inp):
+        try:
+            want = solve_loop(inp)
+        except fp.FormProblemError as exc:
+            with pytest.raises(fp.FormProblemError) as got:
+                fp.solve(inp)
+            assert str(got.value) == str(exc)
+            return
+        got = fp.solve(inp)
+        assert (got.raw_count, got.filtered_count, got.dropped) \
+            == (want.raw_count, want.filtered_count, want.dropped)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert all(type(z) is complex for t in got.triples for z in t)
+
+    def test_dedup_means_and_order_match_loop(self):
+        # clusters of 1 to 5 near copies, signed zeros, and ties in the
+        # leading coordinates of the sort key
+        rng = np.random.default_rng(809)
+        base = rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3))
+        base[:10, 0] = base[0, 0]
+        base[10:14, :2] = complex(-0.0, -0.0)
+        pts = np.repeat(base, rng.integers(1, 6, len(base)), axis=0)
+        jitter = rng.standard_normal(pts.shape) + 1j * rng.standard_normal(pts.shape)
+        pts += 1e-12 * jitter * (rng.random(len(pts)) < 0.7)[:, None]
+        pts = pts[rng.permutation(len(pts))]
+        got = fp._dedup_triples(pts)
+        want = dedup_triples_loop([tuple(row) for row in pts.tolist()])
+        assert len(got) == len(base)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+
 class TestClassify:
     def test_delta_zero_stratum(self):
         # invariants of the normal form (1, 1, -1): delta vanishes exactly
@@ -209,6 +272,21 @@ class TestClassify:
         assert oc.count == 648
         assert oc.polytope_label == "generic"
         assert oc.case_tree_prediction == 648
+
+    def test_d_in_float_range_is_the_direct_formula(self):
+        # scaling by powers of two is exact, so where b^2 (b^3 - c^2)^4
+        # stays in float range D is that value bit for bit
+        from trimoduli.concomitants import invariants
+        from trimoduli.qutrit_state import random_state
+
+        inputs = [fp.FormProblemInput(*(complex(x) for x in (cv.c6, cv.c12, cv.c18, cv.c9)))
+                  for cv in (c_formulas(*random_parameter_triple(s)) for s in (66, 67))]
+        inv = invariants(random_state(7))
+        inputs.append(fp.FormProblemInput(inv.i6, inv.i12, inv.i18, i9=inv.i9))
+        for inp in inputs:
+            b, c = complex(inp.b), complex(inp.c)
+            direct = b ** 2 * (b ** 3 - c ** 2) ** 4
+            assert fp.classify(inp).d_discriminant == direct
 
     def test_d_and_delta_reported(self):
         oc = fp.classify(fp.FormProblemInput(12, 0, 0, -2))

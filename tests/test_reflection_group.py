@@ -9,6 +9,8 @@ from trimoduli import reflection_group as rg
 from trimoduli.cyclotomic import EPS, Cyclo
 from trimoduli.qutrit_state import random_parameter_triple
 
+from oracles import cluster_labels_brute
+
 
 class TestGenerators:
     def test_fourier_prefactor_is_exact(self):
@@ -157,6 +159,62 @@ class TestOrbits:
         stab = rg.stabilizer(group_k, tuple(t))
         assert stab.order == 1
         assert rg.stabilizer_type(stab) == "trivial"
+
+
+def _planted_cloud(seed, radius):
+    """Random rows plus planted neighbours: offsets just inside and just
+    outside radius and exactly radius (on dyadic rows, radius a power of
+    two), chains of steps within radius, exact repeats, and rows that share
+    all but one coordinate or project to the same value."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((40, 6))
+    rows = [base]
+    for factor in (0.3, 0.999, 1.001, 3.0):
+        step = rng.standard_normal((40, 6))
+        step *= factor * radius / np.linalg.norm(step, axis=1)[:, None]
+        rows.append(base + step)
+    chain = np.cumsum(np.full((12, 6), 0.9 * radius / np.sqrt(6)), axis=0)
+    rows.append(base[0] + chain)
+    rows.append(np.repeat(base[:5], 8, axis=0))
+    shared = np.repeat(base[5:10], 6, axis=0)
+    shared[:, 5] += np.tile(np.arange(6) * 0.6 * radius, 5)
+    rows.append(shared)
+    normal = np.ones(6) - rg._PROJECTION * rg._PROJECTION.sum()
+    normal /= np.linalg.norm(normal)
+    rows.append(base[10:15] + 2 * radius * normal)
+    dyadic = np.round(base[15:21] * 64) / 64
+    rows.extend([dyadic, dyadic + radius * np.eye(6)])
+    cloud = np.concatenate(rows)
+    return cloud[rng.permutation(len(cloud))]
+
+
+class TestClusterPoints:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force(self, seed):
+        radius = 2.0 ** -(3 * seed + 10)
+        cloud = _planted_cloud(seed, radius)
+        labels = rg.cluster_points(cloud, radius)
+        assert np.array_equal(labels, cluster_labels_brute(cloud, radius))
+        assert len(np.unique(labels)) < len(cloud)
+
+    def test_stratum_rows_sharing_coordinates(self, group_k):
+        # the 27-point orbit of each of the 648 rows, as solve meets it on
+        # a degenerate stratum: many rows equal or equal up to rounding
+        pts = group_k._complex_matrices() @ np.array([1.0, -1.0, 0j])
+        flat = np.column_stack([pts.real, pts.imag])
+        for radius in (1e-12, 1e-9, 1e-3, 0.9, 1.8):
+            labels = rg.cluster_points(flat, radius)
+            assert np.array_equal(labels, cluster_labels_brute(flat, radius)), radius
+        assert len(np.unique(rg.cluster_points(flat, 1e-9))) == 27
+        assert np.array_equal(rg.cluster_points(np.zeros((648, 6)), 1e-12), np.zeros(648))
+
+    def test_float_orbit_keeps_lowest_index_point(self, group_k):
+        t = np.array([1.0 + 0j, -1.0 + 0j, 0j])
+        pts = group_k._complex_matrices() @ t
+        labels = rg.cluster_points(np.column_stack([pts.real, pts.imag]), 1e-9)
+        orb = rg.orbit(group_k, tuple(t))
+        assert sorted(map(tuple, pts[np.unique(labels)].view(np.uint64))) \
+            == sorted(map(tuple, np.array(orb).view(np.uint64)))
 
 
 class TestStabilizerTypes:

@@ -266,7 +266,7 @@ def main(argv=None) -> int:
     except (StateIOError, form_problem.FormProblemError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (slocc_normalize.ConditioningError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except RuntimeError as exc:

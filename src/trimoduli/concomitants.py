@@ -234,15 +234,15 @@ I18_COEFF_I6_I12 = Fraction(3, 2)
 I18_COEFF_I9_SQ = Fraction(216)
 
 
-def _triple_tensor(a) -> np.ndarray:
+def _triple_tensor(a, symbol=LEVI_CIVITA) -> np.ndarray:
     """T[b0,b1,b2,c0,c1,c2] = eps_{a0a1a2} A[a0,b0,c0] A[a1,b1,c1] A[a2,b2,c2]:
     three copies of the array with their party-1 legs antisymmetrized."""
-    t = np.einsum("xyz,xbj->yzbj", LEVI_CIVITA, a)
+    t = np.einsum("xyz,xbj->yzbj", symbol, a)
     t = np.einsum("yzbj,yck->zbjck", t, a)
     return np.einsum("zbjck,zdl->bcdjkl", t, a)
 
 
-def dense_raws(a) -> tuple:
+def dense_raws(a, symbol=LEVI_CIVITA) -> tuple:
     """Raw I6 and I9 of a 3x3x3 array as full contractions with eps symbols.
 
     Copy n of the array carries the legs (a_n, b_n, c_n) of the three
@@ -252,10 +252,11 @@ def dense_raws(a) -> tuple:
     {2,5,8}, party 3 on {0,3,7}, {1,4,8}, {2,5,6}.  Every party-1 triple is
     one `_triple_tensor`.  The einsum letters name the legs b0..b8 as
     a..i and c0..c8 as j..r, and the contraction order is fixed by hand: a
-    path search over all nine copies costs seconds per call.
+    path search over all nine copies costs seconds per call.  `symbol`
+    stands in for eps in every contraction (see `invariant_bounds`).
     """
-    e = LEVI_CIVITA
-    t = _triple_tensor(a)
+    e = symbol
+    t = _triple_tensor(a, symbol)
     # I6 = sum T[b0 b1 b2 c0 c1 c2] T[b3 b4 b5 c3 c4 c5]
     #        eps(b0 b1 b3) eps(b2 b4 b5) eps(c0 c3 c5) eps(c1 c2 c4)
     u = np.einsum("abcjkl,abd->dcjkl", t, e)
@@ -385,11 +386,12 @@ def _cubic_tensor(terms) -> np.ndarray:
     return np.array(k)
 
 
-def bracket(t1, t2, t3, t4):
+def bracket(t1, t2, t3, t4, symbol=LEVI_CIVITA):
     """Full contraction of four 3x3x3 tensors against the bracket monomial
     (123)(124)(134)(234), that is eps_abc eps_def eps_ghi eps_jkl
-    t1[a,d,g] t2[b,e,j] t3[c,h,k] t4[f,i,l], in a fixed einsum order."""
-    e = LEVI_CIVITA
+    t1[a,d,g] t2[b,e,j] t3[c,h,k] t4[f,i,l], in a fixed einsum order, with
+    `symbol` standing in for eps."""
+    e = symbol
     u = np.einsum("adg,abc->dgbc", t1, e)
     u = np.einsum("dgbc,bej->dgcej", u, t2)
     u = np.einsum("dgcej,def->gcjf", u, e)
@@ -446,6 +448,19 @@ def invariants(s: State) -> InvariantSet:
     i12 = I12_FROM_S * s_val
     i18 = i18_from_fundamentals(i6, i9, i12)
     return InvariantSet(i6, i9, i12, i18, discriminant_delta(s_val, t_val))
+
+
+def invariant_bounds(a) -> tuple:
+    """Forward error bounds of the I6, I9, I12 that `invariants` computes
+    from the array a: the same fixed-order contractions on |A| with |eps|,
+    where nothing cancels (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3), so each rounding error is a modest multiple of eps
+    times its bound."""
+    a, e = np.abs(a), np.abs(LEVI_CIVITA)
+    raw6, raw9 = dense_raws(a, e)
+    k = slice_tensor(a, e)
+    return (raw6 * abs(I6_DENSE_SCALE), raw9 * abs(I9_DENSE_SCALE),
+            bracket(k, k, k, k, e) * abs(I12_FROM_S * ARONHOLD_S_SCALE / 1296))
 
 
 def i18_from_fundamentals(i6, i9, i12):

@@ -169,14 +169,14 @@ def apply_local(s: State, g: LocalTransform) -> State:
     return State(amp)
 
 
-def slice_tensor(a) -> np.ndarray:
+def slice_tensor(a, symbol=LEVI_CIVITA) -> np.ndarray:
     """K[a,b,c] = eps_jlm eps_kno A[a,j,k] A[b,l,n] A[c,m,o] of a 3x3x3 array.
 
     det(sum_a x_a A[a]) = (1/6) sum_abc K[a,b,c] x_a x_b x_c and K is
     symmetric, so K is six times the symmetric coefficient tensor of that
     cubic.  The einsum order is fixed; integer arrays give an integer K and
-    object arrays of Fractions stay exact."""
-    e = LEVI_CIVITA
+    object arrays of Fractions stay exact.  `symbol` stands in for eps."""
+    e = symbol
     t = np.einsum("jlm,ajk->almk", e, a)
     t = np.einsum("almk,bln->amkbn", t, a)
     t = np.einsum("amkbn,kno->ambo", t, e)

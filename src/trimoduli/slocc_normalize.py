@@ -1,13 +1,23 @@
-"""Iterative local filtering toward the normal form.
+"""Local filtering toward the normal form by Newton steps.
 
-Each step replaces one party's reduced density rho by a multiple of the
-identity, using the unit-determinant filter det(rho)**(1/6) * rho**(-1/2).
-The squared norm never increases; for states outside the null cone the
-iteration converges to a state whose three reduced densities are all
-proportional to the identity, with the fundamental invariants preserved.
+A normal form is a point of minimal norm in its SLOCC orbit (Kempf and Ness
+1979), so filtering minimises f = log ||g . psi||^2 over g in SL(3)^3, which
+is convex along every geodesic exp(t H1) x exp(t H2) x exp(t H3) with
+traceless Hermitian H_p.  Each step is a Newton step over the 24 Gell-Mann
+directions of the three parties, taken along that geodesic (unit
+determinant, so the invariants are kept) with Armijo backtracking on log N
+(Buergisser, Franks, Garg, Oliveira, Walter and Wigderson, FOCS 2018).  At
+the minimum all three reduced densities are proportional to the identity.
+
+Before any step the null cone is decided by Hilbert-Mumford: a state lies in
+it exactly when I6 = I9 = I12 = 0, each tested against its forward error
+bound.  Such a state is unstable, with the zero state (the closed orbit in
+its orbit closure) as its limit.  The test and the iteration run on the state
+times an exact power of two, so no input scale changes the result.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -15,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import concomitants
-from .qutrit_state import LocalTransform, State, apply_local, reduced_density
+from .qutrit_state import LocalTransform, State, apply_local
 
 CONVERGED = "converged"
 UNSTABLE = "unstable"
@@ -25,7 +35,7 @@ MAX_ITERATIONS = "max-iterations"
 @dataclass(frozen=True)
 class IterationStep:
     step: int
-    party: int          # 0 for the initial record, else the party updated
+    party: int          # 0: every step updates all three parties
     norm_sq: float
     max_rel_deviation: float
 
@@ -56,93 +66,106 @@ class IterationTrace:
         return json.dumps(payload)
 
 
-class ConditioningError(RuntimeError):
-    """A reduced density went numerically singular while the state norm had
-    not collapsed; carries the offending party."""
+# a state is in the null cone when each of |I6|, |I9|, |I12| is at most this
+# many eps times its forward error bound
+NULL_CONE_ULPS = 64
+# below this Newton decrement -g.d, rounding in log N fails the Armijo test
+# at every step length, so the full step is taken
+FULL_STEP_DECREMENT = 1e-6
+ARMIJO_SLOPE = 1e-4
+MAX_HALVINGS = 60
+# far from the minimum a Newton step can overshoot by orders of magnitude; no
+# step moves an eigenvalue of a party's generator by more than this
+STEP_RADIUS = 1.0
 
-    def __init__(self, party: int, message: str):
-        super().__init__(message)
-        self.party = party
+_E = np.eye(3)
+# the Gell-Mann matrices, tr(l_a l_b) = 2 delta_ab
+GELL_MANN = np.array(
+    [c * np.outer(_E[i], _E[j]) + np.conj(c) * np.outer(_E[j], _E[i])
+     for i, j in ((0, 1), (0, 2), (1, 2)) for c in (1.0, -1j)]
+    + [np.diag([1.0, -1.0, 0.0]), np.diag([1.0, 1.0, -2.0]) / math.sqrt(3.0)])
 
 
-def _max_rel_deviation(s: State) -> float:
-    worst = 0.0
-    for party in (1, 2, 3):
-        rho = reduced_density(s, party)
-        tr = rho.trace().real
-        if tr <= 0.0:
-            return math.inf
-        dev = np.linalg.norm(rho - (tr / 3.0) * np.eye(3), "fro") / tr
-        worst = max(worst, float(dev))
-    return worst
+def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
+    """a * 2**e for a complex array, exact wherever the result is normal."""
+    return np.ldexp(np.ascontiguousarray(a).view(float), e).view(complex)
 
 
-def _filter_matrix(rho: np.ndarray, floor: float):
-    """Unit-determinant inverse square root of a Hermitian psd matrix.
+def _derivatives(a: np.ndarray):
+    """Gradient 2<psi, l psi>/N and Hessian 4 Re<l psi, m psi>/N - g g^T of
+    log N at psi = a, over the Gell-Mann matrices l, m of parties 1, 2, 3."""
+    rows = np.concatenate((np.einsum("aip,pjk->aijk", GELL_MANN, a),
+                           np.einsum("ajq,iqk->aijk", GELL_MANN, a),
+                           np.einsum("akr,ijr->aijk", GELL_MANN, a))).reshape(24, 27)
+    flat = a.ravel()
+    norm_sq = np.vdot(flat, flat).real
+    grad = 2.0 * (rows @ flat.conj()).real / norm_sq
+    return grad, 4.0 * (rows.conj() @ rows.T).real / norm_sq - np.outer(grad, grad)
 
-    Eigenvalues below `floor` are lifted to it; returns (g, floored_flag).
-    """
-    evals, evecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    floored = bool(np.any(evals < floor))
-    evals = np.maximum(evals, floor)
-    det = float(np.prod(evals))
-    inv_sqrt = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
-    return det ** (1.0 / 6.0) * inv_sqrt, floored
+
+def _geodesic(d: np.ndarray):
+    """t -> exp(t H_p) on each party, H_p = sum_a d[p, a] l_a, and the step
+    length at which the largest |t w| over the eigenvalues w reaches STEP_RADIUS."""
+    w, v = np.linalg.eigh(np.einsum("pa,aij->pij", d.reshape(3, 8), GELL_MANN))
+    vh = v.conj().transpose(0, 2, 1)
+    return (lambda t: LocalTransform(*((v * np.exp(t * w)[:, None, :]) @ vh)),
+            STEP_RADIUS / float(np.max(np.abs(w))))
 
 
 def normalize_slocc(s: State, tol: float = 1e-10, max_iter: int = 10000):
     """Run the filtering iteration; returns (limit_state, trace).
 
-    Parties are updated round-robin 1, 2, 3.  Stops when every reduced
-    density is within `tol` of a multiple of the identity (converged), when
-    the norm falls below 1e-12 of the input norm (unstable: null-cone
-    input), or after max_iter steps.
+    Null-cone inputs stop at once with status unstable and the zero state as
+    the limit.  Otherwise each step is one Newton step on all three parties;
+    the iteration stops when every reduced density is within `tol` of a
+    multiple of the identity (converged) or after max_iter steps.  A step
+    whose Newton direction is not a descent direction follows the negative
+    gradient instead and is recorded in `floor_events`.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    norm0 = math.sqrt(s.norm_sq)
-    if norm0 == 0.0:
+    if not np.any(s.amplitudes):
         raise ValueError("cannot normalize the zero state")
 
-    trace = IterationTrace()
-    current = s
-    dev = _max_rel_deviation(current)
-    trace.steps.append(IterationStep(0, 0, current.norm_sq, dev))
-
-    eye = np.eye(3, dtype=complex)
-    for step in range(1, max_iter + 1):
+    # the power of two at the largest modulus: exact, and nothing overflows
+    e = math.frexp(float(np.max(np.abs(s.amplitudes))))[1]
+    current = State(_ldexp(s.amplitudes, -e))
+    inv = concomitants.invariants(current)
+    bounds = concomitants.invariant_bounds(current.amplitudes)
+    unstable = all(abs(value) <= NULL_CONE_ULPS * np.finfo(float).eps * bound
+                   for value, bound in zip(inv[:3], bounds))
+    trace = IterationTrace(status=UNSTABLE if unstable else MAX_ITERATIONS)
+    for step in range(max_iter + 1):
+        grad, hess = _derivatives(current.amplitudes)
+        # party p's gradient block is 2 tr(l_a rho_p) / tr(rho_p), so its norm
+        # over sqrt(8) is ||rho_p - tr(rho_p)/3||_F / tr(rho_p)
+        dev = float(np.max(np.linalg.norm(grad.reshape(3, 8), axis=1))) / math.sqrt(8.0)
+        trace.steps.append(IterationStep(step, 0, math.ldexp(current.norm_sq, 2 * e), dev))
+        if unstable:
+            return State(np.zeros((3, 3, 3), dtype=complex)), trace
         if dev < tol:
             trace.status = CONVERGED
-            return current, trace
-        if math.sqrt(current.norm_sq) < 1e-12 * norm0:
-            trace.status = UNSTABLE
-            return current, trace
-        party = (step - 1) % 3 + 1
-        rho = reduced_density(current, party)
-        floor = 1e-14 * max(rho.trace().real, 1e-300)
-        g, floored = _filter_matrix(rho, floor)
-        if floored:
-            trace.floor_events.append(step)
-        mats = [eye, eye, eye]
-        mats[party - 1] = g
-        current = apply_local(current, LocalTransform(*mats))
-        dev = _max_rel_deviation(current)
-        trace.steps.append(IterationStep(step, party, current.norm_sq, dev))
-
-    if dev < tol:
-        trace.status = CONVERGED
-    elif math.sqrt(current.norm_sq) < 1e-12 * norm0:
-        trace.status = UNSTABLE
-    else:
-        trace.status = MAX_ITERATIONS
-        if trace.floor_events:
-            party = (trace.floor_events[0] - 1) % 3 + 1
-            raise ConditioningError(
-                party,
-                f"reduced density of party {party} went numerically singular "
-                f"while the norm had not collapsed",
-            )
-    return current, trace
+        if dev < tol or step == max_iter:
+            break
+        # least squares: at a state with a positive-dimensional stabilizer
+        # the Hessian is singular, and the minimal step leaves that orbit alone
+        d = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+        slope = float(grad @ d)
+        newton = slope < 0.0
+        if not newton:
+            d, slope = -grad, -float(grad @ grad)
+            trace.floor_events.append(step + 1)
+        along, t_max = _geodesic(d)
+        t, log_n = min(1.0, t_max), math.log(current.norm_sq)
+        candidate = apply_local(current, along(t))
+        if not newton or -slope > FULL_STEP_DECREMENT:
+            for _ in range(MAX_HALVINGS):
+                if math.log(candidate.norm_sq) <= log_n + ARMIJO_SLOPE * t * slope:
+                    break
+                t /= 2.0
+                candidate = apply_local(current, along(t))
+        current = candidate
+    return State(_ldexp(current.amplitudes, e)), trace
 
 
 def verify_vinberg(limit: State, candidates, norm_rel_tol: float = 1e-5,
@@ -158,16 +181,18 @@ def verify_vinberg(limit: State, candidates, norm_rel_tol: float = 1e-5,
     sign class is reported as a mismatch.  `limit_inv` passes the limit's
     invariants when the caller has them already.
     """
-    triples = list(getattr(candidates, "triples", candidates))
-    if not triples:
+    pts = np.fromiter(itertools.chain.from_iterable(getattr(candidates, "triples", candidates)),
+                      dtype=complex).reshape(-1, 3)
+    if len(pts) == 0:
         return {"ok": False, "reason": "no candidates supplied"}
 
-    norms = [3.0 * sum(abs(c) ** 2 for c in t) for t in triples]
-    norm_spread = (max(norms) - min(norms)) / max(max(norms), 1e-300)
-    norm_err = abs(limit.norm_sq - norms[0]) / max(norms[0], 1e-300)
+    norms = 3.0 * np.sum(np.abs(pts) ** 2, axis=1)
+    norm_spread = float(np.ptp(norms)) / max(float(norms.max()), 1e-300)
+    first = float(norms[0])
+    norm_err = abs(limit.norm_sq - first) / max(first, 1e-300)
 
     inv = concomitants.invariants(limit) if limit_inv is None else limit_inv
-    u, v, w = triples[0]
+    u, v, w = pts[0].tolist()
     cv = concomitants.c_formulas(u, v, w)
     targets = {"I6": cv.c6, "I9": cv.c9, "I12": cv.c12, "I18": cv.c18}
     got = {"I6": inv.i6, "I9": inv.i9, "I12": inv.i12, "I18": inv.i18}
@@ -182,5 +207,5 @@ def verify_vinberg(limit: State, candidates, norm_rel_tol: float = 1e-5,
         "norm_rel_error": norm_err,
         "candidate_norm_spread": norm_spread,
         "invariant_rel_errors": {k: float(v) for k, v in inv_errs.items()},
-        "candidate_count": len(triples),
+        "candidate_count": len(pts),
     }

@@ -1,13 +1,17 @@
 import json
 import math
+import statistics
+import time
 
 import numpy as np
 import pytest
+from oracles import normalize_round_robin
 
 from trimoduli import concomitants as con
 from trimoduli import form_problem as fp
 from trimoduli import slocc_normalize as sn
 from trimoduli.qutrit_state import (
+    LocalTransform,
     State,
     apply_local,
     normal_form_state,
@@ -19,6 +23,11 @@ from trimoduli.qutrit_state import (
 
 PRODUCT_111 = np.zeros((3, 3, 3), dtype=complex)
 PRODUCT_111[0, 0, 0] = 1.0
+W_STATE = np.zeros((3, 3, 3), dtype=complex)
+W_STATE[0, 0, 1] = W_STATE[0, 1, 0] = W_STATE[1, 0, 0] = 1.0
+# one point each of the 27-, 72- and 216-point strata
+STRATUM_POINTS = ((0, 1, -1), (1, 0, 0), (1, 1, 0))
+MACHINE_EPS = np.finfo(float).eps
 
 
 def scrambled_normal_form(seed):
@@ -58,7 +67,7 @@ class TestNormalizeSlocc:
         limit, trace = sn.normalize_slocc(State(PRODUCT_111))
         assert trace.status == sn.UNSTABLE
         assert math.sqrt(limit.norm_sq) < 1e-12
-        assert trace.floor_events
+        assert len(trace.steps) == 1
 
     def test_determinism(self):
         s, _ = scrambled_normal_form(9)
@@ -116,6 +125,146 @@ class TestNormalizeSlocc:
         sol = fp.solve(fp.FormProblemInput(inv_in.i6, inv_in.i12, inv_in.i18,
                                            i9=inv_in.i9))
         assert sn.verify_vinberg(limit, sol)["ok"]
+
+
+def _expm_hermitian(h):
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(w)) @ v.conj().T
+
+
+def _kempf_ness(s, x):
+    """log ||(exp X1 x exp X2 x exp X3) psi||^2 for X_p = sum_a x[p, a] lambda_a."""
+    mats = [_expm_hermitian(np.einsum("a,aij->ij", xp, sn.GELL_MANN)) for xp in x.reshape(3, 8)]
+    return math.log(apply_local(s, LocalTransform(*mats)).norm_sq)
+
+
+def _corpus_states(seed, n):
+    """The first n scrambled normal forms of the benchmark's normal-form
+    corpus: parameters from the fixed PCG64 stream [0, 3], transforms from
+    the stream [seed, 3], each state scaled to unit norm."""
+    params = np.random.Generator(np.random.PCG64([0, 3]))
+    transforms = np.random.Generator(np.random.PCG64([seed, 3]))
+    out = []
+    for _ in range(n):
+        triple = random_parameter_triple(int(params.integers(0, 2**31)))
+        g = random_local_transform(int(transforms.integers(0, 2**31)))
+        s = apply_local(normal_form_state(triple), g)
+        out.append(s.scaled(1.0 / math.sqrt(s.norm_sq)))
+    return out
+
+
+class TestNewtonIteration:
+    def test_round_robin_reaches_the_same_minimal_norm(self):
+        # Kempf-Ness: the minimal norm on an orbit is unique, so the first-order
+        # round-robin filter and the Newton steps must agree on it
+        for seed in range(20):
+            s, _ = scrambled_normal_form(3000 + seed)
+            reference, _, converged = normalize_round_robin(s)
+            assert converged, seed
+            limit, trace = sn.normalize_slocc(s)
+            assert trace.status == sn.CONVERGED, seed
+            assert abs(limit.norm_sq - reference.norm_sq) <= 1e-9 * reference.norm_sq, seed
+
+    def test_gradient_and_hessian_match_finite_differences(self):
+        rng = np.random.default_rng(5)
+        h = 1e-4
+        for seed in (1, 2, 3):
+            s = random_state(seed)
+            grad, hess = sn._derivatives(s.amplitudes)
+            f0 = _kempf_ness(s, np.zeros(24))
+            for _ in range(4):
+                d, e = rng.standard_normal((2, 24))
+                fd1 = (_kempf_ness(s, h * d) - _kempf_ness(s, -h * d)) / (2 * h)
+                assert abs(fd1 - grad @ d) <= 1e-6 * max(1.0, abs(grad @ d))
+                fd2 = (_kempf_ness(s, h * d) - 2 * f0 + _kempf_ness(s, -h * d)) / h ** 2
+                assert abs(fd2 - d @ hess @ d) <= 1e-5 * max(1.0, abs(d @ hess @ d))
+                mixed = (_kempf_ness(s, h * (d + e)) - _kempf_ness(s, h * (d - e))
+                         - _kempf_ness(s, h * (e - d)) + _kempf_ness(s, -h * (d + e))) / (4 * h * h)
+                assert abs(mixed - d @ hess @ e) <= 1e-5 * max(1.0, abs(d @ hess @ e))
+
+    def test_step_counts_and_limits(self):
+        states = [random_state(seed) for seed in range(200)] + _corpus_states(11, 96)
+        steps = []
+        for s in states:
+            limit, trace = sn.normalize_slocc(s)
+            assert trace.status == sn.CONVERGED
+            steps.append(len(trace.steps) - 1)
+            inv = con.invariants(s)
+            sol = fp.solve(fp.FormProblemInput(inv.i6, inv.i12, inv.i18, i9=inv.i9))
+            assert sn.verify_vinberg(limit, sol)["ok"]
+        assert statistics.median(steps) <= 30
+        assert max(steps) <= 100
+
+    def test_full_newton_steps_near_the_minimum(self):
+        # close to the minimum the Armijo test drowns in the rounding of log N;
+        # taking the full step there keeps the convergence quadratic
+        for seed in range(40):
+            _, trace = sn.normalize_slocc(random_state(seed), tol=1e-13, max_iter=60)
+            assert trace.status == sn.CONVERGED
+            devs = [st.max_rel_deviation for st in trace.steps]
+            near = next(k for k, dev in enumerate(devs) if dev < 1e-4)
+            assert len(devs) - 1 - near <= 3, seed
+
+    def test_gradient_fallback_when_newton_fails(self, monkeypatch):
+        def no_direction(a, b, rcond=None):
+            return np.full_like(b, np.nan), None, None, None
+
+        s, _ = scrambled_normal_form(23)
+        monkeypatch.setattr(sn.np.linalg, "lstsq", no_direction)
+        _, trace = sn.normalize_slocc(s, max_iter=5)
+        assert trace.floor_events == [1, 2, 3, 4, 5]
+        norms = [st.norm_sq for st in trace.steps]
+        assert all(b < a for a, b in zip(norms, norms[1:]))
+
+    @pytest.mark.parametrize("k", [-100, -40, 0, 40, 100])
+    def test_scale_by_power_of_two(self, k):
+        for s in (scrambled_normal_form(21)[0], apply_local(State(W_STATE), random_local_transform(22))):
+            limit, trace = sn.normalize_slocc(s)
+            scaled_limit, scaled_trace = sn.normalize_slocc(s.scaled(2.0 ** k))
+            assert scaled_trace.status == trace.status
+            assert len(scaled_trace.steps) == len(trace.steps)
+            assert np.array_equal(scaled_limit.amplitudes, limit.amplitudes * 2.0 ** k)
+
+
+class TestNullCone:
+    def test_null_cone_states_stop_at_once(self):
+        rng = np.random.default_rng(31)
+        legs = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        float_product = State(np.einsum("i,j,k->ijk", *legs))
+        states = [State(PRODUCT_111), State(W_STATE)]
+        for base in (State(W_STATE), float_product):
+            states += [apply_local(base, random_local_transform(700 + i)) for i in range(50)]
+        sn.normalize_slocc(states[0])  # warm
+        for s in states:
+            start = time.perf_counter()
+            limit, trace = sn.normalize_slocc(s)
+            elapsed = time.perf_counter() - start
+            assert trace.status == sn.UNSTABLE
+            assert len(trace.steps) == 1
+            assert not np.any(limit.amplitudes)
+            assert elapsed < 0.05
+
+    def test_invariant_bounds_are_sound(self):
+        # the rounding error of I6, I9, I12 against the closed formulas stays
+        # within eps times the forward bound, on degenerate strata and generic
+        # states scrambled by det-1 transforms
+        rng = np.random.default_rng(41)
+        triples = []
+        for point in STRATUM_POINTS:
+            for _ in range(40):
+                z = complex(*rng.standard_normal(2))
+                triples.append(tuple(z * c for c in point))
+        triples += [random_parameter_triple(4100 + i) for i in range(40)]
+        for n, triple in enumerate(triples):
+            s = apply_local(normal_form_state(triple), random_local_transform(4200 + n))
+            inv = con.invariants(s)
+            cv = con.c_formulas(*(complex(c) for c in triple))
+            bounds = con.invariant_bounds(s.amplitudes)
+            for got, want, bound in zip((inv.i6, inv.i9, inv.i12), (cv.c6, cv.c9, cv.c12), bounds):
+                assert abs(got - want) <= MACHINE_EPS * bound, (n, got, want, bound)
+            # off the null cone, some invariant stands far above its bound
+            assert max(abs(v) / (MACHINE_EPS * b) for v, b in
+                       zip((inv.i6, inv.i9, inv.i12), bounds)) > 1e4 * sn.NULL_CONE_ULPS, n
 
 
 class TestVerifyVinberg:

@@ -1,7 +1,7 @@
 """Invariants, normal forms and the form problem for three-qutrit states.
 
 The package computes the fundamental polynomial invariants of trilinear
-forms on C^3 x C^3 x C^3 by dense contraction of the amplitude array, with
+forms on C^3 x C^3 x C^3 as numpy sums over the amplitude array, with
 transvectants as the exact calibration and test oracle.  It normalizes
 states by Newton steps of local filtering, recovers all equivalent normal-form
 parameters by a radical chain, and realizes the order-648 normal-form

@@ -1,21 +1,17 @@
 """Concomitants, fundamental invariants and the ternary-cubic invariants.
 
-The invariants of a state are computed on the runtime path as fixed-order
-numpy contractions of its 3x3x3 amplitude array with Levi-Civita symbols:
-I6 and I9 directly (`dense_raws`), I12 and Delta from the Aronhold S and T
-of its slice tensor, each one `bracket` of four such tensors (the Hessian's
-tensor is the slice tensor of the cubic's own), and I18 from I6, I9, I12.
-`aronhold` runs the same contractions on a cubic polynomial, exactly on
-exact coefficients.
-The concomitants are transvectants of the ground form f with the pairing
-forms P_alpha = sum xi_i x_i, P_beta = sum eta_j y_j and
-P_gamma = sum zeta_k z_k, and the degree-6/9/12 invariants are also full
-transvectant contractions of them (`invariant_raws`).  That exact route
-derives every normalization constant by calibration against the closed
-normal-form formulas, recorded in a machine readable report (see
-`calibration`).  The runtime path uses the constants as pinned literals
-and never calls `calibration`; the tests re-derive each literal exactly.
-The exact route also serves the syzygies and the tests as an oracle.
+On the runtime path the invariants of a state are numpy sums over its 3x3x3
+array: I6 and I9 as signed sums of monomials in its triple tensor, from
+index and sign tables built once (`dense_raws`), I12 and Delta from the
+Aronhold S and T of its slice tensor by einsum brackets, and I18 from I6,
+I9, I12.  `aronhold` runs the brackets on a cubic polynomial, exactly on
+exact coefficients.  The concomitants are transvectants of the ground form
+f with the pairing forms P_alpha = sum xi_i x_i, P_beta = sum eta_j y_j and
+P_gamma = sum zeta_k z_k, and so are the degree-6/9/12 invariants
+(`invariant_raws`).  That exact route derives every normalization constant
+by calibration against the closed normal-form formulas (`calibration`); the
+runtime path uses them as pinned literals, which the tests re-derive
+exactly.  The exact route also serves the syzygies and the tests as an oracle.
 """
 from __future__ import annotations
 
@@ -217,8 +213,7 @@ def invariant_raws(f: MultiPoly) -> dict:
 
 # --- dense invariant contractions (the runtime path) -----------------------
 
-# raw dense contraction -> calibrated invariant; the tests pin both against
-# calibration() exactly on integer arrays
+# raw `dense_raws` -> calibrated invariant, pinned exactly by the tests
 I6_DENSE_SCALE = Fraction(-1, 6)
 I9_DENSE_SCALE = Fraction(-1, 72)
 # I12 = -6^4 S for the Aronhold S of any slice cubic
@@ -242,39 +237,44 @@ def _triple_tensor(a, symbol=LEVI_CIVITA) -> np.ndarray:
     return np.einsum("zbjck,zdl->bcdjkl", t, a)
 
 
-def dense_raws(a, symbol=LEVI_CIVITA) -> tuple:
-    """Raw I6 and I9 of a 3x3x3 array as full contractions with eps symbols.
+@lru_cache(maxsize=None)
+def _monomial_tables(symbol_bytes: bytes) -> tuple:
+    """Index and sign tables of `dense_raws` for the int64 symbol with these bytes."""
+    e = np.frombuffer(symbol_bytes, dtype=np.int64).reshape(3, 3, 3)
+    perms, flat = np.argwhere(LEVI_CIVITA), 3 ** np.arange(5, -1, -1)
+    # I6: the legs of eps(x0 x1 y0) eps(x2 y1 y2) eps(x3 y3 y5) eps(x4 x5 y4)
+    i = np.indices((6,) * 4).reshape(4, -1)
+    legs = perms[i].transpose(0, 2, 1).reshape(12, -1)
+    x6, y6 = (flat @ legs[k] for k in ([0, 1, 3, 6, 9, 10], [2, 4, 5, 7, 11, 8]))
+    # I9: row z; slot s has (x_s, y_s) = (z_s + 1, z_s + 2) or the reverse, mod 3
+    z = np.indices((3,) * 6, dtype=np.int8).reshape(6, 729, 1)
+    c = np.indices((2,) * 6, dtype=np.int8).reshape(6, 1, 64)
+    x, y = (z + 1 + c) % 3, (z + 2 - c) % 3
+    x9, y9 = np.einsum("s,szc->zc", flat, x), np.einsum("s,szc->zc", flat, y)
+    s9 = 2 * e[x, y, z].prod(axis=0)
+    rho = flat @ z[[0, 1, 2, 5, 3, 4], :, 0]
+    return (x6, y6, e[tuple(perms.T)][i].prod(axis=0),
+            *(v[x9 < y9].reshape(729, 32) for v in (x9, y9, s9)), rho)
 
-    Copy n of the array carries the legs (a_n, b_n, c_n) of the three
-    parties.  I6 contracts six copies: party 1 on copies {0,1,2}, {3,4,5},
-    party 2 on {0,1,3}, {2,4,5}, party 3 on {0,3,5}, {1,2,4}.  I9 contracts
-    nine: party 1 on {0,1,2}, {3,4,5}, {6,7,8}, party 2 on {0,3,6}, {1,4,7},
-    {2,5,8}, party 3 on {0,3,7}, {1,4,8}, {2,5,6}.  Every party-1 triple is
-    one `_triple_tensor`.  The einsum letters name the legs b0..b8 as
-    a..i and c0..c8 as j..r, and the contraction order is fixed by hand: a
-    path search over all nine copies costs seconds per call.  `symbol`
-    stands in for eps in every contraction (see `invariant_bounds`).
-    """
-    e = symbol
-    t = _triple_tensor(a, symbol)
-    # I6 = sum T[b0 b1 b2 c0 c1 c2] T[b3 b4 b5 c3 c4 c5]
-    #        eps(b0 b1 b3) eps(b2 b4 b5) eps(c0 c3 c5) eps(c1 c2 c4)
-    u = np.einsum("abcjkl,abd->dcjkl", t, e)
-    u = np.einsum("dcjkl,kln->dcjn", u, e)
-    v = np.einsum("defmno,cef->dcmno", t, e)
-    v = np.einsum("dcmno,jmo->dcjn", v, e)
-    raw6 = np.einsum("dcjn,dcjn->", u, v)
-    # I9: the party-2 symbols of copies 0, 1, 2 first, then the second
-    # triple joined over b3 b4 b5, then the party-3 symbols, then the third
-    x = np.einsum("abcjkl,adg->bcjkldg", t, e)
-    x = np.einsum("bcjkldg,beh->cjkldgeh", x, e)
-    x = np.einsum("cjkldgeh,cfi->jklghidef", x, e)
-    y = np.tensordot(x, t, axes=3)
-    y = np.einsum("jklghimno,jmq->klghinoq", y, e)
-    y = np.einsum("klghinoq,knr->lghioqr", y, e)
-    y = np.einsum("lghioqr,lop->ghipqr", y, e)
-    raw9 = np.einsum("ghipqr,ghipqr->", y, t)
-    return raw6, raw9
+
+def dense_raws(a, symbol=LEVI_CIVITA) -> tuple:
+    """Raw I6 and I9 of a 3x3x3 array as signed sums of monomials in the
+    flat triple tensor T = `_triple_tensor(a)`, whose six slots are
+    (b0 b1 b2 c0 c1 c2), copy n of the array carrying the legs a_n b_n c_n.
+    I6 joins two triples, party 2 on copies {0,1,3}, {2,4,5} and party 3 on
+    {0,3,5}, {1,2,4}: raw6 = sum s(x, y) T[x] T[y] over 1296 pairs.  I9 joins
+    three, party 2 on {0,3,6}, {1,4,7}, {2,5,8} and party 3 on {0,3,7},
+    {1,4,8}, {2,5,6}: raw9 = sum e(x, y, z) T[x] T[y] T[rho z], e the product
+    over slots s of eps(x_s, y_s, z_s), rho rotating the third copy's c-slots
+    (c6 c7 c8) -> (c7 c8 c6).  Swapping x and y flips six signs, so only
+    x < y is kept, with sign 2e: q[z] sums 32 pairs, raw9 = q . T[rho].
+    `symbol` stands in for eps; with |eps| every kept sign is positive.
+    Integer arrays give numpy integers; object arrays stay exact."""
+    x6, y6, s6, x9, y9, s9, rho = _monomial_tables(np.asarray(symbol, np.int64).tobytes())
+    t = _triple_tensor(a, symbol).reshape(729)
+    raw6 = np.sum(s6 * t.take(x6) * t.take(y6))
+    q = np.sum(s9 * t.take(x9) * t.take(y9), axis=1)
+    return raw6, q @ t.take(rho)
 
 
 # --- closed normal-form formulas -------------------------------------------
@@ -436,9 +436,9 @@ def discriminant_delta(s_val, t_val):
 
 def invariants(s: State) -> InvariantSet:
     """Fundamental invariants (I6, I9, I12), the derived I18 and the
-    discriminant Delta of a state, as Python complex numbers: I6 and I9 by
-    dense contraction of its amplitudes, I12 and Delta from the Aronhold
-    pair of its x-slice cubic, all by fixed-order numpy contractions."""
+    discriminant Delta of a state, as Python complex numbers: I6 and I9 as
+    signed monomial sums (`dense_raws`), I12 and Delta from the Aronhold
+    pair of its x-slice cubic, in a fixed order of numpy operations."""
     raw6, raw9 = dense_raws(s.amplitudes)
     s_raw, t_raw = aronhold_raws(slice_tensor(s.amplitudes))
     s_val = complex(s_raw) * float(ARONHOLD_S_SCALE)
@@ -452,10 +452,10 @@ def invariants(s: State) -> InvariantSet:
 
 def invariant_bounds(a) -> tuple:
     """Forward error bounds of the I6, I9, I12 that `invariants` computes
-    from the array a: the same fixed-order contractions on |A| with |eps|,
-    where nothing cancels (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 3), so each rounding error is a modest multiple of eps
-    times its bound."""
+    from a: the same sums on |A| with |eps|, whose signs are all positive,
+    so each bound is the sum of the moduli of the monomials `invariants`
+    adds and each rounding error is a modest multiple of eps times it
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3)."""
     a, e = np.abs(a), np.abs(LEVI_CIVITA)
     raw6, raw9 = dense_raws(a, e)
     k = slice_tensor(a, e)

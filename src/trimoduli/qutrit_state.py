@@ -59,10 +59,10 @@ class State:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = np.array(self.amplitudes, dtype=complex, order="C")
         if amp.shape != (3, 3, 3):
             raise StateIOError(f"amplitude tensor must be 3x3x3, got shape {amp.shape}")
-        if not np.all(np.isfinite(amp.view(float))):
+        if not np.all(np.isfinite(amp)):
             raise StateIOError("amplitudes must be finite")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)

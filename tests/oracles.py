@@ -3,7 +3,8 @@
 Nothing in the package calls these: the slot-copy omega calculus (expand the
 triple product, differentiate symbolically, identify the slots), the numpy
 companion-matrix root finder, the slice cubic as a direct expansion of its
-determinant, the Aronhold brackets as loops over permutations, and the form
+determinant, the Aronhold brackets as loops over permutations, I6 and I9 as
+chains of einsum contractions against the Levi-Civita symbols, and the form
 problem's candidate check, dedup and sign filter as scalar loops over an
 all-pairs union-find, and the first-order round-robin filtering iteration
 that the Newton steps of `slocc_normalize` replaced.
@@ -15,6 +16,7 @@ from itertools import permutations
 import numpy as np
 
 from trimoduli import form_problem as fp
+from trimoduli.concomitants import _triple_tensor
 from trimoduli.poly_engine import (
     _GROUP_RANK,
     GROUPS,
@@ -24,7 +26,13 @@ from trimoduli.poly_engine import (
     VariableRef,
     make_catalog,
 )
-from trimoduli.qutrit_state import LocalTransform, State, apply_local, reduced_density
+from trimoduli.qutrit_state import (
+    LEVI_CIVITA,
+    LocalTransform,
+    State,
+    apply_local,
+    reduced_density,
+)
 
 
 def map_variables(p: MultiPoly, mapping) -> MultiPoly:
@@ -179,6 +187,41 @@ def aronhold_raws_loop(coeffs: dict) -> tuple:
     c = _sym_tensor(coeffs)
     return (_bracket_loop(c, c, c, c),
             _bracket_loop(c, c, c, _sym_tensor(_hessian_coeffs(coeffs))))
+
+
+def dense_raws_einsum(a, symbol=LEVI_CIVITA) -> tuple:
+    """Raw I6 and I9 as full contractions with eps symbols, each a chain of
+    einsums in a fixed order (the contraction that `concomitants.dense_raws`
+    replaced by signed monomial sums).
+
+    Copy n of the array carries the legs (a_n, b_n, c_n) of the three
+    parties.  I6 contracts six copies: party 1 on copies {0,1,2}, {3,4,5},
+    party 2 on {0,1,3}, {2,4,5}, party 3 on {0,3,5}, {1,2,4}.  I9 contracts
+    nine: party 1 on {0,1,2}, {3,4,5}, {6,7,8}, party 2 on {0,3,6}, {1,4,7},
+    {2,5,8}, party 3 on {0,3,7}, {1,4,8}, {2,5,6}.  Every party-1 triple is
+    one `_triple_tensor`.  The einsum letters name the legs b0..b8 as a..i
+    and c0..c8 as j..r; `symbol` stands in for eps in every contraction.
+    """
+    e = symbol
+    t = _triple_tensor(a, symbol)
+    # I6 = sum T[b0 b1 b2 c0 c1 c2] T[b3 b4 b5 c3 c4 c5]
+    #        eps(b0 b1 b3) eps(b2 b4 b5) eps(c0 c3 c5) eps(c1 c2 c4)
+    u = np.einsum("abcjkl,abd->dcjkl", t, e)
+    u = np.einsum("dcjkl,kln->dcjn", u, e)
+    v = np.einsum("defmno,cef->dcmno", t, e)
+    v = np.einsum("dcmno,jmo->dcjn", v, e)
+    raw6 = np.einsum("dcjn,dcjn->", u, v)
+    # I9: the party-2 symbols of copies 0, 1, 2 first, then the second
+    # triple joined over b3 b4 b5, then the party-3 symbols, then the third
+    x = np.einsum("abcjkl,adg->bcjkldg", t, e)
+    x = np.einsum("bcjkldg,beh->cjkldgeh", x, e)
+    x = np.einsum("cjkldgeh,cfi->jklghidef", x, e)
+    y = np.tensordot(x, t, axes=3)
+    y = np.einsum("jklghimno,jmq->klghinoq", y, e)
+    y = np.einsum("klghinoq,knr->lghioqr", y, e)
+    y = np.einsum("lghioqr,lop->ghipqr", y, e)
+    raw9 = np.einsum("ghipqr,ghipqr->", y, t)
+    return raw6, raw9
 
 
 def cluster_labels_brute(flat, radius: float) -> np.ndarray:

@@ -16,7 +16,7 @@ from trimoduli.qutrit_state import (
     trilinear_form,
 )
 
-from oracles import aronhold_raws_loop, slice_cubic_expansion
+from oracles import aronhold_raws_loop, dense_raws_einsum, slice_cubic_expansion
 
 ZERO_STATE = State(np.zeros((3, 3, 3), dtype=complex))
 PRODUCT_111 = np.zeros((3, 3, 3), dtype=complex)
@@ -239,6 +239,66 @@ class TestDenseContraction:
         for s in (ZERO_STATE, State(PRODUCT_111)):
             inv = con.invariants(s)
             assert all(type(v) is complex for v in inv)
+
+
+def _scrambled_normal_form(seed):
+    from trimoduli.qutrit_state import apply_local, random_local_transform
+
+    return apply_local(normal_form_state(random_parameter_triple(seed)),
+                       random_local_transform(seed + 10))
+
+
+def _max_rel(got, want):
+    return max(abs(g - w) / abs(w) for g, w in zip(got, want))
+
+
+class TestMonomialSums:
+    """`dense_raws` against the einsum contractions it replaced."""
+
+    def test_integer_arrays_exact(self):
+        rng = np.random.default_rng(150)
+        for _ in range(20):
+            amp = rng.integers(-3, 4, size=(3, 3, 3))
+            got, want = con.dense_raws(amp), dense_raws_einsum(amp)
+            assert all(isinstance(v, np.integer) for v in got)
+            assert got == want
+
+    def test_fraction_array_exact(self):
+        rng = np.random.default_rng(151)
+        amp = np.array([Fraction(int(n), int(d)) for n, d in
+                        zip(rng.integers(-9, 10, 27), rng.integers(1, 8, 27))],
+                       dtype=object).reshape(3, 3, 3)
+        got = con.dense_raws(amp)
+        assert all(isinstance(v, Fraction) for v in got)
+        assert got == dense_raws_einsum(amp)
+        assert got[1] != 0
+
+    def test_float_states(self):
+        states = [random_state(seed) for seed in range(20)]
+        states += [_scrambled_normal_form(seed) for seed in (152, 153, 154, 155)]
+        for s in states:
+            assert _max_rel(con.dense_raws(s.amplitudes),
+                            dense_raws_einsum(s.amplitudes)) <= 1e-13
+
+    def test_absolute_symbol_gives_the_same_bound(self):
+        e = np.abs(con.LEVI_CIVITA)
+        for s in [random_state(seed) for seed in range(10)] + [_scrambled_normal_form(156)]:
+            a = np.abs(s.amplitudes)
+            assert _max_rel(con.dense_raws(a, e), dense_raws_einsum(a, e)) <= 1e-14
+
+    def test_party_permutations(self):
+        # I6 and I12 do not change when the parties are permuted and I9 picks
+        # up the sign of the permutation; without the slot rotation rho, I9
+        # does not
+        from trimoduli.poly_engine import PERMS3
+
+        for s in (random_state(157), _scrambled_normal_form(158)):
+            base = con.invariants(s)
+            for perm, sign in PERMS3:
+                moved = con.invariants(State(np.transpose(s.amplitudes, perm)))
+                assert abs(moved.i6 - base.i6) <= 1e-12 * abs(base.i6)
+                assert abs(moved.i9 - sign * base.i9) <= 1e-12 * abs(base.i9)
+                assert abs(moved.i12 - base.i12) <= 1e-12 * abs(base.i12)
 
 
 class TestCFormulas:

@@ -235,6 +235,31 @@ class TestStateIO:
             read_state(path)
 
 
+class TestStateConstruction:
+    def test_non_contiguous_arrays(self):
+        a = random_state(5).amplitudes
+        views = (np.transpose(a, (0, 2, 1)), np.moveaxis(a, 0, -1), a[..., ::-1],
+                 np.asfortranarray(a.real))
+        for view in views:
+            s = State(view)
+            assert s.amplitudes.flags.c_contiguous
+            assert np.array_equal(s.amplitudes, view)
+
+    def test_callers_array_is_copied(self):
+        a = np.arange(27, dtype=complex).reshape(3, 3, 3)
+        s = State(a)
+        assert a.flags.writeable and not s.amplitudes.flags.writeable
+        a[0, 0, 0] = 5.0
+        assert s.amplitudes[0, 0, 0] == 0.0
+
+    def test_non_finite_parts(self):
+        for bad in (complex(math.inf, 0.0), complex(0.0, math.nan)):
+            a = np.zeros((3, 3, 3), dtype=complex)
+            a[1, 2, 0] = bad
+            with pytest.raises(StateIOError, match="finite"):
+                State(a)
+
+
 class TestRandomState:
     def test_seed_determinism(self):
         a = random_state(7)

@@ -20,6 +20,8 @@ EXIT_VERIFICATION = 3
 
 
 def _fmt(value) -> str:
+    if isinstance(value, complex):  # the bulk of a triple list
+        return f"[{value.real:.17g}, {value.imag:.17g}]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -31,8 +33,6 @@ def _fmt(value) -> str:
         return str(value)
     if isinstance(value, float):
         return f"{value:.17g}"
-    if isinstance(value, complex):
-        return f"[{value.real:.17g}, {value.imag:.17g}]"
     if isinstance(value, dict):
         inner = ", ".join(f"{_fmt(str(k))}: {_fmt(v)}" for k, v in value.items())
         return "{" + inner + "}"
@@ -117,7 +117,7 @@ def cmd_normal_form(args) -> int:
         inv.i6, inv.i12, inv.i18, i9=inv.i9))
     report = slocc_normalize.verify_vinberg(limit, sol, limit_inv=limit_inv)
     payload["candidate_count"] = sol.filtered_count
-    payload["candidates_sample"] = [list(t) for t in sol.triples[:args.max_candidates]]
+    payload["candidates_sample"] = sol.triples[:args.max_candidates].tolist()
     payload["verdict"] = report
     emit_report("normal-form", payload)
     return EXIT_OK if report["ok"] else EXIT_VERIFICATION
@@ -130,9 +130,9 @@ def cmd_solve(args) -> int:
     payload = _orbit_class_payload(args.a, args.b, args.c, oc)
     payload["raw_count"] = sol.raw_count
     if args.full:
-        payload["triples"] = [list(t) for t in sol.triples]
+        payload["triples"] = sol.triples.tolist()
     else:
-        payload["triples_sample"] = [list(t) for t in sol.triples[:5]]
+        payload["triples_sample"] = sol.triples[:5].tolist()
     emit_report("solve", payload)
     return EXIT_OK
 

@@ -17,7 +17,6 @@ times an exact power of two, so no input scale changes the result.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -181,8 +180,7 @@ def verify_vinberg(limit: State, candidates, norm_rel_tol: float = 1e-5,
     sign class is reported as a mismatch.  `limit_inv` passes the limit's
     invariants when the caller has them already.
     """
-    pts = np.fromiter(itertools.chain.from_iterable(getattr(candidates, "triples", candidates)),
-                      dtype=complex).reshape(-1, 3)
+    pts = np.asarray(getattr(candidates, "triples", candidates), dtype=complex).reshape(-1, 3)
     if len(pts) == 0:
         return {"ok": False, "reason": "no candidates supplied"}
 
@@ -192,8 +190,7 @@ def verify_vinberg(limit: State, candidates, norm_rel_tol: float = 1e-5,
     norm_err = abs(limit.norm_sq - first) / max(first, 1e-300)
 
     inv = concomitants.invariants(limit) if limit_inv is None else limit_inv
-    u, v, w = pts[0].tolist()
-    cv = concomitants.c_formulas(u, v, w)
+    cv = concomitants.c_formulas(*pts[0].tolist())
     targets = {"I6": cv.c6, "I9": cv.c9, "I12": cv.c12, "I18": cv.c18}
     got = {"I6": inv.i6, "I9": inv.i9, "I12": inv.i12, "I18": inv.i18}
     scale = max(abs(t) for t in targets.values())

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import trimoduli
 from trimoduli import cli, form_problem
 from trimoduli.qutrit_state import (
@@ -63,6 +65,18 @@ def test_solve_full_listing(capsys):
     assert code == 0
     assert payload["count"] == 1
     assert payload["triples"] == [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]
+
+
+def test_solve_full_listing_is_bitwise(capsys):
+    # 17 significant digits round-trip every double; parse_int keeps "-0"
+    # a negative zero
+    code, out, _ = run_cli(capsys, "solve", "--a", "1+2j", "--b", "0.5", "--c", "0", "--full")
+    assert code == 0
+    payload = json.loads(out, parse_int=float)
+    got = [[complex(*z) for z in t] for t in payload["triples"]]
+    sol = form_problem.solve(form_problem.FormProblemInput(1 + 2j, 0.5, 0))
+    assert len(got) == sol.filtered_count == payload["count"]
+    assert np.array_equal(np.array(got).view(np.uint64), sol.triples.view(np.uint64))
 
 
 def test_solve_solves_once(capsys, monkeypatch):

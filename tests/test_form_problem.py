@@ -7,8 +7,9 @@ import pytest
 
 from trimoduli import form_problem as fp
 from trimoduli import reflection_group as rg
-from trimoduli.concomitants import c_formulas
-from trimoduli.qutrit_state import random_parameter_triple
+from trimoduli.concomitants import c_formulas, invariants
+from trimoduli.qutrit_state import (apply_local, normal_form_state, random_local_transform,
+                                    random_parameter_triple)
 
 from oracles import companion_roots, dedup_triples_loop, solve_loop
 
@@ -110,6 +111,13 @@ class TestPsiSystem:
         assert len(zero) == 2
 
 
+# the invariants of a det-1-scrambled complex multiple of (0, 1, -1)
+SCRAMBLED_HESSIAN_VERTEX = fp.FormProblemInput(
+    a=9.307212412610708e-05 + 0.00010749439372213353j,
+    b=2.9282033533835793e-69 + 1.0628997197533647e-68j, c=0j,
+    i9=2.2937005673183452e-08 + 7.82831649828589e-08j)
+
+
 class TestEnumeration:
     def test_hessian_vertex_raw_count(self):
         branches = fp.solve_psi_system(fp.FormProblemInput(12, 0, 0))
@@ -120,7 +128,7 @@ class TestEnumeration:
         branches = fp.solve_psi_system(fp.FormProblemInput(0, 0, 0))
         raw = fp.enumerate_triples(branches, fp.FormProblemInput(0, 0, 0))
         assert raw.raw_count == 1
-        assert raw.triples == [(0, 0, 0)]
+        assert np.array_equal(raw.triples, [(0, 0, 0)])
 
     def test_generic_raw_count(self):
         t = random_parameter_triple(63)
@@ -128,6 +136,22 @@ class TestEnumeration:
         inp = fp.FormProblemInput(cv.c6, cv.c12, cv.c18)
         raw = fp.enumerate_triples(fp.solve_psi_system(inp), inp)
         assert raw.raw_count == 1296
+
+    def test_scrambled_hessian_vertices_need_the_merge(self, monkeypatch):
+        # invariants of a det-1-scrambled point of the 27 stratum: b is float
+        # noise near 1e-68, not zero, so eight nearly equal psi-branches
+        # survive and their checked rows coincide in groups of eight
+        inp = SCRAMBLED_HESSIAN_VERTEX
+        raw = fp.enumerate_triples(fp.solve_psi_system(inp), inp)
+        assert len(raw.branches) == 8
+        assert len(fp._candidates(raw.branches)) - raw.dropped == 432
+        assert raw.raw_count == 54
+        sol = fp.solve(inp)
+        assert sol.filtered_count == 27
+        oc = fp.classify(inp)
+        assert (oc.count, oc.stabilizer_label) == (27, "G4")
+        monkeypatch.setattr(fp, "_merge_close", lambda pts: pts)
+        assert fp.solve(inp).filtered_count == 216
 
 
 class TestSignFilter:
@@ -165,8 +189,10 @@ def _bits(sol):
 
 def _oracle_inputs():
     """Seeded inputs on every stratum: generic triples, complex multiples of
-    one point of each degenerate stratum, the origin, and a sign datum that
-    matches no solution."""
+    one point of each degenerate stratum, the same points and generic
+    triples det-1-scrambled and read back through `invariants`, the origin,
+    a sign datum that matches no solution, and an input whose candidates
+    must be merged."""
     rng = np.random.default_rng(808)
     triples = [tuple(random_parameter_triple(300 + k)) for k in range(6)]
     for point in ((0, 1, -1), (1, 0, 0), (1, 1, 0)):
@@ -181,12 +207,21 @@ def _oracle_inputs():
         inputs.append(fp.FormProblemInput(c6, c12, c18, i9=c9))
         inputs.append(fp.FormProblemInput(c6, c12, c18))
     inputs.append(fp.FormProblemInput(12, 0, 0, i9=5.0))
+    scrambled = [random_parameter_triple(320 + k) for k in range(4)]
+    for point in ((0, 1, -1), (1, 0, 0), (1, 1, 0)):
+        for _ in range(4):
+            z = complex(*rng.standard_normal(2))
+            scrambled.append(tuple(z * c for c in point))
+    for k, t in enumerate(scrambled):
+        inv = invariants(apply_local(normal_form_state(t), random_local_transform(340 + k)))
+        inputs.append(fp.FormProblemInput(inv.i6, inv.i12, inv.i18, i9=inv.i9))
+    inputs.append(SCRAMBLED_HESSIAN_VERTEX)
     return inputs
 
 
 class TestLoopOracle:
-    """The vectorised enumeration, dedup and sign filter against the scalar
-    loops in tests/oracles.py: the arithmetic that builds the candidates is
+    """The array enumeration, merge and sign filter against the scalar loops
+    in tests/oracles.py: the arithmetic that builds the candidates is
     unchanged, so the solution sets agree bit for bit."""
 
     @pytest.mark.parametrize("inp", _oracle_inputs())
@@ -202,7 +237,8 @@ class TestLoopOracle:
         assert (got.raw_count, got.filtered_count, got.dropped) \
             == (want.raw_count, want.filtered_count, want.dropped)
         assert np.array_equal(_bits(got), _bits(want))
-        assert all(type(z) is complex for t in got.triples for z in t)
+        assert got.triples.dtype == np.complex128
+        assert got.triples.shape == (got.filtered_count, 3)
 
     def test_dedup_means_and_order_match_loop(self):
         # clusters of 1 to 5 near copies, signed zeros, and ties in the
@@ -215,10 +251,15 @@ class TestLoopOracle:
         jitter = rng.standard_normal(pts.shape) + 1j * rng.standard_normal(pts.shape)
         pts += 1e-12 * jitter * (rng.random(len(pts)) < 0.7)[:, None]
         pts = pts[rng.permutation(len(pts))]
-        got = fp._dedup_triples(pts)
+        got = fp._sort_rows(fp._merge_close(pts))
         want = dedup_triples_loop([tuple(row) for row in pts.tolist()])
         assert len(got) == len(base)
-        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+    def test_merge_without_close_pair_returns_rows_unchanged(self):
+        rng = np.random.default_rng(810)
+        pts = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+        assert fp._merge_close(pts) is pts
 
 
 class TestClassify:

@@ -152,7 +152,7 @@ def cmd_orbit(args) -> int:
         "stabilizer_label": label,
     }
     if args.full:
-        payload["points"] = [list(p) for p in points]
+        payload["points"] = points.tolist()
     emit_report("orbit", payload)
     return EXIT_OK
 

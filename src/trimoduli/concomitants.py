@@ -530,6 +530,8 @@ def projective_point(s: State, inv: InvariantSet | None = None):
 
 # --- syzygies ----------------------------------------------------------------
 
+# the twelve syzygies among the concomitants, each a sum of terms that
+# vanishes identically; `_syzygy_parts` reads the terms from these names
 SYZYGY_NAMES = (
     "h + e_alpha - e_gamma + d_beta*p_beta",
     "h + e_beta - e_alpha + d_gamma*p_gamma",
@@ -546,24 +548,18 @@ SYZYGY_NAMES = (
 )
 
 
-def _syzygy_parts(b: ConcomitantBundle):
-    return (
-        (b.h, b.e_alpha, -b.e_gamma, b.d_beta * b.p_beta),
-        (b.h, b.e_beta, -b.e_alpha, b.d_gamma * b.p_gamma),
-        (b.h, b.e_gamma, -b.e_beta, b.d_alpha * b.p_alpha),
-        (b.c_alpha_beta.scale(Fraction(3)), -(b.b_gamma * b.p_beta)),
-        (b.c_beta_alpha.scale(Fraction(3)), -(b.b_gamma * b.p_alpha)),
-        (b.c_alpha_gamma.scale(Fraction(3)), -(b.b_beta * b.p_gamma)),
-        (b.c_gamma_alpha.scale(Fraction(3)), -(b.b_beta * b.p_alpha)),
-        (b.c_beta_gamma.scale(Fraction(3)), -(b.b_alpha * b.p_gamma)),
-        (b.c_gamma_beta.scale(Fraction(3)), -(b.b_alpha * b.p_beta)),
-        (b.g_alpha.scale(Fraction(6)), -(b.q_alpha * b.f).scale(Fraction(3)),
-         b.b_alpha * b.p_beta * b.p_gamma),
-        (b.g_beta.scale(Fraction(6)), -(b.q_beta * b.f).scale(Fraction(3)),
-         b.b_beta * b.p_alpha * b.p_gamma),
-        (b.g_gamma.scale(Fraction(6)), -(b.q_gamma * b.f).scale(Fraction(3)),
-         b.b_gamma * b.p_alpha * b.p_beta),
-    )
+def _syzygy_parts(b: ConcomitantBundle, name: str) -> list:
+    """The terms of one syzygy of SYZYGY_NAMES, each read from the name as a
+    sign, an integer coefficient and the factors multiplied left to right."""
+    parts = []
+    for term in name.replace(" - ", " + -").split(" + "):
+        factors = term.lstrip("-").split("*")
+        coeff = int(factors.pop(0)) if factors[0].isdigit() else 1
+        part = math.prod((getattr(b, f) for f in factors[1:]), start=getattr(b, factors[0]))
+        if coeff != 1:
+            part = part.scale(Fraction(coeff))
+        parts.append(-part if term.startswith("-") else part)
+    return parts
 
 
 def random_evaluation_point(seed: int) -> dict:
@@ -575,15 +571,15 @@ def random_evaluation_point(seed: int) -> dict:
     return point
 
 
-def syzygy_residuals(s: State, seed: int = 0, point: dict | None = None):
-    """Evaluate all twelve syzygies at one random point of the 18 variables;
-    each residual is reported relative to its largest constituent term."""
+def syzygy_residuals(s: State, seed: int = 0):
+    """Evaluate the twelve syzygies of SYZYGY_NAMES, as (name, residual)
+    pairs, at `random_evaluation_point(seed)`; each residual is reported
+    relative to the largest of its terms."""
     bundle = build_concomitants(s)
-    if point is None:
-        point = random_evaluation_point(seed)
+    point = random_evaluation_point(seed)
     results = []
-    for name, parts in zip(SYZYGY_NAMES, _syzygy_parts(bundle)):
-        values = [p.eval(point) for p in parts]
+    for name in SYZYGY_NAMES:
+        values = [p.eval(point) for p in _syzygy_parts(bundle, name)]
         total = sum(values)
         scale = max(abs(v) for v in values)
         residual = 0.0 if scale == 0 else abs(total) / scale

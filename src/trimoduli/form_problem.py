@@ -39,17 +39,23 @@ CANONICAL_CASES = {
 }
 
 
+# relative residual within which a psi-branch or a candidate triple
+# reproduces the input invariants, and a kept triple's I9 the sign datum
+RESIDUAL_TOL = 1e-6
+
+
 class FormProblemError(ValueError):
     """Inconsistent input data or a failed internal verification."""
 
 
 @dataclass(frozen=True)
 class FormProblemInput:
+    """Invariant values (a, b, c) = (I6, I12, I18) and the sign datum i9 = I9;
+    without i9, `solve` infers one from delta = 432 * I9^2."""
     a: complex
     b: complex
     c: complex
     i9: complex | None = None
-    tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -209,18 +215,19 @@ def _poly_derivative(coeffs):
     return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
 
 
-def cluster_roots(roots, coeffs=None, rel_tol: float = 2e-5):
-    """Group nearly equal roots into (value, multiplicity) clusters.
+def cluster_roots(roots, coeffs):
+    """Group nearly equal roots of the polynomial with coefficients coeffs
+    into (value, multiplicity) clusters.
 
     Closed-form solvers split an exact m-fold root into m points spread by
-    roughly eps**(1/m); clustering under a relative tolerance restores the
-    multiplicity, and the cluster mean is polished by Newton steps on the
-    (m-1)-th derivative when the polynomial is supplied.
+    roughly eps**(1/m); clustering within 2e-5 of the largest root restores
+    the multiplicity, and the cluster mean is polished by Newton steps on the
+    (m-1)-th derivative.
     """
     if not roots:
         return []
     scale = max(abs(r) for r in roots)
-    tol = rel_tol * max(scale, 1e-300)
+    tol = 2e-5 * max(scale, 1e-300)
     clusters: list[list[complex]] = []
     for r in sorted(roots, key=lambda z: (z.real, z.imag)):
         for cl in clusters:
@@ -233,20 +240,20 @@ def cluster_roots(roots, coeffs=None, rel_tol: float = 2e-5):
     out = []
     for total, mult in clusters:
         value = total / mult
-        if coeffs is not None and mult > 1:
+        if mult > 1:
             value = _refine_multiple_root(coeffs, value, mult)
         out.append((value, mult))
     return out
 
 
-def _refine_multiple_root(coeffs, x, mult, steps: int = 4):
-    """Newton iteration on the (mult-1)-th derivative, where an m-fold root
+def _refine_multiple_root(coeffs, x, mult):
+    """Four Newton steps on the (mult-1)-th derivative, where an m-fold root
     of the polynomial is a simple root."""
     d = [complex(c) for c in coeffs]
     for _ in range(mult - 1):
         d = _poly_derivative(d)
     dd = _poly_derivative(d)
-    for _ in range(steps):
+    for _ in range(4):
         denom = _poly_eval(dd, x)
         if denom == 0:
             break
@@ -318,7 +325,7 @@ def solve_psi_system(inp: FormProblemInput) -> list[PsiBranch]:
         res3 = (abs(psi ** 6 - 2.5 * lam * psi ** 3 - 0.125 * lam * lam - c)
                 / max(abs(psi) ** 6, 2.5 * abs(lam) * abs(psi) ** 3,
                       0.125 * abs(lam) ** 2, abs(c), 1.0))
-        if max(res1, res2, res3) <= inp.tol:
+        if max(res1, res2, res3) <= RESIDUAL_TOL:
             branches.append(PsiBranch(psi, lam, chi, lam / 216, mult, (res1, res2, res3)))
     return branches
 
@@ -369,16 +376,16 @@ def enumerate_triples(branches, inp: FormProblemInput) -> SolutionSet:
     den6, den12, den18 = max(abs(a), s ** 6), max(abs(b), s ** 12), max(abs(c), s ** 18)
     cands = _candidates(branches)
     c6, _, c12, c18 = _cvalues(cands)
-    ok = ((np.abs(c6 - a) <= inp.tol * den6)
-          & (np.abs(c12 - b) <= inp.tol * den12)
-          & (np.abs(c18 - c) <= inp.tol * den18))
+    ok = ((np.abs(c6 - a) <= RESIDUAL_TOL * den6)
+          & (np.abs(c12 - b) <= RESIDUAL_TOL * den12)
+          & (np.abs(c18 - c) <= RESIDUAL_TOL * den18))
     triples = _merge_close(cands[ok])
     return SolutionSet(triples=triples, raw_count=len(triples),
                        dropped=int(np.count_nonzero(~ok)), branches=list(branches))
 
 
-def _merge_close(pts: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
-    """Merge the rows of pts closer than rel_tol times the diameter of the
+def _merge_close(pts: np.ndarray) -> np.ndarray:
+    """Merge the rows of pts closer than 1e-8 times the diameter of the
     set into their mean, summed in member order; the clusters in the order
     of their first members.  Without a close pair pts comes back as it is."""
     if len(pts) < 2:
@@ -386,7 +393,7 @@ def _merge_close(pts: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
     flat = np.column_stack([pts.real, pts.imag])
     # ranges over a contiguous transpose: axis 0 of (n, 6) reduces ~6x slower
     diameter = float(np.linalg.norm(np.ptp(flat.T.copy(), axis=1)))
-    labels = reflection_group.cluster_points(flat, rel_tol * max(diameter, 1e-12))
+    labels = reflection_group.cluster_points(flat, 1e-8 * max(diameter, 1e-12))
     if np.array_equal(labels, np.arange(len(pts))):
         return pts
     _, group = np.unique(labels, return_inverse=True)
@@ -396,27 +403,22 @@ def _merge_close(pts: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
     return sums / counts[:, None]
 
 
-def filter_sign(raw: SolutionSet, i9: complex, tol: float = 1e-6) -> SolutionSet:
+def filter_sign(raw: SolutionSet, i9: complex) -> SolutionSet:
     """Keep the rows of raw.triples whose alternating invariant matches i9,
-    sorted by (Re u, Im u, ..., Im w).
+    in `reflection_group.sort_rows` order.
 
-    The comparison threshold is tol times the natural degree-9 scale of the
-    solution set (with |i9| as a lower bound), so the two sign classes stay
-    separated whatever the overall normalization of the input."""
+    The comparison threshold is RESIDUAL_TOL times the natural degree-9 scale
+    of the solution set (with |i9| as a lower bound), so the two sign classes
+    stay separated whatever the overall normalization of the input."""
     pts = raw.triples
     pt_scale = float(np.abs(pts).max(initial=0.0))
-    threshold = tol * max(abs(i9), pt_scale ** 9, 1e-300)
+    threshold = RESIDUAL_TOL * max(abs(i9), pt_scale ** 9, 1e-300)
     u3, v3, w3 = (pts ** 3).T
     kept = pts[np.abs((u3 - v3) * (u3 - w3) * (v3 - w3) - i9) < threshold]
     if not len(kept):
         raise FormProblemError(
             f"no solutions match the sign datum i9={i9}: inconsistent input")
-    return replace(raw, triples=_sort_rows(kept), filtered_count=len(kept))
-
-
-def _sort_rows(pts: np.ndarray) -> np.ndarray:
-    """The rows sorted by (Re u, Im u, ..., Im w); lexsort's primary key is last."""
-    return pts[np.lexsort(pts.view(float)[:, ::-1].T)]
+    return replace(raw, triples=reflection_group.sort_rows(kept), filtered_count=len(kept))
 
 
 def infer_i9(inp: FormProblemInput) -> complex:
@@ -436,13 +438,13 @@ def solve(inp: FormProblemInput) -> SolutionSet:
     branches = solve_psi_system(inp)
     raw = enumerate_triples(branches, inp)
     i9 = inp.i9 if inp.i9 is not None else infer_i9(inp)
-    return filter_sign(raw, complex(i9), inp.tol)
+    return filter_sign(raw, complex(i9))
 
 
-def solve_for_triple(t, tol: float = 1e-6) -> SolutionSet:
+def solve_for_triple(t) -> SolutionSet:
     """Solve the form problem for the invariants of a known triple."""
     c6, c9, c12, c18 = (complex(x) for x in _cvalues([complex(z) for z in t]))
-    return solve(FormProblemInput(c6, c12, c18, i9=c9, tol=tol))
+    return solve(FormProblemInput(c6, c12, c18, i9=c9))
 
 
 def _at_unit_scale(x: complex, s: float, degree: int) -> complex:
@@ -517,7 +519,7 @@ def classify(inp: FormProblemInput, sol: SolutionSet | None = None) -> OrbitClas
     `solve(inp)` when the caller has already solved it."""
     i9 = complex(inp.i9) if inp.i9 is not None else infer_i9(inp)
     if sol is None:
-        sol = solve(FormProblemInput(inp.a, inp.b, inp.c, i9, inp.tol))
+        sol = solve(FormProblemInput(inp.a, inp.b, inp.c, i9))
     count = sol.filtered_count
     a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
     delta = a ** 3 - 3 * a * b + 2 * c

@@ -6,7 +6,8 @@ matching matrix.  This module also holds the one Levi-Civita symbol of the
 package and the slice tensor, the determinant of a slice as a symmetric
 3x3x3 tensor (by numpy einsum; `slice_cubic` writes it out as a polynomial),
 and builds the three-parameter normal-form family, reduced densities, the
-tangent-map orbit dimension, and the JSON state file format.
+tangent map of sl(3)^3 on the Gell-Mann matrices (the filtering iteration's
+derivatives and the orbit dimension), and the JSON state file format.
 """
 from __future__ import annotations
 
@@ -38,6 +39,13 @@ def _levi_civita() -> np.ndarray:
 
 
 LEVI_CIVITA = _levi_civita()
+
+_E = np.eye(3)
+# the Gell-Mann matrices, tr(l_a l_b) = 2 delta_ab
+GELL_MANN = np.array(
+    [c * np.outer(_E[i], _E[j]) + np.conj(c) * np.outer(_E[j], _E[i])
+     for i, j in ((0, 1), (0, 2), (1, 2)) for c in (1.0, -1j)]
+    + [np.diag([1.0, -1.0, 0.0]), np.diag([1.0, 1.0, -2.0]) / math.sqrt(3.0)])
 
 
 class StateIOError(ValueError):
@@ -102,8 +110,8 @@ class LocalTransform:
     def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.g1, self.g2, self.g3)
 
-    def is_det_normalized(self, tol: float = 1e-12) -> bool:
-        return all(abs(np.linalg.det(m) - 1.0) < tol for m in self.matrices)
+    def is_det_normalized(self) -> bool:
+        return all(abs(np.linalg.det(m) - 1.0) < 1e-12 for m in self.matrices)
 
     def det_normalized(self) -> "LocalTransform":
         """Rescale each matrix by det**(-1/3) (principal cube root)."""
@@ -211,34 +219,20 @@ def reduced_density(s: State, party: int) -> np.ndarray:
     return rho
 
 
-def _sl3_basis() -> list[np.ndarray]:
-    basis = []
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                m = np.zeros((3, 3), dtype=complex)
-                m[i, j] = 1.0
-                basis.append(m)
-    basis.append(np.diag([1.0, -1.0, 0.0]).astype(complex))
-    basis.append(np.diag([0.0, 1.0, -1.0]).astype(complex))
-    return basis
+def tangent_rows(a: np.ndarray) -> np.ndarray:
+    """The tangent map of sl(3)^3 at a 3x3x3 array a, as the (24, 27) matrix
+    whose row 8p + k is the Gell-Mann matrix l_k applied to leg p + 1 of a."""
+    return np.concatenate((np.einsum("aip,pjk->aijk", GELL_MANN, a),
+                           np.einsum("ajq,iqk->aijk", GELL_MANN, a),
+                           np.einsum("akr,ijr->aijk", GELL_MANN, a))).reshape(24, 27)
 
 
-def orbit_dimension(s: State, rel_tol: float = 1e-8) -> int:
-    """Complex rank of the tangent map sl(3)^3 -> H at the state."""
-    rows = []
-    A = s.amplitudes
-    for X in _sl3_basis():
-        rows.append(np.einsum("ip,pjk->ijk", X, A).ravel())
-    for X in _sl3_basis():
-        rows.append(np.einsum("jq,iqk->ijk", X, A).ravel())
-    for X in _sl3_basis():
-        rows.append(np.einsum("kr,ijr->ijk", X, A).ravel())
-    tangent = np.array(rows)
-    sv = np.linalg.svd(tangent, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+def orbit_dimension(s: State) -> int:
+    """Complex rank of the tangent map sl(3)^3 -> H at the state: the number
+    of singular values of `tangent_rows` above 1e-8 times the largest (the
+    Gell-Mann matrices span sl(3, C), so this is the orbit's dimension)."""
+    sv = np.linalg.svd(tangent_rows(s.amplitudes), compute_uv=False)
+    return int(np.count_nonzero(sv > 1e-8 * sv[0]))
 
 
 def write_state(path, s: State) -> None:

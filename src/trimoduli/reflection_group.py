@@ -10,8 +10,8 @@ invariance computations see the entries as `Cyclo` values of Q(eps).
 `orbit` and `stabilizer` are exact on exact triples and use the complex
 matrices on float or complex ones.  Floating point enters only when matching
 group orbits against numerically solved points; `cluster_points` (a sort
-along one direction, then a union of the close pairs) merges near points here
-and in the form problem.
+along one direction, then a union of the close pairs) merges near points and
+`sort_rows` orders float triple sets, here and in the form problem.
 """
 from __future__ import annotations
 
@@ -128,14 +128,14 @@ class GroupElement:
     def is_unitary(self) -> bool:
         return tuple(_product9(self.ints, self.conjugate_transpose().ints)) == _IDENTITY9
 
-    def order(self, cap: int = 2000) -> int:
+    def order(self) -> int:
         e = identity()
         g = self
-        for n in range(1, cap + 1):
+        for n in range(1, 2001):
             if g == e:
                 return n
             g = g @ self
-        raise RuntimeError("element order exceeds cap")
+        raise RuntimeError("element order exceeds 2000")
 
     def fixed_space_dim(self) -> int:
         """Dimension of the fixed subspace, i.e. 3 - rank(g - I), exactly."""
@@ -305,20 +305,25 @@ def _is_exact(triple) -> bool:
     return not any(isinstance(c, (complex, float)) for c in triple)
 
 
-def orbit(group: MatrixGroup, triple, tol: float = 1e-9):
-    """The orbit {g.t} as a deduplicated point list: exact points, deduplicated
-    by equality, when the triple is exact; otherwise complex points whose
-    clusters within tol (times max(1, largest coordinate)) keep one point."""
+def orbit(group: MatrixGroup, triple):
+    """The orbit {g.t} without repeats.  On an exact triple: the exact points,
+    deduplicated by equality, as a sorted list.  On a float or complex triple:
+    a complex (n, 3) array in `sort_rows` order, one point per cluster of the
+    images within 1e-9 times their largest real or imaginary part, so its
+    size does not depend on the scale of the triple."""
     if _is_exact(triple):
         t = _as_cyclo(triple)
         pts = {g.apply(t) for g in group.elements}
         return sorted(pts, key=lambda p: tuple(x.sort_key() for x in p))
     pts = group._complex_matrices() @ np.array([complex(c) for c in triple])
     flat = np.column_stack([pts.real, pts.imag])
-    labels = cluster_points(flat, tol * max(1.0, float(np.max(np.abs(flat)))))
-    out = [tuple(pts[i]) for i in np.unique(labels)]
-    out.sort(key=lambda p: tuple((z.real, z.imag) for z in p))
-    return out
+    labels = cluster_points(flat, 1e-9 * float(np.max(np.abs(flat))))
+    return sort_rows(pts[np.unique(labels)])
+
+
+def sort_rows(pts: np.ndarray) -> np.ndarray:
+    """The rows sorted by (Re u, Im u, ..., Im w); lexsort's primary key is last."""
+    return pts[np.lexsort(pts.view(float)[:, ::-1].T)]
 
 
 # a fixed unit direction with distinct, non-zero components, so that rows

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import concomitants
-from .qutrit_state import LocalTransform, State, apply_local
+from .qutrit_state import GELL_MANN, LocalTransform, State, apply_local, tangent_rows
 
 CONVERGED = "converged"
 UNSTABLE = "unstable"
@@ -76,13 +76,9 @@ MAX_HALVINGS = 60
 # far from the minimum a Newton step can overshoot by orders of magnitude; no
 # step moves an eigenvalue of a party's generator by more than this
 STEP_RADIUS = 1.0
-
-_E = np.eye(3)
-# the Gell-Mann matrices, tr(l_a l_b) = 2 delta_ab
-GELL_MANN = np.array(
-    [c * np.outer(_E[i], _E[j]) + np.conj(c) * np.outer(_E[j], _E[i])
-     for i, j in ((0, 1), (0, 2), (1, 2)) for c in (1.0, -1j)]
-    + [np.diag([1.0, -1.0, 0.0]), np.diag([1.0, 1.0, -2.0]) / math.sqrt(3.0)])
+# a verified limit's squared norm matches the candidates' within this relative
+# error; the candidates' own norms, equal in exact arithmetic, within 10 times it
+NORM_REL_TOL = 1e-5
 
 
 def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
@@ -93,9 +89,7 @@ def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
 def _derivatives(a: np.ndarray):
     """Gradient 2<psi, l psi>/N and Hessian 4 Re<l psi, m psi>/N - g g^T of
     log N at psi = a, over the Gell-Mann matrices l, m of parties 1, 2, 3."""
-    rows = np.concatenate((np.einsum("aip,pjk->aijk", GELL_MANN, a),
-                           np.einsum("ajq,iqk->aijk", GELL_MANN, a),
-                           np.einsum("akr,ijr->aijk", GELL_MANN, a))).reshape(24, 27)
+    rows = tangent_rows(a)
     flat = a.ravel()
     norm_sq = np.vdot(flat, flat).real
     grad = 2.0 * (rows @ flat.conj()).real / norm_sq
@@ -167,18 +161,18 @@ def normalize_slocc(s: State, tol: float = 1e-10, max_iter: int = 10000):
     return State(_ldexp(current.amplitudes, e)), trace
 
 
-def verify_vinberg(limit: State, candidates, norm_rel_tol: float = 1e-5,
-                   invariant_rel_tol: float = 1e-4,
+def verify_vinberg(limit: State, candidates,
                    limit_inv: concomitants.InvariantSet | None = None) -> dict:
     """Check a filtering limit against the solved normal-form candidates.
 
     All candidates of one solution set share the squared norm
     3(|u|^2+|v|^2+|w|^2) because the normal-form symmetry group is unitary;
-    the limit must match it, and the limit's invariants must match the
-    closed formulas of the candidates.  The candidates must come from the
-    original state's own invariants including its sign datum; the mirror
-    sign class is reported as a mismatch.  `limit_inv` passes the limit's
-    invariants when the caller has them already.
+    the limit must match it within NORM_REL_TOL, and the limit's invariants
+    must match the closed formulas of the candidates within 1e-4 of the
+    largest of them.  The candidates must come from the original state's own
+    invariants including its sign datum; the mirror sign class is reported
+    as a mismatch.  `limit_inv` passes the limit's invariants when the
+    caller has them already.
     """
     pts = np.asarray(getattr(candidates, "triples", candidates), dtype=complex).reshape(-1, 3)
     if len(pts) == 0:
@@ -196,9 +190,9 @@ def verify_vinberg(limit: State, candidates, norm_rel_tol: float = 1e-5,
     scale = max(abs(t) for t in targets.values())
     inv_errs = {k: abs(got[k] - targets[k]) / max(scale, 1e-300) for k in targets}
 
-    ok = (norm_err < norm_rel_tol
-          and norm_spread < 10 * norm_rel_tol
-          and all(e < invariant_rel_tol for e in inv_errs.values()))
+    ok = (norm_err < NORM_REL_TOL
+          and norm_spread < 10 * NORM_REL_TOL
+          and all(e < 1e-4 for e in inv_errs.values()))
     return {
         "ok": bool(ok),
         "norm_rel_error": norm_err,

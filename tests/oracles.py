@@ -294,9 +294,9 @@ def enumerate_triples_loop(branches, inp):
                 for cv in pick[1]:
                     for cw in pick[2]:
                         c6, _, c12, c18 = cvalues_scalar(cu, cv, cw)
-                        if (abs(c6 - a) <= inp.tol * den6
-                                and abs(c12 - b) <= inp.tol * den12
-                                and abs(c18 - c) <= inp.tol * den18):
+                        if (abs(c6 - a) <= fp.RESIDUAL_TOL * den6
+                                and abs(c12 - b) <= fp.RESIDUAL_TOL * den12
+                                and abs(c18 - c) <= fp.RESIDUAL_TOL * den18):
                             candidates.append((cu, cv, cw))
                         else:
                             dropped += 1
@@ -339,7 +339,7 @@ def solve_loop(inp):
     """`form_problem.solve` with the loop enumeration, dedup and filter."""
     raw = enumerate_triples_loop(fp.solve_psi_system(inp), inp)
     i9 = inp.i9 if inp.i9 is not None else fp.infer_i9(inp)
-    return filter_sign_loop(raw, complex(i9), inp.tol)
+    return filter_sign_loop(raw, complex(i9), fp.RESIDUAL_TOL)
 
 
 def _max_rel_deviation_rho(s: State) -> float:

@@ -194,6 +194,12 @@ def test_inconsistent_solve_input(capsys):
     assert "inconsistent" in err
 
 
+def test_orbit_of_tiny_generic_triple(capsys):
+    code, out, _ = run_cli(capsys, "orbit", "--u=3e-13", "--v=1e-12", "--w=-7e-13j")
+    assert code == 0
+    assert json.loads(out)["orbit_size"] == 648
+
+
 def test_complex_flag_parsing(capsys):
     code, out, _ = run_cli(capsys, "orbit", "--u", "1+2j", "--v", "0.5-1j", "--w", "3")
     assert code == 0

@@ -251,7 +251,7 @@ class TestLoopOracle:
         jitter = rng.standard_normal(pts.shape) + 1j * rng.standard_normal(pts.shape)
         pts += 1e-12 * jitter * (rng.random(len(pts)) < 0.7)[:, None]
         pts = pts[rng.permutation(len(pts))]
-        got = fp._sort_rows(fp._merge_close(pts))
+        got = rg.sort_rows(fp._merge_close(pts))
         want = dedup_triples_loop([tuple(row) for row in pts.tolist()])
         assert len(got) == len(base)
         assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))

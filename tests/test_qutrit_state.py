@@ -184,15 +184,23 @@ class TestReducedDensity:
             assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
+W_STATE = np.zeros((3, 3, 3), dtype=complex)
+W_STATE[0, 0, 1] = W_STATE[0, 1, 0] = W_STATE[1, 0, 0] = 1.0
+
+
 class TestOrbitDimension:
-    def test_generic_normal_form(self):
-        assert orbit_dimension(normal_form_state((1, 1, -1))) == 24
-
-    def test_product_state(self):
-        assert orbit_dimension(State(PRODUCT_111)) == 7
-
-    def test_zero_state(self):
-        assert orbit_dimension(State(np.zeros((3, 3, 3), dtype=complex))) == 0
+    @pytest.mark.parametrize("amplitudes, dim", [
+        (normal_form_state((1, 1, -1)).amplitudes, 24),
+        (normal_form_state((1, 0, 0)).amplitudes, 20),
+        (normal_form_state((0, 1, -1)).amplitudes, 16),
+        (normal_form_state((1, 1, 0)).amplitudes, 22),
+        (W_STATE, 13),
+        (PRODUCT_111, 7),
+        (np.zeros((3, 3, 3), dtype=complex), 0),
+    ], ids=["generic-normal-form", "normal-form-100", "normal-form-01m1",
+            "normal-form-110", "w-state", "product-state", "zero-state"])
+    def test_named_state(self, amplitudes, dim):
+        assert orbit_dimension(State(amplitudes)) == dim
 
 
 class TestStateIO:

@@ -133,12 +133,15 @@ class TestOrbits:
         assert len(orb) * stab.order == group_k.order
 
     def test_orbit_float_matches_exact(self, group_k):
-        exact = rg.orbit(group_k, (1, -1, 0))
-        flo = rg.orbit(group_k, (1.0 + 0j, -1.0 + 0j, 0j))
-        assert len(flo) == len(exact)
-        exact_pts = [tuple(x.to_complex() if isinstance(x, Cyclo) else complex(x)
-                           for x in p) for p in exact]
-        assert fp.set_distance(exact_pts, flo) < 1e-12
+        # a generic integer triple and one point of each degenerate stratum
+        for triple in ((1, 2, 5), (1, 1, 0), (1, 0, 0), (1, -1, 0), (0, 0, 0)):
+            exact = rg.orbit(group_k, triple)
+            flo = rg.orbit(group_k, tuple(complex(c) for c in triple))
+            assert flo.dtype == np.complex128 and flo.shape == (len(exact), 3)
+            assert np.array_equal(flo.view(np.uint64), rg.sort_rows(flo).view(np.uint64))
+            exact_pts = [tuple(x.to_complex() if isinstance(x, Cyclo) else complex(x)
+                               for x in p) for p in exact]
+            assert fp.set_distance(exact_pts, flo) < 1e-12
 
     def test_float_stabilizer_matches_exact(self, group_k):
         exact = rg.stabilizer(group_k, (1, -1, 0))
@@ -159,6 +162,15 @@ class TestOrbits:
         stab = rg.stabilizer(group_k, tuple(t))
         assert stab.order == 1
         assert rg.stabilizer_type(stab) == "trivial"
+
+    def test_orbit_size_does_not_depend_on_scale(self, group_k):
+        # a generic triple and one point of the 216-, 72- and 27-point strata
+        points = (((0.3 + 0.1j, -0.7j, 1.1), 648), ((1, 1, 0), 216), ((1, 0, 0), 72),
+                  ((0, 1, -1), 27), ((0, 0, 0), 1))
+        for point, size in points:
+            for scale in (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6):
+                triple = tuple(complex(c) * scale for c in point)
+                assert len(rg.orbit(group_k, triple)) == size, (point, scale)
 
 
 def _planted_cloud(seed, radius):
@@ -214,7 +226,7 @@ class TestClusterPoints:
         labels = rg.cluster_points(np.column_stack([pts.real, pts.imag]), 1e-9)
         orb = rg.orbit(group_k, tuple(t))
         assert sorted(map(tuple, pts[np.unique(labels)].view(np.uint64))) \
-            == sorted(map(tuple, np.array(orb).view(np.uint64)))
+            == sorted(map(tuple, orb.view(np.uint64)))
 
 
 class TestStabilizerTypes:

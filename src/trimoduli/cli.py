@@ -8,7 +8,9 @@ verification mismatch.
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
+from functools import lru_cache
 
 from . import __version__, concomitants, form_problem, reflection_group, slocc_normalize
 from .qutrit_state import StateIOError, random_state, read_state, write_state
@@ -49,9 +51,12 @@ def emit_report(command: str, payload: dict) -> None:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite complex number: {text!r}")
+    return value
 
 
 def _invariants_payload(inv: concomitants.InvariantSet) -> dict:
@@ -96,6 +101,8 @@ def _orbit_class_payload(a, b, c, oc: form_problem.OrbitClass) -> dict:
 
 
 def cmd_normal_form(args) -> int:
+    if args.max_candidates < 0:
+        raise ValueError("--max-candidates must be non-negative")
     s = read_state(args.path)
     inv = concomitants.invariants(s)
     limit, trace = slocc_normalize.normalize_slocc(s, tol=args.tol, max_iter=args.max_iter)
@@ -201,7 +208,9 @@ def cmd_emit_points(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="trimoduli",
         description="Invariants, normal forms and the form problem for three-qutrit states.",

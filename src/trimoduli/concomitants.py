@@ -12,6 +12,11 @@ P_gamma = sum zeta_k z_k, and so are the degree-6/9/12 invariants
 by calibration against the closed normal-form formulas (`calibration`); the
 runtime path uses them as pinned literals, which the tests re-derive
 exactly.  The exact route also serves the syzygies and the tests as an oracle.
+
+The closed invariants C6, C9, C12, C18 of the normal form are written once,
+in `c_formulas` (C9 alone in `c9_formula`), for every scalar type; the form
+problem, `verify_vinberg`, `c_polynomials` and `verify_invariance` all
+evaluate it.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import EPS, EPS_COMPLEX, Cyclo
+from .cyclotomic import EPS, EPS_COMPLEX, Cyclo, is_exact
 from .poly_engine import (
     PERMS3,
     MultiPoly,
@@ -75,7 +80,6 @@ class CValues(NamedTuple):
     c9: complex
     c12: complex
     c18: complex
-    c12_prime: complex
 
 
 @dataclass(frozen=True)
@@ -279,32 +283,49 @@ def dense_raws(a, symbol=LEVI_CIVITA) -> tuple:
 
 # --- closed normal-form formulas -------------------------------------------
 
-def _msym(u, v, w, exps):
-    total = 0
-    for p in set(permutations(exps)):
-        total = total + u ** p[0] * v ** p[1] * w ** p[2]
-    return total
+def _cube_powers(x):
+    """x^3, x^6, x^9, x^12 by the products of Python's complex ** k (square
+    and multiply), so that a complex scalar keeps the bits of x ** k."""
+    x2 = x * x
+    x4 = x2 * x2
+    x8 = x4 * x4
+    return x * x2, x2 * x4, x * x8, x4 * x8
+
+
+def c9_formula(u, v, w):
+    """C9 alone, for the sign filter; `c_formulas` takes its C9 from here."""
+    u3, v3, w3 = u * (u * u), v * (v * v), w * (w * w)
+    return (u3 - v3) * (u3 - w3) * (v3 - w3)
 
 
 def c_formulas(u, v, w) -> CValues:
-    """Closed-form invariants of the normal form, scalar-generic (works for
-    complex floats and for exact rationals/cyclotomics alike)."""
-    psi = u ** 3 + v ** 3 + w ** 3
+    """C6, C9, C12, C18 of the normal form with parameters (u, v, w), the
+    only implementation, for Python complex, int, Fraction, Cyclo, MultiPoly
+    and complex numpy arrays (one triple per entry) alike.  C6 and C12 are
+    monomial sums, not psi^2 - 12 chi and psi^4 + lam psi: those cancel
+    exactly on multiples of (0, 1, -1), where the invariants of a state
+    carry rounding noise.  Complex scalars get the bits of the sums taken
+    term by term in the order written."""
+    (u3, u6, u9, u12), (v3, v6, v9, v12), (w3, w6, w9, w12) = map(_cube_powers, (u, v, w))
+    psi = u3 + v3 + w3
+    psi2 = psi * psi
+    psi3, psi6 = psi * psi2, psi2 * (psi2 * psi2)
     phi = u * v * w
-    lam = 216 * phi ** 3
-    c6 = _msym(u, v, w, (6, 0, 0)) - 10 * _msym(u, v, w, (3, 3, 0))
-    c9 = (u ** 3 - v ** 3) * (u ** 3 - w ** 3) * (v ** 3 - w ** 3)
-    c12 = (_msym(u, v, w, (12, 0, 0)) + 4 * _msym(u, v, w, (9, 3, 0))
-           + 6 * _msym(u, v, w, (6, 6, 0)) + 228 * _msym(u, v, w, (6, 3, 3)))
-    c18 = psi ** 6 - Fraction(5, 2) * lam * psi ** 3 - Fraction(1, 8) * lam ** 2
-    c12p = c12_prime(u, v, w)
-    return CValues(c6, c9, c12, c18, c12p)
+    lam = 216 * (phi * (phi * phi))
+    # 5/2 and 1/8 are exact as floats; Fractions keep exact inputs exact
+    half = Fraction(1, 2) if is_exact((u, v, w)) else 0.5
+    c6 = w6 + v6 + u6 - 10 * (u3 * v3 + u3 * w3 + v3 * w3)
+    c12 = (u12 + w12 + v12
+           + 4 * (v9 * w3 + u3 * v9 + u9 * w3 + u3 * w9 + u9 * v3 + v3 * w9)
+           + 6 * (u6 * v6 + v6 * w6 + u6 * w6)
+           + 228 * (u3 * v3 * w6 + u6 * v3 * w3 + u3 * v6 * w3))
+    c18 = psi6 - 5 * half * lam * psi3 - half ** 3 * (lam * lam)
+    return CValues(c6, c9_formula(u, v, w), c12, c18)
 
 
 def c12_prime(u, v, w):
     """Product of the twelve linear forms u v w (eps^a u + eps^b v + w)."""
-    exact = not any(isinstance(t, (complex, float)) for t in (u, v, w))
-    eps = EPS if exact else EPS_COMPLEX
+    eps = EPS if is_exact((u, v, w)) else EPS_COMPLEX
     total = u * v * w
     for a in range(3):
         for b in range(3):
@@ -316,23 +337,11 @@ def c12_prime(u, v, w):
 
 @lru_cache(maxsize=None)
 def c_polynomials():
-    """C6, C9, C12 as exact polynomials in (u, v, w), stored over the x-group
-    variables x1, x2, x3 (the parameter space is three dimensional)."""
+    """C6, C9, C12 as exact polynomials in (u, v, w): `c_formulas` on the
+    x-group variables x1, x2, x3 (the parameter space is three dimensional)."""
     cat = group_catalog(("x",))
-
-    def poly(term_map):
-        return MultiPoly(cat, {e: Fraction(c) for e, c in term_map.items()})
-
-    def msym_poly(exps, coeff):
-        return {p: Fraction(coeff) for p in set(permutations(exps))}
-
-    c6 = poly({**msym_poly((6, 0, 0), 1), **msym_poly((3, 3, 0), -10)})
-    u3 = poly({(3, 0, 0): 1})
-    v3 = poly({(0, 3, 0): 1})
-    w3 = poly({(0, 0, 3): 1})
-    c9 = (u3 - v3) * (u3 - w3) * (v3 - w3)
-    c12 = poly({**msym_poly((12, 0, 0), 1), **msym_poly((9, 3, 0), 4),
-                **msym_poly((6, 6, 0), 6), **msym_poly((6, 3, 3), 228)})
+    c6, c9, c12, _ = c_formulas(*(MultiPoly.variable(VariableRef("x", i), cat, Fraction(1))
+                                  for i in (1, 2, 3)))
     return c6, c9, c12
 
 
@@ -366,8 +375,7 @@ def jacobian_check(t: ParameterTriple | tuple) -> JacobianCheck:
     c12p_sq = c12p * c12p
     if not c12p_sq:
         return JacobianCheck(jac, c12p_sq, None)
-    exact = not any(isinstance(x, (complex, float)) for x in (u, v, w))
-    ratio = Fraction(jac) / Fraction(c12p_sq) if exact else jac / c12p_sq
+    ratio = Fraction(jac) / Fraction(c12p_sq) if is_exact((u, v, w)) else jac / c12p_sq
     return JacobianCheck(jac, c12p_sq, ratio)
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 _SQRT3 = 3.0 ** 0.5
 EPS_COMPLEX = complex(-0.5, _SQRT3 / 2.0)
 
@@ -161,3 +163,9 @@ def to_complex(value) -> complex:
     if isinstance(value, _RationalLike):
         return complex(value)
     return complex(value)
+
+
+def is_exact(values) -> bool:
+    """True when none of the values is a float, a complex or a numpy array,
+    so that they are computed on exactly (in Q or in Q(eps))."""
+    return not any(isinstance(x, (complex, float, np.ndarray)) for x in values)

@@ -8,7 +8,9 @@ which the I9 sign selects 648; degenerate strata collapse to 216, 72, 27
 or 1 points realizing regular complex polytopes.
 
 From the cube roots on, the candidates of all branches form one complex
-(n, 3) array, checked, merged, sign-filtered and sorted in one pass each.
+(n, 3) array, checked, merged, sign-filtered and sorted in one pass each;
+the check evaluates `concomitants.c_formulas` on its columns, the sign
+filter `concomitants.c9_formula`.
 """
 from __future__ import annotations
 
@@ -17,10 +19,12 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
-from . import reflection_group
+from . import concomitants, reflection_group
+from .poly_engine import MultiPoly, VariableRef, make_catalog
 
 _OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -266,21 +270,6 @@ def _refine_multiple_root(coeffs, x, mult):
 
 # --- the psi system -----------------------------------------------------------
 
-def _cvalues(t):
-    """(C6, C9, C12, C18) of the triples along the last axis of t, via the
-    symmetric-function forms."""
-    t = np.asarray(t, dtype=complex)
-    u3, v3, w3 = t[..., 0] ** 3, t[..., 1] ** 3, t[..., 2] ** 3
-    psi = u3 + v3 + w3
-    chi = u3 * v3 + u3 * w3 + v3 * w3
-    lam = 216 * u3 * v3 * w3
-    c6 = psi * psi - 12 * chi
-    c9 = (u3 - v3) * (u3 - w3) * (v3 - w3)
-    c12 = psi ** 4 + lam * psi
-    c18 = psi ** 6 - 2.5 * lam * psi ** 3 - 0.125 * lam * lam
-    return c6, c9, c12, c18
-
-
 def solve_psi_system(inp: FormProblemInput) -> list[PsiBranch]:
     """All consistent branches (psi, lambda, chi) of the invariant system."""
     a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
@@ -375,7 +364,7 @@ def enumerate_triples(branches, inp: FormProblemInput) -> SolutionSet:
     s = max(abs(a) ** (1 / 6), abs(b) ** (1 / 12), abs(c) ** (1 / 18), 1e-30)
     den6, den12, den18 = max(abs(a), s ** 6), max(abs(b), s ** 12), max(abs(c), s ** 18)
     cands = _candidates(branches)
-    c6, _, c12, c18 = _cvalues(cands)
+    c6, _, c12, c18 = concomitants.c_formulas(*cands.T)
     ok = ((np.abs(c6 - a) <= RESIDUAL_TOL * den6)
           & (np.abs(c12 - b) <= RESIDUAL_TOL * den12)
           & (np.abs(c18 - c) <= RESIDUAL_TOL * den18))
@@ -413,8 +402,7 @@ def filter_sign(raw: SolutionSet, i9: complex) -> SolutionSet:
     pts = raw.triples
     pt_scale = float(np.abs(pts).max(initial=0.0))
     threshold = RESIDUAL_TOL * max(abs(i9), pt_scale ** 9, 1e-300)
-    u3, v3, w3 = (pts ** 3).T
-    kept = pts[np.abs((u3 - v3) * (u3 - w3) * (v3 - w3) - i9) < threshold]
+    kept = pts[np.abs(concomitants.c9_formula(*pts.T) - i9) < threshold]
     if not len(kept):
         raise FormProblemError(
             f"no solutions match the sign datum i9={i9}: inconsistent input")
@@ -442,8 +430,18 @@ def solve(inp: FormProblemInput) -> SolutionSet:
 
 
 def solve_for_triple(t) -> SolutionSet:
-    """Solve the form problem for the invariants of a known triple."""
-    c6, c9, c12, c18 = (complex(x) for x in _cvalues([complex(z) for z in t]))
+    """Solve the form problem for the invariants of a known triple.  They
+    are taken exactly on its float entries, as polynomials over Q in x1
+    standing for i, and rounded once, so that on a degenerate stratum they
+    meet its equations exactly where float sums leave rounding noise."""
+    cat = make_catalog([VariableRef("x", 1)])
+    i = MultiPoly.variable(VariableRef("x", 1), cat)
+    cv = concomitants.c_formulas(*(MultiPoly.constant(Fraction(z.real), cat) + i.scale(Fraction(z.imag))
+                                   for z in map(complex, t)))
+    # sum q_k i^k, with i^2 = -1
+    c6, c9, c12, c18 = (complex(sum(q * (1, 0, -1, 0)[k % 4] for (k,), q in p.terms.items()),
+                                sum(q * (0, 1, 0, -1)[k % 4] for (k,), q in p.terms.items()))
+                        for p in cv)
     return solve(FormProblemInput(c6, c12, c18, i9=c9))
 
 

@@ -326,35 +326,6 @@ class MultiPoly:
             terms[tuple(key)] = coeff
         return MultiPoly(catalog, terms)
 
-    def substitute(self, replacements: Mapping[VariableRef, "MultiPoly"]) -> "MultiPoly":
-        """Substitute polynomials for variables (used for linear changes of
-        coordinates).  All replacement polynomials must share one catalog,
-        which becomes the catalog of the result."""
-        reps = {VariableRef(*v): p for v, p in replacements.items()}
-        target = next(iter(reps.values())).catalog
-        for p in reps.values():
-            if p.catalog != target:
-                raise PolyError("replacement polynomials must share a catalog")
-        # cache powers of each replacement
-        powers: dict[VariableRef, list[MultiPoly]] = {}
-
-        def power(v: VariableRef, e: int) -> MultiPoly:
-            seq = powers.setdefault(v, [MultiPoly.constant(1, target)])
-            while len(seq) <= e:
-                seq.append(seq[-1] * reps[v])
-            return seq[e]
-
-        total = MultiPoly.zero(target)
-        for exps, coeff in self.terms.items():
-            term = MultiPoly.constant(coeff, target)
-            for v, e in zip(self.catalog, exps):
-                if e:
-                    if v not in reps:
-                        raise PolyError(f"no replacement given for {v}")
-                    term = term * power(v, e)
-            total = total + term
-        return total
-
     def to_complex(self) -> "MultiPoly":
         """Convert exact coefficients to complex floats."""
         return MultiPoly(self.catalog, {e: to_complex(c) for e, c in self.terms.items()})

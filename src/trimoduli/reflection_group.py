@@ -6,7 +6,8 @@ whose polynomial invariants are exactly the closed normal-form invariants
 (G26 and G25 in the Shephard-Todd list).  Every entry of every group element
 lies in (1/3)Z[eps], so an element is stored as 3 * entry in integer pairs and
 closure runs in exact integer arithmetic; the exact orbit, stabilizer and
-invariance computations see the entries as `Cyclo` values of Q(eps).
+invariance computations see the entries as `Cyclo` values of Q(eps); the
+invariance proof evaluates `concomitants.c_formulas` on the linear forms g.x.
 `orbit` and `stabilizer` are exact on exact triples and use the complex
 matrices on float or complex ones.  Floating point enters only when matching
 group orbits against numerically solved points; `cluster_points` (a sort
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import EPS, EPS_COMPLEX, Cyclo
+from .cyclotomic import EPS, EPS_COMPLEX, Cyclo, is_exact, to_complex
 from .poly_engine import MultiPoly, VariableRef, group_catalog
 
 _ZERO = Cyclo(0)
@@ -300,18 +301,13 @@ def group_h() -> MatrixGroup:
     return generate_closure((g["A"], g["B"], g["C"], g["D"], g["E"]))
 
 
-def _is_exact(triple) -> bool:
-    """A triple without float or complex entries is handled exactly."""
-    return not any(isinstance(c, (complex, float)) for c in triple)
-
-
 def orbit(group: MatrixGroup, triple):
     """The orbit {g.t} without repeats.  On an exact triple: the exact points,
     deduplicated by equality, as a sorted list.  On a float or complex triple:
     a complex (n, 3) array in `sort_rows` order, one point per cluster of the
     images within 1e-9 times their largest real or imaginary part, so its
     size does not depend on the scale of the triple."""
-    if _is_exact(triple):
+    if is_exact(triple):
         t = _as_cyclo(triple)
         pts = {g.apply(t) for g in group.elements}
         return sorted(pts, key=lambda p: tuple(x.sort_key() for x in p))
@@ -384,7 +380,7 @@ def stabilizer(group: MatrixGroup, triple, tol: float = 1e-9) -> MatrixGroup:
     selected numerically but returned as exact group elements.  The float
     test allows tol times the largest entry of the triple, so the subgroup
     does not depend on the scale of the triple."""
-    if _is_exact(triple):
+    if is_exact(triple):
         t = _as_cyclo(triple)
         members = [g for g in group.elements if g.apply(t) == t]
     else:
@@ -420,29 +416,22 @@ def stabilizer_type(subgroup: MatrixGroup) -> str:
 
 def verify_invariance(group: MatrixGroup | None = None) -> dict:
     """Exact check that the closed invariants of degree 6, 9, 12 compose
-    trivially with every generator of the order-648 group."""
-    from .concomitants import c_polynomials
+    trivially with every generator of the order-648 group: `c_formulas` on
+    the linear forms g.x against `c_polynomials`, for each generator g."""
+    from .concomitants import c_formulas, c_polynomials
 
     if group is None:
         group = group_k()
     gens = group.gens if group.gens else tuple(group.elements)
-    c6, c9, c12 = c_polynomials()
     cat = group_catalog(("x",))
     xs = [MultiPoly.variable(VariableRef("x", i), cat) for i in (1, 2, 3)]
     report = {}
     for gi, g in enumerate(gens):
-        rows = g.rows
-        replacements = {
-            VariableRef("x", i + 1): sum(
-                (xs[j].scale(rows[i][j]) for j in range(3)), MultiPoly.zero(cat))
-            for i in range(3)
-        }
+        gx = [sum((x.scale(e) for x, e in zip(xs, row)), MultiPoly.zero(cat)) for row in g.rows]
         entry = {}
-        for name, poly in (("C6", c6), ("C9", c9), ("C12", c12)):
-            composed = poly.substitute(replacements)
-            diff = composed - poly.with_catalog(composed.catalog)
+        for name, composed, poly in zip(("C6", "C9", "C12"), c_formulas(*gx), c_polynomials()):
+            diff = composed - poly
             entry[name] = 0 if diff.is_zero() else max(
-                abs(c.to_complex() if isinstance(c, Cyclo) else complex(c))
-                for c in diff.terms.values())
+                abs(to_complex(c)) for c in diff.terms.values())
         report[f"generator_{gi}"] = entry
     return report

@@ -117,6 +117,8 @@ def normalize_slocc(s: State, tol: float = 1e-10, max_iter: int = 10000):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
     if not np.any(s.amplitudes):
         raise ValueError("cannot normalize the zero state")
 

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import trimoduli
 from trimoduli import cli, form_problem
@@ -204,6 +205,38 @@ def test_complex_flag_parsing(capsys):
     code, out, _ = run_cli(capsys, "orbit", "--u", "1+2j", "--v", "0.5-1j", "--w", "3")
     assert code == 0
     assert json.loads(out)["orbit_size"] == 648
+
+
+def test_non_finite_complex_flags_rejected(capsys):
+    commands = (("solve", {"--a": "1", "--b": "0", "--c": "0", "--i9": "0"}),
+                ("orbit", {"--u": "1", "--v": "0", "--w": "0"}))
+    for command, flags in commands:
+        for flag in flags:
+            for bad in ("nan", "inf", "-inf", "1+nanj", "infj"):
+                argv = [command] + [f"{name}={bad if name == flag else value}"
+                                    for name, value in flags.items()]
+                with pytest.raises(SystemExit) as exit_info:
+                    cli.main(argv)
+                captured = capsys.readouterr()
+                assert exit_info.value.code == 2, argv
+                assert captured.out == "", argv
+                assert "not a finite complex number" in captured.err, argv
+                assert "Traceback" not in captured.err, argv
+
+
+def test_normal_form_rejects_negative_limits(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    write_state(path, random_state(3))
+    for flag in ("--max-iter", "--max-candidates"):
+        code, out, err = run_cli(capsys, "normal-form", str(path), flag, "-1")
+        assert code == cli.EXIT_INVALID_INPUT, flag
+        assert out == "", flag
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), flag
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_17_digit_float_format():

@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from trimoduli import concomitants as con
-from trimoduli.poly_engine import transvectant
+from trimoduli.poly_engine import VariableRef, transvectant
 from trimoduli.qutrit_state import (
     State,
     normal_form_amplitudes,
@@ -309,7 +310,7 @@ class TestCFormulas:
     def test_mirror_plane_point(self):
         cv = con.c_formulas(1, -1, 0)
         assert (cv.c6, cv.c9, cv.c12, cv.c18) == (12, -2, 0, 0)
-        assert cv.c12_prime == 0
+        assert con.c12_prime(1, -1, 0) == 0
 
     def test_exact_mode(self):
         cv = con.c_formulas(Fraction(1), Fraction(2), Fraction(3))
@@ -328,6 +329,44 @@ class TestCFormulas:
             lam = 216 * (u * v * w) ** 3
             assert abs(cv.c6 - (psi ** 2 - 12 * chi)) < 1e-10 * max(abs(cv.c6), 1)
             assert abs(cv.c12 - (psi ** 4 + lam * psi)) < 1e-10 * max(abs(cv.c12), 1)
+
+    def test_complex_values_are_the_term_by_term_sums(self):
+        # the benchmark's degenerate references rely on these exact bits: on
+        # multiples of (0, 1, -1) the sums leave rounding noise in C12
+        def msym(exps):
+            return sum(u ** p[0] * v ** p[1] * w ** p[2] for p in set(permutations(exps)))
+
+        rng = np.random.default_rng(93)
+        points = [(0, 1, -1), (1, 0, 0), (1, 1, 0)]
+        for k in range(400):
+            z = complex(*rng.standard_normal(2))
+            if k % 4 < 3:
+                u, v, w = (z * c for c in points[k % 4])
+            else:
+                u, v, w = (z * complex(*rng.standard_normal(2)) for _ in range(3))
+            psi, lam = u ** 3 + v ** 3 + w ** 3, 216 * (u * v * w) ** 3
+            want = (msym((6, 0, 0)) - 10 * msym((3, 3, 0)),
+                    (u ** 3 - v ** 3) * (u ** 3 - w ** 3) * (v ** 3 - w ** 3),
+                    msym((12, 0, 0)) + 4 * msym((9, 3, 0)) + 6 * msym((6, 6, 0))
+                    + 228 * msym((6, 3, 3)),
+                    psi ** 6 - Fraction(5, 2) * lam * psi ** 3 - Fraction(1, 8) * lam ** 2)
+            assert tuple(con.c_formulas(u, v, w)) == want
+
+    def test_scalar_array_and_polynomial_forms_agree(self):
+        rng = np.random.default_rng(92)
+        pts = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+        rows = con.c_formulas(*pts.T)
+        polys = con.c_polynomials()
+        for k, t in enumerate(pts.tolist()):
+            for got, want in zip(con.c_formulas(*t), rows):
+                assert type(got) is complex
+                assert abs(got - want[k]) <= 1e-13 * abs(got)
+            exact = tuple(Fraction(int(z.real * 64), 64) for z in t)
+            point = {VariableRef("x", i + 1): x for i, x in enumerate(exact)}
+            cv = con.c_formulas(*exact)
+            assert all(isinstance(x, Fraction) for x in cv)
+            assert tuple(cv[:3]) == tuple(p.eval(point) for p in polys)
+        assert all(r.dtype == np.complex128 and r.shape == (50,) for r in rows)
 
     def test_c12_prime_product_equals_closed_form(self):
         rng = np.random.default_rng(91)

@@ -357,6 +357,15 @@ class TestRoundTrip:
             assert abs(got.c12 - cv.c12) < 1e-6 * scale
             assert abs(got.c18 - cv.c18) < 1e-6 * scale
 
+    def test_stratum_multiples_keep_their_count(self):
+        # the invariants are taken exactly, so b = c = 0 holds on the
+        # multiples of (0, 1, -1) and no rounding noise splits their roots
+        rng = np.random.default_rng(75)
+        for point, count in (((0, 1, -1), 27), ((1, 0, 0), 72), ((1, 1, 0), 216)):
+            for _ in range(20):
+                z = rng.uniform(0.5, 2) * cmath.exp(2j * cmath.pi * rng.random())
+                assert fp.solve_for_triple(tuple(z * c for c in point)).filtered_count == count
+
     def test_delta_law_across_solution_set(self):
         t = random_parameter_triple(74)
         cv = c_formulas(*t)

@@ -279,10 +279,3 @@ class TestTransvectant:
             scale = max((abs(c) for c in ex.values()), default=1.0)
             for k in set(ex) | set(fl):
                 assert abs(ex.get(k, 0) - fl.get(k, 0)) <= 1e-10 * scale
-
-    def test_substitute_linear_change(self):
-        # (x1 + x2)^2 expanded via substitution
-        p = var(X1, CAT_X) * var(X1, CAT_X)
-        image = var(X1, CAT_X) + var(X2, CAT_X)
-        q = p.substitute({X1: image, X2: var(X2, CAT_X), X3: var(X3, CAT_X)})
-        assert q == image * image

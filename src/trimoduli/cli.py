@@ -2,15 +2,18 @@
 
 Every command prints one JSON report to stdout (floats with 17 significant
 digits, complex values as [re, im] pairs) and diagnostics to stderr.
-Exit codes: 0 success, 1 invalid input, 2 numerical failure, 3 internal
-verification mismatch.
+Exit codes: 0 success, 1 invalid input (argparse rejections included),
+2 numerical failure, 3 internal verification mismatch.
 """
 from __future__ import annotations
 
 import argparse
 import cmath
+import json
 import sys
 from functools import lru_cache
+
+import numpy as np
 
 from . import __version__, concomitants, form_problem, reflection_group, slocc_normalize
 from .qutrit_state import StateIOError, random_state, read_state, write_state
@@ -22,15 +25,19 @@ EXIT_VERIFICATION = 3
 
 
 def _fmt(value) -> str:
-    if isinstance(value, complex):  # the bulk of a triple list
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == complex:
+        # a triple set: a row template repeated per row, filled by one %
+        row = "[" + ", ".join(["[%.17g, %.17g]"] * value.shape[1]) + "]"
+        text = "[" + ", ".join([row] * len(value)) + "]"
+        return text % tuple(np.ascontiguousarray(value).view(float).ravel().tolist())
+    if isinstance(value, complex):
         return f"[{value.real:.17g}, {value.imag:.17g}]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "null"
     if isinstance(value, str):
-        import json as _json
-        return _json.dumps(value)
+        return json.dumps(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -124,7 +131,7 @@ def cmd_normal_form(args) -> int:
         inv.i6, inv.i12, inv.i18, i9=inv.i9))
     report = slocc_normalize.verify_vinberg(limit, sol, limit_inv=limit_inv)
     payload["candidate_count"] = sol.filtered_count
-    payload["candidates_sample"] = sol.triples[:args.max_candidates].tolist()
+    payload["candidates_sample"] = sol.triples[:args.max_candidates]
     payload["verdict"] = report
     emit_report("normal-form", payload)
     return EXIT_OK if report["ok"] else EXIT_VERIFICATION
@@ -137,9 +144,9 @@ def cmd_solve(args) -> int:
     payload = _orbit_class_payload(args.a, args.b, args.c, oc)
     payload["raw_count"] = sol.raw_count
     if args.full:
-        payload["triples"] = sol.triples.tolist()
+        payload["triples"] = sol.triples
     else:
-        payload["triples_sample"] = sol.triples[:5].tolist()
+        payload["triples_sample"] = sol.triples[:5]
     emit_report("solve", payload)
     return EXIT_OK
 
@@ -159,7 +166,7 @@ def cmd_orbit(args) -> int:
         "stabilizer_label": label,
     }
     if args.full:
-        payload["points"] = points.tolist()
+        payload["points"] = points
     emit_report("orbit", payload)
     return EXIT_OK
 
@@ -208,10 +215,19 @@ def cmd_emit_points(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections exit with EXIT_INVALID_INPUT."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    """The argument parser, built once per process; its subcommand parsers
+    are of the same class."""
+    parser = _Parser(
         prog="trimoduli",
         description="Invariants, normal forms and the form problem for three-qutrit states.",
     )

@@ -1,4 +1,4 @@
-"""The symmetry groups of the normal forms, in exact cyclotomic arithmetic.
+"""The symmetry groups of the normal forms, exact and on complex matrices.
 
 The order-1296 group is generated by the five matrices of Table `generators`;
 dropping the bare swap B leaves the index-2 reflection subgroup of order 648
@@ -8,11 +8,16 @@ lies in (1/3)Z[eps], so an element is stored as 3 * entry in integer pairs and
 closure runs in exact integer arithmetic; the exact orbit, stabilizer and
 invariance computations see the entries as `Cyclo` values of Q(eps); the
 invariance proof evaluates `concomitants.c_formulas` on the linear forms g.x.
-`orbit` and `stabilizer` are exact on exact triples and use the complex
-matrices on float or complex ones.  Floating point enters only when matching
-group orbits against numerically solved points; `cluster_points` (a sort
-along one direction, then a union of the close pairs) merges near points and
-`sort_rows` orders float triple sets, here and in the form problem.
+
+A group's complex matrices are built once, as one (n, 3, 3) stack.  `orbit`
+and `stabilizer` are exact on exact triples and use the stack on float or
+complex ones; a stabilizer keeps its rows of the stack, and `stabilizer_type`
+labels it by probes on those matrices, which decide exactly because their
+entries are Eisenstein numbers with a bounded denominator.  A float triple
+set is one complex (n, 3) array: `cluster_points` (candidate pairs from a
+sort along one direction, then a union of the pairs within the radius)
+merges near points and `sort_rows` orders the rows, here and in the form
+problem.
 """
 from __future__ import annotations
 
@@ -25,9 +30,6 @@ import numpy as np
 
 from .cyclotomic import EPS, EPS_COMPLEX, Cyclo, is_exact, to_complex
 from .poly_engine import MultiPoly, VariableRef, group_catalog
-
-_ZERO = Cyclo(0)
-_ONE = Cyclo(1)
 
 
 def _as_cyclo(values) -> tuple:
@@ -129,25 +131,6 @@ class GroupElement:
     def is_unitary(self) -> bool:
         return tuple(_product9(self.ints, self.conjugate_transpose().ints)) == _IDENTITY9
 
-    def order(self) -> int:
-        e = identity()
-        g = self
-        for n in range(1, 2001):
-            if g == e:
-                return n
-            g = g @ self
-        raise RuntimeError("element order exceeds 2000")
-
-    def fixed_space_dim(self) -> int:
-        """Dimension of the fixed subspace, i.e. 3 - rank(g - I), exactly."""
-        rows = self.rows
-        m = [[rows[i][j] - (_ONE if i == j else _ZERO) for j in range(3)]
-             for i in range(3)]
-        return 3 - _rank3(m)
-
-    def is_pseudo_reflection(self) -> bool:
-        return self != identity() and self.fixed_space_dim() == 2
-
     def to_complex(self) -> np.ndarray:
         return _to_complex(np.array(self.ints)).reshape(3, 3)
 
@@ -168,28 +151,6 @@ def _to_complex(ints: np.ndarray) -> np.ndarray:
     axis, rounded as `Cyclo.to_complex` rounds a/3 + (b/3)*eps."""
     a, b = ints[..., 0::2] / 3, ints[..., 1::2] / 3
     return a.astype(complex) + b.astype(complex) * EPS_COMPLEX
-
-
-def _rank3(m) -> int:
-    rows = [list(r) for r in m]
-    rank = 0
-    for col in range(3):
-        pivot = None
-        for r in range(rank, 3):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [e * inv for e in rows[rank]]
-        for r in range(3):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 @lru_cache(maxsize=None)
@@ -246,20 +207,6 @@ class MatrixGroup:
             cached = _to_complex(ints).reshape(-1, 3, 3)
             object.__setattr__(self, "_matrices", cached)
         return cached
-
-    def is_abelian(self) -> bool:
-        return all(g @ h == h @ g for g in self.elements for h in self.elements)
-
-    def exponent(self) -> int:
-        exp = 1
-        for g in self.elements:
-            o = g.order()
-            # lcm
-            a, b = exp, o
-            while b:
-                a, b = b, a % b
-            exp = exp * o // a
-        return exp
 
     def export_json(self) -> str:
         return json.dumps([g.entry_pairs() for g in self.elements])
@@ -333,37 +280,42 @@ def cluster_points(flat: np.ndarray, radius: float) -> np.ndarray:
     of its cluster.
 
     The rows are sorted by their projection on a fixed unit direction.  The
-    projection shrinks distances, so a close pair is at most radius apart in
-    the sorted order too: rows k places apart are compared for k = 1, 2, ...
-    while some projected gap is within radius, and each such pair is kept
-    when its full squared distance is at most radius**2."""
+    projection shrinks distances, so the projections of a close pair are at
+    most radius apart, up to a rounding margin: `reach`.  One `searchsorted`
+    on a window 2 * reach wide gives each row its candidates later in the
+    sorted order, a candidate stays when its projected gap is at most reach,
+    and a pair is kept when its full squared distance, summed column by
+    column, is at most radius**2."""
     n = len(flat)
     labels = np.arange(n)
     if n < 2:
         return labels
     proj = flat @ _PROJECTION
     # a margin for the rounding of the projections and of the distances, so
-    # that no pair within radius is missed
-    rounding = 8 * flat.shape[1] * np.finfo(float).eps * float(np.abs(flat).sum(axis=1).max())
+    # that no pair within radius is missed (d * max|flat| bounds the 1-norm
+    # of a row of d columns)
+    d = flat.shape[1]
+    rounding = 8 * d * np.finfo(float).eps * d * float(np.abs(flat).max())
     reach = radius * (1 + 1e-9) + rounding
-    order = np.argsort(proj, kind="stable")
+    order = np.argsort(proj)
     ranked = proj[order]
-    close_i, close_j = [], []
-    for k in range(1, n):
-        near = ranked[k:] - ranked[:-k] <= reach
-        if not near.any():
-            break
-        i, j = order[:-k][near], order[k:][near]
-        diff = flat[i] - flat[j]
-        d2 = diff[:, 0] * diff[:, 0]
-        for col in range(1, flat.shape[1]):
-            d2 += diff[:, col] * diff[:, col]
-        keep = d2 <= radius * radius
-        close_i.append(i[keep])
-        close_j.append(j[keep])
-    if not close_i:
-        return labels
-    i, j = np.concatenate(close_i), np.concatenate(close_j)
+    if not (ranked[1:] - ranked[:-1] <= reach).any():
+        return labels  # no neighbouring gap within reach, so no pair at all
+    # the wider window keeps the rounding of ranked + reach from dropping a
+    # candidate; the gap test below is the exact one
+    ends = np.searchsorted(ranked, ranked + 2 * reach, side="right")
+    counts = ends - np.arange(1, n + 1)
+    p = np.repeat(np.arange(n), counts)
+    q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts, counts)
+    near = ranked[q] - ranked[p] <= reach
+    i, j = order[p[near]], order[q[near]]
+    cols = flat.T.copy()
+    d2 = np.zeros(len(i))
+    for col in cols:
+        diff = col.take(i) - col.take(j)
+        d2 += diff * diff
+    keep = d2 <= radius * radius
+    i, j = i[keep], j[keep]
     # propagate the smallest index along the pairs, jumping to the label's
     # label, until every pair agrees
     while True:
@@ -379,39 +331,65 @@ def stabilizer(group: MatrixGroup, triple, tol: float = 1e-9) -> MatrixGroup:
     """Subgroup fixing a triple; exact when the triple is exact, otherwise
     selected numerically but returned as exact group elements.  The float
     test allows tol times the largest entry of the triple, so the subgroup
-    does not depend on the scale of the triple."""
+    does not depend on the scale of the triple.  The subgroup keeps its rows
+    of the group's complex matrices."""
     if is_exact(triple):
         t = _as_cyclo(triple)
-        members = [g for g in group.elements if g.apply(t) == t]
+        fixed = [g.apply(t) == t for g in group.elements]
     else:
         t = np.array([complex(c) for c in triple])
         scale = float(np.max(np.abs(t)))
-        moved = np.max(np.abs(group._complex_matrices() @ t - t), axis=1)
-        members = [g for g, fixed in zip(group.elements, moved <= tol * scale) if fixed]
-    return MatrixGroup(tuple(sorted(members, key=GroupElement.sort_key)), ())
+        fixed = np.max(np.abs(group._complex_matrices() @ t - t), axis=1) <= tol * scale
+    # a subset of the sorted element tuple is sorted
+    members = np.flatnonzero(fixed)
+    sub = MatrixGroup(tuple(group.elements[i] for i in members), ())
+    object.__setattr__(sub, "_matrices", group._complex_matrices()[members])
+    return sub
 
 
 STABILIZER_LABELS = {1: "trivial", 3: "C3", 9: "C3xC3", 24: "G4", 648: "full"}
 
+# The probes compare products of at most three matrices with entries in
+# (1/3)Z[eps].  Those lie in (1/27)Z[eps], where a non-zero value has modulus
+# at least 1/27, so on matrices with entries of modulus about one (the
+# unitary elements of a group) a 1e-9 threshold separates rounding from a
+# true difference, and each probe is decided exactly.
+_PROBE_TOL = 1e-9
+_REFLECTION3_TRACES = np.array([2 + EPS_COMPLEX, 2 + EPS_COMPLEX.conjugate()])
+
+
+def _near(x, y, axes=None) -> np.ndarray:
+    return np.max(np.abs(x - y), axis=axes, initial=0.0) <= _PROBE_TOL
+
 
 def stabilizer_type(subgroup: MatrixGroup) -> str:
-    """Classify a stabilizer subgroup by order plus structural probes."""
+    """Classify a stabilizer subgroup by order plus structural probes on its
+    complex matrices: pairwise commutation, g^3 = 1, and the trace 2 + eps^(+-1)
+    of an order-3 pseudo-reflection (a matrix with g^3 = 1 is diagonalisable
+    with cube roots of unity as eigenvalues, and only the eigenvalues 1, 1,
+    eps^(+-1) give that trace)."""
     order = subgroup.order
     label = STABILIZER_LABELS.get(order)
     if label is None:
         return f"unclassified(order={order})"
+    if order not in (3, 9, 24):
+        return label
+    mats = subgroup._complex_matrices()
+    # products[i, a, j, c] = (g_i g_j)[a, c], all pairs in one 2-d product
+    products = (mats.reshape(3 * order, 3) @ mats.transpose(1, 0, 2).reshape(3, 3 * order)
+                ).reshape(order, 3, order, 3)
+    abelian = _near(products, products.transpose(2, 1, 0, 3))
     if order == 3:
-        if not subgroup.is_abelian():
-            return "unclassified(order=3,nonabelian)"
-    elif order == 9:
-        if not subgroup.is_abelian() or subgroup.exponent() != 3:
-            return "unclassified(order=9,structure)"
-    elif order == 24:
-        has_order3_reflection = any(
-            g.is_pseudo_reflection() and g.order() == 3 for g in subgroup.elements)
-        if subgroup.is_abelian() or not has_order3_reflection:
-            return "unclassified(order=24,structure)"
-    return label
+        return label if abelian else "unclassified(order=3,nonabelian)"
+    cube_is_one = _near(mats @ mats @ mats, np.eye(3), (1, 2))
+    if order == 9:
+        # exponent 3: every g^3 = 1 and some g != 1
+        exponent3 = cube_is_one.all() and not _near(mats, np.eye(3))
+        return label if abelian and exponent3 else "unclassified(order=9,structure)"
+    traces = np.trace(mats, axis1=1, axis2=2)
+    trace_fits = np.abs(traces[:, None] - _REFLECTION3_TRACES) <= _PROBE_TOL
+    has_reflection3 = (cube_is_one & trace_fits.any(axis=1)).any()
+    return label if has_reflection3 and not abelian else "unclassified(order=24,structure)"
 
 
 def verify_invariance(group: MatrixGroup | None = None) -> dict:

@@ -6,8 +6,10 @@ companion-matrix root finder, the slice cubic as a direct expansion of its
 determinant, the Aronhold brackets as loops over permutations, I6 and I9 as
 chains of einsum contractions against the Levi-Civita symbols, and the form
 problem's candidate check, dedup and sign filter as scalar loops over an
-all-pairs union-find, and the first-order round-robin filtering iteration
-that the Newton steps of `slocc_normalize` replaced.
+all-pairs union-find, the first-order round-robin filtering iteration
+that the Newton steps of `slocc_normalize` replaced, and the structure
+probes of a group (commutation, element orders, pseudo-reflections) in
+exact `GroupElement` arithmetic.
 """
 from __future__ import annotations
 
@@ -16,7 +18,9 @@ from itertools import permutations
 import numpy as np
 
 from trimoduli import form_problem as fp
+from trimoduli import reflection_group as rg
 from trimoduli.concomitants import _triple_tensor
+from trimoduli.cyclotomic import Cyclo
 from trimoduli.poly_engine import (
     _GROUP_RANK,
     GROUPS,
@@ -373,3 +377,86 @@ def normalize_round_robin(s: State, tol: float = 1e-10, max_iter: int = 20000):
         mats[party - 1] = g
         current = apply_local(current, LocalTransform(*mats))
     return current, max_iter, False
+
+
+# --- exact group structure ---------------------------------------------------
+
+def element_order(g: rg.GroupElement) -> int:
+    """The least n >= 1 with g^n = 1, by exact products."""
+    e = rg.identity()
+    power = g
+    for n in range(1, 2001):
+        if power == e:
+            return n
+        power = power @ g
+    raise RuntimeError("element order exceeds 2000")
+
+
+def _rank3(m) -> int:
+    rows = [list(r) for r in m]
+    rank = 0
+    for col in range(3):
+        pivot = None
+        for r in range(rank, 3):
+            if rows[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [e * inv for e in rows[rank]]
+        for r in range(3):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def fixed_space_dim(g: rg.GroupElement) -> int:
+    """Dimension of the fixed subspace, i.e. 3 - rank(g - I), exactly."""
+    rows = g.rows
+    m = [[rows[i][j] - Cyclo(1 if i == j else 0) for j in range(3)] for i in range(3)]
+    return 3 - _rank3(m)
+
+
+def is_pseudo_reflection(g: rg.GroupElement) -> bool:
+    return g != rg.identity() and fixed_space_dim(g) == 2
+
+
+def is_abelian(group: rg.MatrixGroup) -> bool:
+    return all(g @ h == h @ g for g in group.elements for h in group.elements)
+
+
+def exponent(group: rg.MatrixGroup) -> int:
+    """The least common multiple of the element orders."""
+    exp = 1
+    for g in group.elements:
+        o = element_order(g)
+        a, b = exp, o
+        while b:
+            a, b = b, a % b
+        exp = exp * o // a
+    return exp
+
+
+def stabilizer_type_exact(subgroup: rg.MatrixGroup) -> str:
+    """`reflection_group.stabilizer_type` with its probes in exact products:
+    commutation, the exponent and order-3 pseudo-reflections."""
+    order = subgroup.order
+    label = rg.STABILIZER_LABELS.get(order)
+    if label is None:
+        return f"unclassified(order={order})"
+    if order == 3:
+        if not is_abelian(subgroup):
+            return "unclassified(order=3,nonabelian)"
+    elif order == 9:
+        if not is_abelian(subgroup) or exponent(subgroup) != 3:
+            return "unclassified(order=9,structure)"
+    elif order == 24:
+        has_order3_reflection = any(
+            is_pseudo_reflection(g) and element_order(g) == 3 for g in subgroup.elements)
+        if is_abelian(subgroup) or not has_order3_reflection:
+            return "unclassified(order=24,structure)"
+    return label

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import trimoduli
-from trimoduli import cli, form_problem
+from trimoduli import cli, form_problem, reflection_group
 from trimoduli.qutrit_state import (
     apply_local,
     normal_form_state,
@@ -218,10 +218,37 @@ def test_non_finite_complex_flags_rejected(capsys):
                 with pytest.raises(SystemExit) as exit_info:
                     cli.main(argv)
                 captured = capsys.readouterr()
-                assert exit_info.value.code == 2, argv
+                assert exit_info.value.code == cli.EXIT_INVALID_INPUT, argv
                 assert captured.out == "", argv
                 assert "not a finite complex number" in captured.err, argv
                 assert "Traceback" not in captured.err, argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["orbit", "--u", "abc", "--v", "0", "--w", "0"], "not a complex number: 'abc'"),
+    (["orbit", "--u", "nan", "--v", "0", "--w", "0"], "not a finite complex number: 'nan'"),
+    (["solve", "--a", "1", "--b", "0"], "the following arguments are required: --c"),
+    (["bogus"], "invalid choice: 'bogus'"),
+])
+def test_argparse_rejections_exit_invalid_input(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == cli.EXIT_INVALID_INPUT
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert lines[0].startswith("usage: trimoduli")
+    errors = [line for line in lines if "error:" in line]
+    assert errors == [lines[-1]] and message in lines[-1]
+    assert "Traceback" not in captured.err
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["orbit", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 0, argv
+        assert capsys.readouterr().out.startswith("usage: trimoduli"), argv
 
 
 def test_normal_form_rejects_negative_limits(tmp_path, capsys):
@@ -243,6 +270,50 @@ def test_17_digit_float_format():
     text = cli._fmt({"x": 0.1 + 0.2})
     assert text == '{"x": 0.30000000000000004}'
     assert cli._fmt(1 + 2j) == "[1, 2]"
+
+
+def _rows_per_value(rows) -> str:
+    """A complex (n, m) array as a list of rows of [re, im] pairs, each float
+    formatted on its own with 17 significant digits."""
+    return "[" + ", ".join(
+        "[" + ", ".join(f"[{z.real:.17g}, {z.imag:.17g}]" for z in row) + "]"
+        for row in rows.tolist()) + "]"
+
+
+def test_complex_array_format_matches_per_value_oracle():
+    top = 1.7976931348623157e308
+    specials = [0.0, -0.0, 5e-324, -5e-324, top, -top, 1e16, 1e17, 9999999999999998.0,
+                12345678901234567.0, 123456789012345680.0, 1.0, -3.0, 2.0 ** 52,
+                0.1, 1 / 3, math.inf, -math.inf, math.nan]
+    rng = np.random.default_rng(5)
+    randoms = rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6)
+    # each value in turn as a real and an imaginary part, in every column
+    rows = np.resize(np.concatenate([specials, randoms]), (13, 6)).view(complex)
+    for array in (rows, rows[:, ::-1], rows[::3], rows[:1], rows[:, :1],
+                  np.zeros((0, 3), dtype=complex), np.full((2, 3), -0.0 - 0.0j)):
+        assert cli._fmt(array) == _rows_per_value(array), array
+    assert cli._fmt({"t": rows[:2]}) == '{"t": ' + _rows_per_value(rows[:2]) + "}"
+    assert cli._fmt(np.zeros((0, 3), dtype=complex)) == "[]"
+
+
+def test_full_listings_match_per_value_oracle(capsys):
+    inputs = (("1+2j", "0.5", "0", None), ("12", "0", "0", "-2"), ("1", "1", "1", "0"),
+              ("1", "0.25", "-0.125", "0"), ("0", "0", "0", "0"))
+    for a, b, c, i9 in inputs:
+        argv = ["solve", f"--a={a}", f"--b={b}", f"--c={c}", "--full"]
+        argv += [] if i9 is None else [f"--i9={i9}"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        sol = form_problem.solve(form_problem.FormProblemInput(
+            complex(a), complex(b), complex(c), None if i9 is None else complex(i9)))
+        assert out.endswith('"triples": ' + _rows_per_value(sol.triples) + "}\n"), argv
+    for u, v, w in (("0.3+0.1j", "-0.7j", "1.1"), ("1", "1", "0"), ("1", "0", "0"),
+                    ("0", "1", "-1"), ("0.6-0.8j", "0", "0")):
+        code, out, _ = run_cli(capsys, "orbit", f"--u={u}", f"--v={v}", f"--w={w}", "--full")
+        assert code == 0, (u, v, w)
+        points = reflection_group.orbit(reflection_group.group_k(),
+                                        (complex(u), complex(v), complex(w)))
+        assert out.endswith('"points": ' + _rows_per_value(points) + "}\n"), (u, v, w)
 
 
 def test_null_cone_states(tmp_path, capsys):

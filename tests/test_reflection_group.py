@@ -9,7 +9,13 @@ from trimoduli import reflection_group as rg
 from trimoduli.cyclotomic import EPS, Cyclo
 from trimoduli.qutrit_state import random_parameter_triple
 
-from oracles import cluster_labels_brute
+from oracles import (
+    cluster_labels_brute,
+    element_order,
+    is_abelian,
+    is_pseudo_reflection,
+    stabilizer_type_exact,
+)
 
 
 class TestGenerators:
@@ -26,7 +32,7 @@ class TestGenerators:
     def test_cycle_has_order_three(self):
         a = rg.generators()["A"]
         assert a @ a @ a == rg.identity()
-        assert a.order() == 3
+        assert element_order(a) == 3
 
     def test_generators_are_unitary(self):
         for name, g in rg.generators().items():
@@ -220,6 +226,32 @@ class TestClusterPoints:
         assert len(np.unique(rg.cluster_points(flat, 1e-9))) == 27
         assert np.array_equal(rg.cluster_points(np.zeros((648, 6)), 1e-12), np.zeros(648))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_noisy_stratum_orbits_match_brute_force(self, group_k, seed):
+        # the 648 images of a complex multiple of a stratum point, each moved
+        # by noise of length up to the radius; the 27-point orbit has rows
+        # with equal projections
+        rng = np.random.default_rng(seed)
+        for point in ((0.3 + 0.1j, -0.7j, 1.1), (1, 1, 0), (1, 0, 0), (0, 1, -1)):
+            t = np.array([complex(c) for c in point]) * complex(*rng.standard_normal(2))
+            pts = group_k._complex_matrices() @ t
+            flat = np.column_stack([pts.real, pts.imag])
+            for radius in (1e-9, 1e-6, 1e-2):
+                noise = rng.standard_normal(flat.shape)
+                noise *= rng.uniform(0, radius, (len(flat), 1)) / np.linalg.norm(noise, axis=1)[:, None]
+                noisy = flat + noise
+                for rows in (flat, noisy, noisy[:40]):
+                    labels = rg.cluster_points(rows, radius)
+                    assert np.array_equal(labels, cluster_labels_brute(rows, radius)), (point, radius)
+
+    def test_small_inputs(self):
+        flat = np.array([[0.0, 1, 2, 3, 4, 5], [0.0, 1, 2, 3, 4, 5 + 1e-10]])
+        for rows, radius in ((flat[:0], 1.0), (flat[:1], 1.0), (flat, 1e-9), (flat, 1e-11)):
+            labels = rg.cluster_points(rows, radius)
+            assert np.array_equal(labels, cluster_labels_brute(rows, radius)), (len(rows), radius)
+        assert rg.cluster_points(flat, 1e-9).tolist() == [0, 0]
+        assert rg.cluster_points(flat, 1e-11).tolist() == [0, 1]
+
     def test_float_orbit_keeps_lowest_index_point(self, group_k):
         t = np.array([1.0 + 0j, -1.0 + 0j, 0j])
         pts = group_k._complex_matrices() @ t
@@ -233,16 +265,16 @@ class TestStabilizerTypes:
     def test_mirror_point_is_g4(self, group_k):
         stab = rg.stabilizer(group_k, (1, -1, 0))
         assert rg.stabilizer_type(stab) == "G4"
-        assert not stab.is_abelian()
-        assert any(g.is_pseudo_reflection() and g.order() == 3 for g in stab.elements)
+        assert not is_abelian(stab)
+        assert any(is_pseudo_reflection(g) and element_order(g) == 3 for g in stab.elements)
 
     def test_72_stratum_is_c3xc3(self, group_k):
         sol = fp.solve(fp.FormProblemInput(1, 1, 1, i9=0))
         stab = rg.stabilizer(group_k, sol.triples[0], tol=1e-6)
         assert stab.order == 9
         assert rg.stabilizer_type(stab) == "C3xC3"
-        assert stab.is_abelian()
-        assert all(g.order() == 3 for g in stab.elements if g != rg.identity())
+        assert is_abelian(stab)
+        assert all(element_order(g) == 3 for g in stab.elements if g != rg.identity())
 
     def test_216_stratum_is_c3(self, group_k):
         sol = fp.solve(fp.FormProblemInput(1, 0.25, -0.125, i9=0))
@@ -273,6 +305,56 @@ class TestStabilizerTypes:
         sub = rg.generate_closure((rg.generators()["B"],))
         assert sub.order == 2
         assert rg.stabilizer_type(sub).startswith("unclassified")
+
+    @pytest.mark.parametrize("point, order", [((1, 1, 0), 3), ((1, 0, 0), 9), ((0, 1, -1), 24)])
+    def test_labels_match_exact_probes_on_stratum_orbits(self, group_k, point, order):
+        # the stabilizer of every point of the orbit, as the solver meets it:
+        # a complex multiple of the stratum point moved by the group
+        label = {3: "C3", 9: "C3xC3", 24: "G4"}[order]
+        points = rg.orbit(group_k, tuple(complex(c) * (0.3 - 0.4j) for c in point))
+        assert len(points) * order == 648
+        for p in points:
+            stab = rg.stabilizer(group_k, p, tol=1e-6)
+            assert stab.order == order
+            assert rg.stabilizer_type(stab) == stabilizer_type_exact(stab) == label
+
+    def test_labels_match_exact_probes_on_built_sets(self, group_k):
+        # sets that reach every branch of stabilizer_type, with elements of
+        # the order-1296 group and diagonal matrices
+        def diagonal(y, z):
+            return rg.GroupElement.from_rows(((1, 0, 0), (0, y, 0), (0, 0, z)))
+
+        def built(elements):
+            return rg.MatrixGroup(tuple(sorted(elements, key=rg.GroupElement.sort_key)), ())
+
+        e, e2 = EPS, EPS * EPS
+        one = rg.identity()
+        gens = rg.generators()
+        a, b = gens["A"], gens["B"]
+        sixth_roots = (1, -1, e, e2, -e, -e2)
+        no_reflection3 = [g for g in group_k.elements
+                          if not (is_pseudo_reflection(g) and element_order(g) == 3)]
+        # trace 2 + eps, but its cube is not the identity
+        false_reflection = rg.GroupElement.from_rows(((1, 0, 0), (0, 1 + e, 0), (0, 0, 0)))
+        cases = (
+            ([one, a, a @ a], "C3"),
+            ([one, a, b], "unclassified(order=3,nonabelian)"),
+            ([diagonal(y, z) for y in (1, e, e2) for z in (1, e, e2)], "C3xC3"),
+            ([diagonal(y, z) for y in (1, -1, e) for z in (1, -1, e)],
+             "unclassified(order=9,structure)"),
+            ([one] * 9, "unclassified(order=9,structure)"),
+            ([one, a, a @ a, b, a @ b, a @ a @ b, gens["C"], gens["D"], gens["E"]],
+             "unclassified(order=9,structure)"),
+            (rg.stabilizer(group_k, (1, -1, 0)).elements, "G4"),
+            ([diagonal(y, z) for y in sixth_roots for z in sixth_roots][:24],
+             "unclassified(order=24,structure)"),
+            (no_reflection3[:24], "unclassified(order=24,structure)"),
+            (no_reflection3[:23] + [false_reflection], "unclassified(order=24,structure)"),
+            (group_k.elements[:5], "unclassified(order=5)"),
+        )
+        for elements, label in cases:
+            sub = built(elements)
+            assert rg.stabilizer_type(sub) == stabilizer_type_exact(sub) == label, label
 
 
 class TestInvariance:

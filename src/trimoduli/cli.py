@@ -111,8 +111,8 @@ def cmd_normal_form(args) -> int:
     if args.max_candidates < 0:
         raise ValueError("--max-candidates must be non-negative")
     s = read_state(args.path)
-    inv = concomitants.invariants(s)
     limit, trace = slocc_normalize.normalize_slocc(s, tol=args.tol, max_iter=args.max_iter)
+    inv = trace.input_invariants()
     limit_inv = concomitants.invariants(limit)
     payload = {
         "status": trace.status,
@@ -126,7 +126,19 @@ def cmd_normal_form(args) -> int:
     if trace.status != slocc_normalize.CONVERGED:
         payload["verdict"] = None
         emit_report("normal-form", payload)
-        return EXIT_NUMERICAL if trace.status == slocc_normalize.MAX_ITERATIONS else EXIT_OK
+        if trace.status == slocc_normalize.UNSTABLE:
+            return EXIT_OK
+        # off the null cone, yet not converged: name how far the leading
+        # invariant of the state the iteration ran on stands above rounding
+        unit = s.scaled(2.0 ** -trace.exponent)
+        _, witness = concomitants.is_semistable(unit, trace.unit_invariants)
+        margins = concomitants.invariant_margins(unit, trace.unit_invariants)
+        margin = dict(zip(("I6", "I9", "I12"), margins))[witness]
+        print(f"numerical failure: filtering stopped at max-iterations after "
+              f"{payload['steps']} steps with deviation {payload['final_max_rel_deviation']:.3g} "
+              f"> tol {args.tol:.3g}; leading invariant {witness} stands {margin:.3g} eps "
+              f"times its error bound", file=sys.stderr)
+        return EXIT_NUMERICAL
     sol = form_problem.solve(form_problem.FormProblemInput(
         inv.i6, inv.i12, inv.i18, i9=inv.i9))
     report = slocc_normalize.verify_vinberg(limit, sol, limit_inv=limit_inv)

@@ -17,6 +17,12 @@ The closed invariants C6, C9, C12, C18 of the normal form are written once,
 in `c_formulas` (C9 alone in `c9_formula`), for every scalar type; the form
 problem, `verify_vinberg`, `c_polynomials` and `verify_invariance` all
 evaluate it.
+
+This module also owns the one rule that decides when an invariant vanishes:
+|I_d| at most NULL_CONE_ULPS eps times its forward error bound
+(`invariant_bounds`).  The null cone is where I6, I9 and I12 all vanish
+(Hilbert-Mumford); `is_semistable`, `projective_point` and the null-cone test
+of `slocc_normalize` all decide by it.
 """
 from __future__ import annotations
 
@@ -64,6 +70,10 @@ class InvariantSet(NamedTuple):
     i12: complex
     i18: complex
     delta: complex
+
+
+# the degree of each field of an InvariantSet in the amplitudes
+INVARIANT_DEGREES = (6, 9, 12, 18, 36)
 
 
 class AronholdPair(NamedTuple):
@@ -481,27 +491,56 @@ def i18_from_fundamentals(i6, i9, i12):
     return p * i6 ** 3 + q * i6 * i12 + r * i9 ** 2
 
 
-# an invariant of degree d vanishes below VANISH_TOL * norm**d, the relative
-# accuracy of its contraction; the semistability flag and the projective
-# point share this rule, so a state flagged semistable has a point
-VANISH_TOL = 1e-10
+# I_d vanishes when |I_d| is at most this many eps times its forward error
+# bound: rounding alone can leave that much of an exact zero.  The null-cone
+# test of `normalize_slocc`, the semistability flag and the projective point
+# all decide through `_leading_degree`, so a state flagged semistable has a
+# point and is filtered, and a state flagged unstable is not
+NULL_CONE_ULPS = 64
+
+
+@lru_cache(maxsize=1)
+def invariant_margins(s: State, inv: InvariantSet) -> tuple:
+    """|I_d| / (eps * bound_d) for d = 6, 9, 12, with bound_d from
+    `invariant_bounds` of s: I_d vanishes when its margin is at most
+    NULL_CONE_ULPS, and 0 / 0 (nan) vanishes too.  `inv` holds the invariants
+    of s.  The last (state, invariants) pair is cached, `State` hashing by
+    identity, so one command that asks for the flag, the point and the
+    margins computes the bounds once."""
+    eps = np.finfo(float).eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return tuple(float(np.float64(abs(value)) / (eps * np.float64(bound)))
+                     for value, bound in zip(inv[:3], invariant_bounds(s.amplitudes)))
+
+
+@lru_cache(maxsize=None)
+def _all_ones_bound6() -> float:
+    """bound_6 of the all-ones array.  A bound is a sum of monomials with
+    non-negative coefficients, so bound_6(a) <= this * max|a|**6."""
+    return float(invariant_bounds(np.ones((3, 3, 3)))[0])
 
 
 def _leading_degree(s: State, inv: InvariantSet) -> int | None:
-    """Degree of the first of I6, I9, I12 that does not vanish at the scale
-    of s, or None when all three vanish (the null cone)."""
-    norm = math.sqrt(s.norm_sq)
-    for degree, value in ((6, inv.i6), (9, inv.i9), (12, inv.i12)):
-        if abs(value) > VANISH_TOL * norm ** degree:
-            return degree
-    return None
+    """Degree of the first of I6, I9, I12 that does not vanish, or None when
+    all three vanish (the null cone).  bound_6 is at most the all-ones bound
+    times max|a|**6, so an I6 above twice that (a factor no rounding in
+    either undercuts) does not vanish, and the bounds are not computed: the
+    common case, off the I6 = 0 hypersurface."""
+    with np.errstate(over="ignore", under="ignore"):
+        top6 = np.max(np.abs(s.amplitudes)) ** 6
+    if abs(inv.i6) > 2 * NULL_CONE_ULPS * np.finfo(float).eps * _all_ones_bound6() * top6:
+        return 6
+    return next((degree for degree, margin in zip(INVARIANT_DEGREES, invariant_margins(s, inv))
+                 if margin > NULL_CONE_ULPS), None)
 
 
 def is_semistable(s: State, inv: InvariantSet | None = None):
-    """True iff some fundamental invariant does not vanish at scale; returns
-    the (flag, witness-name) pair, the witness being the leading invariant
-    that `projective_point` sets to 1.  `inv` passes the invariants of s
-    when the caller has them already."""
+    """True iff some fundamental invariant does not vanish, that is, s is
+    off the null cone; returns the (flag, witness-name) pair, the witness
+    being the leading invariant that `projective_point` sets to 1.  An
+    invariant vanishes when it is within NULL_CONE_ULPS eps of its forward
+    error bound (`invariant_margins`).  `inv` passes the invariants of s when
+    the caller has them already."""
     degree = _leading_degree(s, invariants(s) if inv is None else inv)
     return (False, None) if degree is None else (True, f"I{degree}")
 
@@ -509,7 +548,9 @@ def is_semistable(s: State, inv: InvariantSet | None = None):
 def projective_point(s: State, inv: InvariantSet | None = None):
     """Weighted projective coordinates (I6 : I9 : I12), canonicalized so the
     first nonvanishing invariant equals 1 and the residual root-of-unity
-    ambiguity is fixed deterministically.  `inv` passes the invariants of s
+    ambiguity is fixed deterministically.  An invariant vanishes by the rule
+    of `is_semistable`, so every state flagged semistable has a point and a
+    null-cone state raises ValueError.  `inv` passes the invariants of s
     when the caller has them already.
     """
     if s.norm_sq == 0:

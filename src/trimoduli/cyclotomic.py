@@ -152,8 +152,6 @@ class Cyclo:
 
 
 EPS = Cyclo(0, 1)
-ONE = Cyclo(1)
-ZERO = Cyclo(0)
 
 
 def to_complex(value) -> complex:

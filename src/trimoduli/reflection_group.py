@@ -131,9 +131,6 @@ class GroupElement:
     def is_unitary(self) -> bool:
         return tuple(_product9(self.ints, self.conjugate_transpose().ints)) == _IDENTITY9
 
-    def to_complex(self) -> np.ndarray:
-        return _to_complex(np.array(self.ints)).reshape(3, 3)
-
     def sort_key(self):
         # (a, b) of 3 * entry orders entries as (a, b) of the entry itself
         return self.ints
@@ -261,7 +258,7 @@ def orbit(group: MatrixGroup, triple):
     pts = group._complex_matrices() @ np.array([complex(c) for c in triple])
     flat = np.column_stack([pts.real, pts.imag])
     labels = cluster_points(flat, 1e-9 * float(np.max(np.abs(flat))))
-    return sort_rows(pts[np.unique(labels)])
+    return sort_rows(pts[labels == np.arange(len(labels))])
 
 
 def sort_rows(pts: np.ndarray) -> np.ndarray:

@@ -10,10 +10,12 @@ determinant, so the invariants are kept) with Armijo backtracking on log N
 the minimum all three reduced densities are proportional to the identity.
 
 Before any step the null cone is decided by Hilbert-Mumford: a state lies in
-it exactly when I6 = I9 = I12 = 0, each tested against its forward error
-bound.  Such a state is unstable, with the zero state (the closed orbit in
-its orbit closure) as its limit.  The test and the iteration run on the state
-times an exact power of two, so no input scale changes the result.
+it exactly when I6 = I9 = I12 = 0, by the vanishing rule of `concomitants`
+(`is_semistable`).  Such a state is unstable, with the zero state (the closed
+orbit in its orbit closure) as its limit.  The test and the iteration run on
+the state times an exact power of two, so no input scale changes the result,
+and the trace keeps the invariants computed there: the input's own are the
+same values times a power of two (`IterationTrace.input_invariants`).
 """
 from __future__ import annotations
 
@@ -41,9 +43,19 @@ class IterationStep:
 
 @dataclass
 class IterationTrace:
+    # the invariants of the input times 2**-exponent, the state the iteration runs on
+    unit_invariants: concomitants.InvariantSet
+    exponent: int
     steps: list[IterationStep] = field(default_factory=list)
     status: str = ""
     floor_events: list[int] = field(default_factory=list)
+
+    def input_invariants(self) -> concomitants.InvariantSet:
+        """The invariants of the input: each I_d of degree d scaled back by
+        2**(d * exponent), exactly; OverflowError where one is too large."""
+        return concomitants.InvariantSet(*(
+            complex(math.ldexp(z.real, d * self.exponent), math.ldexp(z.imag, d * self.exponent))
+            for d, z in zip(concomitants.INVARIANT_DEGREES, self.unit_invariants)))
 
     def step_records(self) -> list[dict]:
         return [
@@ -65,9 +77,6 @@ class IterationTrace:
         return json.dumps(payload)
 
 
-# a state is in the null cone when each of |I6|, |I9|, |I12| is at most this
-# many eps times its forward error bound
-NULL_CONE_ULPS = 64
 # below this Newton decrement -g.d, rounding in log N fails the Armijo test
 # at every step length, so the full step is taken
 FULL_STEP_DECREMENT = 1e-6
@@ -126,10 +135,8 @@ def normalize_slocc(s: State, tol: float = 1e-10, max_iter: int = 10000):
     e = math.frexp(float(np.max(np.abs(s.amplitudes))))[1]
     current = State(_ldexp(s.amplitudes, -e))
     inv = concomitants.invariants(current)
-    bounds = concomitants.invariant_bounds(current.amplitudes)
-    unstable = all(abs(value) <= NULL_CONE_ULPS * np.finfo(float).eps * bound
-                   for value, bound in zip(inv[:3], bounds))
-    trace = IterationTrace(status=UNSTABLE if unstable else MAX_ITERATIONS)
+    unstable = not concomitants.is_semistable(current, inv)[0]
+    trace = IterationTrace(inv, e, status=UNSTABLE if unstable else MAX_ITERATIONS)
     for step in range(max_iter + 1):
         grad, hess = _derivatives(current.amplitudes)
         # party p's gradient block is 2 tr(l_a rho_p) / tr(rho_p), so its norm

@@ -7,9 +7,9 @@ determinant, the Aronhold brackets as loops over permutations, I6 and I9 as
 chains of einsum contractions against the Levi-Civita symbols, and the form
 problem's candidate check, dedup and sign filter as scalar loops over an
 all-pairs union-find, the first-order round-robin filtering iteration
-that the Newton steps of `slocc_normalize` replaced, and the structure
-probes of a group (commutation, element orders, pseudo-reflections) in
-exact `GroupElement` arithmetic.
+that the Newton steps of `slocc_normalize` replaced, the complex matrix of
+one group element, and the structure probes of a group (commutation,
+element orders, pseudo-reflections) in exact `GroupElement` arithmetic.
 """
 from __future__ import annotations
 
@@ -380,6 +380,12 @@ def normalize_round_robin(s: State, tol: float = 1e-10, max_iter: int = 20000):
 
 
 # --- exact group structure ---------------------------------------------------
+
+def element_complex(g: rg.GroupElement) -> np.ndarray:
+    """The complex 3x3 matrix of one element, by the conversion that builds
+    the package's cached stack of a group's matrices."""
+    return rg._to_complex(np.array(g.ints)).reshape(3, 3)
+
 
 def element_order(g: rg.GroupElement) -> int:
     """The least n >= 1 with g^n = 1, by exact products."""

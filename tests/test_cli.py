@@ -9,14 +9,27 @@ import numpy as np
 import pytest
 
 import trimoduli
-from trimoduli import cli, form_problem, reflection_group
+from trimoduli import cli, concomitants, form_problem, reflection_group, slocc_normalize
 from trimoduli.qutrit_state import (
+    State,
     apply_local,
     normal_form_state,
     random_local_transform,
     random_state,
+    read_state,
     write_state,
 )
+
+PRODUCT_111 = np.zeros((3, 3, 3), dtype=complex)
+PRODUCT_111[0, 0, 0] = 1.0
+W_STATE = np.zeros((3, 3, 3), dtype=complex)
+W_STATE[0, 0, 1] = W_STATE[0, 1, 0] = W_STATE[1, 0, 0] = 1.0
+
+
+def near_null_cone(base, d, k) -> State:
+    """A null-cone state plus d times a seeded random state, at unit norm."""
+    s = State(base + d * random_state(k).amplitudes)
+    return s.scaled(1.0 / math.sqrt(s.norm_sq))
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +142,68 @@ def test_normal_form_pipeline(tmp_path, capsys):
     assert payload["status"] == "converged"
     assert payload["verdict"]["ok"] is True
     assert payload["candidate_count"] == 648
+
+
+def test_invariants_and_normal_form_agree_on_semistability(tmp_path, capsys):
+    # near the null cone, the flag of `invariants` is the null-cone test of
+    # the filtering iteration: one vanishing rule decides both
+    path = tmp_path / "state.json"
+    disagree = []
+    for base in (W_STATE, PRODUCT_111):
+        for d in 10.0 ** -np.arange(2, 13):
+            for k in range(20):
+                write_state(path, near_null_cone(base, d, k))
+                code, out, _ = run_cli(capsys, "invariants", str(path))
+                assert code == 0
+                _, trace = slocc_normalize.normalize_slocc(read_state(path), max_iter=0)
+                if json.loads(out)["semistable"] != (trace.status != slocc_normalize.UNSTABLE):
+                    disagree.append((d, k))
+    assert disagree == []
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_invariants_and_bounds_computed_once_per_command(tmp_path, capsys, monkeypatch):
+    # the bounds are computed once where a decision needs them (near the
+    # null cone) and not at all where I6 stands clear of them
+    generic = apply_local(normal_form_state((1.2, 0.3 - 0.4j, -0.8 + 0.1j)),
+                          random_local_transform(77))
+    for state, want_bounds in ((generic, 0), (near_null_cone(W_STATE, 1e-4, 5), 1)):
+        path = tmp_path / "state.json"
+        write_state(path, state)
+        for command, want_invariants in (("invariants", 1), ("normal-form", 2)):
+            run_cli(capsys, command, str(path))  # warm
+            invariants = _count_calls(monkeypatch, concomitants, "invariants")
+            bounds = _count_calls(monkeypatch, concomitants, "invariant_bounds")
+            code, out, _ = run_cli(capsys, command, str(path))
+            monkeypatch.undo()
+            assert code == 0, command
+            payload = json.loads(out)
+            assert payload.get("semistable", payload.get("status") == "converged") is True
+            assert (len(invariants), len(bounds)) == (want_invariants, want_bounds), command
+
+
+def test_normal_form_max_iterations_names_the_margin(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    write_state(path, near_null_cone(W_STATE, 1e-8, 5))
+    code, out, err = run_cli(capsys, "normal-form", str(path), "--max-iter", "3")
+    assert code == cli.EXIT_NUMERICAL
+    payload = json.loads(out)
+    assert payload["status"] == "max-iterations" and payload["verdict"] is None
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    assert lines[0].startswith("numerical failure: ")
+    assert "after 3 steps" in lines[0] and "leading invariant I" in lines[0]
 
 
 def test_classify_matches_solve(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import statistics
@@ -28,6 +29,7 @@ W_STATE[0, 0, 1] = W_STATE[0, 1, 0] = W_STATE[1, 0, 0] = 1.0
 # one point each of the 27-, 72- and 216-point strata
 STRATUM_POINTS = ((0, 1, -1), (1, 0, 0), (1, 1, 0))
 MACHINE_EPS = np.finfo(float).eps
+MACHINE_TINY = np.finfo(float).tiny
 
 
 def scrambled_normal_form(seed):
@@ -224,6 +226,21 @@ class TestNewtonIteration:
             assert scaled_trace.status == trace.status
             assert len(scaled_trace.steps) == len(trace.steps)
             assert np.array_equal(scaled_limit.amplitudes, limit.amplitudes * 2.0 ** k)
+            # the input's invariants, scaled back from the trace, are bit for
+            # bit those computed on the input wherever the latter are finite
+            # and clear of the subnormal range, whose rounding the scaled-back
+            # values do not share; where the input's overflow, they raise
+            try:
+                want = con.invariants(s.scaled(2.0 ** k))
+            except OverflowError:
+                want = None
+            if want is None or not all(map(cmath.isfinite, want)):
+                with pytest.raises(OverflowError):
+                    scaled_trace.input_invariants()
+                continue
+            for g, w in zip(scaled_trace.input_invariants(), want):
+                if abs(w) >= MACHINE_TINY * 2.0 ** 53:
+                    assert g == w, (k, g, w)
 
 
 class TestNullCone:
@@ -264,7 +281,7 @@ class TestNullCone:
                 assert abs(got - want) <= MACHINE_EPS * bound, (n, got, want, bound)
             # off the null cone, some invariant stands far above its bound
             assert max(abs(v) / (MACHINE_EPS * b) for v, b in
-                       zip((inv.i6, inv.i9, inv.i12), bounds)) > 1e4 * sn.NULL_CONE_ULPS, n
+                       zip((inv.i6, inv.i9, inv.i12), bounds)) > 1e4 * con.NULL_CONE_ULPS, n
 
 
 class TestVerifyVinberg:

@@ -35,7 +35,6 @@ from .form_problem import (  # noqa: F401
     filter_sign,
     solve,
     solve_cubic_radicals,
-    solve_for_triple,
     solve_psi_system,
     solve_quartic_radicals,
 )
@@ -60,12 +59,12 @@ from .qutrit_state import (  # noqa: F401
     write_state,
 )
 from .reflection_group import (  # noqa: F401
-    GroupElement,
     MatrixGroup,
     generate_closure,
     generators,
     group_h,
     group_k,
+    is_unitary,
     orbit,
     stabilizer,
     stabilizer_type,

@@ -187,7 +187,7 @@ def cmd_group_verify(args) -> int:
     k = reflection_group.group_k()
     h = reflection_group.group_h()
     residuals = reflection_group.verify_invariance(k)
-    unitary = all(g.is_unitary() for g in k.elements)
+    unitary = reflection_group.is_unitary(k)
     payload = {
         "K_order": k.order,
         "H_order": h.order,

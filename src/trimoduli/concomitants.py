@@ -127,28 +127,22 @@ class ConcomitantBundle:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
-def pairing_form(name: str, exact: bool = False) -> MultiPoly:
-    """P_alpha / P_beta / P_gamma: the pairing of a covariant group with its dual."""
+def pairing_form(name: str) -> MultiPoly:
+    """P_alpha / P_beta / P_gamma: the pairing of a covariant group with its
+    dual.  Its coefficients are the int 1, which keeps exact forms exact and
+    multiplies complex ones as complex(1, 0) does, so either keeps its bits."""
     cov, con = _PAIRS[name]
     catalog = group_catalog((cov, con))
-    one = Fraction(1) if exact else 1.0 + 0.0j
     poly = MultiPoly.zero(catalog)
     for i in (1, 2, 3):
         poly = poly + (MultiPoly.variable(VariableRef(cov, i), catalog)
-                       * MultiPoly.variable(VariableRef(con, i), catalog)).scale(one)
+                       * MultiPoly.variable(VariableRef(con, i), catalog))
     return poly
-
-
-def _is_exact(f: MultiPoly) -> bool:
-    for c in f.terms.values():
-        return isinstance(c, (int, Fraction, Cyclo))
-    return False
 
 
 def bundle_from_form(f: MultiPoly) -> ConcomitantBundle:
     """All concomitants of a trilinear form, from their transvectant recipes."""
-    exact = _is_exact(f)
-    pa, pb, pg = (pairing_form(n, exact) for n in ("alpha", "beta", "gamma"))
+    pa, pb, pg = (pairing_form(n) for n in ("alpha", "beta", "gamma"))
     cat = make_catalog(set(FULL_CATALOG) | set(f.catalog))
     f_, pa_, pb_, pg_ = (p.with_catalog(cat) for p in (f, pa, pb, pg))
 
@@ -207,9 +201,8 @@ def build_concomitants(s: State) -> ConcomitantBundle:
 
 def invariant_raws(f: MultiPoly) -> dict:
     """The three fundamental full contractions, before normalization."""
-    exact = _is_exact(f)
     cat = make_catalog(set(FULL_CATALOG) | set(f.catalog))
-    pa, pb, pg = (pairing_form(n, exact).with_catalog(cat)
+    pa, pb, pg = (pairing_form(n).with_catalog(cat)
                   for n in ("alpha", "beta", "gamma"))
     f = f.with_catalog(cat)
     qa = transvectant(f, f, pb * pg, upper=(0, 1, 1))

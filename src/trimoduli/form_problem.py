@@ -19,12 +19,10 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
 from . import concomitants, reflection_group
-from .poly_engine import MultiPoly, VariableRef, make_catalog
 
 _OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -427,22 +425,6 @@ def solve(inp: FormProblemInput) -> SolutionSet:
     raw = enumerate_triples(branches, inp)
     i9 = inp.i9 if inp.i9 is not None else infer_i9(inp)
     return filter_sign(raw, complex(i9))
-
-
-def solve_for_triple(t) -> SolutionSet:
-    """Solve the form problem for the invariants of a known triple.  They
-    are taken exactly on its float entries, as polynomials over Q in x1
-    standing for i, and rounded once, so that on a degenerate stratum they
-    meet its equations exactly where float sums leave rounding noise."""
-    cat = make_catalog([VariableRef("x", 1)])
-    i = MultiPoly.variable(VariableRef("x", 1), cat)
-    cv = concomitants.c_formulas(*(MultiPoly.constant(Fraction(z.real), cat) + i.scale(Fraction(z.imag))
-                                   for z in map(complex, t)))
-    # sum q_k i^k, with i^2 = -1
-    c6, c9, c12, c18 = (complex(sum(q * (1, 0, -1, 0)[k % 4] for (k,), q in p.terms.items()),
-                                sum(q * (0, 1, 0, -1)[k % 4] for (k,), q in p.terms.items()))
-                        for p in cv)
-    return solve(FormProblemInput(c6, c12, c18, i9=c9))
 
 
 def _at_unit_scale(x: complex, s: float, degree: int) -> complex:

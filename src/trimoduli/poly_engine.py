@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .cyclotomic import Cyclo, to_complex
+from .cyclotomic import to_complex
 
 GROUPS = ("x", "y", "z", "xi", "eta", "zeta")
 _GROUP_RANK = {g: i for i, g in enumerate(GROUPS)}
@@ -235,18 +234,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise PolyError("negative powers are not defined (division-free ring)")
-        result = MultiPoly.constant(_one_like(self), self.catalog)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def diff(self, var: VariableRef) -> "MultiPoly":
         """Formal partial derivative with respect to one catalog variable."""
         var = VariableRef(*var)
@@ -360,19 +347,6 @@ class MultiPoly:
 
     def __hash__(self):
         return hash(tuple(self.term_items()))
-
-
-def _one_like(p: MultiPoly):
-    """A multiplicative unit matching the coefficient mode of p."""
-    for c in p.terms.values():
-        if isinstance(c, complex):
-            return 1.0 + 0.0j
-        if isinstance(c, float):
-            return 1.0
-        if isinstance(c, Cyclo):
-            return Cyclo(1)
-        return Fraction(1)
-    return 1
 
 
 @lru_cache(maxsize=None)

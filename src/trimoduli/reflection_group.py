@@ -1,39 +1,35 @@
-"""The symmetry groups of the normal forms, exact and on complex matrices.
+"""The symmetry groups of the normal forms, as integer arrays and complex matrices.
 
 The order-1296 group is generated by the five matrices of Table `generators`;
 dropping the bare swap B leaves the index-2 reflection subgroup of order 648
 whose polynomial invariants are exactly the closed normal-form invariants
 (G26 and G25 in the Shephard-Todd list).  Every entry of every group element
-lies in (1/3)Z[eps], so an element is stored as 3 * entry in integer pairs and
-closure runs in exact integer arithmetic; the exact orbit, stabilizer and
-invariance computations see the entries as `Cyclo` values of Q(eps); the
-invariance proof evaluates `concomitants.c_formulas` on the linear forms g.x.
+lies in (1/3)Z[eps], so an element is stored as 3 * entry in integer pairs,
+18 ints, and closure runs in exact integer arithmetic.  A group is one sorted
+(n, 18) int64 array of its elements plus the (n, 3, 3) complex stack built
+once from that array; the invariance proof alone sees the entries as `Cyclo`
+values of Q(eps) (`exact_rows`) and evaluates `concomitants.c_formulas` on
+the linear forms g.x.
 
-A group's complex matrices are built once, as one (n, 3, 3) stack.  `orbit`
-and `stabilizer` are exact on exact triples and use the stack on float or
-complex ones; a stabilizer keeps its rows of the stack, and `stabilizer_type`
-labels it by probes on those matrices, which decide exactly because their
-entries are Eisenstein numbers with a bounded denominator.  A float triple
-set is one complex (n, 3) array: `cluster_points` (candidate pairs from a
-sort along one direction, then a union of the pairs within the radius)
-merges near points and `sort_rows` orders the rows, here and in the form
-problem.
+`orbit` and `stabilizer` act by the stack on a triple of any scalar type
+(exact triples are embedded in C first); a stabilizer keeps its rows of the
+array and of the stack, and `stabilizer_type` labels it by probes on those
+matrices, which decide exactly because their entries are Eisenstein numbers
+with a bounded denominator.  A float triple set is one complex (n, 3) array:
+`cluster_points` (candidate pairs from a sort along one direction, then a
+union of the pairs within the radius) merges near points and `sort_rows`
+orders the rows, here and in the form problem.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import EPS, EPS_COMPLEX, Cyclo, is_exact, to_complex
+from .cyclotomic import EPS, EPS_COMPLEX, Cyclo, to_complex
 from .poly_engine import MultiPoly, VariableRef, group_catalog
-
-
-def _as_cyclo(values) -> tuple:
-    return tuple(Cyclo.coerce(e) if not isinstance(e, Cyclo) else e for e in values)
 
 
 def _product9(x, y) -> list:
@@ -53,189 +49,111 @@ def _product9(x, y) -> list:
     return out
 
 
-_IDENTITY9 = (9, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 9, 0)
+_IDENTITY = (3, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 3, 0)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A 3x3 matrix over (1/3)Z[eps] acting on parameter triples (u, v, w).
+def _pairs(rows) -> tuple:
+    """The 18 ints of a 3x3 matrix given by rows of ints, Fractions or
+    `Cyclo` values: 3 * entry as the integer pair (a, b) of a + b*eps,
+    row-major.  Raises unless every entry lies in (1/3)Z[eps]."""
+    ints = []
+    for e in (Cyclo.coerce(e) for row in rows for e in row):
+        a, b = 3 * e.a, 3 * e.b
+        if a.denominator != 1 or b.denominator != 1:
+            raise ValueError(f"entry {e} of a group element is not in (1/3)Z[eps]")
+        ints += (a.numerator, b.numerator)
+    return tuple(ints)
 
-    `ints` holds 3 * entry as the integer pair (a, b) of a + b*eps for the
-    nine entries in row-major order, 18 ints in all."""
 
-    ints: tuple
+def exact_rows(v) -> tuple:
+    """The entries of one element, given by its 18 Python ints, as a 3x3
+    tuple of exact `Cyclo` values."""
+    return tuple(tuple(Cyclo(Fraction(v[k], 3), Fraction(v[k + 1], 3))
+                       for k in range(i, i + 6, 2))
+                 for i in (0, 6, 12))
 
-    @classmethod
-    def from_rows(cls, rows) -> "GroupElement":
-        rows = tuple(_as_cyclo(row) for row in rows)
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("group elements are 3x3 matrices")
-        ints = []
-        for row in rows:
-            for e in row:
-                a, b = 3 * e.a, 3 * e.b
-                if a.denominator != 1 or b.denominator != 1:
-                    raise ValueError(f"entry {e} of a group element is not in (1/3)Z[eps]")
-                ints += (a.numerator, b.numerator)
-        return cls(tuple(ints))
 
-    @property
-    def rows(self) -> tuple:
-        """The entries as a 3x3 tuple of exact `Cyclo` values."""
-        v = self.ints
-        return tuple(tuple(Cyclo(Fraction(v[k], 3), Fraction(v[k + 1], 3))
-                           for k in range(i, i + 6, 2))
-                     for i in (0, 6, 12))
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        p = _product9(self.ints, other.ints)
-        if any(v % 3 for v in p):
-            raise ArithmeticError("a product entry left (1/3)Z[eps]")
-        return GroupElement(tuple(v // 3 for v in p))
-
-    def apply(self, triple):
-        """Matrix-vector action on an exact (u, v, w)."""
-        u, v, w = triple
-        rows = self.rows
-        return tuple(rows[i][0] * u + rows[i][1] * v + rows[i][2] * w
-                     for i in range(3))
-
-    def det(self) -> Cyclo:
-        r = self.rows
-        return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
-
-    def inverse(self) -> "GroupElement":
-        d = self.det()
-        r = self.rows
-        cof = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                sub = [r[a][b] for a in range(3) if a != i for b in range(3) if b != j]
-                minor = sub[0] * sub[3] - sub[1] * sub[2]
-                cof[i][j] = minor if (i + j) % 2 == 0 else -minor
-        inv = tuple(tuple(cof[j][i] / d for j in range(3)) for i in range(3))
-        return GroupElement.from_rows(inv)
-
-    def conjugate_transpose(self) -> "GroupElement":
-        # conj(a + b eps) = (a - b) - b eps
-        v = self.ints
-        out = []
-        for i in range(3):
-            for j in range(3):
-                a, b = v[6 * j + 2 * i], v[6 * j + 2 * i + 1]
-                out += (a - b, -b)
-        return GroupElement(tuple(out))
-
-    def is_unitary(self) -> bool:
-        return tuple(_product9(self.ints, self.conjugate_transpose().ints)) == _IDENTITY9
-
-    def sort_key(self):
-        # (a, b) of 3 * entry orders entries as (a, b) of the entry itself
-        return self.ints
-
-    def entry_pairs(self):
-        """Entries as (a, b) rational pairs meaning a + b*eps, row-major."""
-        return [[[str(e.a), str(e.b)] for e in row] for row in self.rows]
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
+def _conjugate_transpose(v) -> list:
+    # conj(a + b eps) = (a - b) - b eps
+    out = []
+    for i in range(3):
+        for j in range(3):
+            a, b = v[6 * j + 2 * i], v[6 * j + 2 * i + 1]
+            out += (a - b, -b)
+    return out
 
 
 def _to_complex(ints: np.ndarray) -> np.ndarray:
-    """Complex entries from integer pairs (a, b) of 3 * entry along the last
-    axis, rounded as `Cyclo.to_complex` rounds a/3 + (b/3)*eps."""
-    a, b = ints[..., 0::2] / 3, ints[..., 1::2] / 3
-    return a.astype(complex) + b.astype(complex) * EPS_COMPLEX
-
-
-@lru_cache(maxsize=None)
-def identity() -> GroupElement:
-    return GroupElement.from_rows(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    """The (n, 3, 3) complex matrices of an (n, 18) integer array, each entry
+    rounded as `Cyclo.to_complex` rounds a/3 + (b/3)*eps."""
+    a, b = ints[:, 0::2] / 3, ints[:, 1::2] / 3
+    return (a.astype(complex) + b.astype(complex) * EPS_COMPLEX).reshape(-1, 3, 3)
 
 
 @lru_cache(maxsize=None)
 def generators() -> dict:
-    """The five generating transformations of the order-1296 group:
-    A cycles (u,v,w); B swaps v,w; C and D rescale by cube roots of unity;
-    E is the eps-Fourier matrix with exact prefactor 1/(i sqrt 3) = (eps^2-eps)/3.
+    """The five generating transformations of the order-1296 group, as 18
+    ints each: A cycles (u,v,w); B swaps v,w; C and D rescale by cube roots
+    of unity; E is the eps-Fourier matrix with exact prefactor
+    1/(i sqrt 3) = (eps^2-eps)/3.
     """
     e = EPS
     e2 = EPS * EPS
     pref = (e2 - e) / 3  # equals 1/(i*sqrt(3)); its square is -1/3
-    a = GroupElement.from_rows(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
-    b = GroupElement.from_rows(((1, 0, 0), (0, 0, 1), (0, 1, 0)))
-    c = GroupElement.from_rows(((1, 0, 0), (0, e, 0), (0, 0, e2)))
-    d = GroupElement.from_rows(((1, 0, 0), (0, e, 0), (0, 0, e)))
-    ee = GroupElement.from_rows((
-        (pref, pref, pref),
-        (pref, pref * e, pref * e2),
-        (pref, pref * e2, pref * e),
-    ))
-    return {"A": a, "B": b, "C": c, "D": d, "E": ee}
+    return {
+        "A": _pairs(((0, 1, 0), (0, 0, 1), (1, 0, 0))),
+        "B": _pairs(((1, 0, 0), (0, 0, 1), (0, 1, 0))),
+        "C": _pairs(((1, 0, 0), (0, e, 0), (0, 0, e2))),
+        "D": _pairs(((1, 0, 0), (0, e, 0), (0, 0, e))),
+        "E": _pairs(((pref, pref, pref), (pref, pref * e, pref * e2), (pref, pref * e2, pref * e))),
+    }
 
 
-@dataclass(frozen=True)
-class MatrixGroup:
-    """A finite matrix group: canonical sorted element tuple plus generators."""
+class MatrixGroup(NamedTuple):
+    """A finite matrix group: its elements as one (n, 18) int64 array of
+    3 * entry in integer pairs, rows sorted; its generators as 18-int tuples;
+    and its (n, 3, 3) complex matrices, row for row."""
 
-    elements: tuple
+    ints: np.ndarray
     gens: tuple
+    matrices: np.ndarray
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, g: GroupElement) -> bool:
-        return g in self._element_set()
-
-    def _element_set(self):
-        cached = getattr(self, "_elements_frozen", None)
-        if cached is None:
-            cached = frozenset(self.elements)
-            object.__setattr__(self, "_elements_frozen", cached)
-        return cached
-
-    def _complex_matrices(self) -> np.ndarray:
-        cached = getattr(self, "_matrices", None)
-        if cached is None:
-            ints = np.array([g.ints for g in self.elements]).reshape(-1, 18)
-            cached = _to_complex(ints).reshape(-1, 3, 3)
-            object.__setattr__(self, "_matrices", cached)
-        return cached
-
-    def export_json(self) -> str:
-        return json.dumps([g.entry_pairs() for g in self.elements])
+        return len(self.ints)
 
 
 def generate_closure(gens, cap: int = 100000) -> MatrixGroup:
     """Breadth-first closure of a generator set under multiplication, with
-    exact equality; raises if the cap is exceeded (wrong generator)."""
-    gens = tuple(gens)
-    seen = {identity()}
-    frontier = [identity()]
+    exact equality; raises if the cap is exceeded (wrong generator).  The
+    products are Python ints, so no entry wraps before the cap is met."""
+    gens = tuple(tuple(g) for g in gens)
+    seen = {_IDENTITY}
+    frontier = [_IDENTITY]
     while frontier:
         new = []
         for g in frontier:
             for h in gens:
-                prod = g @ h
+                p = _product9(g, h)
+                if any(v % 3 for v in p):
+                    raise ArithmeticError("a product entry left (1/3)Z[eps]")
+                prod = tuple(v // 3 for v in p)
                 if prod not in seen:
                     seen.add(prod)
                     new.append(prod)
                     if len(seen) > cap:
                         raise RuntimeError(f"closure exceeded cap {cap}")
         frontier = new
-    elements = tuple(sorted(seen, key=GroupElement.sort_key))
-    return MatrixGroup(elements, gens)
+    # (a, b) of 3 * entry orders entries as (a, b) of the entry itself
+    ints = np.array(sorted(seen), dtype=np.int64).reshape(-1, 18)
+    return MatrixGroup(ints, gens, _to_complex(ints))
 
 
 @lru_cache(maxsize=None)
 def group_k() -> MatrixGroup:
     """The order-648 normal-form symmetry group (generators A, C, D, E)."""
     g = generators()
-    grp = generate_closure((g["A"], g["C"], g["D"], g["E"]))
-    return grp
+    return generate_closure((g["A"], g["C"], g["D"], g["E"]))
 
 
 @lru_cache(maxsize=None)
@@ -245,17 +163,19 @@ def group_h() -> MatrixGroup:
     return generate_closure((g["A"], g["B"], g["C"], g["D"], g["E"]))
 
 
-def orbit(group: MatrixGroup, triple):
-    """The orbit {g.t} without repeats.  On an exact triple: the exact points,
-    deduplicated by equality, as a sorted list.  On a float or complex triple:
-    a complex (n, 3) array in `sort_rows` order, one point per cluster of the
-    images within 1e-9 times their largest real or imaginary part, so its
-    size does not depend on the scale of the triple."""
-    if is_exact(triple):
-        t = _as_cyclo(triple)
-        pts = {g.apply(t) for g in group.elements}
-        return sorted(pts, key=lambda p: tuple(x.sort_key() for x in p))
-    pts = group._complex_matrices() @ np.array([complex(c) for c in triple])
+def is_unitary(group: MatrixGroup) -> bool:
+    """Exact check that each element times its conjugate transpose is one."""
+    one = [3 * v for v in _IDENTITY]
+    return all(_product9(g, _conjugate_transpose(g)) == one for g in group.ints.tolist())
+
+
+def orbit(group: MatrixGroup, triple) -> np.ndarray:
+    """The orbit {g.t} without repeats, of a triple of ints, Fractions,
+    `Cyclo` values, floats or complex numbers: a complex (n, 3) array in
+    `sort_rows` order, one point per cluster of the images within 1e-9 times
+    their largest real or imaginary part, so its size does not depend on the
+    scale of the triple."""
+    pts = group.matrices @ np.array([to_complex(c) for c in triple])
     flat = np.column_stack([pts.real, pts.imag])
     labels = cluster_points(flat, 1e-9 * float(np.max(np.abs(flat))))
     return sort_rows(pts[labels == np.arange(len(labels))])
@@ -325,23 +245,16 @@ def cluster_points(flat: np.ndarray, radius: float) -> np.ndarray:
 
 
 def stabilizer(group: MatrixGroup, triple, tol: float = 1e-9) -> MatrixGroup:
-    """Subgroup fixing a triple; exact when the triple is exact, otherwise
-    selected numerically but returned as exact group elements.  The float
-    test allows tol times the largest entry of the triple, so the subgroup
-    does not depend on the scale of the triple.  The subgroup keeps its rows
-    of the group's complex matrices."""
-    if is_exact(triple):
-        t = _as_cyclo(triple)
-        fixed = [g.apply(t) == t for g in group.elements]
-    else:
-        t = np.array([complex(c) for c in triple])
-        scale = float(np.max(np.abs(t)))
-        fixed = np.max(np.abs(group._complex_matrices() @ t - t), axis=1) <= tol * scale
-    # a subset of the sorted element tuple is sorted
+    """Subgroup fixing a triple of any scalar type, selected on the complex
+    matrices: the test allows tol times the largest entry of the triple, so
+    the subgroup does not depend on the scale of the triple.  The subgroup
+    keeps its rows of the group's integer array and complex matrices."""
+    t = np.array([to_complex(c) for c in triple])
+    scale = float(np.max(np.abs(t)))
+    fixed = np.max(np.abs(group.matrices @ t - t), axis=1) <= tol * scale
+    # a subset of the sorted element array is sorted
     members = np.flatnonzero(fixed)
-    sub = MatrixGroup(tuple(group.elements[i] for i in members), ())
-    object.__setattr__(sub, "_matrices", group._complex_matrices()[members])
-    return sub
+    return MatrixGroup(group.ints[members], group.gens[:0], group.matrices[members])
 
 
 STABILIZER_LABELS = {1: "trivial", 3: "C3", 9: "C3xC3", 24: "G4", 648: "full"}
@@ -371,7 +284,7 @@ def stabilizer_type(subgroup: MatrixGroup) -> str:
         return f"unclassified(order={order})"
     if order not in (3, 9, 24):
         return label
-    mats = subgroup._complex_matrices()
+    mats = subgroup.matrices
     # products[i, a, j, c] = (g_i g_j)[a, c], all pairs in one 2-d product
     products = (mats.reshape(3 * order, 3) @ mats.transpose(1, 0, 2).reshape(3, 3 * order)
                 ).reshape(order, 3, order, 3)
@@ -397,12 +310,12 @@ def verify_invariance(group: MatrixGroup | None = None) -> dict:
 
     if group is None:
         group = group_k()
-    gens = group.gens if group.gens else tuple(group.elements)
+    gens = group.gens or group.ints.tolist()
     cat = group_catalog(("x",))
     xs = [MultiPoly.variable(VariableRef("x", i), cat) for i in (1, 2, 3)]
     report = {}
     for gi, g in enumerate(gens):
-        gx = [sum((x.scale(e) for x, e in zip(xs, row)), MultiPoly.zero(cat)) for row in g.rows]
+        gx = [sum((x.scale(e) for x, e in zip(xs, row)), MultiPoly.zero(cat)) for row in exact_rows(g)]
         entry = {}
         for name, composed, poly in zip(("C6", "C9", "C12"), c_formulas(*gx), c_polynomials()):
             diff = composed - poly

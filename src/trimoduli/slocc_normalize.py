@@ -19,7 +19,6 @@ same values times a power of two (`IterationTrace.input_invariants`).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +35,6 @@ MAX_ITERATIONS = "max-iterations"
 @dataclass(frozen=True)
 class IterationStep:
     step: int
-    party: int          # 0: every step updates all three parties
     norm_sq: float
     max_rel_deviation: float
 
@@ -56,25 +54,6 @@ class IterationTrace:
         return concomitants.InvariantSet(*(
             complex(math.ldexp(z.real, d * self.exponent), math.ldexp(z.imag, d * self.exponent))
             for d, z in zip(concomitants.INVARIANT_DEGREES, self.unit_invariants)))
-
-    def step_records(self) -> list[dict]:
-        return [
-            {"step": st.step, "party": st.party, "norm_sq": st.norm_sq,
-             "max_rel_deviation": st.max_rel_deviation}
-            for st in self.steps
-        ]
-
-    def steps_json(self) -> str:
-        """The per-step records alone, as a JSON array."""
-        return json.dumps(self.step_records())
-
-    def to_json(self) -> str:
-        payload = {
-            "status": self.status,
-            "floor_events": self.floor_events,
-            "steps": self.step_records(),
-        }
-        return json.dumps(payload)
 
 
 # below this Newton decrement -g.d, rounding in log N fails the Armijo test
@@ -142,7 +121,7 @@ def normalize_slocc(s: State, tol: float = 1e-10, max_iter: int = 10000):
         # party p's gradient block is 2 tr(l_a rho_p) / tr(rho_p), so its norm
         # over sqrt(8) is ||rho_p - tr(rho_p)/3||_F / tr(rho_p)
         dev = float(np.max(np.linalg.norm(grad.reshape(3, 8), axis=1))) / math.sqrt(8.0)
-        trace.steps.append(IterationStep(step, 0, math.ldexp(current.norm_sq, 2 * e), dev))
+        trace.steps.append(IterationStep(step, math.ldexp(current.norm_sq, 2 * e), dev))
         if unstable:
             return State(np.zeros((3, 3, 3), dtype=complex)), trace
         if dev < tol:

@@ -8,18 +8,22 @@ chains of einsum contractions against the Levi-Civita symbols, and the form
 problem's candidate check, dedup and sign filter as scalar loops over an
 all-pairs union-find, the first-order round-robin filtering iteration
 that the Newton steps of `slocc_normalize` replaced, the complex matrix of
-one group element, and the structure probes of a group (commutation,
-element orders, pseudo-reflections) in exact `GroupElement` arithmetic.
+one group element entry by entry, the structure probes of a group
+(commutation, element orders, pseudo-reflections), its orbits and
+stabilizers in exact products of `Cyclo` rows, and the form problem solved
+on invariants taken exactly over Q(i).
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 from trimoduli import form_problem as fp
 from trimoduli import reflection_group as rg
-from trimoduli.concomitants import _triple_tensor
+from trimoduli.concomitants import _triple_tensor, c_formulas
 from trimoduli.cyclotomic import Cyclo
 from trimoduli.poly_engine import (
     _GROUP_RANK,
@@ -381,20 +385,50 @@ def normalize_round_robin(s: State, tol: float = 1e-10, max_iter: int = 20000):
 
 # --- exact group structure ---------------------------------------------------
 
-def element_complex(g: rg.GroupElement) -> np.ndarray:
-    """The complex 3x3 matrix of one element, by the conversion that builds
-    the package's cached stack of a group's matrices."""
-    return rg._to_complex(np.array(g.ints)).reshape(3, 3)
+IDENTITY_ROWS = tuple(tuple(Cyclo(int(i == j)) for j in range(3)) for i in range(3))
 
 
-def element_order(g: rg.GroupElement) -> int:
-    """The least n >= 1 with g^n = 1, by exact products."""
-    e = rg.identity()
-    power = g
+def element_rows(group: rg.MatrixGroup) -> list:
+    """The elements of a group as 3x3 tuples of exact `Cyclo` values, in order."""
+    return [rg.exact_rows(g) for g in group.ints.tolist()]
+
+
+@lru_cache(maxsize=1 << 14)
+def mul_rows(x, y) -> tuple:
+    """The exact product of two 3x3 matrices of `Cyclo` values.  Cached: the
+    structure probes of conjugate subgroups meet the same products again."""
+    return tuple(tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] + x[i][2] * y[2][j]
+                       for j in range(3)) for i in range(3))
+
+
+def conjugate_transpose_rows(x) -> tuple:
+    return tuple(tuple(x[j][i].conjugate() for j in range(3)) for i in range(3))
+
+
+def inverse_rows(x) -> tuple:
+    """The exact inverse, as the transposed cofactors over the determinant."""
+    cof = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            sub = [x[a][b] for a in range(3) if a != i for b in range(3) if b != j]
+            minor = sub[0] * sub[3] - sub[1] * sub[2]
+            cof[i][j] = minor if (i + j) % 2 == 0 else -minor
+    det = x[0][0] * cof[0][0] + x[0][1] * cof[0][1] + x[0][2] * cof[0][2]
+    return tuple(tuple(cof[j][i] / det for j in range(3)) for i in range(3))
+
+
+def element_complex(x) -> np.ndarray:
+    """The complex 3x3 matrix of one element, entry by entry by `Cyclo.to_complex`."""
+    return np.array([[e.to_complex() for e in row] for row in x])
+
+
+def element_order(x) -> int:
+    """The least n >= 1 with x^n = 1, by exact products."""
+    power = x
     for n in range(1, 2001):
-        if power == e:
+        if power == IDENTITY_ROWS:
             return n
-        power = power @ g
+        power = mul_rows(power, x)
     raise RuntimeError("element order exceeds 2000")
 
 
@@ -420,25 +454,23 @@ def _rank3(m) -> int:
     return rank
 
 
-def fixed_space_dim(g: rg.GroupElement) -> int:
-    """Dimension of the fixed subspace, i.e. 3 - rank(g - I), exactly."""
-    rows = g.rows
-    m = [[rows[i][j] - Cyclo(1 if i == j else 0) for j in range(3)] for i in range(3)]
-    return 3 - _rank3(m)
+def fixed_space_dim(x) -> int:
+    """Dimension of the fixed subspace, i.e. 3 - rank(x - I), exactly."""
+    return 3 - _rank3([[x[i][j] - IDENTITY_ROWS[i][j] for j in range(3)] for i in range(3)])
 
 
-def is_pseudo_reflection(g: rg.GroupElement) -> bool:
-    return g != rg.identity() and fixed_space_dim(g) == 2
+def is_pseudo_reflection(x) -> bool:
+    return x != IDENTITY_ROWS and fixed_space_dim(x) == 2
 
 
-def is_abelian(group: rg.MatrixGroup) -> bool:
-    return all(g @ h == h @ g for g in group.elements for h in group.elements)
+def is_abelian(elements) -> bool:
+    return all(mul_rows(g, h) == mul_rows(h, g) for g in elements for h in elements)
 
 
-def exponent(group: rg.MatrixGroup) -> int:
+def exponent(elements) -> int:
     """The least common multiple of the element orders."""
     exp = 1
-    for g in group.elements:
+    for g in elements:
         o = element_order(g)
         a, b = exp, o
         while b:
@@ -447,22 +479,59 @@ def exponent(group: rg.MatrixGroup) -> int:
     return exp
 
 
-def stabilizer_type_exact(subgroup: rg.MatrixGroup) -> str:
-    """`reflection_group.stabilizer_type` with its probes in exact products:
-    commutation, the exponent and order-3 pseudo-reflections."""
-    order = subgroup.order
+def stabilizer_type_exact(elements) -> str:
+    """`reflection_group.stabilizer_type` with its probes in exact products
+    of the elements' `Cyclo` rows: commutation, the exponent and order-3
+    pseudo-reflections."""
+    order = len(elements)
     label = rg.STABILIZER_LABELS.get(order)
     if label is None:
         return f"unclassified(order={order})"
     if order == 3:
-        if not is_abelian(subgroup):
+        if not is_abelian(elements):
             return "unclassified(order=3,nonabelian)"
     elif order == 9:
-        if not is_abelian(subgroup) or exponent(subgroup) != 3:
+        if not is_abelian(elements) or exponent(elements) != 3:
             return "unclassified(order=9,structure)"
     elif order == 24:
         has_order3_reflection = any(
-            is_pseudo_reflection(g) and element_order(g) == 3 for g in subgroup.elements)
-        if is_abelian(subgroup) or not has_order3_reflection:
+            is_pseudo_reflection(g) and element_order(g) == 3 for g in elements)
+        if is_abelian(elements) or not has_order3_reflection:
             return "unclassified(order=24,structure)"
     return label
+
+
+def _apply_rows(x, t) -> tuple:
+    return tuple(x[i][0] * t[0] + x[i][1] * t[1] + x[i][2] * t[2] for i in range(3))
+
+
+def orbit_exact(elements, triple) -> list:
+    """The orbit of an exact triple (ints, Fractions or `Cyclo` values): the
+    distinct exact points g.t, sorted by entry."""
+    t = tuple(Cyclo.coerce(c) for c in triple)
+    pts = {_apply_rows(g, t) for g in elements}
+    return sorted(pts, key=lambda p: tuple(x.sort_key() for x in p))
+
+
+def stabilizer_exact(elements, triple) -> list:
+    """The elements that fix an exact triple, by exact equality, in order."""
+    t = tuple(Cyclo.coerce(c) for c in triple)
+    return [g for g in elements if _apply_rows(g, t) == t]
+
+
+# --- the form problem on exact invariants -------------------------------------
+
+def solve_for_triple(t) -> fp.SolutionSet:
+    """Solve the form problem for the invariants of a known triple.  They
+    are taken exactly on its float entries, as polynomials over Q in x1
+    standing for i, and rounded once, so that on a degenerate stratum they
+    meet its equations exactly where float sums leave rounding noise."""
+    cat = make_catalog([VariableRef("x", 1)])
+    i = MultiPoly.variable(VariableRef("x", 1), cat)
+    cv = c_formulas(*(MultiPoly.constant(Fraction(z.real), cat) + i.scale(Fraction(z.imag))
+                      for z in map(complex, t)))
+    # sum q_k i^k, with i^2 = -1
+    c6, c9, c12, c18 = (complex(sum(q * (1, 0, -1, 0)[k % 4] for (k,), q in p.terms.items()),
+                                sum(q * (0, 1, 0, -1)[k % 4] for (k,), q in p.terms.items()))
+                        for p in cv)
+    return fp.solve(fp.FormProblemInput(c6, c12, c18, i9=c9))

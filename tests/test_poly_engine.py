@@ -105,10 +105,6 @@ class TestPolyCore:
         with pytest.raises(PolyError):
             MultiPoly.variable(VariableRef("y", 1), CAT_X)
 
-    def test_division_free(self):
-        with pytest.raises(PolyError):
-            var(X1, CAT_X) ** -1
-
     def test_serialization_deterministic(self):
         rng = np.random.default_rng(5)
         p = random_poly(rng, CAT_X)

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -10,13 +9,32 @@ from trimoduli.cyclotomic import EPS, Cyclo
 from trimoduli.qutrit_state import random_parameter_triple
 
 from oracles import (
+    IDENTITY_ROWS,
     cluster_labels_brute,
+    conjugate_transpose_rows,
     element_complex,
     element_order,
+    element_rows,
+    inverse_rows,
     is_abelian,
     is_pseudo_reflection,
+    mul_rows,
+    orbit_exact,
+    solve_for_triple,
+    stabilizer_exact,
     stabilizer_type_exact,
 )
+
+IDENTITY = rg._pairs(IDENTITY_ROWS)
+
+
+def product(g, h) -> tuple:
+    """The 18 ints of g @ h, by exact products of `Cyclo` rows."""
+    return rg._pairs(mul_rows(rg.exact_rows(g), rg.exact_rows(h)))
+
+
+def contains(group, g) -> bool:
+    return bool((group.ints == np.array(g)).all(axis=1).any())
 
 
 class TestGenerators:
@@ -27,33 +45,29 @@ class TestGenerators:
 
     def test_e_squared_is_minus_swap(self):
         g = rg.generators()
-        minus_b = rg.GroupElement.from_rows(tuple(tuple(-x for x in row) for row in g["B"].rows))
-        assert g["E"] @ g["E"] == minus_b
+        minus_b = rg._pairs(tuple(tuple(-x for x in row) for row in rg.exact_rows(g["B"])))
+        assert product(g["E"], g["E"]) == minus_b
 
     def test_cycle_has_order_three(self):
         a = rg.generators()["A"]
-        assert a @ a @ a == rg.identity()
-        assert element_order(a) == 3
+        assert product(product(a, a), a) == IDENTITY
+        assert element_order(rg.exact_rows(a)) == 3
 
     def test_generators_are_unitary(self):
+        # the cyclic group of g holds g, and is unitary exactly when g is
         for name, g in rg.generators().items():
-            assert g.is_unitary(), name
+            assert rg.is_unitary(rg.generate_closure((g,))), name
 
 
 def _cyclo_closure(gens):
     """Breadth-first closure of 3x3 `Cyclo` row tuples, sorted by entry: the
     oracle for the integer-encoded closure of `generate_closure`."""
-    def mul(x, y):
-        return tuple(tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] + x[i][2] * y[2][j]
-                           for j in range(3)) for i in range(3))
-
-    ident = rg.identity().rows
-    seen, frontier = {ident}, [ident]
+    seen, frontier = {IDENTITY_ROWS}, [IDENTITY_ROWS]
     while frontier:
         new = []
         for g in frontier:
             for h in gens:
-                prod = mul(g, h)
+                prod = mul_rows(g, h)
                 if prod not in seen:
                     seen.add(prod)
                     new.append(prod)
@@ -64,31 +78,34 @@ def _cyclo_closure(gens):
 class TestIntegerEncoding:
     def test_from_rows_rejects_entries_outside_third_integers(self):
         with pytest.raises(ValueError, match=r"\(1/3\)Z\[eps\]"):
-            rg.GroupElement.from_rows(((Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 1)))
+            rg._pairs(((Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def test_inverse_rejects_non_unit_scaling(self):
+        # the inverse of a non-unit scaling has an entry 1/2
         with pytest.raises(ValueError):
-            rg.GroupElement.from_rows(((2, 0, 0), (0, 1, 0), (0, 0, 1))).inverse()
+            rg._pairs(inverse_rows(rg.exact_rows(rg._pairs(((2, 0, 0), (0, 1, 0), (0, 0, 1))))))
 
     def test_product_leaving_third_integers_raises(self):
-        third = rg.GroupElement.from_rows(((Fraction(1, 3), 0, 0), (0, 1, 0), (0, 0, 1)))
+        third = rg._pairs(((Fraction(1, 3), 0, 0), (0, 1, 0), (0, 0, 1)))
         with pytest.raises(ArithmeticError):
-            third @ third
+            rg.generate_closure((third,))
 
     def test_rows_round_trip(self):
         for g in rg.generators().values():
-            assert rg.GroupElement.from_rows(g.rows) == g
-            assert all(isinstance(e, Cyclo) for row in g.rows for e in row)
+            assert rg._pairs(rg.exact_rows(g)) == g
+            assert all(isinstance(e, Cyclo) for row in rg.exact_rows(g) for e in row)
 
     def test_complex_entries_match_cyclo(self, group_k):
-        for g in group_k.elements[::37]:
-            want = [[e.to_complex() for e in row] for row in g.rows]
-            assert element_complex(g).tolist() == want
+        for grp in (group_k, rg.group_h()):
+            want = np.array([element_complex(g) for g in element_rows(grp)])
+            assert grp.matrices.dtype == np.complex128
+            assert np.array_equal(grp.matrices.view(np.uint64), want.view(np.uint64))
 
     def test_closure_matches_cyclo_oracle(self, group_k):
         for grp in (group_k, rg.group_h()):
-            oracle = _cyclo_closure([g.rows for g in grp.gens])
-            assert [g.rows for g in grp.elements] == oracle
+            assert grp.ints.dtype == np.int64 and grp.ints.shape == (grp.order, 18)
+            oracle = _cyclo_closure([rg.exact_rows(g) for g in grp.gens])
+            assert element_rows(grp) == oracle
 
 
 class TestClosure:
@@ -98,37 +115,42 @@ class TestClosure:
 
     def test_identity_closure(self):
         assert rg.generate_closure(()).order == 1
-        assert rg.generate_closure((rg.identity(),)).order == 1
+        assert rg.generate_closure((IDENTITY,)).order == 1
 
     def test_index_two(self, group_k):
         h = rg.group_h()
         b = rg.generators()["B"]
-        assert b in h
-        assert b not in group_k
-        assert all(g in h for g in group_k.elements[:20])
+        assert contains(h, b)
+        assert not contains(group_k, b)
+        assert all(contains(h, g) for g in group_k.ints[:20])
 
     def test_cap_exceeded(self):
         # a non-unit scaling generates an infinite group
-        bad = rg.GroupElement.from_rows(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+        bad = rg._pairs(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
         with pytest.raises(RuntimeError, match="cap"):
             rg.generate_closure((bad,), cap=64)
 
     def test_all_unitary(self, group_k):
-        assert all(g.is_unitary() for g in group_k.elements)
+        assert rg.is_unitary(group_k)
+        assert rg.is_unitary(rg.group_h())
+
+    def test_changed_entry_is_not_unitary(self, group_k):
+        # one entry 1 of one element becomes 2 (3 * entry from 3 to 6)
+        row, col = np.argwhere(group_k.ints == 3)[0]
+        ints = group_k.ints.copy()
+        ints[row, col] = 6
+        assert not rg.is_unitary(rg.MatrixGroup(ints, group_k.gens, rg._to_complex(ints)))
 
     def test_closure_properties(self, group_k):
-        assert rg.identity() in group_k
-        sample = group_k.elements[::97]
+        assert contains(group_k, IDENTITY)
+        sample = group_k.ints[::97].tolist()
         for g in sample:
-            assert g.inverse() in group_k
+            rows = rg.exact_rows(g)
+            # unitary, so the inverse is the conjugate transpose
+            assert conjugate_transpose_rows(rows) == inverse_rows(rows)
+            assert contains(group_k, rg._pairs(conjugate_transpose_rows(rows)))
             for h in sample:
-                assert g @ h in group_k
-
-    def test_export_json(self, group_k):
-        data = json.loads(group_k.export_json())
-        assert len(data) == 648
-        assert len(data[0]) == 3 and len(data[0][0]) == 3
-        assert all(len(pair) == 2 for row in data[0] for pair in row)
+                assert contains(group_k, product(g, h))
 
 
 class TestOrbits:
@@ -140,20 +162,32 @@ class TestOrbits:
         assert len(orb) * stab.order == group_k.order
 
     def test_orbit_float_matches_exact(self, group_k):
-        # a generic integer triple and one point of each degenerate stratum
-        for triple in ((1, 2, 5), (1, 1, 0), (1, 0, 0), (1, -1, 0), (0, 0, 0)):
-            exact = rg.orbit(group_k, triple)
-            flo = rg.orbit(group_k, tuple(complex(c) for c in triple))
-            assert flo.dtype == np.complex128 and flo.shape == (len(exact), 3)
-            assert np.array_equal(flo.view(np.uint64), rg.sort_rows(flo).view(np.uint64))
-            exact_pts = [tuple(x.to_complex() if isinstance(x, Cyclo) else complex(x)
-                               for x in p) for p in exact]
-            assert fp.set_distance(exact_pts, flo) < 1e-12
+        # a generic integer triple and one point of each degenerate stratum,
+        # given as ints, Fractions, `Cyclo` values and complex numbers
+        elements = element_rows(group_k)
+        for triple in ((1, 2, 5), (1, 1, 0), (1, 0, 0), (1, -1, 0), (0, 0, 0),
+                       (Fraction(1, 3), EPS, -1)):
+            exact = orbit_exact(elements, triple)
+            exact_pts = [tuple(x.to_complex() for x in p) for p in exact]
+            for given in (triple, tuple(Cyclo.coerce(c) for c in triple),
+                          tuple(Cyclo.coerce(c).to_complex() for c in triple)):
+                flo = rg.orbit(group_k, given)
+                assert flo.dtype == np.complex128 and flo.shape == (len(exact), 3)
+                assert np.array_equal(flo.view(np.uint64), rg.sort_rows(flo).view(np.uint64))
+                assert fp.set_distance(exact_pts, flo) < 1e-12
 
     def test_float_stabilizer_matches_exact(self, group_k):
-        exact = rg.stabilizer(group_k, (1, -1, 0))
-        flo = rg.stabilizer(group_k, (1.0 + 0j, -1.0 + 0j, 0j))
-        assert flo.elements == exact.elements
+        elements = element_rows(group_k)
+        for triple in ((1, -1, 0), (0, 1, -1), (1, 0, 0), (1, 1, 0), (1, 2, 5), (0, 0, 0),
+                       (Fraction(1, 3), EPS, -1)):
+            exact = stabilizer_exact(elements, triple)
+            members = [i for i, g in enumerate(elements) if g in exact]
+            for given in (triple, tuple(Cyclo.coerce(c).to_complex() for c in triple)):
+                flo = rg.stabilizer(group_k, given)
+                assert element_rows(flo) == exact, triple
+                assert np.array_equal(flo.ints, group_k.ints[members])
+                assert np.array_equal(flo.matrices.view(np.uint64),
+                                      group_k.matrices[members].view(np.uint64))
 
     def test_origin(self, group_k):
         orb = rg.orbit(group_k, (0, 0, 0))
@@ -219,7 +253,7 @@ class TestClusterPoints:
     def test_stratum_rows_sharing_coordinates(self, group_k):
         # the 27-point orbit of each of the 648 rows, as solve meets it on
         # a degenerate stratum: many rows equal or equal up to rounding
-        pts = group_k._complex_matrices() @ np.array([1.0, -1.0, 0j])
+        pts = group_k.matrices @ np.array([1.0, -1.0, 0j])
         flat = np.column_stack([pts.real, pts.imag])
         for radius in (1e-12, 1e-9, 1e-3, 0.9, 1.8):
             labels = rg.cluster_points(flat, radius)
@@ -235,7 +269,7 @@ class TestClusterPoints:
         rng = np.random.default_rng(seed)
         for point in ((0.3 + 0.1j, -0.7j, 1.1), (1, 1, 0), (1, 0, 0), (0, 1, -1)):
             t = np.array([complex(c) for c in point]) * complex(*rng.standard_normal(2))
-            pts = group_k._complex_matrices() @ t
+            pts = group_k.matrices @ t
             flat = np.column_stack([pts.real, pts.imag])
             for radius in (1e-9, 1e-6, 1e-2):
                 noise = rng.standard_normal(flat.shape)
@@ -255,7 +289,7 @@ class TestClusterPoints:
 
     def test_float_orbit_keeps_lowest_index_point(self, group_k):
         t = np.array([1.0 + 0j, -1.0 + 0j, 0j])
-        pts = group_k._complex_matrices() @ t
+        pts = group_k.matrices @ t
         labels = rg.cluster_points(np.column_stack([pts.real, pts.imag]), 1e-9)
         orb = rg.orbit(group_k, tuple(t))
         assert sorted(map(tuple, pts[np.unique(labels)].view(np.uint64))) \
@@ -266,16 +300,16 @@ class TestStabilizerTypes:
     def test_mirror_point_is_g4(self, group_k):
         stab = rg.stabilizer(group_k, (1, -1, 0))
         assert rg.stabilizer_type(stab) == "G4"
-        assert not is_abelian(stab)
-        assert any(is_pseudo_reflection(g) and element_order(g) == 3 for g in stab.elements)
+        assert not is_abelian(element_rows(stab))
+        assert any(is_pseudo_reflection(g) and element_order(g) == 3 for g in element_rows(stab))
 
     def test_72_stratum_is_c3xc3(self, group_k):
         sol = fp.solve(fp.FormProblemInput(1, 1, 1, i9=0))
         stab = rg.stabilizer(group_k, sol.triples[0], tol=1e-6)
         assert stab.order == 9
         assert rg.stabilizer_type(stab) == "C3xC3"
-        assert is_abelian(stab)
-        assert all(element_order(g) == 3 for g in stab.elements if g != rg.identity())
+        assert is_abelian(element_rows(stab))
+        assert all(element_order(g) == 3 for g in element_rows(stab) if g != IDENTITY_ROWS)
 
     def test_216_stratum_is_c3(self, group_k):
         sol = fp.solve(fp.FormProblemInput(1, 0.25, -0.125, i9=0))
@@ -298,9 +332,9 @@ class TestStabilizerTypes:
         for point in points:
             t = np.array([complex(c) for c in point]) * (0.3 - 0.4j)
             bound = 1e-6 * np.max(np.abs(t))
-            want = tuple(g for g in group_k.elements
-                         if np.max(np.abs(element_complex(g) @ t - t)) <= bound)
-            assert rg.stabilizer(group_k, tuple(t), tol=1e-6).elements == want
+            want = [g for g in element_rows(group_k)
+                    if np.max(np.abs(element_complex(g) @ t - t)) <= bound]
+            assert element_rows(rg.stabilizer(group_k, tuple(t), tol=1e-6)) == want
 
     def test_unexpected_order_label(self):
         sub = rg.generate_closure((rg.generators()["B"],))
@@ -317,45 +351,47 @@ class TestStabilizerTypes:
         for p in points:
             stab = rg.stabilizer(group_k, p, tol=1e-6)
             assert stab.order == order
-            assert rg.stabilizer_type(stab) == stabilizer_type_exact(stab) == label
+            assert rg.stabilizer_type(stab) == stabilizer_type_exact(element_rows(stab)) == label
 
     def test_labels_match_exact_probes_on_built_sets(self, group_k):
         # sets that reach every branch of stabilizer_type, with elements of
         # the order-1296 group and diagonal matrices
         def diagonal(y, z):
-            return rg.GroupElement.from_rows(((1, 0, 0), (0, y, 0), (0, 0, z)))
+            return rg._pairs(((1, 0, 0), (0, y, 0), (0, 0, z)))
 
         def built(elements):
-            return rg.MatrixGroup(tuple(sorted(elements, key=rg.GroupElement.sort_key)), ())
+            ints = np.array(sorted(map(tuple, elements)), dtype=np.int64).reshape(-1, 18)
+            return rg.MatrixGroup(ints, (), rg._to_complex(ints))
 
         e, e2 = EPS, EPS * EPS
-        one = rg.identity()
+        one = IDENTITY
         gens = rg.generators()
         a, b = gens["A"], gens["B"]
+        aa = product(a, a)
         sixth_roots = (1, -1, e, e2, -e, -e2)
-        no_reflection3 = [g for g in group_k.elements
-                          if not (is_pseudo_reflection(g) and element_order(g) == 3)]
+        no_reflection3 = [g for g, rows in zip(group_k.ints.tolist(), element_rows(group_k))
+                          if not (is_pseudo_reflection(rows) and element_order(rows) == 3)]
         # trace 2 + eps, but its cube is not the identity
-        false_reflection = rg.GroupElement.from_rows(((1, 0, 0), (0, 1 + e, 0), (0, 0, 0)))
+        false_reflection = rg._pairs(((1, 0, 0), (0, 1 + e, 0), (0, 0, 0)))
         cases = (
-            ([one, a, a @ a], "C3"),
+            ([one, a, aa], "C3"),
             ([one, a, b], "unclassified(order=3,nonabelian)"),
             ([diagonal(y, z) for y in (1, e, e2) for z in (1, e, e2)], "C3xC3"),
             ([diagonal(y, z) for y in (1, -1, e) for z in (1, -1, e)],
              "unclassified(order=9,structure)"),
             ([one] * 9, "unclassified(order=9,structure)"),
-            ([one, a, a @ a, b, a @ b, a @ a @ b, gens["C"], gens["D"], gens["E"]],
+            ([one, a, aa, b, product(a, b), product(aa, b), gens["C"], gens["D"], gens["E"]],
              "unclassified(order=9,structure)"),
-            (rg.stabilizer(group_k, (1, -1, 0)).elements, "G4"),
+            (rg.stabilizer(group_k, (1, -1, 0)).ints.tolist(), "G4"),
             ([diagonal(y, z) for y in sixth_roots for z in sixth_roots][:24],
              "unclassified(order=24,structure)"),
             (no_reflection3[:24], "unclassified(order=24,structure)"),
             (no_reflection3[:23] + [false_reflection], "unclassified(order=24,structure)"),
-            (group_k.elements[:5], "unclassified(order=5)"),
+            (group_k.ints[:5].tolist(), "unclassified(order=5)"),
         )
         for elements, label in cases:
             sub = built(elements)
-            assert rg.stabilizer_type(sub) == stabilizer_type_exact(sub) == label, label
+            assert rg.stabilizer_type(sub) == stabilizer_type_exact(element_rows(sub)) == label, label
 
 
 class TestInvariance:
@@ -385,7 +421,7 @@ class TestFormProblemAgreement:
     def test_orbit_equals_solution_set(self, group_k):
         for seed in (41, 42):
             t = random_parameter_triple(seed)
-            sol = fp.solve_for_triple(t)
+            sol = solve_for_triple(t)
             orb = rg.orbit(group_k, tuple(t))
             assert len(orb) == sol.filtered_count == 648
             assert fp.set_distance(orb, sol.triples) < 1e-6

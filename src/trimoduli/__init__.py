@@ -2,7 +2,8 @@
 
 The package computes the fundamental polynomial invariants of trilinear
 forms on C^3 x C^3 x C^3 as numpy sums over the amplitude array, with
-transvectants as the exact calibration and test oracle.  It normalizes
+transvectants of dense coefficient tensors as the exact calibration, the
+syzygy check and the test oracle.  It normalizes
 states by Newton steps of local filtering, recovers all equivalent normal-form
 parameters by a radical chain, and realizes the order-648 normal-form
 symmetry group in exact cyclotomic arithmetic.
@@ -39,7 +40,7 @@ from .form_problem import (  # noqa: F401
     solve_quartic_radicals,
 )
 from .poly_engine import (  # noqa: F401
-    FactoredTriple,
+    Form,
     MultiPoly,
     VariableRef,
     group_catalog,

@@ -8,10 +8,12 @@ I9, I12.  `aronhold` runs the brackets on a cubic polynomial, exactly on
 exact coefficients.  The concomitants are transvectants of the ground form
 f with the pairing forms P_alpha = sum xi_i x_i, P_beta = sum eta_j y_j and
 P_gamma = sum zeta_k z_k, and so are the degree-6/9/12 invariants
-(`invariant_raws`).  That exact route derives every normalization constant
-by calibration against the closed normal-form formulas (`calibration`); the
-runtime path uses them as pinned literals, which the tests re-derive
-exactly.  The exact route also serves the syzygies and the tests as an oracle.
+(`invariant_raws`): dense `poly_engine.Form` tensors built from the 3x3x3
+array, exact on integer object arrays.  That route derives every
+normalization constant by calibration against the closed normal-form
+formulas (`calibration`); the runtime path uses them as pinned literals,
+which the tests re-derive exactly.  It also serves the twelve syzygies,
+evaluated term by term at a random point, and the tests as an oracle.
 
 The closed invariants C6, C9, C12, C18 of the normal form are written once,
 in `c_formulas` (C9 alone in `c9_formula`), for every scalar type; the form
@@ -38,24 +40,23 @@ import numpy as np
 
 from .cyclotomic import EPS, EPS_COMPLEX, Cyclo, is_exact
 from .poly_engine import (
+    GROUPS,
+    LEVI_CIVITA,
     PERMS3,
+    Form,
     MultiPoly,
     VariableRef,
     group_catalog,
-    make_catalog,
     transvectant,
 )
 from .qutrit_state import (
-    LEVI_CIVITA,
     ParameterTriple,
     State,
     normal_form_amplitudes,
     slice_tensor,
-    trilinear_form,
 )
 
 _PAIRS = {"alpha": ("x", "xi"), "beta": ("y", "eta"), "gamma": ("z", "zeta")}
-FULL_CATALOG = group_catalog(("x", "y", "z", "xi", "eta", "zeta"))
 
 
 class CalibrationError(RuntimeError):
@@ -94,57 +95,51 @@ class CValues(NamedTuple):
 
 @dataclass(frozen=True)
 class ConcomitantBundle:
-    """The named concomitants of one state, as polynomials in the six groups."""
+    """The named concomitants of one state, as forms in the six groups."""
 
-    f: MultiPoly
-    p_alpha: MultiPoly
-    p_beta: MultiPoly
-    p_gamma: MultiPoly
-    q_alpha: MultiPoly
-    q_beta: MultiPoly
-    q_gamma: MultiPoly
-    b_alpha: MultiPoly
-    b_beta: MultiPoly
-    b_gamma: MultiPoly
-    c_alpha_beta: MultiPoly
-    c_beta_alpha: MultiPoly
-    c_alpha_gamma: MultiPoly
-    c_gamma_alpha: MultiPoly
-    c_beta_gamma: MultiPoly
-    c_gamma_beta: MultiPoly
-    d_alpha: MultiPoly
-    d_beta: MultiPoly
-    d_gamma: MultiPoly
-    e_alpha: MultiPoly
-    e_beta: MultiPoly
-    e_gamma: MultiPoly
-    g_alpha: MultiPoly
-    g_beta: MultiPoly
-    g_gamma: MultiPoly
-    h: MultiPoly
+    f: Form
+    p_alpha: Form
+    p_beta: Form
+    p_gamma: Form
+    q_alpha: Form
+    q_beta: Form
+    q_gamma: Form
+    b_alpha: Form
+    b_beta: Form
+    b_gamma: Form
+    c_alpha_beta: Form
+    c_beta_alpha: Form
+    c_alpha_gamma: Form
+    c_gamma_alpha: Form
+    c_beta_gamma: Form
+    c_gamma_beta: Form
+    d_alpha: Form
+    d_beta: Form
+    d_gamma: Form
+    e_alpha: Form
+    e_beta: Form
+    e_gamma: Form
+    g_alpha: Form
+    g_beta: Form
+    g_gamma: Form
+    h: Form
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
-def pairing_form(name: str) -> MultiPoly:
+def pairing_form(name: str) -> Form:
     """P_alpha / P_beta / P_gamma: the pairing of a covariant group with its
-    dual.  Its coefficients are the int 1, which keeps exact forms exact and
-    multiplies complex ones as complex(1, 0) does, so either keeps its bits."""
-    cov, con = _PAIRS[name]
-    catalog = group_catalog((cov, con))
-    poly = MultiPoly.zero(catalog)
-    for i in (1, 2, 3):
-        poly = poly + (MultiPoly.variable(VariableRef(cov, i), catalog)
-                       * MultiPoly.variable(VariableRef(con, i), catalog))
-    return poly
+    dual, the identity matrix.  Its int64 entries become Python ints in an
+    object array and complex(1, 0) in a complex one, so either keeps its bits."""
+    return Form(np.eye(3, dtype=np.int64), _PAIRS[name])
 
 
-def bundle_from_form(f: MultiPoly) -> ConcomitantBundle:
-    """All concomitants of a trilinear form, from their transvectant recipes."""
-    pa, pb, pg = (pairing_form(n) for n in ("alpha", "beta", "gamma"))
-    cat = make_catalog(set(FULL_CATALOG) | set(f.catalog))
-    f_, pa_, pb_, pg_ = (p.with_catalog(cat) for p in (f, pa, pb, pg))
+def bundle_from_form(a) -> ConcomitantBundle:
+    """All concomitants of the trilinear form of a 3x3x3 array, from their
+    transvectant recipes."""
+    f_ = Form(np.asarray(a), ("x", "y", "z"))
+    pa_, pb_, pg_ = (pairing_form(n) for n in ("alpha", "beta", "gamma"))
 
     qa = transvectant(f_, f_, pb_ * pg_, upper=(0, 1, 1))
     qb = transvectant(f_, f_, pa_ * pg_, upper=(1, 0, 1))
@@ -155,30 +150,30 @@ def bundle_from_form(f: MultiPoly) -> ConcomitantBundle:
     bg = transvectant(f_, f_, f_, upper=(1, 1, 0))
 
     quarter = Fraction(1, 4)
-    cab = transvectant(f_, f_, f_ * pb_, upper=(1, 1, 0)).scale(quarter)
-    cba = transvectant(f_, f_, f_ * pa_, upper=(1, 1, 0)).scale(quarter)
-    cag = transvectant(f_, f_, f_ * pg_, upper=(1, 0, 1)).scale(quarter)
-    cga = transvectant(f_, f_, f_ * pa_, upper=(1, 0, 1)).scale(quarter)
-    cbg = transvectant(f_, f_, f_ * pg_, upper=(0, 1, 1)).scale(quarter)
-    cgb = transvectant(f_, f_, f_ * pb_, upper=(0, 1, 1)).scale(quarter)
+    cab = transvectant(f_, f_, f_ * pb_, upper=(1, 1, 0)) * quarter
+    cba = transvectant(f_, f_, f_ * pa_, upper=(1, 1, 0)) * quarter
+    cag = transvectant(f_, f_, f_ * pg_, upper=(1, 0, 1)) * quarter
+    cga = transvectant(f_, f_, f_ * pa_, upper=(1, 0, 1)) * quarter
+    cbg = transvectant(f_, f_, f_ * pg_, upper=(0, 1, 1)) * quarter
+    cgb = transvectant(f_, f_, f_ * pb_, upper=(0, 1, 1)) * quarter
 
-    da = transvectant(f_ * pb_, f_ * pg_, f_, upper=(1, 1, 1)).scale(Fraction(-2))
-    db = transvectant(f_ * pa_, f_ * pg_, f_, upper=(1, 1, 1)).scale(Fraction(2))
-    dg = transvectant(f_ * pa_, f_ * pb_, f_, upper=(1, 1, 1)).scale(Fraction(-2))
+    da = transvectant(f_ * pb_, f_ * pg_, f_, upper=(1, 1, 1)) * -2
+    db = transvectant(f_ * pa_, f_ * pg_, f_, upper=(1, 1, 1)) * 2
+    dg = transvectant(f_ * pa_, f_ * pb_, f_, upper=(1, 1, 1)) * -2
 
     ea = transvectant(qa, f_, pa_, upper=(1, 0, 0))
     eb = transvectant(qb, f_, pb_, upper=(0, 1, 0))
     eg = transvectant(qg, f_, pg_, upper=(0, 0, 1))
 
     t38, t516 = Fraction(-3, 8), Fraction(5, 16)
-    ga = (transvectant(f_ * pb_, f_ * pg_, f_, upper=(0, 1, 1)).scale(t38)
-          + transvectant(f_ * pb_ * pg_, f_, f_, upper=(0, 1, 1)).scale(t516))
-    gb = (transvectant(f_ * pa_, f_ * pg_, f_, upper=(1, 0, 1)).scale(t38)
-          + transvectant(f_ * pa_ * pg_, f_, f_, upper=(1, 0, 1)).scale(t516))
-    gg = (transvectant(f_ * pa_, f_ * pb_, f_, upper=(1, 1, 0)).scale(t38)
-          + transvectant(f_ * pa_ * pb_, f_, f_, upper=(1, 1, 0)).scale(t516))
+    ga = (transvectant(f_ * pb_, f_ * pg_, f_, upper=(0, 1, 1)) * t38
+          + transvectant(f_ * pb_ * pg_, f_, f_, upper=(0, 1, 1)) * t516)
+    gb = (transvectant(f_ * pa_, f_ * pg_, f_, upper=(1, 0, 1)) * t38
+          + transvectant(f_ * pa_ * pg_, f_, f_, upper=(1, 0, 1)) * t516)
+    gg = (transvectant(f_ * pa_, f_ * pb_, f_, upper=(1, 1, 0)) * t38
+          + transvectant(f_ * pa_ * pb_, f_, f_, upper=(1, 1, 0)) * t516)
 
-    h = transvectant(f_ * pa_, f_ * pb_, f_ * pg_, upper=(1, 1, 1)).scale(Fraction(1, 2))
+    h = transvectant(f_ * pa_, f_ * pb_, f_ * pg_, upper=(1, 1, 1)) * Fraction(1, 2)
 
     return ConcomitantBundle(
         f=f_, p_alpha=pa_, p_beta=pb_, p_gamma=pg_,
@@ -194,27 +189,26 @@ def bundle_from_form(f: MultiPoly) -> ConcomitantBundle:
 
 
 def build_concomitants(s: State) -> ConcomitantBundle:
-    return bundle_from_form(s.form())
+    return bundle_from_form(s.amplitudes)
 
 
 # --- raw (uncalibrated) invariant contractions -----------------------------
 
-def invariant_raws(f: MultiPoly) -> dict:
-    """The three fundamental full contractions, before normalization."""
-    cat = make_catalog(set(FULL_CATALOG) | set(f.catalog))
-    pa, pb, pg = (pairing_form(n).with_catalog(cat)
-                  for n in ("alpha", "beta", "gamma"))
-    f = f.with_catalog(cat)
+def invariant_raws(a) -> dict:
+    """The three fundamental full contractions of a 3x3x3 array, before
+    normalization: Python ints on an object array of ints, complex on a
+    complex array."""
+    f = Form(np.asarray(a), ("x", "y", "z"))
+    pa, pb, pg = (pairing_form(n) for n in ("alpha", "beta", "gamma"))
     qa = transvectant(f, f, pb * pg, upper=(0, 1, 1))
     qb = transvectant(f, f, pa * pg, upper=(1, 0, 1))
     ea = transvectant(qa, f, pa, upper=(1, 0, 0))
     eb = transvectant(qb, f, pb, upper=(0, 1, 0))
-    ba = transvectant(f, f, f, upper=(0, 1, 1))
-    baf = ba * f.with_catalog(ba.catalog)
+    baf = transvectant(f, f, f, upper=(0, 1, 1)) * f
     return {
-        "i6": transvectant(qa, qa, qa, upper=(2, 0, 0), lower=(0, 1, 1)).constant_value(),
-        "i9": transvectant(ea, eb, eb, upper=(1, 1, 1), lower=(1, 1, 1)).constant_value(),
-        "i12": transvectant(baf, baf, baf, upper=(4, 1, 1)).constant_value(),
+        "i6": transvectant(qa, qa, qa, upper=(2, 0, 0), lower=(0, 1, 1)).tensor.item(),
+        "i9": transvectant(ea, eb, eb, upper=(1, 1, 1), lower=(1, 1, 1)).tensor.item(),
+        "i12": transvectant(baf, baf, baf, upper=(4, 1, 1)).tensor.item(),
     }
 
 
@@ -573,7 +567,7 @@ def projective_point(s: State, inv: InvariantSet | None = None):
 # --- syzygies ----------------------------------------------------------------
 
 # the twelve syzygies among the concomitants, each a sum of terms that
-# vanishes identically; `_syzygy_parts` reads the terms from these names
+# vanishes identically; `syzygy_terms` reads the terms from these names
 SYZYGY_NAMES = (
     "h + e_alpha - e_gamma + d_beta*p_beta",
     "h + e_beta - e_alpha + d_gamma*p_gamma",
@@ -590,40 +584,43 @@ SYZYGY_NAMES = (
 )
 
 
-def _syzygy_parts(b: ConcomitantBundle, name: str) -> list:
+def syzygy_terms(values: dict, name: str) -> list:
     """The terms of one syzygy of SYZYGY_NAMES, each read from the name as a
-    sign, an integer coefficient and the factors multiplied left to right."""
+    sign, an integer coefficient and the factors multiplied left to right.
+    `values` maps each concomitant name to its value at a point, or to its
+    `Form`, which gives the terms as forms."""
     parts = []
     for term in name.replace(" - ", " + -").split(" + "):
         factors = term.lstrip("-").split("*")
         coeff = int(factors.pop(0)) if factors[0].isdigit() else 1
-        part = math.prod((getattr(b, f) for f in factors[1:]), start=getattr(b, factors[0]))
+        part = math.prod((values[f] for f in factors[1:]), start=values[factors[0]])
         if coeff != 1:
-            part = part.scale(Fraction(coeff))
+            part = part * coeff
         parts.append(-part if term.startswith("-") else part)
     return parts
 
 
 def random_evaluation_point(seed: int) -> dict:
-    """Seeded standard-normal complex assignment of all 18 slot-1 variables."""
+    """Seeded standard-normal complex 3-vector of each group, drawn x1, x2,
+    ..., zeta3, real part before imaginary part."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    point = {}
-    for v in FULL_CATALOG:
-        point[v] = complex(rng.standard_normal(), rng.standard_normal())
-    return point
+    return {g: np.array([complex(rng.standard_normal(), rng.standard_normal())
+                         for _ in range(3)]) for g in GROUPS}
 
 
 def syzygy_residuals(s: State, seed: int = 0):
     """Evaluate the twelve syzygies of SYZYGY_NAMES, as (name, residual)
-    pairs, at `random_evaluation_point(seed)`; each residual is reported
-    relative to the largest of its terms."""
-    bundle = build_concomitants(s)
+    pairs, at `random_evaluation_point(seed)`: each concomitant is evaluated
+    once and each term is the product of its factors' values.  Each residual
+    is reported relative to the largest of its terms."""
     point = random_evaluation_point(seed)
+    values = {name: complex(form.value(point))
+              for name, form in build_concomitants(s).as_dict().items()}
     results = []
     for name in SYZYGY_NAMES:
-        values = [p.eval(point) for p in _syzygy_parts(bundle, name)]
-        total = sum(values)
-        scale = max(abs(v) for v in values)
+        terms = syzygy_terms(values, name)
+        total = sum(terms)
+        scale = max(abs(v) for v in terms)
         residual = 0.0 if scale == 0 else abs(total) / scale
         results.append((name, residual))
     return results
@@ -657,13 +654,10 @@ def calibration() -> dict:
     dict of Fractions (see `calibration_report` for the JSON form)."""
     data: dict = {}
 
-    raws = []
-    targets = []
-    for (u, v, w) in _CAL_TRIPLES:
-        uf, vf, wf = Fraction(u), Fraction(v), Fraction(w)
-        f = trilinear_form(normal_form_amplitudes(uf, vf, wf))
-        raws.append(invariant_raws(f))
-        targets.append(c_formulas(uf, vf, wf))
+    # Python int entries: Fraction entries make the contractions 100 times slower
+    raws = [invariant_raws(np.array(normal_form_amplitudes(*t), dtype=object))
+            for t in _CAL_TRIPLES]
+    targets = [c_formulas(*map(Fraction, t)) for t in _CAL_TRIPLES]
 
     data["i6_scale"] = _fit_constant(
         [(r["i6"], t.c6) for r, t in zip(raws, targets)], "i6_scale")

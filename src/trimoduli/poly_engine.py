@@ -1,23 +1,27 @@
-"""Sparse multivariate polynomial arithmetic with Cayley omega operators.
+"""Forms over six ternary variable groups, dense and sparse.
 
-Polynomials live over six ternary variable groups: the covariant groups
-x, y, z and the contravariant groups xi, eta, zeta.  Each group exists in
-slot copies 1..3 so that a product of three forms can be differentiated
-slot by slot; the omega operator of a group is the 3x3 determinant of
-partial derivatives across the slots, and multiple transvectants are
-omega powers applied to a factored triple followed by identification of
-the slots ("trace").
+The groups are the covariant x, y, z and the contravariant xi, eta, zeta.
+A `Form` is a coefficient tensor with one axis of length 3 per variable:
+the form sum T[i1..id] v1_i1 ... vd_id, the group of each axis named in
+`groups`.  Multiple transvectants act on forms: Cayley's omega operator of
+a group is the 3x3 determinant of partial derivatives across the three
+factors, so omega^n contracts n derivative axes of each factor with n
+Levi-Civita symbols (Olver, *Classical Invariant Theory*, 1999, ch. 6),
+one numpy einsum per transvectant.  Integer object arrays stay exact and
+complex arrays stay complex.
 
-Coefficients are either exact (fractions.Fraction or cyclotomic.Cyclo)
-or complex floats; all operations are pure and the same code serves both
-scalar modes.
+`MultiPoly` is an immutable sparse polynomial, exact (Fraction, Cyclo) or
+complex, for the closed normal-form invariants, their Jacobian and
+invariance proof, ternary cubics, and the trilinear form of a state.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from functools import lru_cache
+import string
+from itertools import permutations
 from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .cyclotomic import to_complex
 
@@ -33,6 +37,19 @@ PERMS3 = (
     ((2, 1, 0), -1),
     ((1, 0, 2), -1),
 )
+
+
+def _levi_civita() -> np.ndarray:
+    """The symbol eps_ijk; integer, so integer arrays contract exactly."""
+    eps = np.zeros((3, 3, 3), dtype=np.int64)
+    for sigma, sign in PERMS3:
+        eps[sigma] = sign
+    eps.setflags(write=False)
+    return eps
+
+
+# the one Levi-Civita symbol of the package
+LEVI_CIVITA = _levi_civita()
 
 
 class PolyError(ValueError):
@@ -69,11 +86,9 @@ def make_catalog(variables: Iterable[VariableRef]) -> tuple[VariableRef, ...]:
     return tuple(vs)
 
 
-def group_catalog(groups: Sequence[str], slots: Sequence[int] = (1,)) -> tuple[VariableRef, ...]:
-    """Catalog holding all three indices of the given groups and slots."""
-    return make_catalog(
-        VariableRef(g, i, s) for g in groups for i in (1, 2, 3) for s in slots
-    )
+def group_catalog(groups: Sequence[str]) -> tuple[VariableRef, ...]:
+    """Slot-1 catalog holding all three indices of the given groups."""
+    return make_catalog(VariableRef(g, i) for g in groups for i in (1, 2, 3))
 
 
 class MultiPoly:
@@ -151,19 +166,6 @@ class MultiPoly:
                 d += e
             best = max(best, d)
         return best
-
-    def degree_profile(self) -> dict[str, int]:
-        """Max degree per group, in one pass over the terms."""
-        profile = {g: 0 for g in GROUPS}
-        for exps in self.terms:
-            per_group = {g: 0 for g in GROUPS}
-            for v, e in zip(self.catalog, exps):
-                if e:
-                    per_group[v.group] += e
-            for g, d in per_group.items():
-                if d > profile[g]:
-                    profile[g] = d
-        return profile
 
     def variables_present(self) -> tuple[VariableRef, ...]:
         used = set()
@@ -349,203 +351,104 @@ class MultiPoly:
         return hash(tuple(self.term_items()))
 
 
-@lru_cache(maxsize=None)
-def _omega_expansion(power: int):
-    """Expansion of omega^power as joint derivative assignments.
-
-    Returns a tuple of ((m1, m2, m3), coeff): multi-indices (3-tuples over
-    the group's indices) received by slots 1..3, with integer coefficients.
-    """
-    terms = {((0, 0, 0), (0, 0, 0), (0, 0, 0)): 1}
-    for _ in range(power):
-        new: dict[tuple, int] = {}
-        for (m1, m2, m3), c in terms.items():
-            for sigma, sign in PERMS3:
-                ms = []
-                for m, idx in zip((m1, m2, m3), sigma):
-                    lst = list(m)
-                    lst[idx] += 1
-                    ms.append(tuple(lst))
-                key = tuple(ms)
-                new[key] = new.get(key, 0) + sign * c
-        terms = {k: v for k, v in new.items() if v}
-    return tuple(terms.items())
 
 
-class FactoredTriple:
-    """Three factors, one per slot, with a pending omega budget.
+class Form(NamedTuple):
+    """A form as a coefficient tensor whose axis k carries a variable of
+    group groups[k], the groups sorted in GROUPS order.  Any tensor whose
+    symmetrization over the axes of each group is the form's coefficient
+    tensor represents the form."""
 
-    Evaluation distributes the derivatives over the factors (six signed
-    terms per omega application, memoized mixed partials per factor)
-    instead of expanding the triple product, which keeps high-degree
-    contractions feasible.
-    """
+    tensor: np.ndarray
+    groups: tuple
 
-    def __init__(self, f1: MultiPoly, f2: MultiPoly, f3: MultiPoly,
-                 upper: tuple[int, int, int] = (0, 0, 0),
-                 lower: tuple[int, int, int] = (0, 0, 0)):
-        for f in (f1, f2, f3):
-            for v in f.variables_present():
-                if v.slot != 1:
-                    raise PolyError("transvectant factors must live in slot 1")
-        if len(upper) != 3 or len(lower) != 3 or min(*upper, *lower) < 0:
-            raise PolyError("omega budgets must be three nonnegative integers each")
-        self.factors = (f1, f2, f3)
-        self.upper = tuple(upper)
-        self.lower = tuple(lower)
-        self.budget = {g: n for g, n in zip(GROUPS, (*upper, *lower)) if n}
+    def __add__(self, other: "Form") -> "Form":
+        if self.groups != other.groups:
+            raise PolyError(f"cannot add forms over {self.groups} and {other.groups}")
+        return Form(self.tensor + other.tensor, self.groups)
 
-    def output_catalog(self) -> tuple[VariableRef, ...]:
-        vs = set()
-        for f in self.factors:
-            vs.update(f.catalog)
-        return make_catalog(vs)
+    def __neg__(self) -> "Form":
+        return Form(-self.tensor, self.groups)
 
-    def evaluate(self) -> MultiPoly:
-        catalog = self.output_catalog()
-        budget = self.budget
-        if not budget:
-            p = self.factors[0].with_catalog(catalog)
-            for f in self.factors[1:]:
-                p = p * f.with_catalog(catalog)
-            return p
+    def __mul__(self, other) -> "Form":
+        """The product with a form, as an outer product with the axes
+        stable-sorted by group, or with a scalar.  A complex tensor takes the
+        scalar as complex, so that a Fraction keeps it a complex array."""
+        if not isinstance(other, Form):
+            if self.tensor.dtype.kind == "c":
+                other = complex(other)
+            return Form(self.tensor * other, self.groups)
+        return _sorted_form(np.multiply.outer(self.tensor, other.tensor),
+                            self.groups + other.groups)
 
-        profiles = [f.degree_profile() for f in self.factors]
+    __rmul__ = __mul__
 
-        # a degree deficit in any factor kills every term
-        for prof in profiles:
-            for g, n in budget.items():
-                if prof[g] < n:
-                    return MultiPoly.zero(catalog)
-
-        groups = sorted(budget, key=_GROUP_RANK.get)
-        tables = [_omega_expansion(budget[g]) for g in groups]
-        full_contraction = all(
-            prof[g] == budget.get(g, 0) for prof in profiles for g in GROUPS
-        )
-
-        # positions of each group's three indices inside each factor catalog
-
-        def group_positions(f: MultiPoly):
-            pos = {}
-            for g in groups:
-                pos[g] = tuple(f._pos.get(VariableRef(g, i, 1)) for i in (1, 2, 3))
-            return pos
-
-        positions = [group_positions(f) for f in self.factors]
-
-        def exponent_key(f_idx: int, assignment) -> tuple | None:
-            """Dense derivative-order vector for one factor, or None if it
-            requires a variable the factor does not carry."""
-            f = self.factors[f_idx]
-            vec = [0] * len(f.catalog)
-            for g_idx, m in enumerate(assignment):
-                pos3 = positions[f_idx][groups[g_idx]]
-                for i in (0, 1, 2):
-                    if m[i]:
-                        p = pos3[i]
-                        if p is None:
-                            return None
-                        vec[p] += m[i]
-            return tuple(vec)
-
-        if full_contraction:
-            caches: list[dict] = [{}, {}, {}]
-
-            def deriv_value(f_idx: int, assignment):
-                cache = caches[f_idx]
-                val = cache.get(assignment)
-                if val is None:
-                    key = exponent_key(f_idx, assignment)
-                    if key is None:
-                        val = 0
-                    else:
-                        coeff = self.factors[f_idx].terms.get(key, 0)
-                        if coeff:
-                            fact = 1
-                            for e in key:
-                                if e > 1:
-                                    fact *= math.factorial(e)
-                            val = coeff * fact
-                        else:
-                            val = 0
-                    cache[assignment] = val
-                return val
-
-            total = 0
-            for combo in itertools.product(*tables):
-                coeff = 1
-                for _, c in combo:
-                    coeff *= c
-                per_slot = tuple(zip(*(ms for ms, _ in combo)))
-                v1 = deriv_value(0, per_slot[0])
-                if not v1:
-                    continue
-                v2 = deriv_value(1, per_slot[1])
-                if not v2:
-                    continue
-                v3 = deriv_value(2, per_slot[2])
-                if not v3:
-                    continue
-                total = total + coeff * v1 * v2 * v3
-            return MultiPoly.constant(total, catalog) if total else MultiPoly.zero(catalog)
-
-        poly_caches: list[dict] = [{}, {}, {}]
-
-        def deriv_poly(f_idx: int, assignment) -> MultiPoly:
-            cache = poly_caches[f_idx]
-            p = cache.get(assignment)
-            if p is None:
-                f = self.factors[f_idx]
-                orders = {}
-                for g_idx, m in enumerate(assignment):
-                    for i in (0, 1, 2):
-                        if m[i]:
-                            orders[VariableRef(groups[g_idx], i + 1, 1)] = m[i]
-                missing = [v for v in orders if v not in f._pos]
-                if missing:
-                    p = MultiPoly.zero(catalog)
-                else:
-                    p = f.diff_multi(orders).with_catalog(catalog)
-                cache[assignment] = p
-            return p
-
-        accum: dict[tuple, object] = {}
-        for combo in itertools.product(*tables):
-            coeff = 1
-            for _, c in combo:
-                coeff *= c
-            per_slot = tuple(zip(*(ms for ms, _ in combo)))
-            p1 = deriv_poly(0, per_slot[0])
-            if p1.is_zero():
-                continue
-            p2 = deriv_poly(1, per_slot[1])
-            if p2.is_zero():
-                continue
-            p3 = deriv_poly(2, per_slot[2])
-            if p3.is_zero():
-                continue
-            prod = p1 * p2 * p3
-            for exps, c in prod.terms.items():
-                add = coeff * c
-                acc = accum.get(exps)
-                if acc is None:
-                    accum[exps] = add
-                else:
-                    total = acc + add
-                    if total:
-                        accum[exps] = total
-                    else:
-                        del accum[exps]
-        return MultiPoly(catalog, accum)
+    def value(self, point: Mapping[str, np.ndarray]):
+        """The form at a point that maps each group to its 3-vector."""
+        t = self.tensor
+        for g in reversed(self.groups):
+            t = t @ point[g]
+        return t
 
 
-def transvectant(f1: MultiPoly, f2: MultiPoly, f3: MultiPoly,
-                 upper: tuple[int, int, int] = (0, 0, 0),
-                 lower: tuple[int, int, int] = (0, 0, 0)) -> MultiPoly:
-    """Multiple transvectant of three single-slot forms.
+def _sorted_form(tensor: np.ndarray, groups: Sequence[str]) -> Form:
+    order = sorted(range(len(groups)), key=lambda k: _GROUP_RANK[groups[k]])
+    return Form(tensor.transpose(order), tuple(groups[k] for k in order))
 
-    Places f_i in slot i, applies omega_x^n1 omega_y^n2 omega_z^n3 and
-    omega_xi^m1 omega_eta^m2 omega_zeta^m3, and identifies the slots.
-    """
-    return FactoredTriple(f1, f2, f3, upper, lower).evaluate()
+
+def _differentiated(f: Form, budget: Mapping[str, int]) -> np.ndarray:
+    """The tensor of f with n derivative axes first in the block of each
+    group g with budget n: the sum over the ordered choices of n of the
+    block's d axes, the others kept in order, which represents the n-th
+    derivatives d^n f / dg_a1 ... dg_an.  It has d!/(d-n)! terms and no
+    division, so integer tensors stay integer."""
+    t = f.tensor
+    for g, n in budget.items():
+        block = [k for k, h in enumerate(f.groups) if h == g]
+        if len(block) < n:
+            raise PolyError(f"degree deficit: omega_{g}^{n} on a form of degree {len(block)}")
+        axes = list(range(t.ndim))
+        terms = []
+        for chosen in permutations(block, n):
+            axes[block[0]:block[-1] + 1] = [*chosen, *(k for k in block if k not in chosen)]
+            terms.append(t.transpose(axes))
+        t = sum(terms[1:], terms[0])
+    return t
+
+
+def transvectant(f1: Form, f2: Form, f3: Form, upper: tuple[int, int, int],
+                 lower: tuple[int, int, int] = (0, 0, 0)) -> Form:
+    """Multiple transvectant of three forms: omega_x^n1 omega_y^n2
+    omega_z^n3 omega_xi^m1 omega_eta^m2 omega_zeta^m3 for upper = (n1, n2,
+    n3) and lower = (m1, m2, m3), applied to f1 f2 f3 in separate variables,
+    which are then identified.  The j-th derivative axes of group g of the
+    three factors are joined by one Levi-Civita symbol; the free axes are
+    stable-sorted by group.  PolyError on a degree deficit.
+
+    The einsum path is fixed: f1, the first symbol, f2, the other symbols,
+    f3.  A greedy or optimal path search picks orders that are far slower
+    on the degree-12 contraction (seconds against tens of milliseconds)."""
+    budget = {g: n for g, n in zip(GROUPS, (*upper, *lower)) if n}
+    letters = iter(string.ascii_letters)
+    joined: dict[tuple, str] = {(g, j): "" for g, n in budget.items() for j in range(n)}
+    subs, free = [], []
+    for f in (f1, f2, f3):
+        sub, seen = "", dict.fromkeys(budget, 0)
+        for g in f.groups:
+            letter = next(letters)
+            sub += letter
+            if seen.get(g, 0) < budget.get(g, 0):
+                joined[g, seen[g]] += letter
+                seen[g] += 1
+            else:
+                free.append((g, letter))
+        subs.append(sub)
+    free.sort(key=lambda gl: _GROUP_RANK[gl[0]])
+    symbols = list(joined.values())
+    eps = [LEVI_CIVITA] * len(symbols)
+    t1, t2, t3 = (_differentiated(f, budget) for f in (f1, f2, f3))
+    subscripts = [subs[0], *symbols[:1], subs[1], *symbols[1:], subs[2]]
+    path = ["einsum_path", (0, 1), *((0, k) for k in range(len(subscripts) - 2, 0, -1))]
+    out = np.einsum(f"{','.join(subscripts)}->{''.join(l for _, l in free)}",
+                    t1, *eps[:1], t2, *eps[1:], t3, optimize=path)
+    return Form(np.asarray(out), tuple(g for g, _ in free))

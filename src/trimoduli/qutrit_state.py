@@ -2,24 +2,26 @@
 
 A state is identified with the trilinear form sum_ijk A[i,j,k] x_i y_j z_k;
 the local group SL(3,C)^x3 acts by contracting each tensor leg with the
-matching matrix.  This module also holds the one Levi-Civita symbol of the
-package and the slice tensor, the determinant of a slice as a symmetric
-3x3x3 tensor (by numpy einsum; `slice_cubic` writes it out as a polynomial),
-and builds the three-parameter normal-form family, reduced densities, the
-tangent map of sl(3)^3 on the Gell-Mann matrices (the filtering iteration's
-derivatives and the orbit dimension), and the JSON state file format.
+matching matrix.  This module also holds the slice tensor, the determinant
+of a slice as a symmetric 3x3x3 tensor (by numpy einsum against the
+Levi-Civita symbol of `poly_engine`; `slice_cubic` writes it out as a
+polynomial), and builds the three-parameter normal-form family, reduced
+densities, the tangent map of sl(3)^3 on the Gell-Mann matrices (the
+filtering iteration's derivatives and the orbit dimension), and the JSON
+state file format.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
 
-from .poly_engine import PERMS3, MultiPoly, VariableRef, group_catalog
+from .poly_engine import LEVI_CIVITA, MultiPoly, VariableRef, group_catalog
 
 STATE_FORMAT = "trimoduli-state-v1"
 
@@ -28,17 +30,6 @@ STATE_FORMAT = "trimoduli-state-v1"
 ODD_TRIPLES = ((1, 3, 2), (2, 1, 3), (3, 2, 1))
 EVEN_TRIPLES = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
-
-def _levi_civita() -> np.ndarray:
-    """The symbol eps_ijk; integer, so integer arrays contract exactly."""
-    eps = np.zeros((3, 3, 3), dtype=np.int64)
-    for sigma, sign in PERMS3:
-        eps[sigma] = sign
-    eps.setflags(write=False)
-    return eps
-
-
-LEVI_CIVITA = _levi_civita()
 
 _E = np.eye(3)
 # the Gell-Mann matrices, tr(l_a l_b) = 2 delta_ab
@@ -267,10 +258,11 @@ def read_state(path) -> State:
         if not isinstance(entry, list) or len(entry) != 2:
             raise StateIOError("each amplitude must be an [re, im] pair")
         re, im = entry
-        if not all(isinstance(p, (int, float)) for p in (re, im)):
+        # JSON true and false load as bools, and an int may exceed the float range
+        if not all(type(p) in (int, float) for p in (re, im)):
             raise StateIOError("amplitude components must be numbers")
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise StateIOError("non-finite amplitude in state file")
+        if not all(abs(p) <= sys.float_info.max for p in (re, im)):
+            raise StateIOError("non-finite or out-of-range amplitude in state file")
         values.append(complex(re, im))
     amp = np.array(values, dtype=complex).reshape(3, 3, 3)
     return State(amp)

@@ -1,7 +1,10 @@
 """Slow reference implementations that the tests compare the package with.
 
 Nothing in the package calls these: the slot-copy omega calculus (expand the
-triple product, differentiate symbolically, identify the slots), the numpy
+triple product, differentiate symbolically, identify the slots), the sparse
+transvectant engine that the dense `poly_engine.transvectant` replaced (omega
+expansions distributed over a factored triple) with the concomitant recipes
+on it, a dense form written out as a sparse polynomial, the numpy
 companion-matrix root finder, the slice cubic as a direct expansion of its
 determinant, the Aronhold brackets as loops over permutations, I6 and I9 as
 chains of einsum contractions against the Levi-Civita symbols, and the form
@@ -15,6 +18,8 @@ on invariants taken exactly over Q(i).
 """
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -29,9 +34,11 @@ from trimoduli.poly_engine import (
     _GROUP_RANK,
     GROUPS,
     PERMS3,
+    Form,
     MultiPoly,
     PolyError,
     VariableRef,
+    group_catalog,
     make_catalog,
 )
 from trimoduli.qutrit_state import (
@@ -113,6 +120,273 @@ def transvectant_naive(f1: MultiPoly, f2: MultiPoly, f3: MultiPoly,
     for g in sorted(budget, key=_GROUP_RANK.get):
         prod = omega_apply(prod, g, budget[g])
     return trace_collapse(prod)
+
+
+def form_to_poly(form: Form) -> MultiPoly:
+    """The form as a sparse slot-1 polynomial: the monomial of each tensor
+    entry, the entries of equal monomials added."""
+    catalog = group_catalog(sorted(set(form.groups), key=_GROUP_RANK.get))
+    pos = {v: n for n, v in enumerate(catalog)}
+    tensor = form.tensor.astype(object)
+    terms: dict[tuple, object] = {}
+    for idx in np.ndindex(tensor.shape):
+        key = [0] * len(catalog)
+        for g, i in zip(form.groups, idx):
+            key[pos[VariableRef(g, i + 1)]] += 1
+        key = tuple(key)
+        terms[key] = terms.get(key, 0) + tensor[idx]
+    return MultiPoly(catalog, terms)
+
+
+def degree_profile(p: MultiPoly) -> dict[str, int]:
+    """Max degree per group, in one pass over the terms."""
+    profile = {g: 0 for g in GROUPS}
+    for exps in p.terms:
+        per_group = {g: 0 for g in GROUPS}
+        for v, e in zip(p.catalog, exps):
+            if e:
+                per_group[v.group] += e
+        for g, d in per_group.items():
+            if d > profile[g]:
+                profile[g] = d
+    return profile
+
+
+@lru_cache(maxsize=None)
+def _omega_expansion(power: int):
+    """Expansion of omega^power as joint derivative assignments.
+
+    Returns a tuple of ((m1, m2, m3), coeff): multi-indices (3-tuples over
+    the group's indices) received by slots 1..3, with integer coefficients.
+    """
+    terms = {((0, 0, 0), (0, 0, 0), (0, 0, 0)): 1}
+    for _ in range(power):
+        new: dict[tuple, int] = {}
+        for (m1, m2, m3), c in terms.items():
+            for sigma, sign in PERMS3:
+                ms = []
+                for m, idx in zip((m1, m2, m3), sigma):
+                    lst = list(m)
+                    lst[idx] += 1
+                    ms.append(tuple(lst))
+                key = tuple(ms)
+                new[key] = new.get(key, 0) + sign * c
+        terms = {k: v for k, v in new.items() if v}
+    return tuple(terms.items())
+
+
+class FactoredTriple:
+    """Three factors, one per slot, with a pending omega budget.
+
+    Evaluation distributes the derivatives over the factors (six signed
+    terms per omega application, memoized mixed partials per factor)
+    instead of expanding the triple product, which keeps high-degree
+    contractions feasible.
+    """
+
+    def __init__(self, f1: MultiPoly, f2: MultiPoly, f3: MultiPoly,
+                 upper: tuple[int, int, int] = (0, 0, 0),
+                 lower: tuple[int, int, int] = (0, 0, 0)):
+        for f in (f1, f2, f3):
+            for v in f.variables_present():
+                if v.slot != 1:
+                    raise PolyError("transvectant factors must live in slot 1")
+        if len(upper) != 3 or len(lower) != 3 or min(*upper, *lower) < 0:
+            raise PolyError("omega budgets must be three nonnegative integers each")
+        self.factors = (f1, f2, f3)
+        self.upper = tuple(upper)
+        self.lower = tuple(lower)
+        self.budget = {g: n for g, n in zip(GROUPS, (*upper, *lower)) if n}
+
+    def output_catalog(self) -> tuple[VariableRef, ...]:
+        vs = set()
+        for f in self.factors:
+            vs.update(f.catalog)
+        return make_catalog(vs)
+
+    def evaluate(self) -> MultiPoly:
+        catalog = self.output_catalog()
+        budget = self.budget
+        if not budget:
+            p = self.factors[0].with_catalog(catalog)
+            for f in self.factors[1:]:
+                p = p * f.with_catalog(catalog)
+            return p
+
+        profiles = [degree_profile(f) for f in self.factors]
+
+        # a degree deficit in any factor kills every term
+        for prof in profiles:
+            for g, n in budget.items():
+                if prof[g] < n:
+                    return MultiPoly.zero(catalog)
+
+        groups = sorted(budget, key=_GROUP_RANK.get)
+        tables = [_omega_expansion(budget[g]) for g in groups]
+        full_contraction = all(
+            prof[g] == budget.get(g, 0) for prof in profiles for g in GROUPS
+        )
+
+        # positions of each group's three indices inside each factor catalog
+
+        def group_positions(f: MultiPoly):
+            pos = {}
+            for g in groups:
+                pos[g] = tuple(f._pos.get(VariableRef(g, i, 1)) for i in (1, 2, 3))
+            return pos
+
+        positions = [group_positions(f) for f in self.factors]
+
+        def exponent_key(f_idx: int, assignment) -> tuple | None:
+            """Dense derivative-order vector for one factor, or None if it
+            requires a variable the factor does not carry."""
+            f = self.factors[f_idx]
+            vec = [0] * len(f.catalog)
+            for g_idx, m in enumerate(assignment):
+                pos3 = positions[f_idx][groups[g_idx]]
+                for i in (0, 1, 2):
+                    if m[i]:
+                        p = pos3[i]
+                        if p is None:
+                            return None
+                        vec[p] += m[i]
+            return tuple(vec)
+
+        if full_contraction:
+            caches: list[dict] = [{}, {}, {}]
+
+            def deriv_value(f_idx: int, assignment):
+                cache = caches[f_idx]
+                val = cache.get(assignment)
+                if val is None:
+                    key = exponent_key(f_idx, assignment)
+                    if key is None:
+                        val = 0
+                    else:
+                        coeff = self.factors[f_idx].terms.get(key, 0)
+                        if coeff:
+                            fact = 1
+                            for e in key:
+                                if e > 1:
+                                    fact *= math.factorial(e)
+                            val = coeff * fact
+                        else:
+                            val = 0
+                    cache[assignment] = val
+                return val
+
+            total = 0
+            for combo in itertools.product(*tables):
+                coeff = 1
+                for _, c in combo:
+                    coeff *= c
+                per_slot = tuple(zip(*(ms for ms, _ in combo)))
+                v1 = deriv_value(0, per_slot[0])
+                if not v1:
+                    continue
+                v2 = deriv_value(1, per_slot[1])
+                if not v2:
+                    continue
+                v3 = deriv_value(2, per_slot[2])
+                if not v3:
+                    continue
+                total = total + coeff * v1 * v2 * v3
+            return MultiPoly.constant(total, catalog) if total else MultiPoly.zero(catalog)
+
+        poly_caches: list[dict] = [{}, {}, {}]
+
+        def deriv_poly(f_idx: int, assignment) -> MultiPoly:
+            cache = poly_caches[f_idx]
+            p = cache.get(assignment)
+            if p is None:
+                f = self.factors[f_idx]
+                orders = {}
+                for g_idx, m in enumerate(assignment):
+                    for i in (0, 1, 2):
+                        if m[i]:
+                            orders[VariableRef(groups[g_idx], i + 1, 1)] = m[i]
+                missing = [v for v in orders if v not in f._pos]
+                if missing:
+                    p = MultiPoly.zero(catalog)
+                else:
+                    p = f.diff_multi(orders).with_catalog(catalog)
+                cache[assignment] = p
+            return p
+
+        accum: dict[tuple, object] = {}
+        for combo in itertools.product(*tables):
+            coeff = 1
+            for _, c in combo:
+                coeff *= c
+            per_slot = tuple(zip(*(ms for ms, _ in combo)))
+            p1 = deriv_poly(0, per_slot[0])
+            if p1.is_zero():
+                continue
+            p2 = deriv_poly(1, per_slot[1])
+            if p2.is_zero():
+                continue
+            p3 = deriv_poly(2, per_slot[2])
+            if p3.is_zero():
+                continue
+            prod = p1 * p2 * p3
+            for exps, c in prod.terms.items():
+                add = coeff * c
+                acc = accum.get(exps)
+                if acc is None:
+                    accum[exps] = add
+                else:
+                    total = acc + add
+                    if total:
+                        accum[exps] = total
+                    else:
+                        del accum[exps]
+        return MultiPoly(catalog, accum)
+
+
+def transvectant_sparse(f1: MultiPoly, f2: MultiPoly, f3: MultiPoly,
+                        upper: tuple[int, int, int],
+                        lower: tuple[int, int, int] = (0, 0, 0)) -> MultiPoly:
+    """The multiple transvectant of three slot-1 polynomials on the sparse engine."""
+    return FactoredTriple(f1, f2, f3, upper, lower).evaluate()
+
+
+def bundle_sparse(f: MultiPoly) -> dict:
+    """The 26 concomitants of a trilinear form by the recipes of
+    `concomitants.bundle_from_form`, on the sparse engine."""
+    catalog = group_catalog(GROUPS)
+    pairs = {"alpha": ("x", "xi"), "beta": ("y", "eta"), "gamma": ("z", "zeta")}
+    pa, pb, pg = (sum((MultiPoly.variable(VariableRef(cov, i), catalog)
+                       * MultiPoly.variable(VariableRef(con, i), catalog) for i in (1, 2, 3)),
+                      MultiPoly.zero(catalog)) for cov, con in pairs.values())
+    f = f.with_catalog(catalog)
+    tv = transvectant_sparse
+    qa, qb, qg = (tv(f, f, pb * pg, (0, 1, 1)), tv(f, f, pa * pg, (1, 0, 1)),
+                  tv(f, f, pa * pb, (1, 1, 0)))
+    t38, t516 = Fraction(-3, 8), Fraction(5, 16)
+    return {
+        "f": f, "p_alpha": pa, "p_beta": pb, "p_gamma": pg,
+        "q_alpha": qa, "q_beta": qb, "q_gamma": qg,
+        "b_alpha": tv(f, f, f, (0, 1, 1)), "b_beta": tv(f, f, f, (1, 0, 1)),
+        "b_gamma": tv(f, f, f, (1, 1, 0)),
+        "c_alpha_beta": tv(f, f, f * pb, (1, 1, 0)).scale(Fraction(1, 4)),
+        "c_beta_alpha": tv(f, f, f * pa, (1, 1, 0)).scale(Fraction(1, 4)),
+        "c_alpha_gamma": tv(f, f, f * pg, (1, 0, 1)).scale(Fraction(1, 4)),
+        "c_gamma_alpha": tv(f, f, f * pa, (1, 0, 1)).scale(Fraction(1, 4)),
+        "c_beta_gamma": tv(f, f, f * pg, (0, 1, 1)).scale(Fraction(1, 4)),
+        "c_gamma_beta": tv(f, f, f * pb, (0, 1, 1)).scale(Fraction(1, 4)),
+        "d_alpha": tv(f * pb, f * pg, f, (1, 1, 1)).scale(Fraction(-2)),
+        "d_beta": tv(f * pa, f * pg, f, (1, 1, 1)).scale(Fraction(2)),
+        "d_gamma": tv(f * pa, f * pb, f, (1, 1, 1)).scale(Fraction(-2)),
+        "e_alpha": tv(qa, f, pa, (1, 0, 0)), "e_beta": tv(qb, f, pb, (0, 1, 0)),
+        "e_gamma": tv(qg, f, pg, (0, 0, 1)),
+        "g_alpha": (tv(f * pb, f * pg, f, (0, 1, 1)).scale(t38)
+                    + tv(f * pb * pg, f, f, (0, 1, 1)).scale(t516)),
+        "g_beta": (tv(f * pa, f * pg, f, (1, 0, 1)).scale(t38)
+                   + tv(f * pa * pg, f, f, (1, 0, 1)).scale(t516)),
+        "g_gamma": (tv(f * pa, f * pb, f, (1, 1, 0)).scale(t38)
+                    + tv(f * pa * pb, f, f, (1, 1, 0)).scale(t516)),
+        "h": tv(f * pa, f * pb, f * pg, (1, 1, 1)).scale(Fraction(1, 2)),
+    }
 
 
 def companion_roots(coeffs) -> list[complex]:

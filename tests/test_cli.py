@@ -424,6 +424,29 @@ def test_missing_state_file(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def _state_file_with(tmp_path, entry):
+    """A state file whose first amplitude is `entry` (raw JSON), the rest 0."""
+    path = tmp_path / "odd.json"
+    path.write_text('{"format": "trimoduli-state-v1", "amplitudes": ['
+                    + ", ".join([entry] + ["[0, 0]"] * 26) + "]}")
+    return path
+
+
+def test_boolean_amplitude_rejected(tmp_path, capsys):
+    # JSON true and false are not numbers, though Python bools are ints
+    code, out, err = run_cli(capsys, "invariants", str(_state_file_with(tmp_path, "[true, false]")))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out == ""
+    assert err == "error: amplitude components must be numbers\n"
+
+
+def test_amplitude_beyond_float_range_rejected(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "invariants", str(_state_file_with(tmp_path, f"[{10 ** 400}, 0]")))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out == ""
+    assert err == "error: non-finite or out-of-range amplitude in state file\n"
+
+
 def test_classify_discriminant_out_of_float_range(tmp_path, capsys):
     # D = b^2 (b^3 - c^2)^4 has weighted degree 168: finite at unit scale,
     # beyond float range (reported as null) for states scaled by 1e3 or more

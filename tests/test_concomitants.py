@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trimoduli import concomitants as con
-from trimoduli.poly_engine import VariableRef, transvectant
+from trimoduli.poly_engine import GROUPS, Form, VariableRef, transvectant
 from trimoduli.qutrit_state import (
     State,
     normal_form_amplitudes,
@@ -17,11 +17,22 @@ from trimoduli.qutrit_state import (
     trilinear_form,
 )
 
-from oracles import aronhold_raws_loop, dense_raws_einsum, slice_cubic_expansion
+from oracles import (
+    aronhold_raws_loop,
+    bundle_sparse,
+    dense_raws_einsum,
+    form_to_poly,
+    slice_cubic_expansion,
+)
 
 ZERO_STATE = State(np.zeros((3, 3, 3), dtype=complex))
 PRODUCT_111 = np.zeros((3, 3, 3), dtype=complex)
 PRODUCT_111[0, 0, 0] = 1.0
+
+
+def int_array(amplitudes):
+    """An object array of Python ints, on which the concomitants are exact."""
+    return np.array(amplitudes, dtype=object)
 
 
 def poly_close(p, q, tol=1e-9):
@@ -67,15 +78,14 @@ class TestCalibration:
 class TestBundle:
     def test_zero_state_all_zero(self):
         bundle = con.build_concomitants(ZERO_STATE)
-        for name, poly in bundle.as_dict().items():
+        for name, form in bundle.as_dict().items():
             if name.startswith("p_"):
                 continue
-            assert poly.is_zero(), name
+            assert not form.tensor.any(), name
 
     def test_b_alpha_of_diagonal_form(self):
-        f = trilinear_form(normal_form_amplitudes(Fraction(1), Fraction(0), Fraction(0)))
-        bundle = con.bundle_from_form(f)
-        sig = dict(bundle.b_alpha.term_items())
+        bundle = con.bundle_from_form(int_array(normal_form_amplitudes(1, 0, 0)))
+        sig = dict(form_to_poly(bundle.b_alpha).term_items())
         assert len(sig) == 1
         ((key, coeff),) = sig.items()
         assert coeff == 6
@@ -83,10 +93,28 @@ class TestBundle:
 
     def test_syzygy_exact_polynomial_identity(self):
         # 3*C_ab - B_gamma*P_beta vanishes identically, checked exactly
-        f = trilinear_form(normal_form_amplitudes(Fraction(1), Fraction(2), Fraction(3)))
-        b = con.bundle_from_form(f)
-        lhs = b.c_alpha_beta.scale(Fraction(3)) - b.b_gamma * b.p_beta
-        assert lhs.is_zero()
+        b = con.bundle_from_form(int_array(normal_form_amplitudes(1, 2, 3)))
+        lhs = b.c_alpha_beta * 3 + -(b.b_gamma * b.p_beta)
+        assert form_to_poly(lhs).is_zero()
+
+    def test_all_syzygies_vanish_exactly(self):
+        amp = np.random.default_rng(44).integers(-3, 4, size=(3, 3, 3))
+        forms = con.bundle_from_form(amp.astype(object)).as_dict()
+        for name in con.SYZYGY_NAMES:
+            terms = con.syzygy_terms(forms, name)
+            assert not any(form_to_poly(t).is_zero() for t in terms), name
+            assert form_to_poly(sum(terms[1:], terms[0])).is_zero(), name
+
+    def test_matches_sparse_recipes(self):
+        # each of the 26 concomitants equals the old recipes on the sparse
+        # engine, exactly, on a random integer array and a normal form
+        amp = np.random.default_rng(45).integers(-3, 4, size=(3, 3, 3))
+        for a in (amp.astype(object), int_array(normal_form_amplitudes(1, 2, -3))):
+            dense = con.bundle_from_form(a).as_dict()
+            sparse = bundle_sparse(trilinear_form(a))
+            assert set(dense) == set(sparse)
+            for name, form in dense.items():
+                assert form_to_poly(form) == sparse[name], name
 
     def test_degree_profiles(self):
         s = random_state(50)
@@ -102,8 +130,7 @@ class TestBundle:
             "h": (1, 1, 1, 1, 1, 1),
         }
         for name, want in profiles.items():
-            prof = getattr(b, name).degree_profile()
-            got = tuple(prof[g] for g in ("x", "y", "z", "xi", "eta", "zeta"))
+            got = tuple(getattr(b, name).groups.count(g) for g in GROUPS)
             assert got == want, name
 
 
@@ -143,19 +170,16 @@ class TestInvariants:
 
     def test_dual_i6_expressions_agree(self, calibrated):
         for seed in (81, 82):
-            f = random_state(seed).form()
-            cat = con.make_catalog(set(con.FULL_CATALOG) | set(f.catalog))
-            f_ = f.with_catalog(cat)
-            pa, pb, pg = (con.pairing_form(n).with_catalog(cat)
-                          for n in ("alpha", "beta", "gamma"))
+            f_ = Form(random_state(seed).amplitudes, ("x", "y", "z"))
+            pa, pb, pg = (con.pairing_form(n) for n in ("alpha", "beta", "gamma"))
             qa = transvectant(f_, f_, pb * pg, upper=(0, 1, 1))
             qb = transvectant(f_, f_, pa * pg, upper=(1, 0, 1))
             qg = transvectant(f_, f_, pa * pb, upper=(1, 1, 0))
-            via_a = transvectant(qa, qa, qa, upper=(2, 0, 0), lower=(0, 1, 1)).constant_value() / 96
-            via_b = transvectant(qb, qb, qb, upper=(0, 2, 0), lower=(1, 0, 1)).constant_value() / 96
-            via_g = transvectant(qg, qg, qg, upper=(0, 0, 2), lower=(1, 1, 0)).constant_value() / 96
+            via_a = transvectant(qa, qa, qa, upper=(2, 0, 0), lower=(0, 1, 1)).tensor.item() / 96
+            via_b = transvectant(qb, qb, qb, upper=(0, 2, 0), lower=(1, 0, 1)).tensor.item() / 96
+            via_g = transvectant(qg, qg, qg, upper=(0, 0, 2), lower=(1, 1, 0)).tensor.item() / 96
             f2 = f_ * f_
-            via_f = transvectant(f2, f2, f2, upper=(2, 2, 2)).constant_value() / 1152
+            via_f = transvectant(f2, f2, f2, upper=(2, 2, 2)).tensor.item() / 1152
             base = abs(via_a)
             assert abs(via_a - via_b) < 1e-10 * base
             assert abs(via_a - via_g) < 1e-10 * base
@@ -165,10 +189,8 @@ class TestInvariants:
         # the same raw contractions through the exact and float code paths
         rng = np.random.default_rng(89)
         amp_int = rng.integers(-3, 4, size=(3, 3, 3))
-        raw_exact = con.invariant_raws(trilinear_form(
-            [[[Fraction(int(amp_int[i, j, k])) for k in range(3)]
-              for j in range(3)] for i in range(3)]))
-        raw_float = con.invariant_raws(trilinear_form(amp_int.astype(complex)))
+        raw_exact = con.invariant_raws(amp_int.astype(object))
+        raw_float = con.invariant_raws(amp_int.astype(complex))
         for key in ("i6", "i9", "i12"):
             want = complex(Fraction(raw_exact[key]))
             assert abs(raw_float[key] - want) <= 1e-10 * max(abs(want), 1.0)
@@ -203,9 +225,7 @@ class TestDenseContraction:
             amp = rng.integers(-3, 4, size=(3, 3, 3))
             raw6, raw9 = con.dense_raws(amp)
             assert isinstance(raw6, np.integer) and isinstance(raw9, np.integer)
-            exact = con.invariant_raws(trilinear_form(
-                [[[Fraction(int(amp[i, j, k])) for k in range(3)]
-                  for j in range(3)] for i in range(3)]))
+            exact = con.invariant_raws(amp.astype(object))
             assert exact["i9"] != 0
             assert int(raw6) * con.I6_DENSE_SCALE == calibrated["i6_scale"] * exact["i6"]
             assert int(raw9) * con.I9_DENSE_SCALE == calibrated["i9_scale"] * exact["i9"]
@@ -217,20 +237,22 @@ class TestDenseContraction:
             s = apply_local(normal_form_state(random_parameter_triple(seed)),
                             random_local_transform(seed + 10))
             inv = con.invariants(s)
-            raws = con.invariant_raws(s.form())
+            raws = con.invariant_raws(s.amplitudes)
             for key, got in (("i6", inv.i6), ("i9", inv.i9), ("i12", inv.i12)):
                 want = complex(calibrated[f"{key}_scale"]) * raws[key]
                 assert abs(got - want) <= 1e-9 * abs(want), key
 
     def test_runtime_path_builds_no_polynomials(self, monkeypatch):
-        from trimoduli import form_problem
+        from trimoduli import form_problem, poly_engine
         from trimoduli.poly_engine import MultiPoly
 
         def refuse(*args, **kwargs):
-            raise AssertionError("MultiPoly built on the runtime path")
+            raise AssertionError("MultiPoly built or transvectant run on the runtime path")
 
         s = random_state(3)
         monkeypatch.setattr(MultiPoly, "__init__", refuse)
+        for module in (poly_engine, con):
+            monkeypatch.setattr(module, "transvectant", refuse)
         inv = con.invariants(s)
         oc = form_problem.classify(form_problem.FormProblemInput(
             inv.i6, inv.i12, inv.i18, i9=inv.i9))

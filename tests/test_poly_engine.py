@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 from trimoduli.cyclotomic import EPS, Cyclo
 from trimoduli.poly_engine import (
-    FactoredTriple,
+    Form,
     MultiPoly,
     PolyError,
     VariableRef,
@@ -18,11 +17,38 @@ from trimoduli.poly_engine import (
 )
 from trimoduli.qutrit_state import normal_form_amplitudes, trilinear_form
 
-from oracles import omega_apply, reslot, trace_collapse, transvectant_naive
+from oracles import (
+    form_to_poly,
+    omega_apply,
+    reslot,
+    trace_collapse,
+    transvectant_naive,
+    transvectant_sparse,
+)
 
 X1, X2, X3 = (VariableRef("x", i) for i in (1, 2, 3))
 CAT_X = group_catalog(("x",))
-CAT_X3 = group_catalog(("x",), slots=(1, 2, 3))
+CAT_X3 = make_catalog(VariableRef("x", i, s) for i in (1, 2, 3) for s in (1, 2, 3))
+XYZ = ("x", "y", "z")
+
+# the factor groups and omega budgets of every transvectant in the package:
+# the recipes of `bundle_from_form` (f, P products, Q and the E inputs) and
+# the full contractions of `invariant_raws`
+SRC_SHAPES = (
+    ((XYZ, XYZ, ("y", "z", "eta", "zeta")), (0, 1, 1), (0, 0, 0)),
+    ((XYZ, XYZ, XYZ), (0, 1, 1), (0, 0, 0)),
+    ((XYZ, XYZ, XYZ), (1, 0, 1), (0, 0, 0)),
+    ((XYZ, XYZ, XYZ), (1, 1, 0), (0, 0, 0)),
+    ((XYZ, XYZ, ("x", "y", "y", "z", "eta")), (1, 1, 0), (0, 0, 0)),
+    ((("x", "y", "y", "z", "eta"), ("x", "y", "z", "z", "zeta"), XYZ), (1, 1, 1), (0, 0, 0)),
+    ((("x", "x", "eta", "zeta"), XYZ, ("x", "xi")), (1, 0, 0), (0, 0, 0)),
+    ((("x", "y", "y", "z", "z", "eta", "zeta"), XYZ, XYZ), (0, 1, 1), (0, 0, 0)),
+    ((("x", "x", "y", "z", "xi"), ("x", "y", "y", "z", "eta"), ("x", "y", "z", "z", "zeta")),
+     (1, 1, 1), (0, 0, 0)),
+    ((("x", "x", "eta", "zeta"),) * 3, (2, 0, 0), (0, 1, 1)),
+    ((("x", "y", "z", "xi", "eta", "zeta"),) * 3, (1, 1, 1), (1, 1, 1)),
+    ((("x", "x", "x", "x", "y", "z"),) * 3, (4, 1, 1), (0, 0, 0)),
+)
 
 
 def var(v, catalog, coeff=1):
@@ -186,59 +212,86 @@ class TestTrace:
         assert trace_collapse(prod) == f * f * f
 
 
+def random_form(rng, groups, nonzero, exact=True):
+    """A form over the given groups whose tensor has `nonzero` random
+    entries in -3..3, as Python ints (exact) or complex."""
+    tensor = np.zeros((3,) * len(groups), dtype=object if exact else complex)
+    for flat in rng.choice(tensor.size, size=min(nonzero, tensor.size), replace=False):
+        value = int(rng.integers(-3, 4))
+        tensor[np.unravel_index(flat, tensor.shape)] = value if exact else complex(value, value / 7)
+    return Form(tensor, groups)
+
+
+def naive(forms, upper, lower=(0, 0, 0)):
+    return transvectant_naive(*map(form_to_poly, forms), upper=upper, lower=lower)
+
+
+def int_form(amplitudes):
+    return Form(np.array(amplitudes, dtype=object), XYZ)
+
+
 class TestTransvectant:
     def test_zero_budget_is_product(self):
-        f = trilinear_form(normal_form_amplitudes(Fraction(1), Fraction(0), Fraction(2)))
-        assert transvectant(f, f, f) == f * f * f
+        f = int_form(normal_form_amplitudes(1, 0, 2))
+        p = form_to_poly(f)
+        product = transvectant(f, f, f, (0, 0, 0))
+        assert product.groups == ("x",) * 3 + ("y",) * 3 + ("z",) * 3
+        assert form_to_poly(product) == p * p * p == naive((f, f, f), (0, 0, 0))
 
     def test_ground_form_contraction_value(self):
         # (f^2, f^2, f^2)^{222} = 1152 for the diagonal unit normal form
-        f = trilinear_form(normal_form_amplitudes(Fraction(1), Fraction(0), Fraction(0)))
+        f = int_form(normal_form_amplitudes(1, 0, 0))
         f2 = f * f
-        assert transvectant(f2, f2, f2, upper=(2, 2, 2)).constant_value() == 1152
-        assert transvectant_naive(f2, f2, f2, upper=(2, 2, 2)).constant_value() == 1152
-
-    def test_factors_must_be_slot_one(self):
-        f = trilinear_form(normal_form_amplitudes(Fraction(1), Fraction(0), Fraction(0)))
-        with pytest.raises(PolyError):
-            FactoredTriple(reslot(f, 2), f, f, (0, 1, 1))
+        assert transvectant(f2, f2, f2, upper=(2, 2, 2)).tensor.item() == 1152
+        assert naive((f2, f2, f2), (2, 2, 2)).constant_value() == 1152
 
     def test_factored_matches_naive_exact(self):
+        # every budget shape of the package, on sparse random integer forms
+        # (the naive expansion is exponential in the budget)
         rng = np.random.default_rng(23)
-        cat = group_catalog(("x", "y"))
-        budgets = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 0)]
-        for trial in range(25):
-            f1 = random_poly(rng, cat, max_terms=6)
-            f2 = random_poly(rng, cat, max_terms=6)
-            f3 = random_poly(rng, cat, max_terms=6)
-            upper = budgets[trial % len(budgets)]
-            fast = transvectant(f1, f2, f3, upper=upper)
-            slow = transvectant_naive(f1, f2, f3, upper=upper)
-            assert fast == slow
+        for groups, upper, lower in SRC_SHAPES:
+            nonzero = 0
+            for _ in range(4):
+                forms = [random_form(rng, g, 6) for g in groups]
+                fast = form_to_poly(transvectant(*forms, upper, lower))
+                assert fast == naive(forms, upper, lower), (groups, upper, lower)
+                nonzero += not fast.is_zero()
+            assert nonzero, (groups, upper, lower)
+
+    def test_full_contractions_of_normal_form_concomitants(self):
+        # the three full contractions of `invariant_raws` on the concomitants
+        # of a sparse normal form, where none of them vanishes, against the
+        # sparse engine and, but for the I9 one (4 s), the naive expansion
+        from trimoduli import concomitants as con
+
+        b = con.bundle_from_form(np.array(normal_form_amplitudes(1, 2, 0), dtype=object))
+        baf = b.b_alpha * b.f
+        for forms, upper, lower in (((b.q_alpha,) * 3, (2, 0, 0), (0, 1, 1)),
+                                    ((b.e_alpha, b.e_beta, b.e_beta), (1, 1, 1), (1, 1, 1)),
+                                    ((baf,) * 3, (4, 1, 1), (0, 0, 0))):
+            fast = transvectant(*forms, upper, lower)
+            assert fast.groups == ()
+            polys = [form_to_poly(f) for f in forms]
+            slow = transvectant_sparse(*polys, upper, lower).constant_value()
+            assert fast.tensor.item() == slow != 0
+            if upper != (1, 1, 1):
+                assert naive(forms, upper, lower).constant_value() == slow
 
     def test_factored_matches_naive_with_duals(self):
         rng = np.random.default_rng(29)
-        cat = group_catalog(("x", "xi"))
         for _ in range(10):
-            f1 = random_poly(rng, cat, max_terms=5)
-            f2 = random_poly(rng, cat, max_terms=5)
-            f3 = random_poly(rng, cat, max_terms=5)
-            fast = transvectant(f1, f2, f3, upper=(1, 0, 0), lower=(1, 0, 0))
-            slow = transvectant_naive(f1, f2, f3, upper=(1, 0, 0), lower=(1, 0, 0))
-            assert fast == slow
+            forms = [random_form(rng, ("x", "x", "xi", "xi"), 8) for _ in range(3)]
+            fast = transvectant(*forms, upper=(1, 0, 0), lower=(1, 0, 0))
+            assert form_to_poly(fast) == naive(forms, (1, 0, 0), (1, 0, 0))
 
     def test_factored_matches_naive_float(self):
         rng = np.random.default_rng(31)
-        cat = group_catalog(("x", "y"))
         for _ in range(10):
-            polys = []
-            for _ in range(3):
-                p = random_poly(rng, cat, max_terms=6, exact=False)
-                noise = {e: c * (1 + 0.1j) for e, c in p.terms.items()}
-                polys.append(MultiPoly(cat, noise))
-            fast = transvectant(*polys, upper=(1, 1, 0))
-            slow = transvectant_naive(*polys, upper=(1, 1, 0))
-            fa, sl = dict(fast.term_items()), dict(slow.term_items())
+            forms = [random_form(rng, ("x", "x", "y", "y"), 8, exact=False) for _ in range(3)]
+            fast = transvectant(*forms, upper=(1, 1, 0))
+            assert fast.tensor.dtype == complex
+            fa = dict(form_to_poly(fast).term_items())
+            sl = dict(naive(forms, (1, 1, 0)).term_items())
             scale = max((abs(c) for c in sl.values()), default=1.0)
             for k in set(fa) | set(sl):
                 assert abs(fa.get(k, 0) - sl.get(k, 0)) <= 1e-12 * scale
@@ -248,30 +301,42 @@ class TestTransvectant:
         rng = np.random.default_rng(37)
 
         def dense_form(degree):
-            terms = {}
-            for exps in itertools.product(range(degree + 1), repeat=3):
-                if sum(exps) == degree:
-                    terms[exps] = Fraction(int(rng.integers(10 ** 5, 10 ** 6))
-                                           * (-1 if rng.integers(2) else 1),
-                                           int(rng.integers(1, 97)))
-            return MultiPoly(CAT_X, terms)
+            tensor = np.array([Fraction(int(rng.integers(10 ** 5, 10 ** 6))
+                                        * (-1 if rng.integers(2) else 1), int(rng.integers(1, 97)))
+                               for _ in range(3 ** degree)], dtype=object)
+            return Form(tensor.reshape((3,) * degree), ("x",) * degree)
 
         for degrees, n1 in (((2, 2, 2), 1), ((2, 2, 2), 2), ((3, 3, 3), 2),
                             ((3, 2, 2), 1), ((1, 1, 1), 1)):
             fs = [dense_form(d) for d in degrees]
             result = transvectant(*fs, upper=(n1, 0, 0))
-            assert not result.is_zero()
-            assert result.degree(group="x") == sum(degrees) - 3 * n1
+            assert result.groups == ("x",) * (sum(degrees) - 3 * n1)
+            poly = form_to_poly(result)
+            assert not poly.is_zero()
+            assert poly.degree(group="x") == len(result.groups)
+            assert poly == naive(fs, (n1, 0, 0))
+
+    def test_degree_deficit_raises(self):
+        f = int_form(normal_form_amplitudes(1, 0, 0))
+        with pytest.raises(PolyError):
+            transvectant(f, f, f, upper=(2, 0, 0))
+        with pytest.raises(PolyError):
+            _ = f + f * f
 
     def test_exact_float_agreement(self):
         rng = np.random.default_rng(41)
-        cat = group_catalog(("x", "y"))
         for _ in range(10):
-            exact = [random_poly(rng, cat, max_terms=6) for _ in range(3)]
-            floats = [p.to_complex() for p in exact]
-            r_exact = transvectant(*exact, upper=(1, 1, 0)).to_complex()
-            r_float = transvectant(*floats, upper=(1, 1, 0))
-            ex, fl = dict(r_exact.term_items()), dict(r_float.term_items())
-            scale = max((abs(c) for c in ex.values()), default=1.0)
-            for k in set(ex) | set(fl):
-                assert abs(ex.get(k, 0) - fl.get(k, 0)) <= 1e-10 * scale
+            exact = [random_form(rng, ("x", "x", "y", "y"), 12) for _ in range(3)]
+            floats = [Form(f.tensor.astype(complex), f.groups) for f in exact]
+            r_exact = transvectant(*exact, upper=(1, 1, 0)).tensor.astype(complex)
+            r_float = transvectant(*floats, upper=(1, 1, 0)).tensor
+            scale = max(np.max(np.abs(r_exact)), 1.0)
+            assert np.max(np.abs(r_exact - r_float)) <= 1e-10 * scale
+
+    def test_value_matches_polynomial(self):
+        rng = np.random.default_rng(43)
+        f = random_form(rng, ("x", "y", "y", "xi"), 20)
+        point = {g: rng.standard_normal(3) + 1j * rng.standard_normal(3) for g in ("x", "y", "xi")}
+        want = form_to_poly(f).eval({VariableRef(g, i + 1): point[g][i]
+                                     for g in point for i in range(3)})
+        assert abs(f.value(point) - want) <= 1e-12 * max(abs(want), 1.0)

@@ -41,9 +41,7 @@ from .form_problem import (  # noqa: F401
 )
 from .poly_engine import (  # noqa: F401
     Form,
-    MultiPoly,
-    VariableRef,
-    group_catalog,
+    Poly,
     transvectant,
 )
 from .qutrit_state import (  # noqa: F401

@@ -4,10 +4,11 @@ On the runtime path the invariants of a state are numpy sums over its 3x3x3
 array: I6 and I9 as signed sums of monomials in its triple tensor, from
 index and sign tables built once (`dense_raws`), I12 and Delta from the
 Aronhold S and T of its slice tensor by einsum brackets, and I18 from I6,
-I9, I12.  `aronhold` runs the brackets on a cubic polynomial, exactly on
-exact coefficients.  The concomitants are transvectants of the ground form
-f with the pairing forms P_alpha = sum xi_i x_i, P_beta = sum eta_j y_j and
-P_gamma = sum zeta_k z_k, and so are the degree-6/9/12 invariants
+I9, I12.  `aronhold` runs the brackets on any ternary cubic `Form`,
+exactly on exact tensors.  The concomitants are transvectants of the
+ground form f (`trilinear_form`) with the pairing forms P_alpha =
+sum xi_i x_i, P_beta = sum eta_j y_j and P_gamma = sum zeta_k z_k, and so
+are the degree-6/9/12 invariants
 (`invariant_raws`): dense `poly_engine.Form` tensors built from the 3x3x3
 array, exact on integer object arrays.  That route derives every
 normalization constant by calibration against the closed normal-form
@@ -17,8 +18,9 @@ evaluated term by term at a random point, and the tests as an oracle.
 
 The closed invariants C6, C9, C12, C18 of the normal form are written once,
 in `c_formulas` (C9 alone in `c9_formula`), for every scalar type; the form
-problem, `verify_vinberg`, `c_polynomials` and `verify_invariance` all
-evaluate it.
+problem and `verify_vinberg` evaluate it on numbers, `c_polynomials`, the
+Jacobian and `verify_invariance` on the exact `poly_engine.Poly` in
+x1, x2, x3.
 
 This module also owns the one rule that decides when an invariant vanishes:
 |I_d| at most NULL_CONE_ULPS eps times its forward error bound
@@ -33,7 +35,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -44,9 +45,7 @@ from .poly_engine import (
     LEVI_CIVITA,
     PERMS3,
     Form,
-    MultiPoly,
-    VariableRef,
-    group_catalog,
+    Poly,
     transvectant,
 )
 from .qutrit_state import (
@@ -54,6 +53,7 @@ from .qutrit_state import (
     State,
     normal_form_amplitudes,
     slice_tensor,
+    trilinear_form,
 )
 
 _PAIRS = {"alpha": ("x", "xi"), "beta": ("y", "eta"), "gamma": ("z", "zeta")}
@@ -138,7 +138,7 @@ def pairing_form(name: str) -> Form:
 def bundle_from_form(a) -> ConcomitantBundle:
     """All concomitants of the trilinear form of a 3x3x3 array, from their
     transvectant recipes."""
-    f_ = Form(np.asarray(a), ("x", "y", "z"))
+    f_ = trilinear_form(a)
     pa_, pb_, pg_ = (pairing_form(n) for n in ("alpha", "beta", "gamma"))
 
     qa = transvectant(f_, f_, pb_ * pg_, upper=(0, 1, 1))
@@ -198,7 +198,7 @@ def invariant_raws(a) -> dict:
     """The three fundamental full contractions of a 3x3x3 array, before
     normalization: Python ints on an object array of ints, complex on a
     complex array."""
-    f = Form(np.asarray(a), ("x", "y", "z"))
+    f = trilinear_form(a)
     pa, pb, pg = (pairing_form(n) for n in ("alpha", "beta", "gamma"))
     qa = transvectant(f, f, pb * pg, upper=(0, 1, 1))
     qb = transvectant(f, f, pa * pg, upper=(1, 0, 1))
@@ -297,7 +297,7 @@ def c9_formula(u, v, w):
 
 def c_formulas(u, v, w) -> CValues:
     """C6, C9, C12, C18 of the normal form with parameters (u, v, w), the
-    only implementation, for Python complex, int, Fraction, Cyclo, MultiPoly
+    only implementation, for Python complex, int, Fraction, Cyclo, Poly
     and complex numpy arrays (one triple per entry) alike.  C6 and C12 are
     monomial sums, not psi^2 - 12 chi and psi^4 + lam psi: those cancel
     exactly on multiples of (0, 1, -1), where the invariants of a state
@@ -335,18 +335,16 @@ def c12_prime(u, v, w):
 @lru_cache(maxsize=None)
 def c_polynomials():
     """C6, C9, C12 as exact polynomials in (u, v, w): `c_formulas` on the
-    x-group variables x1, x2, x3 (the parameter space is three dimensional)."""
-    cat = group_catalog(("x",))
-    c6, c9, c12, _ = c_formulas(*(MultiPoly.variable(VariableRef("x", i), cat, Fraction(1))
-                                  for i in (1, 2, 3)))
+    variables x1, x2, x3 of `Poly`."""
+    c6, c9, c12, _ = c_formulas(*(Poly.variable(i) for i in (1, 2, 3)))
     return c6, c9, c12
 
 
 @lru_cache(maxsize=None)
-def _jacobian_polynomial() -> MultiPoly:
+def _jacobian_polynomial() -> Poly:
     """det d(C6,C9,C12)/d(u,v,w) as an exact polynomial."""
     c6, c9, c12 = c_polynomials()
-    cols = [[p.diff(VariableRef("x", i)) for i in (1, 2, 3)] for p in (c6, c9, c12)]
+    cols = [[p.diff(i) for i in (1, 2, 3)] for p in (c6, c9, c12)]
     det = None
     for sigma, sign in PERMS3:
         term = cols[0][sigma[0]] * cols[1][sigma[1]] * cols[2][sigma[2]]
@@ -365,9 +363,7 @@ def jacobian_check(t: ParameterTriple | tuple) -> JacobianCheck:
     """Jacobian of (C6, C9, C12) at t and its ratio to C12'**2; the ratio is
     None (flagged) on the twelve mirror planes where C12' vanishes."""
     u, v, w = t
-    jac_poly = _jacobian_polynomial()
-    point = {VariableRef("x", i + 1): val for i, val in enumerate((u, v, w))}
-    jac = jac_poly.eval(point)
+    jac = _jacobian_polynomial().eval((u, v, w))
     c12p = c12_prime(u, v, w)
     c12p_sq = c12p * c12p
     if not c12p_sq:
@@ -377,19 +373,6 @@ def jacobian_check(t: ParameterTriple | tuple) -> JacobianCheck:
 
 
 # --- Aronhold invariants of a ternary cubic ---------------------------------
-
-def _cubic_tensor(terms) -> np.ndarray:
-    """The K tensor of a cubic given by ((e1, e2, e3), coefficient) pairs, as
-    `slice_tensor` gives it (six times the symmetric coefficient tensor):
-    K[a,b,c] is the coefficient of x_a x_b x_c times e1! e2! e3!.  Exact
-    coefficients give an object array."""
-    k = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    for (e1, e2, e3), val in terms:
-        weighted = val * math.factorial(e1) * math.factorial(e2) * math.factorial(e3)
-        for i, j, m in set(permutations([0] * e1 + [1] * e2 + [2] * e3)):
-            k[i][j][m] += weighted
-    return np.array(k)
-
 
 def bracket(t1, t2, t3, t4, symbol=LEVI_CIVITA):
     """Full contraction of four 3x3x3 tensors against the bracket monomial
@@ -415,20 +398,14 @@ def aronhold_raws(k) -> tuple:
     return bracket(k, k, k, k) * scale, bracket(k, k, k, slice_tensor(k)) * scale
 
 
-def aronhold(cubic: MultiPoly) -> AronholdPair:
-    """Aronhold S and T of a ternary cubic given as a one-group polynomial;
-    exact on exact coefficients."""
-    if len({v.group for v in cubic.variables_present()}) > 1:
-        raise ValueError("cubic must involve a single variable group")
-    terms = []
-    for exps, coeff in cubic.terms.items():
-        key = [0, 0, 0]
-        for v, e in zip(cubic.catalog, exps):
-            key[v.index - 1] += e
-        if sum(key) != 3:
-            raise ValueError("polynomial is not homogeneous of degree 3")
-        terms.append((key, coeff))
-    s_raw, t_raw = aronhold_raws(_cubic_tensor(terms))
+def aronhold(cubic: Form) -> AronholdPair:
+    """Aronhold S and T of a ternary cubic given as a one-group `Form`: the
+    sum of the six axis transposes of any tensor that represents it is its K
+    tensor, six times the symmetric one.  Exact on exact object tensors."""
+    if len(cubic.groups) != 3 or len(set(cubic.groups)) != 1:
+        raise ValueError(f"not a ternary cubic: a form over {cubic.groups}")
+    k = sum(cubic.tensor.transpose(sigma) for sigma, _ in PERMS3)
+    s_raw, t_raw = aronhold_raws(k)
     return AronholdPair(s_raw * ARONHOLD_S_SCALE, t_raw * ARONHOLD_T_SCALE)
 
 
@@ -642,9 +619,14 @@ def _fit_constant(pairs, name):
 
 
 def _hesse_tensor(phi, psi) -> np.ndarray:
-    """K tensor of the Hesse cubic -phi*(x^3+y^3+z^3) + psi*xyz."""
-    return _cubic_tensor((((3, 0, 0), -phi), ((0, 3, 0), -phi), ((0, 0, 3), -phi),
-                          ((1, 1, 1), psi)))
+    """K tensor of the Hesse cubic -phi*(x^3+y^3+z^3) + psi*xyz, an object
+    array of the type of phi and psi: -6 phi on the diagonal, psi on the six
+    arrangements of (0, 1, 2)."""
+    k = np.zeros((3, 3, 3), dtype=object)
+    k[[0, 1, 2], [0, 1, 2], [0, 1, 2]] = -6 * phi
+    for sigma, _ in PERMS3:
+        k[sigma] = psi
+    return k
 
 
 @lru_cache(maxsize=None)
@@ -689,8 +671,9 @@ def calibration() -> dict:
     # 6^6 T = (6 phi)^6 + 20 (6 phi)^3 psi^3 - 8 psi^6.
     s_pairs = []
     t_pairs = []
+    # Python int entries, as for the normal forms above
     for (phi, psi) in ((0, 1), (1, 1), (1, 2), (-1, 0), (2, 3)):
-        s_raw, t_raw = aronhold_raws(_hesse_tensor(Fraction(phi), Fraction(psi)))
+        s_raw, t_raw = aronhold_raws(_hesse_tensor(phi, psi))
         s_target = Fraction(-psi * (psi ** 3 + 216 * phi ** 3), 1296)
         t_target = Fraction(46656 * phi ** 6 + 4320 * phi ** 3 * psi ** 3 - 8 * psi ** 6, 46656)
         s_pairs.append((s_raw, s_target))
@@ -702,14 +685,11 @@ def calibration() -> dict:
     # Delta = C12'^3 on normal forms.
     d_pairs = []
     for (u, v, w) in _CAL_TRIPLES:
-        uf, vf, wf = Fraction(u), Fraction(v), Fraction(w)
-        phi = uf * vf * wf
-        psi = uf ** 3 + vf ** 3 + wf ** 3
-        s_raw, t_raw = aronhold_raws(_hesse_tensor(phi, psi))
+        s_raw, t_raw = aronhold_raws(_hesse_tensor(u * v * w, u ** 3 + v ** 3 + w ** 3))
         s_val = data["aronhold_s_scale"] * s_raw
         t_val = data["aronhold_t_scale"] * t_raw
         disc = 64 * s_val ** 3 + t_val ** 2
-        d_pairs.append((disc, Fraction(c12_prime(uf, vf, wf)) ** 3))
+        d_pairs.append((disc, Fraction(c12_prime(u, v, w)) ** 3))
     data["delta_scale"] = _fit_constant(d_pairs, "delta_scale")
 
     # I18 = i18_vs_t_scale * 6^6 T on normal forms (recorded, not used).

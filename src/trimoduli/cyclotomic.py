@@ -137,9 +137,6 @@ class Cyclo:
         """Embed into C via eps -> (-1/2, +sqrt(3)/2)."""
         return complex(self.a) + complex(self.b) * EPS_COMPLEX
 
-    def sort_key(self):
-        return (self.a, self.b)
-
     def __repr__(self) -> str:
         return f"Cyclo({self.a!r}, {self.b!r})"
 
@@ -158,8 +155,6 @@ def to_complex(value) -> complex:
     """Embed an exact or floating scalar into a Python complex."""
     if isinstance(value, Cyclo):
         return value.to_complex()
-    if isinstance(value, _RationalLike):
-        return complex(value)
     return complex(value)
 
 

@@ -1,4 +1,4 @@
-"""Forms over six ternary variable groups, dense and sparse.
+"""Forms over six ternary variable groups, and polynomials in three variables.
 
 The groups are the covariant x, y, z and the contravariant xi, eta, zeta.
 A `Form` is a coefficient tensor with one axis of length 3 per variable:
@@ -10,20 +10,18 @@ Levi-Civita symbols (Olver, *Classical Invariant Theory*, 1999, ch. 6),
 one numpy einsum per transvectant.  Integer object arrays stay exact and
 complex arrays stay complex.
 
-`MultiPoly` is an immutable sparse polynomial, exact (Fraction, Cyclo) or
-complex, for the closed normal-form invariants, their Jacobian and
-invariance proof, ternary cubics, and the trilinear form of a state.
+Every form of a state is a `Form`: the trilinear ground form, its slice
+cubics and its concomitants.  `Poly` is an exact polynomial in x1, x2, x3,
+keyed by exponent triples, for the closed normal-form invariants of the
+parameters (u, v, w), their Jacobian and their invariance proof.
 """
 from __future__ import annotations
 
-import math
 import string
 from itertools import permutations
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-
-from .cyclotomic import to_complex
 
 GROUPS = ("x", "y", "z", "xi", "eta", "zeta")
 _GROUP_RANK = {g: i for i, g in enumerate(GROUPS)}
@@ -53,304 +51,69 @@ LEVI_CIVITA = _levi_civita()
 
 
 class PolyError(ValueError):
-    """Raised for catalog mismatches and malformed polynomial operations."""
+    """Raised for malformed form operations: mismatched groups, degree deficits."""
 
 
-class VariableRef(NamedTuple):
-    """One variable: group in {x,y,z,xi,eta,zeta}, index 1..3, slot 1..3."""
+class Poly:
+    """An exact polynomial in x1, x2, x3 (the parameters u, v, w of the
+    normal form): its terms map exponent triples to nonzero coefficients,
+    ints, Fractions or `Cyclo` values, in the order the operations make them,
+    so that `eval` adds the terms in a fixed order."""
 
-    group: str
-    index: int
-    slot: int = 1
+    __slots__ = ("terms",)
 
-    def key(self):
-        return (_GROUP_RANK[self.group], self.slot, self.index)
-
-    def __str__(self) -> str:
-        if self.slot == 1:
-            return f"{self.group}{self.index}"
-        return f"{self.group}{self.index}({self.slot})"
-
-
-def _check_var(v: VariableRef) -> VariableRef:
-    if v.group not in _GROUP_RANK:
-        raise PolyError(f"unknown variable group {v.group!r}")
-    if v.index not in (1, 2, 3) or v.slot not in (1, 2, 3):
-        raise PolyError(f"variable index/slot out of range: {v}")
-    return v
-
-
-def make_catalog(variables: Iterable[VariableRef]) -> tuple[VariableRef, ...]:
-    """Canonical catalog: validated, deduplicated, sorted."""
-    vs = sorted({_check_var(VariableRef(*v)) for v in variables}, key=VariableRef.key)
-    return tuple(vs)
-
-
-def group_catalog(groups: Sequence[str]) -> tuple[VariableRef, ...]:
-    """Slot-1 catalog holding all three indices of the given groups."""
-    return make_catalog(VariableRef(g, i) for g in groups for i in (1, 2, 3))
-
-
-class MultiPoly:
-    """Immutable sparse polynomial over a fixed variable catalog.
-
-    Terms map dense exponent tuples (aligned with the catalog order) to
-    nonzero coefficients.  Serialization order is the sorted order of the
-    exponent tuples, which is deterministic for a fixed catalog.
-    """
-
-    __slots__ = ("catalog", "terms", "_pos")
-
-    def __init__(self, catalog: tuple[VariableRef, ...], terms: Mapping[tuple, object] | None = None):
-        self.catalog = catalog
-        self._pos = {v: i for i, v in enumerate(catalog)}
-        pruned = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if len(exps) != len(catalog):
-                    raise PolyError("exponent vector length does not match catalog")
-                if coeff:
-                    pruned[tuple(exps)] = coeff
-        self.terms = pruned
-
-    # -- constructors -----------------------------------------------------
+    def __init__(self, terms: Mapping[tuple, object]):
+        self.terms = {e: c for e, c in terms.items() if c}
 
     @classmethod
-    def zero(cls, catalog) -> "MultiPoly":
-        return cls(catalog, {})
-
-    @classmethod
-    def constant(cls, value, catalog) -> "MultiPoly":
-        return cls(catalog, {(0,) * len(catalog): value})
-
-    @classmethod
-    def variable(cls, var: VariableRef, catalog, coeff=1) -> "MultiPoly":
-        var = VariableRef(*var)
-        mono = [0] * len(catalog)
-        try:
-            mono[list(catalog).index(var)] = 1
-        except ValueError:
-            raise PolyError(f"variable {var} outside catalog") from None
-        return cls(catalog, {tuple(mono): coeff})
-
-    # -- bookkeeping -------------------------------------------------------
-
-    def _require_same_catalog(self, other: "MultiPoly"):
-        if self.catalog != other.catalog:
-            raise PolyError("catalog mismatch between operands")
+    def variable(cls, i: int) -> "Poly":
+        """The variable x_i, i in 1, 2, 3."""
+        return cls({tuple(int(k == i) for k in (1, 2, 3)): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and next(iter(self.terms)) == (0,) * len(self.catalog))
-
-    def constant_value(self):
-        """The value of a constant polynomial (0 for the zero polynomial)."""
-        if not self.terms:
-            return 0
-        if not self.is_constant():
-            raise PolyError("polynomial is not constant")
-        return next(iter(self.terms.values()))
-
-    def degree(self, group: str | None = None, slot: int | None = None) -> int:
-        """Max total degree, restricted to a group and/or slot if given."""
-        best = 0
-        for exps in self.terms:
-            d = 0
-            for v, e in zip(self.catalog, exps):
-                if group is not None and v.group != group:
-                    continue
-                if slot is not None and v.slot != slot:
-                    continue
-                d += e
-            best = max(best, d)
-        return best
-
-    def variables_present(self) -> tuple[VariableRef, ...]:
-        used = set()
-        for exps in self.terms:
-            for v, e in zip(self.catalog, exps):
-                if e:
-                    used.add(v)
-        return tuple(sorted(used, key=VariableRef.key))
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._require_same_catalog(other)
+    def __add__(self, other: "Poly") -> "Poly":
         merged = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = merged.get(exps)
-            if acc is None:
-                merged[exps] = coeff
-            else:
-                total = acc + coeff
-                if total:
-                    merged[exps] = total
-                else:
-                    del merged[exps]
-        out = MultiPoly.__new__(MultiPoly)
-        out.catalog, out._pos, out.terms = self.catalog, self._pos, merged
-        return out
+        for e, c in other.terms.items():
+            merged[e] = merged.get(e, 0) + c
+        return Poly(merged)
 
-    def __neg__(self) -> "MultiPoly":
-        out = MultiPoly.__new__(MultiPoly)
-        out.catalog, out._pos = self.catalog, self._pos
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+    def __neg__(self) -> "Poly":
+        return Poly({e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
+    def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def scale(self, value) -> "MultiPoly":
-        if not value:
-            return MultiPoly.zero(self.catalog)
-        out = MultiPoly.__new__(MultiPoly)
-        out.catalog, out._pos = self.catalog, self._pos
-        out.terms = {e: c * value for e, c in self.terms.items()}
-        return out
-
-    def __mul__(self, other) -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            return self.scale(other)
-        self._require_same_catalog(other)
+    def __mul__(self, other) -> "Poly":
+        """The product with a polynomial, or with a scalar on either side."""
+        if not isinstance(other, Poly):
+            return Poly({e: c * other for e, c in self.terms.items()})
         prod: dict[tuple, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                acc = prod.get(key)
-                if acc is None:
-                    prod[key] = c
-                else:
-                    total = acc + c
-                    if total:
-                        prod[key] = total
-                    else:
-                        del prod[key]
-        out = MultiPoly.__new__(MultiPoly)
-        out.catalog, out._pos = self.catalog, self._pos
-        out.terms = {e: c for e, c in prod.items() if c}
-        return out
+        for (a1, a2, a3), c1 in self.terms.items():
+            for (b1, b2, b3), c2 in other.terms.items():
+                key = (a1 + b1, a2 + b2, a3 + b3)
+                prod[key] = prod.get(key, 0) + c1 * c2
+        return Poly(prod)
 
     __rmul__ = __mul__
 
-    def diff(self, var: VariableRef) -> "MultiPoly":
-        """Formal partial derivative with respect to one catalog variable."""
-        var = VariableRef(*var)
-        pos = self._pos.get(var)
-        if pos is None:
-            raise PolyError(f"variable {var} outside catalog")
-        terms = {}
-        for exps, coeff in self.terms.items():
-            e = exps[pos]
-            if e:
-                key = exps[:pos] + (e - 1,) + exps[pos + 1:]
-                c = coeff * e
-                acc = terms.get(key)
-                terms[key] = c if acc is None else acc + c
-        out = MultiPoly.__new__(MultiPoly)
-        out.catalog, out._pos = self.catalog, self._pos
-        out.terms = {e: c for e, c in terms.items() if c}
-        return out
+    def diff(self, i: int) -> "Poly":
+        """The partial derivative in x_i; distinct terms stay distinct."""
+        k = i - 1
+        return Poly({e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k]
+                     for e, c in self.terms.items() if e[k]})
 
-    def diff_multi(self, orders: Mapping[VariableRef, int]) -> "MultiPoly":
-        """Multi-derivative; equivalent to iterated diff but done per term."""
-        order_vec = [0] * len(self.catalog)
-        for var, k in orders.items():
-            pos = self._pos.get(VariableRef(*var))
-            if pos is None:
-                raise PolyError(f"variable {var} outside catalog")
-            order_vec[pos] += k
-        terms = {}
-        for exps, coeff in self.terms.items():
-            factor = 1
-            key = []
-            for e, d in zip(exps, order_vec):
-                if e < d:
-                    factor = 0
-                    break
-                if d:
-                    factor *= math.perm(e, d)
-                key.append(e - d)
-            if factor:
-                k = tuple(key)
-                c = coeff * factor
-                acc = terms.get(k)
-                terms[k] = c if acc is None else acc + c
-        out = MultiPoly.__new__(MultiPoly)
-        out.catalog, out._pos = self.catalog, self._pos
-        out.terms = {e: c for e, c in terms.items() if c}
-        return out
-
-    def eval(self, assignment: Mapping[VariableRef, object]):
-        """Evaluate at a point; every variable actually present must be set."""
-        values = {VariableRef(*v): val for v, val in assignment.items()}
-        missing = [v for v in self.variables_present() if v not in values]
-        if missing:
-            raise PolyError(f"assignment misses variables: {missing}")
+    def eval(self, point):
+        """The value at point = (x1, x2, x3), the terms added in order."""
         total = 0
         for exps, coeff in self.terms.items():
             term = coeff
-            for v, e in zip(self.catalog, exps):
+            for x, e in zip(point, exps):
                 if e:
-                    term = term * values[v] ** e
+                    term = term * x ** e
             total = total + term
         return total
-
-    # -- structure maps ----------------------------------------------------
-
-    def with_catalog(self, catalog: tuple[VariableRef, ...]) -> "MultiPoly":
-        """Re-express over a (super)catalog; fails if variables would be lost."""
-        new_pos = {v: i for i, v in enumerate(catalog)}
-        terms = {}
-        for exps, coeff in self.terms.items():
-            key = [0] * len(catalog)
-            for v, e in zip(self.catalog, exps):
-                if e:
-                    if v not in new_pos:
-                        raise PolyError(f"variable {v} not representable in target catalog")
-                    key[new_pos[v]] = e
-            terms[tuple(key)] = coeff
-        return MultiPoly(catalog, terms)
-
-    def to_complex(self) -> "MultiPoly":
-        """Convert exact coefficients to complex floats."""
-        return MultiPoly(self.catalog, {e: to_complex(c) for e, c in self.terms.items()})
-
-    # -- canonical forms -----------------------------------------------------
-
-    def term_items(self):
-        """Catalog-independent canonical term list: ((var, exp), ...) -> coeff."""
-        items = []
-        for exps, coeff in self.terms.items():
-            sig = tuple((v, e) for v, e in zip(self.catalog, exps) if e)
-            items.append((sig, coeff))
-        items.sort(key=lambda it: tuple((v.key(), e) for v, e in it[0]))
-        return items
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for sig, coeff in self.term_items():
-            mono = " ".join(str(v) if e == 1 else f"{v}^{e}" for v, e in sig)
-            chunks.append(f"({coeff})" + (f" {mono}" if mono else ""))
-        return " + ".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"MultiPoly[{len(self.terms)} terms over {len(self.catalog)} vars]"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.term_items() == other.term_items()
-
-    def __hash__(self):
-        return hash(tuple(self.term_items()))
-
-
 
 
 class Form(NamedTuple):

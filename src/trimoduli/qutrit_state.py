@@ -2,10 +2,11 @@
 
 A state is identified with the trilinear form sum_ijk A[i,j,k] x_i y_j z_k;
 the local group SL(3,C)^x3 acts by contracting each tensor leg with the
-matching matrix.  This module also holds the slice tensor, the determinant
-of a slice as a symmetric 3x3x3 tensor (by numpy einsum against the
-Levi-Civita symbol of `poly_engine`; `slice_cubic` writes it out as a
-polynomial), and builds the three-parameter normal-form family, reduced
+matching matrix; `trilinear_form` is that form as a `poly_engine.Form`.
+This module also holds the slice tensor, the determinant of a slice as a
+symmetric 3x3x3 tensor (by numpy einsum against the Levi-Civita symbol of
+`poly_engine`; `slice_cubic` is the cubic as a one-group `Form`), and
+builds the three-parameter normal-form family, reduced
 densities, the tangent map of sl(3)^3 on the Gell-Mann matrices (the
 filtering iteration's derivatives and the orbit dimension), and the JSON
 state file format.
@@ -16,12 +17,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
 
-from .poly_engine import LEVI_CIVITA, MultiPoly, VariableRef, group_catalog
+from .poly_engine import LEVI_CIVITA, Form
 
 STATE_FORMAT = "trimoduli-state-v1"
 
@@ -73,11 +73,8 @@ class State:
     def scaled(self, t: complex) -> "State":
         return State(self.amplitudes * t)
 
-    def isclose(self, other: "State", tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.amplitudes - other.amplitudes)) <= tol)
-
-    def form(self) -> MultiPoly:
-        """The trilinear form of the state (slot-1 catalog over x, y, z)."""
+    def form(self) -> Form:
+        """The trilinear form of the state."""
         return trilinear_form(self.amplitudes)
 
 
@@ -101,9 +98,6 @@ class LocalTransform:
     def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.g1, self.g2, self.g3)
 
-    def is_det_normalized(self) -> bool:
-        return all(abs(np.linalg.det(m) - 1.0) < 1e-12 for m in self.matrices)
-
     def det_normalized(self) -> "LocalTransform":
         """Rescale each matrix by det**(-1/3) (principal cube root)."""
         mats = []
@@ -123,23 +117,11 @@ class LocalTransform:
         return cls(eye, eye, eye)
 
 
-def trilinear_form(amplitudes) -> MultiPoly:
-    """Trilinear form sum A[i,j,k] x_i y_j z_k from any 3x3x3 array of
-    scalars (complex for numeric work, Fraction for exact runs)."""
-    catalog = group_catalog(("x", "y", "z"))
-    pos = {v: n for n, v in enumerate(catalog)}
-    terms = {}
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                a = amplitudes[i][j][k] if not isinstance(amplitudes, np.ndarray) else amplitudes[i, j, k]
-                if a:
-                    key = [0] * 9
-                    key[pos[VariableRef("x", i + 1)]] = 1
-                    key[pos[VariableRef("y", j + 1)]] = 1
-                    key[pos[VariableRef("z", k + 1)]] = 1
-                    terms[tuple(key)] = a
-    return MultiPoly(catalog, terms)
+def trilinear_form(amplitudes) -> Form:
+    """Trilinear form sum A[i,j,k] x_i y_j z_k of any 3x3x3 array or nested
+    list of scalars (complex for numeric work, ints or Fractions for exact
+    runs)."""
+    return Form(np.asarray(amplitudes), ("x", "y", "z"))
 
 
 def normal_form_amplitudes(u, v, w):
@@ -182,18 +164,14 @@ def slice_tensor(a, symbol=LEVI_CIVITA) -> np.ndarray:
     return np.einsum("ambo,cmo->abc", t, a)
 
 
-def slice_cubic(s: State, axis: str) -> MultiPoly:
+def slice_cubic(s: State, axis: str) -> Form:
     """Determinant of the 3x3 matrix of linear forms obtained by contracting
-    the chosen leg with its variables; a ternary cubic in that group, whose
-    coefficient of x^e is K[a,b,c] / (e1! e2! e3!) for `slice_tensor` K."""
+    the chosen leg with its variables: a ternary cubic in that group, the
+    one-group `Form` of K / 6 for `slice_tensor` K."""
     if axis not in ("x", "y", "z"):
         raise ValueError("axis must be one of 'x', 'y', 'z'")
     k = slice_tensor(np.moveaxis(s.amplitudes, "xyz".index(axis), 0))
-    terms = {}
-    for idx in combinations_with_replacement(range(3), 3):
-        exps = tuple(idx.count(i) for i in range(3))
-        terms[exps] = k[idx] / math.prod(map(math.factorial, exps))
-    return MultiPoly(group_catalog((axis,)), terms)
+    return Form(k / 6, (axis,) * 3)
 
 
 def reduced_density(s: State, party: int) -> np.ndarray:

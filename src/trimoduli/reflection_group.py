@@ -9,7 +9,7 @@ lies in (1/3)Z[eps], so an element is stored as 3 * entry in integer pairs,
 (n, 18) int64 array of its elements plus the (n, 3, 3) complex stack built
 once from that array; the invariance proof alone sees the entries as `Cyclo`
 values of Q(eps) (`exact_rows`) and evaluates `concomitants.c_formulas` on
-the linear forms g.x.
+the linear forms g.x, each a `poly_engine.Poly`.
 
 `orbit` and `stabilizer` act by the stack on a triple of any scalar type
 (exact triples are embedded in C first); a stabilizer keeps its rows of the
@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cyclotomic import EPS, EPS_COMPLEX, Cyclo, to_complex
-from .poly_engine import MultiPoly, VariableRef, group_catalog
+from .poly_engine import Poly
 
 
 def _product9(x, y) -> list:
@@ -305,17 +305,17 @@ def stabilizer_type(subgroup: MatrixGroup) -> str:
 def verify_invariance(group: MatrixGroup | None = None) -> dict:
     """Exact check that the closed invariants of degree 6, 9, 12 compose
     trivially with every generator of the order-648 group: `c_formulas` on
-    the linear forms g.x against `c_polynomials`, for each generator g."""
+    the linear forms g.x against `c_polynomials`, for each generator g.  An
+    entry is 0, or the largest modulus of a coefficient of the difference."""
     from .concomitants import c_formulas, c_polynomials
 
     if group is None:
         group = group_k()
     gens = group.gens or group.ints.tolist()
-    cat = group_catalog(("x",))
-    xs = [MultiPoly.variable(VariableRef("x", i), cat) for i in (1, 2, 3)]
+    x1, x2, x3 = (Poly.variable(i) for i in (1, 2, 3))
     report = {}
     for gi, g in enumerate(gens):
-        gx = [sum((x.scale(e) for x, e in zip(xs, row)), MultiPoly.zero(cat)) for row in exact_rows(g)]
+        gx = [x1 * a + x2 * b + x3 * c for a, b, c in exact_rows(g)]
         entry = {}
         for name, composed, poly in zip(("C6", "C9", "C12"), c_formulas(*gx), c_polynomials()):
             diff = composed - poly

@@ -1,10 +1,11 @@
 """Slow reference implementations that the tests compare the package with.
 
-Nothing in the package calls these: the slot-copy omega calculus (expand the
-triple product, differentiate symbolically, identify the slots), the sparse
-transvectant engine that the dense `poly_engine.transvectant` replaced (omega
-expansions distributed over a factored triple) with the concomitant recipes
-on it, a dense form written out as a sparse polynomial, the numpy
+Nothing in the package calls these: `MultiPoly`, the sparse polynomial over
+a catalog of variables `VariableRef(group, index, slot)`, and on it the
+slot-copy omega calculus (expand the triple product, differentiate
+symbolically, identify the slots), the sparse transvectant engine that the
+dense `poly_engine.transvectant` replaced (omega expansions distributed over
+a factored triple) with the concomitant recipes on it, a dense form written out as a sparse polynomial, the numpy
 companion-matrix root finder, the slice cubic as a direct expansion of its
 determinant, the Aronhold brackets as loops over permutations, I6 and I9 as
 chains of einsum contractions against the Levi-Civita symbols, and the form
@@ -14,7 +15,8 @@ that the Newton steps of `slocc_normalize` replaced, the complex matrix of
 one group element entry by entry, the structure probes of a group
 (commutation, element orders, pseudo-reflections), its orbits and
 stabilizers in exact products of `Cyclo` rows, and the form problem solved
-on invariants taken exactly over Q(i).
+on invariants taken exactly over Q(i).  Also `states_close`, the test
+comparison of two states.
 """
 from __future__ import annotations
 
@@ -23,23 +25,20 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from trimoduli import form_problem as fp
 from trimoduli import reflection_group as rg
 from trimoduli.concomitants import _triple_tensor, c_formulas
-from trimoduli.cyclotomic import Cyclo
+from trimoduli.cyclotomic import Cyclo, to_complex
 from trimoduli.poly_engine import (
     _GROUP_RANK,
     GROUPS,
     PERMS3,
     Form,
-    MultiPoly,
     PolyError,
-    VariableRef,
-    group_catalog,
-    make_catalog,
 )
 from trimoduli.qutrit_state import (
     LEVI_CIVITA,
@@ -48,6 +47,304 @@ from trimoduli.qutrit_state import (
     apply_local,
     reduced_density,
 )
+
+
+# --- the sparse polynomial over catalogs of slotted variables ----------------
+
+class VariableRef(NamedTuple):
+    """One variable: group in {x,y,z,xi,eta,zeta}, index 1..3, slot 1..3."""
+
+    group: str
+    index: int
+    slot: int = 1
+
+    def key(self):
+        return (_GROUP_RANK[self.group], self.slot, self.index)
+
+    def __str__(self) -> str:
+        if self.slot == 1:
+            return f"{self.group}{self.index}"
+        return f"{self.group}{self.index}({self.slot})"
+
+
+def _check_var(v: VariableRef) -> VariableRef:
+    if v.group not in _GROUP_RANK:
+        raise PolyError(f"unknown variable group {v.group!r}")
+    if v.index not in (1, 2, 3) or v.slot not in (1, 2, 3):
+        raise PolyError(f"variable index/slot out of range: {v}")
+    return v
+
+
+def make_catalog(variables: Iterable[VariableRef]) -> tuple[VariableRef, ...]:
+    """Canonical catalog: validated, deduplicated, sorted."""
+    vs = sorted({_check_var(VariableRef(*v)) for v in variables}, key=VariableRef.key)
+    return tuple(vs)
+
+
+def group_catalog(groups: Sequence[str]) -> tuple[VariableRef, ...]:
+    """Slot-1 catalog holding all three indices of the given groups."""
+    return make_catalog(VariableRef(g, i) for g in groups for i in (1, 2, 3))
+
+
+class MultiPoly:
+    """Immutable sparse polynomial over a fixed variable catalog.
+
+    Terms map dense exponent tuples (aligned with the catalog order) to
+    nonzero coefficients.  Serialization order is the sorted order of the
+    exponent tuples, which is deterministic for a fixed catalog.
+    """
+
+    __slots__ = ("catalog", "terms", "_pos")
+
+    def __init__(self, catalog: tuple[VariableRef, ...], terms: Mapping[tuple, object] | None = None):
+        self.catalog = catalog
+        self._pos = {v: i for i, v in enumerate(catalog)}
+        pruned = {}
+        if terms:
+            for exps, coeff in terms.items():
+                if len(exps) != len(catalog):
+                    raise PolyError("exponent vector length does not match catalog")
+                if coeff:
+                    pruned[tuple(exps)] = coeff
+        self.terms = pruned
+
+    # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def zero(cls, catalog) -> "MultiPoly":
+        return cls(catalog, {})
+
+    @classmethod
+    def constant(cls, value, catalog) -> "MultiPoly":
+        return cls(catalog, {(0,) * len(catalog): value})
+
+    @classmethod
+    def variable(cls, var: VariableRef, catalog, coeff=1) -> "MultiPoly":
+        var = VariableRef(*var)
+        mono = [0] * len(catalog)
+        try:
+            mono[list(catalog).index(var)] = 1
+        except ValueError:
+            raise PolyError(f"variable {var} outside catalog") from None
+        return cls(catalog, {tuple(mono): coeff})
+
+    # -- bookkeeping -------------------------------------------------------
+
+    def _require_same_catalog(self, other: "MultiPoly"):
+        if self.catalog != other.catalog:
+            raise PolyError("catalog mismatch between operands")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_constant(self) -> bool:
+        return not self.terms or (len(self.terms) == 1 and next(iter(self.terms)) == (0,) * len(self.catalog))
+
+    def constant_value(self):
+        """The value of a constant polynomial (0 for the zero polynomial)."""
+        if not self.terms:
+            return 0
+        if not self.is_constant():
+            raise PolyError("polynomial is not constant")
+        return next(iter(self.terms.values()))
+
+    def degree(self, group: str | None = None, slot: int | None = None) -> int:
+        """Max total degree, restricted to a group and/or slot if given."""
+        best = 0
+        for exps in self.terms:
+            d = 0
+            for v, e in zip(self.catalog, exps):
+                if group is not None and v.group != group:
+                    continue
+                if slot is not None and v.slot != slot:
+                    continue
+                d += e
+            best = max(best, d)
+        return best
+
+    def variables_present(self) -> tuple[VariableRef, ...]:
+        used = set()
+        for exps in self.terms:
+            for v, e in zip(self.catalog, exps):
+                if e:
+                    used.add(v)
+        return tuple(sorted(used, key=VariableRef.key))
+
+    # -- ring operations ---------------------------------------------------
+
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        self._require_same_catalog(other)
+        merged = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            acc = merged.get(exps)
+            if acc is None:
+                merged[exps] = coeff
+            else:
+                total = acc + coeff
+                if total:
+                    merged[exps] = total
+                else:
+                    del merged[exps]
+        out = MultiPoly.__new__(MultiPoly)
+        out.catalog, out._pos, out.terms = self.catalog, self._pos, merged
+        return out
+
+    def __neg__(self) -> "MultiPoly":
+        out = MultiPoly.__new__(MultiPoly)
+        out.catalog, out._pos = self.catalog, self._pos
+        out.terms = {e: -c for e, c in self.terms.items()}
+        return out
+
+    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
+        return self + (-other)
+
+    def scale(self, value) -> "MultiPoly":
+        if not value:
+            return MultiPoly.zero(self.catalog)
+        out = MultiPoly.__new__(MultiPoly)
+        out.catalog, out._pos = self.catalog, self._pos
+        out.terms = {e: c * value for e, c in self.terms.items()}
+        return out
+
+    def __mul__(self, other) -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            return self.scale(other)
+        self._require_same_catalog(other)
+        prod: dict[tuple, object] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                c = c1 * c2
+                acc = prod.get(key)
+                if acc is None:
+                    prod[key] = c
+                else:
+                    total = acc + c
+                    if total:
+                        prod[key] = total
+                    else:
+                        del prod[key]
+        out = MultiPoly.__new__(MultiPoly)
+        out.catalog, out._pos = self.catalog, self._pos
+        out.terms = {e: c for e, c in prod.items() if c}
+        return out
+
+    __rmul__ = __mul__
+
+    def diff(self, var: VariableRef) -> "MultiPoly":
+        """Formal partial derivative with respect to one catalog variable."""
+        var = VariableRef(*var)
+        pos = self._pos.get(var)
+        if pos is None:
+            raise PolyError(f"variable {var} outside catalog")
+        terms = {}
+        for exps, coeff in self.terms.items():
+            e = exps[pos]
+            if e:
+                key = exps[:pos] + (e - 1,) + exps[pos + 1:]
+                c = coeff * e
+                acc = terms.get(key)
+                terms[key] = c if acc is None else acc + c
+        out = MultiPoly.__new__(MultiPoly)
+        out.catalog, out._pos = self.catalog, self._pos
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
+
+    def diff_multi(self, orders: Mapping[VariableRef, int]) -> "MultiPoly":
+        """Multi-derivative; equivalent to iterated diff but done per term."""
+        order_vec = [0] * len(self.catalog)
+        for var, k in orders.items():
+            pos = self._pos.get(VariableRef(*var))
+            if pos is None:
+                raise PolyError(f"variable {var} outside catalog")
+            order_vec[pos] += k
+        terms = {}
+        for exps, coeff in self.terms.items():
+            factor = 1
+            key = []
+            for e, d in zip(exps, order_vec):
+                if e < d:
+                    factor = 0
+                    break
+                if d:
+                    factor *= math.perm(e, d)
+                key.append(e - d)
+            if factor:
+                k = tuple(key)
+                c = coeff * factor
+                acc = terms.get(k)
+                terms[k] = c if acc is None else acc + c
+        out = MultiPoly.__new__(MultiPoly)
+        out.catalog, out._pos = self.catalog, self._pos
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
+
+    def eval(self, assignment: Mapping[VariableRef, object]):
+        """Evaluate at a point; every variable actually present must be set."""
+        values = {VariableRef(*v): val for v, val in assignment.items()}
+        missing = [v for v in self.variables_present() if v not in values]
+        if missing:
+            raise PolyError(f"assignment misses variables: {missing}")
+        total = 0
+        for exps, coeff in self.terms.items():
+            term = coeff
+            for v, e in zip(self.catalog, exps):
+                if e:
+                    term = term * values[v] ** e
+            total = total + term
+        return total
+
+    # -- structure maps ----------------------------------------------------
+
+    def with_catalog(self, catalog: tuple[VariableRef, ...]) -> "MultiPoly":
+        """Re-express over a (super)catalog; fails if variables would be lost."""
+        new_pos = {v: i for i, v in enumerate(catalog)}
+        terms = {}
+        for exps, coeff in self.terms.items():
+            key = [0] * len(catalog)
+            for v, e in zip(self.catalog, exps):
+                if e:
+                    if v not in new_pos:
+                        raise PolyError(f"variable {v} not representable in target catalog")
+                    key[new_pos[v]] = e
+            terms[tuple(key)] = coeff
+        return MultiPoly(catalog, terms)
+
+    def to_complex(self) -> "MultiPoly":
+        """Convert exact coefficients to complex floats."""
+        return MultiPoly(self.catalog, {e: to_complex(c) for e, c in self.terms.items()})
+
+    # -- canonical forms -----------------------------------------------------
+
+    def term_items(self):
+        """Catalog-independent canonical term list: ((var, exp), ...) -> coeff."""
+        items = []
+        for exps, coeff in self.terms.items():
+            sig = tuple((v, e) for v, e in zip(self.catalog, exps) if e)
+            items.append((sig, coeff))
+        items.sort(key=lambda it: tuple((v.key(), e) for v, e in it[0]))
+        return items
+
+    def to_text(self) -> str:
+        if not self.terms:
+            return "0"
+        chunks = []
+        for sig, coeff in self.term_items():
+            mono = " ".join(str(v) if e == 1 else f"{v}^{e}" for v, e in sig)
+            chunks.append(f"({coeff})" + (f" {mono}" if mono else ""))
+        return " + ".join(chunks)
+
+    def __repr__(self) -> str:
+        return f"MultiPoly[{len(self.terms)} terms over {len(self.catalog)} vars]"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        return self.term_items() == other.term_items()
+
+    def __hash__(self):
+        return hash(tuple(self.term_items()))
+
 
 
 def map_variables(p: MultiPoly, mapping) -> MultiPoly:
@@ -784,7 +1081,7 @@ def orbit_exact(elements, triple) -> list:
     distinct exact points g.t, sorted by entry."""
     t = tuple(Cyclo.coerce(c) for c in triple)
     pts = {_apply_rows(g, t) for g in elements}
-    return sorted(pts, key=lambda p: tuple(x.sort_key() for x in p))
+    return sorted(pts, key=lambda p: tuple((x.a, x.b) for x in p))
 
 
 def stabilizer_exact(elements, triple) -> list:
@@ -809,3 +1106,8 @@ def solve_for_triple(t) -> fp.SolutionSet:
                                 sum(q * (0, 1, 0, -1)[k % 4] for (k,), q in p.terms.items()))
                         for p in cv)
     return fp.solve(fp.FormProblemInput(c6, c12, c18, i9=c9))
+
+
+def states_close(s: State, t: State, tol: float) -> bool:
+    """True when no amplitude of s and t differs by more than tol."""
+    return bool(np.max(np.abs(s.amplitudes - t.amplitudes)) <= tol)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trimoduli import concomitants as con
-from trimoduli.poly_engine import GROUPS, Form, VariableRef, transvectant
+from trimoduli.poly_engine import GROUPS, PERMS3, Form, transvectant
 from trimoduli.qutrit_state import (
     State,
     normal_form_amplitudes,
@@ -18,10 +18,13 @@ from trimoduli.qutrit_state import (
 )
 
 from oracles import (
+    MultiPoly,
+    VariableRef,
     aronhold_raws_loop,
     bundle_sparse,
     dense_raws_einsum,
     form_to_poly,
+    group_catalog,
     slice_cubic_expansion,
 )
 
@@ -111,7 +114,7 @@ class TestBundle:
         amp = np.random.default_rng(45).integers(-3, 4, size=(3, 3, 3))
         for a in (amp.astype(object), int_array(normal_form_amplitudes(1, 2, -3))):
             dense = con.bundle_from_form(a).as_dict()
-            sparse = bundle_sparse(trilinear_form(a))
+            sparse = bundle_sparse(form_to_poly(trilinear_form(a)))
             assert set(dense) == set(sparse)
             for name, form in dense.items():
                 assert form_to_poly(form) == sparse[name], name
@@ -243,16 +246,18 @@ class TestDenseContraction:
                 assert abs(got - want) <= 1e-9 * abs(want), key
 
     def test_runtime_path_builds_no_polynomials(self, monkeypatch):
-        from trimoduli import form_problem, poly_engine
-        from trimoduli.poly_engine import MultiPoly
+        from trimoduli import form_problem, poly_engine, qutrit_state
 
         def refuse(*args, **kwargs):
-            raise AssertionError("MultiPoly built or transvectant run on the runtime path")
+            raise AssertionError("Poly or ground form built, or transvectant run, "
+                                 "on the runtime path")
 
         s = random_state(3)
-        monkeypatch.setattr(MultiPoly, "__init__", refuse)
+        monkeypatch.setattr(poly_engine.Poly, "__init__", refuse)
         for module in (poly_engine, con):
             monkeypatch.setattr(module, "transvectant", refuse)
+        for module in (qutrit_state, con):
+            monkeypatch.setattr(module, "trilinear_form", refuse)
         inv = con.invariants(s)
         oc = form_problem.classify(form_problem.FormProblemInput(
             inv.i6, inv.i12, inv.i18, i9=inv.i9))
@@ -313,8 +318,6 @@ class TestMonomialSums:
         # I6 and I12 do not change when the parties are permuted and I9 picks
         # up the sign of the permutation; without the slot rotation rho, I9
         # does not
-        from trimoduli.poly_engine import PERMS3
-
         for s in (random_state(157), _scrambled_normal_form(158)):
             base = con.invariants(s)
             for perm, sign in PERMS3:
@@ -384,11 +387,26 @@ class TestCFormulas:
                 assert type(got) is complex
                 assert abs(got - want[k]) <= 1e-13 * abs(got)
             exact = tuple(Fraction(int(z.real * 64), 64) for z in t)
-            point = {VariableRef("x", i + 1): x for i, x in enumerate(exact)}
             cv = con.c_formulas(*exact)
             assert all(isinstance(x, Fraction) for x in cv)
-            assert tuple(cv[:3]) == tuple(p.eval(point) for p in polys)
+            assert tuple(cv[:3]) == tuple(p.eval(exact) for p in polys)
         assert all(r.dtype == np.complex128 and r.shape == (50,) for r in rows)
+
+    def test_polynomials_match_the_sparse_oracle(self):
+        # c_polynomials and the Jacobian, term for term, against c_formulas
+        # and the determinant of derivatives on the oracle's MultiPoly
+        # variables, whose exponent vectors are (x1, x2, x3) too
+        cat = group_catalog(("x",))
+        xs = [VariableRef("x", i) for i in (1, 2, 3)]
+        sparse = con.c_formulas(*(MultiPoly.variable(x, cat) for x in xs))[:3]
+        for dense, want in zip(con.c_polynomials(), sparse):
+            assert dense.terms == want.terms and want.terms
+        cols = [[p.diff(x) for x in xs] for p in sparse]
+        det = MultiPoly.zero(cat)
+        for sigma, sign in PERMS3:
+            term = cols[0][sigma[0]] * cols[1][sigma[1]] * cols[2][sigma[2]]
+            det = det + (term if sign > 0 else -term)
+        assert con._jacobian_polynomial().terms == det.terms and det.terms
 
     def test_c12_prime_product_equals_closed_form(self):
         rng = np.random.default_rng(91)
@@ -400,14 +418,21 @@ class TestCFormulas:
             assert abs(got - want) < 1e-10 * max(abs(want), 1)
 
 
-def _hesse_cubic(phi, psi, exact=False):
-    """-phi*(x1^3+x2^3+x3^3) + psi*x1x2x3 as a one-group polynomial."""
-    from trimoduli.poly_engine import MultiPoly, group_catalog
+def _cubic_form(coeffs: dict, exact: bool) -> Form:
+    """The cubic sum coeffs[e] x^e as a one-group x `Form`, each coefficient
+    on the one tensor entry (0,)*e1 + (1,)*e2 + (2,)*e3: an object tensor
+    when exact, else complex."""
+    tensor = np.zeros((3, 3, 3), dtype=object if exact else complex)
+    for (e1, e2, e3), c in coeffs.items():
+        tensor[(0,) * e1 + (1,) * e2 + (2,) * e3] = c
+    return Form(tensor, ("x",) * 3)
 
-    cat = group_catalog(("x",))
-    mk = (lambda q: Fraction(q)) if exact else (lambda q: complex(q))
-    return MultiPoly(cat, {(3, 0, 0): mk(-phi), (0, 3, 0): mk(-phi),
-                           (0, 0, 3): mk(-phi), (1, 1, 1): mk(psi)})
+
+def _hesse_cubic(phi, psi, exact=False):
+    """-phi*(x1^3+x2^3+x3^3) + psi*x1x2x3 as a one-group form."""
+    mk = Fraction if exact else complex
+    return _cubic_form({(3, 0, 0): mk(-phi), (0, 3, 0): mk(-phi),
+                        (0, 0, 3): mk(-phi), (1, 1, 1): mk(psi)}, exact)
 
 
 class TestAronhold:
@@ -468,7 +493,6 @@ class TestAronhold:
     def test_hessian_tensor_is_slice_tensor(self):
         # the Hessian det(d^2F/dx_a dx_b) of an integer cubic, expanded as a
         # polynomial, has K tensor slice_tensor(K) for the K of the cubic
-        from trimoduli.poly_engine import PERMS3, MultiPoly, VariableRef, group_catalog
         from trimoduli.qutrit_state import slice_tensor
 
         cat = group_catalog(("x",))
@@ -489,23 +513,20 @@ class TestAronhold:
             assert kh[idx] == coeff * math.prod(map(math.factorial, exps))
 
     def test_matches_permutation_loops_exactly(self):
-        from trimoduli.poly_engine import MultiPoly, group_catalog
-
         rng = np.random.default_rng(108)
         exps = [e for e in np.ndindex(4, 4, 4) if sum(e) == 3]
         for _ in range(3):
             coeffs = {e: Fraction(int(c)) for e, c in zip(exps, rng.integers(-4, 5, len(exps)))}
-            pair = con.aronhold(MultiPoly(group_catalog(("x",)), coeffs))
+            pair = con.aronhold(_cubic_form(coeffs, exact=True))
             s_raw, t_raw = aronhold_raws_loop(coeffs)
             assert pair.s == s_raw * con.ARONHOLD_S_SCALE != 0
             assert pair.t == t_raw * con.ARONHOLD_T_SCALE != 0
 
     def test_rejects_non_cubic(self):
-        from trimoduli.poly_engine import MultiPoly, VariableRef, group_catalog
-
-        cat = group_catalog(("x",))
         with pytest.raises(ValueError):
-            con.aronhold(MultiPoly.variable(VariableRef("x", 1), cat))
+            con.aronhold(Form(np.array([1, 0, 0], dtype=object), ("x",)))
+        with pytest.raises(ValueError):
+            con.aronhold(Form(np.ones((3, 3, 3)), ("x", "x", "y")))
 
 
 class TestSyzygyResiduals:

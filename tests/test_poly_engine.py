@@ -6,19 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trimoduli.cyclotomic import EPS, Cyclo
-from trimoduli.poly_engine import (
-    Form,
-    MultiPoly,
-    PolyError,
-    VariableRef,
-    group_catalog,
-    make_catalog,
-    transvectant,
-)
+from trimoduli.poly_engine import Form, Poly, PolyError, transvectant
 from trimoduli.qutrit_state import normal_form_amplitudes, trilinear_form
 
 from oracles import (
+    MultiPoly,
+    VariableRef,
     form_to_poly,
+    group_catalog,
+    make_catalog,
     omega_apply,
     reslot,
     trace_collapse,
@@ -95,6 +91,42 @@ class TestScalars:
         if x:
             assert x * x.inverse() == Cyclo(1)
         assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+
+
+class TestPoly:
+    X1, X2, X3 = (Poly.variable(i) for i in (1, 2, 3))
+
+    def test_variables_and_products(self):
+        assert self.X2.terms == {(0, 1, 0): 1}
+        p = self.X1 * self.X1 * self.X3
+        assert p.terms == {(2, 0, 1): 1}
+        assert (p * self.X2).terms == {(2, 1, 1): 1}
+
+    def test_scalar_on_either_side(self):
+        for c in (3, Fraction(2, 7), EPS):
+            assert (c * self.X1).terms == (self.X1 * c).terms == {(1, 0, 0): c}
+        assert (self.X1 * 0).is_zero() and (Cyclo(0) * self.X2).is_zero()
+
+    def test_cancellation_prunes_terms(self):
+        assert (self.X1 - self.X1).is_zero()
+        assert (self.X1 * self.X2 - self.X2 * self.X1).is_zero()
+        assert ((self.X1 + self.X2) * (self.X1 - self.X2)).terms == {(2, 0, 0): 1, (0, 2, 0): -1}
+        assert (-(self.X3 + self.X1)).terms == {(0, 0, 1): -1, (1, 0, 0): -1}
+        assert Poly({(1, 0, 0): Fraction(0), (0, 1, 0): 2}).terms == {(0, 1, 0): 2}
+
+    def test_formal_derivative(self):
+        p = self.X1 * self.X1 * self.X2 * 5 + self.X3
+        assert p.diff(1).terms == {(1, 1, 0): 10}
+        assert p.diff(2).terms == {(2, 0, 0): 5}
+        assert p.diff(3).terms == {(0, 0, 0): 1}
+        assert self.X3.diff(1).is_zero()
+
+    def test_eval_exact_and_complex(self):
+        p = self.X1 * self.X1 * self.X2 - 4 * self.X3
+        assert p.eval((2, 3, 5)) == -8
+        assert p.eval((Fraction(1, 2), 4, Fraction(1, 4))) == 0
+        assert p.eval((1j, 1, 0)) == -1
+        assert Poly({}).eval((1, 2, 3)) == 0
 
 
 class TestPolyCore:
@@ -204,7 +236,8 @@ class TestTrace:
         assert trace_collapse(p).constant_value() == 7
 
     def test_product_of_slotted_forms(self):
-        f = trilinear_form(normal_form_amplitudes(Fraction(1), Fraction(2), Fraction(0)))
+        amp = normal_form_amplitudes(Fraction(1), Fraction(2), Fraction(0))
+        f = form_to_poly(trilinear_form(amp))
         cat = make_catalog(
             VariableRef(g, i, s) for g in ("x", "y", "z") for i in (1, 2, 3) for s in (1, 2, 3))
         prod = reslot(f, 1).with_catalog(cat) * reslot(f, 2).with_catalog(cat) \

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from trimoduli import concomitants
-from trimoduli.poly_engine import VariableRef, group_catalog, MultiPoly
+from trimoduli.poly_engine import Form
 from trimoduli.qutrit_state import (
     EVEN_TRIPLES,
     ODD_TRIPLES,
@@ -24,7 +24,14 @@ from trimoduli.qutrit_state import (
     write_state,
 )
 
-from oracles import form_to_poly, slice_cubic_expansion
+from oracles import (
+    MultiPoly,
+    VariableRef,
+    form_to_poly,
+    group_catalog,
+    slice_cubic_expansion,
+    states_close,
+)
 
 PRODUCT_111 = np.zeros((3, 3, 3), dtype=complex)
 PRODUCT_111[0, 0, 0] = 1.0
@@ -77,7 +84,7 @@ class TestApplyLocal:
     def test_invariant_preserved(self):
         s = random_state(12)
         g = random_local_transform(13)
-        assert g.is_det_normalized()
+        assert all(abs(np.linalg.det(m) - 1.0) < 1e-12 for m in g.matrices)
         i6_before = concomitants.invariants(s).i6
         i6_after = concomitants.invariants(apply_local(s, g)).i6
         assert abs(i6_after - i6_before) / abs(i6_before) < 1e-8
@@ -96,7 +103,7 @@ class TestApplyLocal:
 
 class TestSliceCubic:
     def test_diagonal_form(self):
-        cubic = slice_cubic(normal_form_state((1, 0, 0)), "x")
+        cubic = form_to_poly(slice_cubic(normal_form_state((1, 0, 0)), "x"))
         cat = group_catalog(("x",))
         want = (MultiPoly.variable(VariableRef("x", 1), cat)
                 * MultiPoly.variable(VariableRef("x", 2), cat)
@@ -113,7 +120,7 @@ class TestSliceCubic:
             u, v, w = (complex(a, b) for a, b in rng.standard_normal((3, 2)))
             phi, psi = u * v * w, u ** 3 + v ** 3 + w ** 3
             for axis in ("x", "y", "z"):
-                cubic = slice_cubic(normal_form_state((u, v, w)), axis)
+                cubic = form_to_poly(slice_cubic(normal_form_state((u, v, w)), axis))
                 coeffs = {}
                 for sig, c in cubic.term_items():
                     key = tuple(sorted((vr.index, e) for vr, e in sig))
@@ -127,7 +134,7 @@ class TestSliceCubic:
         s = random_state(22)
         cubic = slice_cubic(s, "x")
         b_alpha = concomitants.build_concomitants(s).b_alpha
-        lhs = dict(cubic.term_items())
+        lhs = dict(form_to_poly(cubic).term_items())
         rhs = dict(form_to_poly(b_alpha).term_items())
         scale = max(abs(c) for c in rhs.values())
         for k in set(lhs) | set(rhs):
@@ -136,6 +143,20 @@ class TestSliceCubic:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             slice_cubic(random_state(1), "q")
+
+    def test_is_a_one_group_form(self):
+        s = random_state(24)
+        for n, axis in enumerate("xyz"):
+            cubic = slice_cubic(s, axis)
+            assert isinstance(cubic, Form) and cubic.groups == (axis,) * 3
+            k = slice_tensor(np.moveaxis(s.amplitudes, n, 0))
+            assert np.array_equal(cubic.tensor, k / 6)
+
+    def test_state_form_is_the_trilinear_form(self):
+        s = random_state(25)
+        f = s.form()
+        assert isinstance(f, Form) and f.groups == ("x", "y", "z")
+        assert np.array_equal(f.tensor, s.amplitudes)
 
     def test_tensor_is_six_times_the_determinant_expansion(self):
         # K[a,b,c] times the number of arrangements of its monomial is six
@@ -208,13 +229,13 @@ class TestStateIO:
         path = tmp_path / "state.json"
         s = normal_form_state((1, 0, 0))
         write_state(path, s)
-        assert read_state(path).isclose(s, tol=0.0)
+        assert states_close(read_state(path), s, tol=0.0)
 
     def test_round_trip_random(self, tmp_path):
         path = tmp_path / "state.json"
         s = random_state(99)
         write_state(path, s)
-        assert read_state(path).isclose(s, tol=0.0)
+        assert states_close(read_state(path), s, tol=0.0)
 
     def test_wrong_length(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -72,7 +72,7 @@ def _cyclo_closure(gens):
                     seen.add(prod)
                     new.append(prod)
         frontier = new
-    return sorted(seen, key=lambda m: tuple(e.sort_key() for row in m for e in row))
+    return sorted(seen, key=lambda m: tuple((e.a, e.b) for row in m for e in row))
 
 
 class TestIntegerEncoding:
@@ -403,12 +403,20 @@ class TestInvariance:
 
     def test_swap_flips_alternating_invariant(self):
         from trimoduli.concomitants import c_formulas, c_polynomials
-        from trimoduli.poly_engine import MultiPoly, VariableRef, group_catalog
+        from trimoduli.poly_engine import Poly
 
         _, c9, _ = c_polynomials()
-        cat = group_catalog(("x",))
-        x1, x2, x3 = (MultiPoly.variable(VariableRef("x", i), cat) for i in (1, 2, 3))
+        x1, x2, x3 = (Poly.variable(i) for i in (1, 2, 3))
         assert (c_formulas(x1, x3, x2).c9 + c9).is_zero()
+
+    def test_proof_reports_the_swap_residual(self):
+        # the bare swap B (generator 1 of H) flips the sign of C9, so the
+        # difference C9(B.x) - C9 is -2 C9, whose largest coefficient is 2
+        report = rg.verify_invariance(rg.group_h())
+        assert len(report) == 5
+        for name, entry in report.items():
+            want = {"C6": 0, "C9": 2 if name == "generator_1" else 0, "C12": 0}
+            assert entry == want, name
 
     def test_orbit_shares_hermitian_norm(self, group_k):
         t = random_parameter_triple(31)

@@ -6,7 +6,7 @@ transvectants of dense coefficient tensors as the exact calibration, the
 syzygy check and the test oracle.  It normalizes
 states by Newton steps of local filtering, recovers all equivalent normal-form
 parameters by a radical chain, and realizes the order-648 normal-form
-symmetry group in exact cyclotomic arithmetic.
+symmetry group exactly, its entries in (1/3)Z[eps] stored as integer pairs.
 """
 
 __version__ = "0.1.0"
@@ -25,7 +25,6 @@ from .concomitants import (  # noqa: F401
     projective_point,
     syzygy_residuals,
 )
-from .cyclotomic import EPS, Cyclo  # noqa: F401
 from .form_problem import (  # noqa: F401
     FormProblemInput,
     OrbitClass,
@@ -50,7 +49,6 @@ from .qutrit_state import (  # noqa: F401
     State,
     apply_local,
     normal_form_state,
-    orbit_dimension,
     random_state,
     read_state,
     reduced_density,

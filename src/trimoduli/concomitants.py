@@ -39,7 +39,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import EPS, EPS_COMPLEX, Cyclo, is_exact
 from .poly_engine import (
     GROUPS,
     LEVI_CIVITA,
@@ -289,6 +288,12 @@ def _cube_powers(x):
     return x * x2, x2 * x4, x * x8, x4 * x8
 
 
+def is_exact(values) -> bool:
+    """True when none of the values is a float, a complex or a numpy array,
+    so that they are computed on exactly (ints, Fractions, `Poly`)."""
+    return not any(isinstance(x, (complex, float, np.ndarray)) for x in values)
+
+
 def c9_formula(u, v, w):
     """C9 alone, for the sign filter; `c_formulas` takes its C9 from here."""
     u3, v3, w3 = u * (u * u), v * (v * v), w * (w * w)
@@ -297,8 +302,9 @@ def c9_formula(u, v, w):
 
 def c_formulas(u, v, w) -> CValues:
     """C6, C9, C12, C18 of the normal form with parameters (u, v, w), the
-    only implementation, for Python complex, int, Fraction, Cyclo, Poly
-    and complex numpy arrays (one triple per entry) alike.  C6 and C12 are
+    only implementation, for Python complex, int, Fraction, Poly (with
+    coefficients of any exact ring, such as `Eisenstein` pairs) and complex
+    numpy arrays (one triple per entry) alike.  C6 and C12 are
     monomial sums, not psi^2 - 12 chi and psi^4 + lam psi: those cancel
     exactly on multiples of (0, 1, -1), where the invariants of a state
     carry rounding noise.  Complex scalars get the bits of the sums taken
@@ -321,15 +327,13 @@ def c_formulas(u, v, w) -> CValues:
 
 
 def c12_prime(u, v, w):
-    """Product of the twelve linear forms u v w (eps^a u + eps^b v + w)."""
-    eps = EPS if is_exact((u, v, w)) else EPS_COMPLEX
-    total = u * v * w
-    for a in range(3):
-        for b in range(3):
-            total = total * (eps ** a * u + eps ** b * v + w)
-    if isinstance(total, Cyclo) and total.is_rational():
-        return total.as_fraction()
-    return total
+    """Product of the twelve linear forms u v w (eps^a u + eps^b v + w), in
+    closed form: the nine forms eps^a u + eps^b v + w multiply to
+    psi^3 - 27 phi^3, with psi = u^3 + v^3 + w^3 and phi = u v w, so the
+    product is phi psi^3 - 27 phi^4."""
+    phi = u * v * w
+    psi = u * u * u + v * v * v + w * w * w
+    return phi * (psi * psi * psi) - 27 * (phi * phi) * (phi * phi)
 
 
 @lru_cache(maxsize=None)

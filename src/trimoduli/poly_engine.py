@@ -57,8 +57,8 @@ class PolyError(ValueError):
 class Poly:
     """An exact polynomial in x1, x2, x3 (the parameters u, v, w of the
     normal form): its terms map exponent triples to nonzero coefficients,
-    ints, Fractions or `Cyclo` values, in the order the operations make them,
-    so that `eval` adds the terms in a fixed order."""
+    ints, Fractions or `reflection_group.Eisenstein` pairs, in the order the
+    operations make them, so that `eval` adds the terms in a fixed order."""
 
     __slots__ = ("terms",)
 

@@ -8,7 +8,7 @@ symmetric 3x3x3 tensor (by numpy einsum against the Levi-Civita symbol of
 `poly_engine`; `slice_cubic` is the cubic as a one-group `Form`), and
 builds the three-parameter normal-form family, reduced
 densities, the tangent map of sl(3)^3 on the Gell-Mann matrices (the
-filtering iteration's derivatives and the orbit dimension), and the JSON
+filtering iteration's derivatives), and the JSON
 state file format.
 """
 from __future__ import annotations
@@ -194,14 +194,6 @@ def tangent_rows(a: np.ndarray) -> np.ndarray:
     return np.concatenate((np.einsum("aip,pjk->aijk", GELL_MANN, a),
                            np.einsum("ajq,iqk->aijk", GELL_MANN, a),
                            np.einsum("akr,ijr->aijk", GELL_MANN, a))).reshape(24, 27)
-
-
-def orbit_dimension(s: State) -> int:
-    """Complex rank of the tangent map sl(3)^3 -> H at the state: the number
-    of singular values of `tangent_rows` above 1e-8 times the largest (the
-    Gell-Mann matrices span sl(3, C), so this is the orbit's dimension)."""
-    sv = np.linalg.svd(tangent_rows(s.amplitudes), compute_uv=False)
-    return int(np.count_nonzero(sv > 1e-8 * sv[0]))
 
 
 def write_state(path, s: State) -> None:

@@ -7,13 +7,13 @@ whose polynomial invariants are exactly the closed normal-form invariants
 lies in (1/3)Z[eps], so an element is stored as 3 * entry in integer pairs,
 18 ints, and closure runs in exact integer arithmetic.  A group is one sorted
 (n, 18) int64 array of its elements plus the (n, 3, 3) complex stack built
-once from that array; the invariance proof alone sees the entries as `Cyclo`
-values of Q(eps) (`exact_rows`) and evaluates `concomitants.c_formulas` on
-the linear forms g.x, each a `poly_engine.Poly`.
+once from that array.  The invariance proof takes the same integer pairs as
+`Eisenstein` scalars and evaluates `concomitants.c_formulas` on the linear
+forms 3g.x, each a `poly_engine.Poly`.
 
-`orbit` and `stabilizer` act by the stack on a triple of any scalar type
-(exact triples are embedded in C first); a stabilizer keeps its rows of the
-array and of the stack, and `stabilizer_type` labels it by probes on those
+`orbit` and `stabilizer` act by the stack on a triple of any scalar that
+converts to a Python complex; a stabilizer keeps its rows of the array and
+of the stack, and `stabilizer_type` labels it by probes on those
 matrices, which decide exactly because their entries are Eisenstein numbers
 with a bounded denominator.  A float triple set is one complex (n, 3) array:
 `cluster_points` (candidate pairs from a sort along one direction, then a
@@ -22,14 +22,16 @@ orders the rows, here and in the form problem.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import numbers
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import EPS, EPS_COMPLEX, Cyclo, to_complex
 from .poly_engine import Poly
+
+# eps = exp(2 i pi / 3)
+EPS_COMPLEX = complex(-0.5, 3.0 ** 0.5 / 2.0)
 
 
 def _product9(x, y) -> list:
@@ -52,25 +54,47 @@ def _product9(x, y) -> list:
 _IDENTITY = (3, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 3, 0)
 
 
-def _pairs(rows) -> tuple:
-    """The 18 ints of a 3x3 matrix given by rows of ints, Fractions or
-    `Cyclo` values: 3 * entry as the integer pair (a, b) of a + b*eps,
-    row-major.  Raises unless every entry lies in (1/3)Z[eps]."""
-    ints = []
-    for e in (Cyclo.coerce(e) for row in rows for e in row):
-        a, b = 3 * e.a, 3 * e.b
-        if a.denominator != 1 or b.denominator != 1:
-            raise ValueError(f"entry {e} of a group element is not in (1/3)Z[eps]")
-        ints += (a.numerator, b.numerator)
-    return tuple(ints)
+class Eisenstein:
+    """a + b*eps with eps^2 = -1 - eps, a and b ints or Fractions: one
+    coefficient of the linear forms 3g.x of the invariance proof, a pair of
+    the 18 ints of g."""
 
+    __slots__ = ("a", "b")
 
-def exact_rows(v) -> tuple:
-    """The entries of one element, given by its 18 Python ints, as a 3x3
-    tuple of exact `Cyclo` values."""
-    return tuple(tuple(Cyclo(Fraction(v[k], 3), Fraction(v[k + 1], 3))
-                       for k in range(i, i + 6, 2))
-                 for i in (0, 6, 12))
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __add__(self, other):
+        if isinstance(other, Eisenstein):
+            return Eisenstein(self.a + other.a, self.b + other.b)
+        return Eisenstein(self.a + other, self.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Eisenstein(-self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, Eisenstein):
+            a, b, c, d = self.a, self.b, other.a, other.b
+            return Eisenstein(a * c - b * d, a * d + b * c - b * d)
+        if isinstance(other, numbers.Rational):
+            return Eisenstein(self.a * other, self.b * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
+
+    def __complex__(self) -> complex:
+        return complex(self.a) + complex(self.b) * EPS_COMPLEX
+
+    def __abs__(self) -> float:
+        return abs(complex(self))
 
 
 def _conjugate_transpose(v) -> list:
@@ -85,7 +109,8 @@ def _conjugate_transpose(v) -> list:
 
 def _to_complex(ints: np.ndarray) -> np.ndarray:
     """The (n, 3, 3) complex matrices of an (n, 18) integer array, each entry
-    rounded as `Cyclo.to_complex` rounds a/3 + (b/3)*eps."""
+    a/3 + (b/3)*eps rounded as complex(a/3) + complex(b/3) * EPS_COMPLEX,
+    the embedding of `Eisenstein`."""
     a, b = ints[:, 0::2] / 3, ints[:, 1::2] / 3
     return (a.astype(complex) + b.astype(complex) * EPS_COMPLEX).reshape(-1, 3, 3)
 
@@ -95,18 +120,20 @@ def generators() -> dict:
     """The five generating transformations of the order-1296 group, as 18
     ints each: A cycles (u,v,w); B swaps v,w; C and D rescale by cube roots
     of unity; E is the eps-Fourier matrix with exact prefactor
-    1/(i sqrt 3) = (eps^2-eps)/3.
+    1/(i sqrt 3) = (eps^2-eps)/3.  In 3 * entry: 1 is (3, 0), eps is (0, 3),
+    eps^2 = -1 - eps is (-3, -3), and E's entries are 3 * (eps^2-eps)/3 times
+    1, eps and eps^2, that is -1 - 2eps, 2 + eps and -1 + eps.
     """
-    e = EPS
-    e2 = EPS * EPS
-    pref = (e2 - e) / 3  # equals 1/(i*sqrt(3)); its square is -1/3
-    return {
-        "A": _pairs(((0, 1, 0), (0, 0, 1), (1, 0, 0))),
-        "B": _pairs(((1, 0, 0), (0, 0, 1), (0, 1, 0))),
-        "C": _pairs(((1, 0, 0), (0, e, 0), (0, 0, e2))),
-        "D": _pairs(((1, 0, 0), (0, e, 0), (0, 0, e))),
-        "E": _pairs(((pref, pref, pref), (pref, pref * e, pref * e2), (pref, pref * e2, pref * e))),
+    o, one, e, e2 = (0, 0), (3, 0), (0, 3), (-3, -3)
+    p, q, r = (-1, -2), (2, 1), (-1, 1)
+    entries = {
+        "A": (o, one, o, o, o, one, one, o, o),
+        "B": (one, o, o, o, o, one, o, one, o),
+        "C": (one, o, o, o, e, o, o, o, e2),
+        "D": (one, o, o, o, e, o, o, o, e),
+        "E": (p, p, p, p, q, r, p, r, q),
     }
+    return {name: sum(pairs, ()) for name, pairs in entries.items()}
 
 
 class MatrixGroup(NamedTuple):
@@ -170,12 +197,12 @@ def is_unitary(group: MatrixGroup) -> bool:
 
 
 def orbit(group: MatrixGroup, triple) -> np.ndarray:
-    """The orbit {g.t} without repeats, of a triple of ints, Fractions,
-    `Cyclo` values, floats or complex numbers: a complex (n, 3) array in
+    """The orbit {g.t} without repeats, of a triple of scalars that convert
+    to Python complex numbers: a complex (n, 3) array in
     `sort_rows` order, one point per cluster of the images within 1e-9 times
     their largest real or imaginary part, so its size does not depend on the
     scale of the triple."""
-    pts = group.matrices @ np.array([to_complex(c) for c in triple])
+    pts = group.matrices @ np.array(triple, dtype=complex)
     flat = np.column_stack([pts.real, pts.imag])
     labels = cluster_points(flat, 1e-9 * float(np.max(np.abs(flat))))
     return sort_rows(pts[labels == np.arange(len(labels))])
@@ -245,11 +272,12 @@ def cluster_points(flat: np.ndarray, radius: float) -> np.ndarray:
 
 
 def stabilizer(group: MatrixGroup, triple, tol: float = 1e-9) -> MatrixGroup:
-    """Subgroup fixing a triple of any scalar type, selected on the complex
+    """Subgroup fixing a triple of scalars that convert to Python complex
+    numbers, selected on the complex
     matrices: the test allows tol times the largest entry of the triple, so
     the subgroup does not depend on the scale of the triple.  The subgroup
     keeps its rows of the group's integer array and complex matrices."""
-    t = np.array([to_complex(c) for c in triple])
+    t = np.array(triple, dtype=complex)
     scale = float(np.max(np.abs(t)))
     fixed = np.max(np.abs(group.matrices @ t - t), axis=1) <= tol * scale
     # a subset of the sorted element array is sorted
@@ -302,24 +330,24 @@ def stabilizer_type(subgroup: MatrixGroup) -> str:
     return label if has_reflection3 and not abelian else "unclassified(order=24,structure)"
 
 
-def verify_invariance(group: MatrixGroup | None = None) -> dict:
+def verify_invariance(group: MatrixGroup) -> dict:
     """Exact check that the closed invariants of degree 6, 9, 12 compose
-    trivially with every generator of the order-648 group: `c_formulas` on
-    the linear forms g.x against `c_polynomials`, for each generator g.  An
-    entry is 0, or the largest modulus of a coefficient of the difference."""
+    trivially with every generator of a group: `c_formulas` on the linear
+    forms 3g.x, with the 18 ints of g as `Eisenstein` coefficients, against
+    3^d times `c_polynomials`, for each generator g.  An entry is 0, or the
+    largest modulus of a coefficient of the difference, over 3^d."""
     from .concomitants import c_formulas, c_polynomials
 
-    if group is None:
-        group = group_k()
-    gens = group.gens or group.ints.tolist()
     x1, x2, x3 = (Poly.variable(i) for i in (1, 2, 3))
     report = {}
-    for gi, g in enumerate(gens):
-        gx = [x1 * a + x2 * b + x3 * c for a, b, c in exact_rows(g)]
+    for gi, g in enumerate(group.gens):
+        coeffs = [Eisenstein(g[k], g[k + 1]) for k in range(0, 18, 2)]
+        gx = [x1 * coeffs[i] + x2 * coeffs[i + 1] + x3 * coeffs[i + 2] for i in (0, 3, 6)]
         entry = {}
-        for name, composed, poly in zip(("C6", "C9", "C12"), c_formulas(*gx), c_polynomials()):
-            diff = composed - poly
+        for name, d, composed, poly in zip(("C6", "C9", "C12"), (6, 9, 12),
+                                           c_formulas(*gx), c_polynomials()):
+            diff = composed - poly * 3 ** d
             entry[name] = 0 if diff.is_zero() else max(
-                abs(to_complex(c)) for c in diff.terms.values())
+                abs(c) for c in diff.terms.values()) / 3 ** d
         report[f"generator_{gi}"] = entry
     return report

@@ -11,12 +11,15 @@ determinant, the Aronhold brackets as loops over permutations, I6 and I9 as
 chains of einsum contractions against the Levi-Civita symbols, and the form
 problem's candidate check, dedup and sign filter as scalar loops over an
 all-pairs union-find, the first-order round-robin filtering iteration
-that the Newton steps of `slocc_normalize` replaced, the complex matrix of
-one group element entry by entry, the structure probes of a group
-(commutation, element orders, pseudo-reflections), its orbits and
-stabilizers in exact products of `Cyclo` rows, and the form problem solved
-on invariants taken exactly over Q(i).  Also `states_close`, the test
-comparison of two states.
+that the Newton steps of `slocc_normalize` replaced, the orbit dimension
+of a state, `Cyclo`, the exact field Q(eps) of the group entries, with the
+18 ints of an element from its `Cyclo` rows (`pairs`) and back
+(`exact_rows`) and C12' as the product of the twelve mirror forms, the
+complex matrix of one group element entry by entry, the structure probes
+of a group (commutation, element orders, pseudo-reflections), its orbits
+and stabilizers in exact products of `Cyclo` rows, and the form problem
+solved on invariants taken exactly over Q(i).  Also `states_close`, the
+test comparison of two states.
 """
 from __future__ import annotations
 
@@ -32,7 +35,6 @@ import numpy as np
 from trimoduli import form_problem as fp
 from trimoduli import reflection_group as rg
 from trimoduli.concomitants import _triple_tensor, c_formulas
-from trimoduli.cyclotomic import Cyclo, to_complex
 from trimoduli.poly_engine import (
     _GROUP_RANK,
     GROUPS,
@@ -46,6 +48,7 @@ from trimoduli.qutrit_state import (
     State,
     apply_local,
     reduced_density,
+    tangent_rows,
 )
 
 
@@ -312,7 +315,7 @@ class MultiPoly:
 
     def to_complex(self) -> "MultiPoly":
         """Convert exact coefficients to complex floats."""
-        return MultiPoly(self.catalog, {e: to_complex(c) for e, c in self.terms.items()})
+        return MultiPoly(self.catalog, {e: complex(c) for e, c in self.terms.items()})
 
     # -- canonical forms -----------------------------------------------------
 
@@ -954,6 +957,181 @@ def normalize_round_robin(s: State, tol: float = 1e-10, max_iter: int = 20000):
     return current, max_iter, False
 
 
+def orbit_dimension(s: State) -> int:
+    """Complex rank of the tangent map sl(3)^3 -> H at the state: the number
+    of singular values of `tangent_rows` above 1e-8 times the largest (the
+    Gell-Mann matrices span sl(3, C), so this is the orbit's dimension)."""
+    sv = np.linalg.svd(tangent_rows(s.amplitudes), compute_uv=False)
+    return int(np.count_nonzero(sv > 1e-8 * sv[0]))
+
+
+# --- exact arithmetic over the Eisenstein rationals Q(eps) --------------------
+
+_RationalLike = (int, Fraction)
+
+
+class Cyclo:
+    """An element a + b*eps of Q(eps), eps = exp(2i*pi/3), with rational a, b,
+    reduced by the defining relation eps**2 = -1 - eps: the exact field of
+    the group entries, for the oracles of the group's integer pairs."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        self.a = a if isinstance(a, Fraction) else Fraction(a)
+        self.b = b if isinstance(b, Fraction) else Fraction(b)
+
+    @classmethod
+    def coerce(cls, value) -> "Cyclo":
+        if isinstance(value, Cyclo):
+            return value
+        if isinstance(value, _RationalLike):
+            return cls(value, 0)
+        raise TypeError(f"cannot coerce {type(value).__name__} into Q(eps)")
+
+    def __add__(self, other):
+        if isinstance(other, _RationalLike):
+            return Cyclo(self.a + other, self.b)
+        if isinstance(other, Cyclo):
+            return Cyclo(self.a + other.a, self.b + other.b)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Cyclo(-self.a, -self.b)
+
+    def __sub__(self, other):
+        if isinstance(other, (Cyclo, *_RationalLike)):
+            return self + (-other if isinstance(other, Cyclo) else Cyclo(-other))
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, _RationalLike):
+            return Cyclo(self.a * other, self.b * other)
+        if isinstance(other, Cyclo):
+            # (a + b eps)(c + d eps) with eps^2 = -1 - eps
+            a, b, c, d = self.a, self.b, other.a, other.b
+            return Cyclo(a * c - b * d, a * d + b * c - b * d)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = Cyclo(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def conjugate(self) -> "Cyclo":
+        """Complex conjugation, which maps eps to eps**2 = -1 - eps."""
+        return Cyclo(self.a - self.b, -self.b)
+
+    def norm(self) -> Fraction:
+        """Field norm a**2 - a*b + b**2 (a nonnegative rational)."""
+        return self.a * self.a - self.a * self.b + self.b * self.b
+
+    def inverse(self) -> "Cyclo":
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero in Q(eps)")
+        conj = self.conjugate()
+        return Cyclo(conj.a / n, conj.b / n)
+
+    def __truediv__(self, other):
+        if isinstance(other, _RationalLike):
+            if other == 0:
+                raise ZeroDivisionError("division by zero in Q(eps)")
+            return Cyclo(self.a / other, self.b / other)
+        if isinstance(other, Cyclo):
+            return self * other.inverse()
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        return Cyclo.coerce(other) * self.inverse()
+
+    def __bool__(self) -> bool:
+        return bool(self.a) or bool(self.b)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _RationalLike):
+            return self.b == 0 and self.a == other
+        if isinstance(other, Cyclo):
+            return self.a == other.a and self.b == other.b
+        return NotImplemented
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b))
+
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    def as_fraction(self) -> Fraction:
+        if self.b != 0:
+            raise ValueError(f"{self!r} is not rational")
+        return self.a
+
+    def to_complex(self) -> complex:
+        """Embed into C via eps -> (-1/2, +sqrt(3)/2), rounded as
+        complex(a) + complex(b) * EPS_COMPLEX, as the package's
+        `Eisenstein` pairs and group matrices are."""
+        return complex(self.a) + complex(self.b) * rg.EPS_COMPLEX
+
+    __complex__ = to_complex
+
+    def __repr__(self) -> str:
+        return f"Cyclo({self.a!r}, {self.b!r})"
+
+
+EPS = Cyclo(0, 1)
+
+
+def pairs(rows) -> tuple:
+    """The 18 ints of a 3x3 matrix given by rows of ints, Fractions or
+    `Cyclo` values: 3 * entry as the integer pair (a, b) of a + b*eps,
+    row-major.  Raises unless every entry lies in (1/3)Z[eps]."""
+    ints = []
+    for e in (Cyclo.coerce(e) for row in rows for e in row):
+        a, b = 3 * e.a, 3 * e.b
+        if a.denominator != 1 or b.denominator != 1:
+            raise ValueError(f"entry {e} of a group element is not in (1/3)Z[eps]")
+        ints += (a.numerator, b.numerator)
+    return tuple(ints)
+
+
+def exact_rows(v) -> tuple:
+    """The entries of one element, given by its 18 Python ints, as a 3x3
+    tuple of exact `Cyclo` values."""
+    return tuple(tuple(Cyclo(Fraction(v[k], 3), Fraction(v[k + 1], 3))
+                       for k in range(i, i + 6, 2))
+                 for i in (0, 6, 12))
+
+
+def c12_prime_mirrors(u, v, w):
+    """C12' as the product of the twelve linear forms u v w (eps^a u +
+    eps^b v + w) in Q(eps), for exact u, v, w: the reference for the closed
+    form of `concomitants.c12_prime`.  A rational product is returned as a
+    Fraction."""
+    total = Cyclo.coerce(u) * v * w
+    for a in range(3):
+        for b in range(3):
+            total = total * (EPS ** a * u + EPS ** b * v + w)
+    return total.as_fraction() if total.is_rational() else total
+
+
 # --- exact group structure ---------------------------------------------------
 
 IDENTITY_ROWS = tuple(tuple(Cyclo(int(i == j)) for j in range(3)) for i in range(3))
@@ -961,7 +1139,7 @@ IDENTITY_ROWS = tuple(tuple(Cyclo(int(i == j)) for j in range(3)) for i in range
 
 def element_rows(group: rg.MatrixGroup) -> list:
     """The elements of a group as 3x3 tuples of exact `Cyclo` values, in order."""
-    return [rg.exact_rows(g) for g in group.ints.tolist()]
+    return [exact_rows(g) for g in group.ints.tolist()]
 
 
 @lru_cache(maxsize=1 << 14)

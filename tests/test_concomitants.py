@@ -22,6 +22,7 @@ from oracles import (
     VariableRef,
     aronhold_raws_loop,
     bundle_sparse,
+    c12_prime_mirrors,
     dense_raws_einsum,
     form_to_poly,
     group_catalog,
@@ -407,6 +408,16 @@ class TestCFormulas:
             term = cols[0][sigma[0]] * cols[1][sigma[1]] * cols[2][sigma[2]]
             det = det + (term if sign > 0 else -term)
         assert con._jacobian_polynomial().terms == det.terms and det.terms
+
+    def test_c12_prime_equals_twelve_mirror_product_exactly(self):
+        rng = np.random.default_rng(92)
+        triples = [(1, -1, 0), (0, 0, 0), (1, 1, 1), (2, 0, 5)]
+        triples += [tuple(Fraction(int(p), int(q)) for p, q in zip(rng.integers(-40, 41, 3),
+                                                                  rng.integers(1, 13, 3)))
+                    for _ in range(60)]
+        for t in triples:
+            got, want = con.c12_prime(*t), c12_prime_mirrors(*t)
+            assert isinstance(want, Fraction) and got == want, t
 
     def test_c12_prime_product_equals_closed_form(self):
         rng = np.random.default_rng(91)

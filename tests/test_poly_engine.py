@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trimoduli.cyclotomic import EPS, Cyclo
 from trimoduli.poly_engine import Form, Poly, PolyError, transvectant
 from trimoduli.qutrit_state import normal_form_amplitudes, trilinear_form
 
 from oracles import (
+    EPS,
+    Cyclo,
     MultiPoly,
     VariableRef,
     form_to_poly,

@@ -14,7 +14,6 @@ from trimoduli.qutrit_state import (
     StateIOError,
     apply_local,
     normal_form_state,
-    orbit_dimension,
     random_local_transform,
     random_state,
     read_state,
@@ -29,6 +28,7 @@ from oracles import (
     VariableRef,
     form_to_poly,
     group_catalog,
+    orbit_dimension,
     slice_cubic_expansion,
     states_close,
 )

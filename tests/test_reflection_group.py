@@ -2,35 +2,40 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimoduli import form_problem as fp
 from trimoduli import reflection_group as rg
-from trimoduli.cyclotomic import EPS, Cyclo
 from trimoduli.qutrit_state import random_parameter_triple
 
 from oracles import (
+    EPS,
     IDENTITY_ROWS,
+    Cyclo,
     cluster_labels_brute,
     conjugate_transpose_rows,
     element_complex,
     element_order,
     element_rows,
+    exact_rows,
     inverse_rows,
     is_abelian,
     is_pseudo_reflection,
     mul_rows,
     orbit_exact,
+    pairs,
     solve_for_triple,
     stabilizer_exact,
     stabilizer_type_exact,
 )
 
-IDENTITY = rg._pairs(IDENTITY_ROWS)
+IDENTITY = pairs(IDENTITY_ROWS)
 
 
 def product(g, h) -> tuple:
     """The 18 ints of g @ h, by exact products of `Cyclo` rows."""
-    return rg._pairs(mul_rows(rg.exact_rows(g), rg.exact_rows(h)))
+    return pairs(mul_rows(exact_rows(g), exact_rows(h)))
 
 
 def contains(group, g) -> bool:
@@ -45,18 +50,56 @@ class TestGenerators:
 
     def test_e_squared_is_minus_swap(self):
         g = rg.generators()
-        minus_b = rg._pairs(tuple(tuple(-x for x in row) for row in rg.exact_rows(g["B"])))
+        minus_b = pairs(tuple(tuple(-x for x in row) for row in exact_rows(g["B"])))
         assert product(g["E"], g["E"]) == minus_b
 
     def test_cycle_has_order_three(self):
         a = rg.generators()["A"]
         assert product(product(a, a), a) == IDENTITY
-        assert element_order(rg.exact_rows(a)) == 3
+        assert element_order(exact_rows(a)) == 3
+
+    def test_generators_equal_their_cyclo_rows(self):
+        # the table of 3 * entry against the matrices written in Q(eps)
+        e, e2 = EPS, EPS * EPS
+        pref = (e2 - e) / 3  # equals 1/(i*sqrt(3)); its square is -1/3
+        want = {
+            "A": pairs(((0, 1, 0), (0, 0, 1), (1, 0, 0))),
+            "B": pairs(((1, 0, 0), (0, 0, 1), (0, 1, 0))),
+            "C": pairs(((1, 0, 0), (0, e, 0), (0, 0, e2))),
+            "D": pairs(((1, 0, 0), (0, e, 0), (0, 0, e))),
+            "E": pairs(((pref, pref, pref), (pref, pref * e, pref * e2),
+                        (pref, pref * e2, pref * e))),
+        }
+        assert rg.generators() == want
 
     def test_generators_are_unitary(self):
         # the cyclic group of g holds g, and is unitary exactly when g is
         for name, g in rg.generators().items():
             assert rg.is_unitary(rg.generate_closure((g,))), name
+
+
+INTS = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+
+
+class TestEisenstein:
+    @settings(max_examples=200, deadline=None)
+    @given(INTS, INTS, INTS, INTS, INTS)
+    def test_agrees_with_cyclo(self, a, b, c, d, n):
+        x, y = rg.Eisenstein(a, b), rg.Eisenstein(c, d)
+        ox, oy = Cyclo(a, b), Cyclo(c, d)
+        for got, want in ((x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy), (-x, -ox),
+                          (x + n, ox + n), (n + x, n + ox), (x - n, ox - n),
+                          (x * n, ox * n), (n * x, n * ox),
+                          (x * Fraction(n, 7), ox * Fraction(n, 7)), (x, ox)):
+            assert Cyclo(got.a, got.b) == want
+            assert bool(got) == bool(want)
+            assert complex(got) == want.to_complex() == complex(want)
+            assert abs(got) == abs(want.to_complex())
+
+    def test_zero_and_scalars(self):
+        assert not rg.Eisenstein(0, 0) and rg.Eisenstein(0, 1) and rg.Eisenstein(-1, 0)
+        assert rg.Eisenstein(2, 3).__mul__(0.5) is NotImplemented
+        assert complex(rg.Eisenstein(0, 1)) == rg.EPS_COMPLEX == EPS.to_complex()
 
 
 def _cyclo_closure(gens):
@@ -78,22 +121,22 @@ def _cyclo_closure(gens):
 class TestIntegerEncoding:
     def test_from_rows_rejects_entries_outside_third_integers(self):
         with pytest.raises(ValueError, match=r"\(1/3\)Z\[eps\]"):
-            rg._pairs(((Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 1)))
+            pairs(((Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def test_inverse_rejects_non_unit_scaling(self):
         # the inverse of a non-unit scaling has an entry 1/2
         with pytest.raises(ValueError):
-            rg._pairs(inverse_rows(rg.exact_rows(rg._pairs(((2, 0, 0), (0, 1, 0), (0, 0, 1))))))
+            pairs(inverse_rows(exact_rows(pairs(((2, 0, 0), (0, 1, 0), (0, 0, 1))))))
 
     def test_product_leaving_third_integers_raises(self):
-        third = rg._pairs(((Fraction(1, 3), 0, 0), (0, 1, 0), (0, 0, 1)))
+        third = pairs(((Fraction(1, 3), 0, 0), (0, 1, 0), (0, 0, 1)))
         with pytest.raises(ArithmeticError):
             rg.generate_closure((third,))
 
     def test_rows_round_trip(self):
         for g in rg.generators().values():
-            assert rg._pairs(rg.exact_rows(g)) == g
-            assert all(isinstance(e, Cyclo) for row in rg.exact_rows(g) for e in row)
+            assert pairs(exact_rows(g)) == g
+            assert all(isinstance(e, Cyclo) for row in exact_rows(g) for e in row)
 
     def test_complex_entries_match_cyclo(self, group_k):
         for grp in (group_k, rg.group_h()):
@@ -104,7 +147,7 @@ class TestIntegerEncoding:
     def test_closure_matches_cyclo_oracle(self, group_k):
         for grp in (group_k, rg.group_h()):
             assert grp.ints.dtype == np.int64 and grp.ints.shape == (grp.order, 18)
-            oracle = _cyclo_closure([rg.exact_rows(g) for g in grp.gens])
+            oracle = _cyclo_closure([exact_rows(g) for g in grp.gens])
             assert element_rows(grp) == oracle
 
 
@@ -126,7 +169,7 @@ class TestClosure:
 
     def test_cap_exceeded(self):
         # a non-unit scaling generates an infinite group
-        bad = rg._pairs(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+        bad = pairs(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
         with pytest.raises(RuntimeError, match="cap"):
             rg.generate_closure((bad,), cap=64)
 
@@ -145,10 +188,10 @@ class TestClosure:
         assert contains(group_k, IDENTITY)
         sample = group_k.ints[::97].tolist()
         for g in sample:
-            rows = rg.exact_rows(g)
+            rows = exact_rows(g)
             # unitary, so the inverse is the conjugate transpose
             assert conjugate_transpose_rows(rows) == inverse_rows(rows)
-            assert contains(group_k, rg._pairs(conjugate_transpose_rows(rows)))
+            assert contains(group_k, pairs(conjugate_transpose_rows(rows)))
             for h in sample:
                 assert contains(group_k, product(g, h))
 
@@ -357,7 +400,7 @@ class TestStabilizerTypes:
         # sets that reach every branch of stabilizer_type, with elements of
         # the order-1296 group and diagonal matrices
         def diagonal(y, z):
-            return rg._pairs(((1, 0, 0), (0, y, 0), (0, 0, z)))
+            return pairs(((1, 0, 0), (0, y, 0), (0, 0, z)))
 
         def built(elements):
             ints = np.array(sorted(map(tuple, elements)), dtype=np.int64).reshape(-1, 18)
@@ -372,7 +415,7 @@ class TestStabilizerTypes:
         no_reflection3 = [g for g, rows in zip(group_k.ints.tolist(), element_rows(group_k))
                           if not (is_pseudo_reflection(rows) and element_order(rows) == 3)]
         # trace 2 + eps, but its cube is not the identity
-        false_reflection = rg._pairs(((1, 0, 0), (0, 1 + e, 0), (0, 0, 0)))
+        false_reflection = pairs(((1, 0, 0), (0, 1 + e, 0), (0, 0, 0)))
         cases = (
             ([one, a, aa], "C3"),
             ([one, a, b], "unclassified(order=3,nonabelian)"),

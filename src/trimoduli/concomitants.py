@@ -589,7 +589,7 @@ def random_evaluation_point(seed: int) -> dict:
                          for _ in range(3)]) for g in GROUPS}
 
 
-def syzygy_residuals(s: State, seed: int = 0):
+def syzygy_residuals(s: State, seed: int):
     """Evaluate the twelve syzygies of SYZYGY_NAMES, as (name, residual)
     pairs, at `random_evaluation_point(seed)`: each concomitant is evaluated
     once and each term is the product of its factors' values.  Each residual

@@ -65,8 +65,6 @@ class PsiBranch:
     psi: complex
     lam: complex
     chi: complex
-    e3: complex
-    multiplicity: int
     residuals: tuple[float, float, float]
 
 
@@ -276,36 +274,32 @@ def solve_psi_system(inp: FormProblemInput) -> list[PsiBranch]:
     clustered = cluster_roots(roots, coeffs)
     root_scale = max((abs(r) for r, _ in clustered), default=0.0)
 
-    candidates: list[tuple[complex, complex, int]] = []
-    for big_psi, mult in clustered:
+    candidates: list[tuple[complex, complex]] = []
+    for big_psi, _ in clustered:
         if abs(big_psi) <= 1e-9 * max(root_scale, 1e-300) or big_psi == 0:
             # psi = 0 branch: lambda decouples to both square roots of -8c
             lam0 = cmath.sqrt(-8 * c)
             lams = [lam0] if lam0 == 0 else [lam0, -lam0]
             for lam in lams:
-                candidates.append((0j, lam, mult))
+                candidates.append((0j, lam))
         else:
             psi0 = cmath.sqrt(big_psi)
             for psi in (psi0, -psi0):
                 lam = (b - psi ** 4) / psi
-                candidates.append((psi, lam, mult))
+                candidates.append((psi, lam))
 
     # deduplicate branches (e.g. the double sign on an exactly zero root)
-    psi_scale = max((abs(p) for p, _, _ in candidates), default=0.0)
-    lam_scale = max((abs(l) for _, l, _ in candidates), default=0.0)
+    psi_scale = max((abs(p) for p, _ in candidates), default=0.0)
+    lam_scale = max((abs(l) for _, l in candidates), default=0.0)
     ptol = 1e-8 * max(psi_scale, 1e-300)
     ltol = 1e-8 * max(lam_scale, 1e-300)
-    merged: list[list] = []
-    for psi, lam, mult in candidates:
-        for entry in merged:
-            if abs(psi - entry[0]) <= ptol and abs(lam - entry[1]) <= ltol:
-                entry[2] = max(entry[2], mult)
-                break
-        else:
-            merged.append([psi, lam, mult])
+    merged: list[tuple[complex, complex]] = []
+    for psi, lam in candidates:
+        if not any(abs(psi - p) <= ptol and abs(lam - l) <= ltol for p, l in merged):
+            merged.append((psi, lam))
 
     branches = []
-    for psi, lam, mult in merged:
+    for psi, lam in merged:
         chi = (psi * psi - a) / 12
         res1 = abs(psi * psi - 12 * chi - a) / max(abs(psi) ** 2, 12 * abs(chi), abs(a), 1.0)
         res2 = abs(psi ** 4 + lam * psi - b) / max(abs(psi) ** 4, abs(lam * psi), abs(b), 1.0)
@@ -313,7 +307,7 @@ def solve_psi_system(inp: FormProblemInput) -> list[PsiBranch]:
                 / max(abs(psi) ** 6, 2.5 * abs(lam) * abs(psi) ** 3,
                       0.125 * abs(lam) ** 2, abs(c), 1.0))
         if max(res1, res2, res3) <= RESIDUAL_TOL:
-            branches.append(PsiBranch(psi, lam, chi, lam / 216, mult, (res1, res2, res3)))
+            branches.append(PsiBranch(psi, lam, chi, (res1, res2, res3)))
     return branches
 
 

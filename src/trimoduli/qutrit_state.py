@@ -108,14 +108,6 @@ class LocalTransform:
             mats.append(m / d ** (1.0 / 3.0))
         return LocalTransform(*mats)
 
-    def compose(self, other: "LocalTransform") -> "LocalTransform":
-        return LocalTransform(self.g1 @ other.g1, self.g2 @ other.g2, self.g3 @ other.g3)
-
-    @classmethod
-    def identity(cls) -> "LocalTransform":
-        eye = np.eye(3, dtype=complex)
-        return cls(eye, eye, eye)
-
 
 def trilinear_form(amplitudes) -> Form:
     """Trilinear form sum A[i,j,k] x_i y_j z_k of any 3x3x3 array or nested

@@ -5,11 +5,15 @@ dropping the bare swap B leaves the index-2 reflection subgroup of order 648
 whose polynomial invariants are exactly the closed normal-form invariants
 (G26 and G25 in the Shephard-Todd list).  Every entry of every group element
 lies in (1/3)Z[eps], so an element is stored as 3 * entry in integer pairs,
-18 ints, and closure runs in exact integer arithmetic.  A group is one sorted
-(n, 18) int64 array of its elements plus the (n, 3, 3) complex stack built
-once from that array.  The invariance proof takes the same integer pairs as
-`Eisenstein` scalars and evaluates `concomitants.c_formulas` on the linear
-forms 3g.x, each a `poly_engine.Poly`.
+18 ints.  One vectorised integer product, `_product`, serves the exact
+arithmetic: each round of the closure is one product of the frontier with
+the generators, the order-1296 group is the order-648 group K together with
+its coset K.B, and `is_unitary` is one product of the elements with their
+conjugate transposes.  A group is one sorted (n, 18) int64 array of its
+elements plus the (n, 3, 3) complex stack built once from that array.  The
+invariance proof takes the same integer pairs as `Eisenstein` scalars and
+evaluates `concomitants.c_formulas` on the linear forms 3g.x, each a
+`poly_engine.Poly`.
 
 `orbit` and `stabilizer` act by the stack on a triple of any scalar that
 converts to a Python complex; a stabilizer keeps its rows of the array and
@@ -34,21 +38,19 @@ from .poly_engine import Poly
 EPS_COMPLEX = complex(-0.5, 3.0 ** 0.5 / 2.0)
 
 
-def _product9(x, y) -> list:
-    """9 * (g @ h) in integer pairs, row-major, for g and h given as their
-    18 ints (3 * entry = a + b*eps as the pair a, b, row-major)."""
-    out = []
-    for i in (0, 6, 12):
-        a0, b0, a1, b1, a2, b2 = x[i:i + 6]
-        for j in (0, 2, 4):
-            c0, d0 = y[j], y[j + 1]
-            c1, d1 = y[j + 6], y[j + 7]
-            c2, d2 = y[j + 12], y[j + 13]
-            # (a + b eps)(c + d eps) with eps^2 = -1 - eps
-            bd = b0 * d0 + b1 * d1 + b2 * d2
-            out.append(a0 * c0 + a1 * c1 + a2 * c2 - bd)
-            out.append(a0 * d0 + a1 * d1 + a2 * d2 + b0 * c0 + b1 * c1 + b2 * c2 - bd)
-    return out
+def _product(x, y) -> np.ndarray:
+    """9 * (g @ h) in integer pairs, for arrays (..., 18) of the 18 ints of g
+    and h (3 * entry = a + b*eps as the pair a, b, row-major), broadcast over
+    the leading axes: four 3x3 products of the a and b parts, on int64 arrays
+    and on object arrays of Python ints alike."""
+    pairs_x = x.reshape(x.shape[:-1] + (3, 3, 2))
+    pairs_y = y.reshape(y.shape[:-1] + (3, 3, 2))
+    a, b = pairs_x[..., 0], pairs_x[..., 1]
+    c, d = pairs_y[..., 0], pairs_y[..., 1]
+    # (a + b eps)(c + d eps) with eps^2 = -1 - eps
+    bd = b @ d
+    out = np.stack([a @ c - bd, a @ d + b @ c - bd], axis=-1)
+    return out.reshape(out.shape[:-3] + (18,))
 
 
 _IDENTITY = (3, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 3, 0)
@@ -97,16 +99,6 @@ class Eisenstein:
         return abs(complex(self))
 
 
-def _conjugate_transpose(v) -> list:
-    # conj(a + b eps) = (a - b) - b eps
-    out = []
-    for i in range(3):
-        for j in range(3):
-            a, b = v[6 * j + 2 * i], v[6 * j + 2 * i + 1]
-            out += (a - b, -b)
-    return out
-
-
 def _to_complex(ints: np.ndarray) -> np.ndarray:
     """The (n, 3, 3) complex matrices of an (n, 18) integer array, each entry
     a/3 + (b/3)*eps rounded as complex(a/3) + complex(b/3) * EPS_COMPLEX,
@@ -152,24 +144,24 @@ class MatrixGroup(NamedTuple):
 
 def generate_closure(gens, cap: int = 100000) -> MatrixGroup:
     """Breadth-first closure of a generator set under multiplication, with
-    exact equality; raises if the cap is exceeded (wrong generator).  The
-    products are Python ints, so no entry wraps before the cap is met."""
+    exact equality; raises if the cap is exceeded (wrong generator).  Each
+    round is one `_product` of the frontier with the generators on object
+    arrays of Python ints, so no entry wraps before the cap is met."""
     gens = tuple(tuple(g) for g in gens)
+    right = np.array(gens, dtype=object).reshape(-1, 18)
     seen = {_IDENTITY}
     frontier = [_IDENTITY]
     while frontier:
+        p = _product(np.array(frontier, dtype=object)[:, None], right)
+        if (p % 3).any():
+            raise ArithmeticError("a product entry left (1/3)Z[eps]")
         new = []
-        for g in frontier:
-            for h in gens:
-                p = _product9(g, h)
-                if any(v % 3 for v in p):
-                    raise ArithmeticError("a product entry left (1/3)Z[eps]")
-                prod = tuple(v // 3 for v in p)
-                if prod not in seen:
-                    seen.add(prod)
-                    new.append(prod)
-                    if len(seen) > cap:
-                        raise RuntimeError(f"closure exceeded cap {cap}")
+        for prod in map(tuple, (p // 3).reshape(-1, 18).tolist()):
+            if prod not in seen:
+                seen.add(prod)
+                new.append(prod)
+                if len(seen) > cap:
+                    raise RuntimeError(f"closure exceeded cap {cap}")
         frontier = new
     # (a, b) of 3 * entry orders entries as (a, b) of the entry itself
     ints = np.array(sorted(seen), dtype=np.int64).reshape(-1, 18)
@@ -185,15 +177,25 @@ def group_k() -> MatrixGroup:
 
 @lru_cache(maxsize=None)
 def group_h() -> MatrixGroup:
-    """The order-1296 supergroup including the bare swap B."""
+    """The order-1296 supergroup including the bare swap B: K has index 2 in
+    it and B is not in K, so it is K together with the coset K.B.  Its
+    generators are K's and B, and its rows are sorted as `generate_closure`
+    sorts them."""
     g = generators()
-    return generate_closure((g["A"], g["B"], g["C"], g["D"], g["E"]))
+    k = group_k()
+    ints = np.concatenate([k.ints, _product(k.ints, np.array(g["B"])) // 3])
+    ints = ints[np.lexsort(ints.T[::-1])]
+    return MatrixGroup(ints, (g["A"], g["B"], g["C"], g["D"], g["E"]), _to_complex(ints))
 
 
 def is_unitary(group: MatrixGroup) -> bool:
-    """Exact check that each element times its conjugate transpose is one."""
-    one = [3 * v for v in _IDENTITY]
-    return all(_product9(g, _conjugate_transpose(g)) == one for g in group.ints.tolist())
+    """Exact check that each element times its conjugate transpose is one:
+    one `_product` of the elements with their transposes, each pair (a, b)
+    of 3 * entry conjugated to (a - b, -b), against 9 times the identity."""
+    m = group.ints.reshape(-1, 3, 3, 2).transpose(0, 2, 1, 3)
+    a, b = m[..., 0], m[..., 1]
+    adjoint = np.stack([a - b, -b], axis=-1).reshape(-1, 18)
+    return bool((_product(group.ints, adjoint) == 3 * np.array(_IDENTITY)).all())
 
 
 def orbit(group: MatrixGroup, triple) -> np.ndarray:

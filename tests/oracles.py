@@ -12,8 +12,9 @@ chains of einsum contractions against the Levi-Civita symbols, and the form
 problem's candidate check, dedup and sign filter as scalar loops over an
 all-pairs union-find, the first-order round-robin filtering iteration
 that the Newton steps of `slocc_normalize` replaced, the orbit dimension
-of a state, `Cyclo`, the exact field Q(eps) of the group entries, with the
-18 ints of an element from its `Cyclo` rows (`pairs`) and back
+of a state, the composition and the identity of local transforms,
+`Cyclo`, the exact field Q(eps) of the group entries, with the 18 ints of
+an element from its `Cyclo` rows (`pairs`) and back
 (`exact_rows`) and C12' as the product of the twelve mirror forms, the
 complex matrix of one group element entry by entry, the structure probes
 of a group (commutation, element orders, pseudo-reflections), its orbits
@@ -963,6 +964,18 @@ def orbit_dimension(s: State) -> int:
     Gell-Mann matrices span sl(3, C), so this is the orbit's dimension)."""
     sv = np.linalg.svd(tangent_rows(s.amplitudes), compute_uv=False)
     return int(np.count_nonzero(sv > 1e-8 * sv[0]))
+
+
+def compose_local(g: LocalTransform, h: LocalTransform) -> LocalTransform:
+    """The local transform g after h: the product of their matrices, party by
+    party."""
+    return LocalTransform(g.g1 @ h.g1, g.g2 @ h.g2, g.g3 @ h.g3)
+
+
+def identity_local() -> LocalTransform:
+    """The local transform with the identity matrix for each party."""
+    eye = np.eye(3, dtype=complex)
+    return LocalTransform(eye, eye, eye)
 
 
 # --- exact arithmetic over the Eisenstein rationals Q(eps) --------------------

@@ -16,6 +16,7 @@ from trimoduli.qutrit_state import (
     slice_cubic,
     trilinear_form,
 )
+from trimoduli.reflection_group import EPS_COMPLEX
 
 from oracles import (
     MultiPoly,
@@ -420,11 +421,15 @@ class TestCFormulas:
             assert isinstance(want, Fraction) and got == want, t
 
     def test_c12_prime_product_equals_closed_form(self):
+        # the closed form against the twelve mirror forms u v w (eps^a u +
+        # eps^b v + w) multiplied out in complex arithmetic
         rng = np.random.default_rng(91)
         for _ in range(20):
             u, v, w = (complex(a, b) for a, b in rng.standard_normal((3, 2)))
-            phi, psi = u * v * w, u ** 3 + v ** 3 + w ** 3
-            want = phi * psi ** 3 - 27 * phi ** 4
+            want = u * v * w
+            for a in range(3):
+                for b in range(3):
+                    want *= EPS_COMPLEX ** a * u + EPS_COMPLEX ** b * v + w
             got = con.c12_prime(u, v, w)
             assert abs(got - want) < 1e-10 * max(abs(want), 1)
 

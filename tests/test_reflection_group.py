@@ -144,6 +144,20 @@ class TestIntegerEncoding:
             assert grp.matrices.dtype == np.complex128
             assert np.array_equal(grp.matrices.view(np.uint64), want.view(np.uint64))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1295), st.integers(0, 1295)),
+                    min_size=1, max_size=8))
+    def test_product_matches_cyclo_oracle(self, index_pairs):
+        # 9 * (g @ h) on rows of the order-1296 group, one batched call on
+        # int64 rows and one on rows of Python ints
+        ints = rg.group_h().ints
+        i, j = np.array(index_pairs).T
+        want = [[3 * v for v in product(g, h)]
+                for g, h in zip(ints[i].tolist(), ints[j].tolist())]
+        for dtype in (np.int64, object):
+            got = rg._product(ints[i].astype(dtype), ints[j].astype(dtype))
+            assert got.dtype == dtype and got.tolist() == want
+
     def test_closure_matches_cyclo_oracle(self, group_k):
         for grp in (group_k, rg.group_h()):
             assert grp.ints.dtype == np.int64 and grp.ints.shape == (grp.order, 18)
@@ -159,6 +173,17 @@ class TestClosure:
     def test_identity_closure(self):
         assert rg.generate_closure(()).order == 1
         assert rg.generate_closure((IDENTITY,)).order == 1
+
+    def test_coset_union_equals_closure(self):
+        # group_h is K together with K.B; the closure of all five generators
+        # gives the same group, row for row and bit for bit
+        g = rg.generators()
+        closed = rg.generate_closure(tuple(g[name] for name in "ABCDE"))
+        h = rg.group_h()
+        assert h.gens == closed.gens
+        assert h.ints.dtype == closed.ints.dtype == np.int64
+        assert np.array_equal(h.ints.view(np.uint64), closed.ints.view(np.uint64))
+        assert np.array_equal(h.matrices.view(np.uint64), closed.matrices.view(np.uint64))
 
     def test_index_two(self, group_k):
         h = rg.group_h()

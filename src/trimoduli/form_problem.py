@@ -95,14 +95,8 @@ class SolutionSet:
 # --- closed-root solvers ------------------------------------------------------
 
 def solve_quadratic(a, b, c) -> list[complex]:
-    """Roots of a x^2 + b x + c, complex coefficients."""
+    """Roots of a x^2 + b x + c, complex coefficients, a != 0."""
     a, b, c = complex(a), complex(b), complex(c)
-    if a == 0:
-        if b == 0:
-            if c == 0:
-                return []
-            raise FormProblemError("constant polynomial has no roots")
-        return [-c / b]
     sq = cmath.sqrt(b * b - 4 * a * c)
     # pick the branch that avoids cancellation in b +/- sq
     u = b + sq if abs(b + sq) >= abs(b - sq) else b - sq
@@ -116,7 +110,6 @@ def _root_scale(coeffs) -> float:
     """Characteristic root magnitude max_k |a_k/a_n|^(1/(n-k)); keeps the
     closed formulas inside floating-point range for badly scaled inputs."""
     lead = abs(complex(coeffs[0]))
-    n = len(coeffs) - 1
     best = 0.0
     for k, c in enumerate(coeffs[1:], start=1):
         mag = abs(complex(c))
@@ -125,33 +118,41 @@ def _root_scale(coeffs) -> float:
     return best
 
 
-def solve_cubic_radicals(a3, a2, a1, a0) -> list[complex]:
-    """Roots of a cubic by the closed (Cardano) formula; degenerate leading
-    coefficients reduce the degree."""
-    if a3 == 0:
-        return solve_quadratic(a2, a1, a0)
-    lam = _root_scale([a3, a2, a1, a0])
+def _rescaled(solver, coeffs) -> list[complex] | None:
+    """Roots of a_n x^n + ... + a_0, a_n != 0, at root scale lam: all zero if
+    lam = 0; None if 0.5 < lam < 2; else lam times solver's roots for the
+    monic a_k / a_n / lam^k (0 where lam^k underflows, as |a_k / a_n| <= lam^k)."""
+    lam = _root_scale(coeffs)
     if lam == 0.0:
-        return [0j, 0j, 0j]
-    if not (0.5 < lam < 2.0):
-        scaled = solve_cubic_radicals(1.0, complex(a2) / complex(a3) / lam,
-                                      complex(a1) / complex(a3) / lam ** 2,
-                                      complex(a0) / complex(a3) / lam ** 3)
-        return [lam * r for r in scaled]
-    b = complex(a2) / complex(a3)
-    c = complex(a1) / complex(a3)
-    d = complex(a0) / complex(a3)
+        return [0j] * (len(coeffs) - 1)
+    if 0.5 < lam < 2.0:
+        return None
+    lead = complex(coeffs[0])
+    scaled = solver(1.0, *(complex(c) / lead / lam ** k if lam ** k else 0j
+                           for k, c in enumerate(coeffs[1:], start=1)))
+    return [lam * r for r in scaled]
+
+
+def solve_cubic_radicals(a3, a2, a1, a0) -> list[complex]:
+    """Roots of a cubic, a3 != 0, by the closed (Cardano) formula."""
+    roots = _rescaled(solve_cubic_radicals, (a3, a2, a1, a0))
+    if roots is not None:
+        return roots
+    lead = complex(a3)
+    b, c, d = complex(a2) / lead, complex(a1) / lead, complex(a0) / lead
     p = c - b * b / 3
     q = 2 * b ** 3 / 27 - b * c / 3 + d
     shift = -b / 3
     if p == 0 and q == 0:
         return [shift, shift, shift]
-    disc = q * q + 4 * p ** 3 / 27
-    sq = cmath.sqrt(disc)
+    sq = cmath.sqrt(q * q + 4 * p ** 3 / 27)
     u3 = (-q + sq) / 2
     u3_alt = (-q - sq) / 2
     if abs(u3_alt) > abs(u3):
         u3 = u3_alt
+    if u3 == 0:  # q = 0 and p^3 underflows: y (y^2 + p) = 0
+        s = cmath.sqrt(-p)
+        return [shift, s + shift, shift - s]
     u = u3 ** (1.0 / 3.0)
     roots = []
     for k in range(3):
@@ -161,24 +162,12 @@ def solve_cubic_radicals(a3, a2, a1, a0) -> list[complex]:
 
 
 def solve_quartic_radicals(a4, a3, a2, a1, a0) -> list[complex]:
-    """Roots of a quartic by the closed (Ferrari) formula; degenerate leading
-    coefficients reduce the degree."""
-    if a4 == 0:
-        return solve_cubic_radicals(a3, a2, a1, a0)
-    lam = _root_scale([a4, a3, a2, a1, a0])
-    if lam == 0.0:
-        return [0j, 0j, 0j, 0j]
-    if not (0.5 < lam < 2.0):
-        a4c = complex(a4)
-        scaled = solve_quartic_radicals(1.0, complex(a3) / a4c / lam,
-                                        complex(a2) / a4c / lam ** 2,
-                                        complex(a1) / a4c / lam ** 3,
-                                        complex(a0) / a4c / lam ** 4)
-        return [lam * r for r in scaled]
-    b = complex(a3) / complex(a4)
-    c = complex(a2) / complex(a4)
-    d = complex(a1) / complex(a4)
-    e = complex(a0) / complex(a4)
+    """Roots of a quartic, a4 != 0, by the closed (Ferrari) formula."""
+    roots = _rescaled(solve_quartic_radicals, (a4, a3, a2, a1, a0))
+    if roots is not None:
+        return roots
+    lead = complex(a4)
+    b, c, d, e = complex(a3) / lead, complex(a2) / lead, complex(a1) / lead, complex(a0) / lead
     p = c - 3 * b * b / 8
     q = d - b * c / 2 + b ** 3 / 8
     r = e - b * d / 4 + b * b * c / 16 - 3 * b ** 4 / 256
@@ -186,13 +175,8 @@ def solve_quartic_radicals(a4, a3, a2, a1, a0) -> list[complex]:
     y0 = max(abs(p) ** 0.5, abs(q) ** (1 / 3), abs(r) ** 0.25)
     if y0 == 0.0:
         return [shift] * 4
-    if abs(q) <= 1e-14 * y0 ** 3:
-        ys = []
-        for z in solve_quadratic(1, p, r):
-            s = cmath.sqrt(z)
-            ys.extend([s, -s])
-        if len(ys) < 4:  # p == r == 0
-            ys = [0j] * 4
+    if abs(q) <= 1e-14 * y0 ** 3:  # biquadratic: y^2 solves a quadratic
+        ys = [y for s in map(cmath.sqrt, solve_quadratic(1, p, r)) for y in (s, -s)]
     else:
         ms = solve_cubic_radicals(8, 8 * p, 2 * p * p - 8 * r, -q * q)
         m = max(ms, key=abs)
@@ -224,8 +208,6 @@ def cluster_roots(roots, coeffs):
     the multiplicity, and the cluster mean is polished by Newton steps on the
     (m-1)-th derivative.
     """
-    if not roots:
-        return []
     scale = max(abs(r) for r in roots)
     tol = 2e-5 * max(scale, 1e-300)
     clusters: list[list[complex]] = []
@@ -267,47 +249,33 @@ def _refine_multiple_root(coeffs, x, mult):
 # --- the psi system -----------------------------------------------------------
 
 def solve_psi_system(inp: FormProblemInput) -> list[PsiBranch]:
-    """All consistent branches (psi, lambda, chi) of the invariant system."""
+    """All consistent branches (psi, lambda, chi) of the invariant system, one
+    or two per cluster of quartic roots psi^2: distinct, as the clusters are,
+    so not merged (rows two branches share merge in `enumerate_triples`)."""
     a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
     coeffs = [27.0, 0.0, -18 * b, -8 * c, -b * b]
     roots = solve_quartic_radicals(*coeffs)
     clustered = cluster_roots(roots, coeffs)
-    root_scale = max((abs(r) for r, _ in clustered), default=0.0)
-
-    candidates: list[tuple[complex, complex]] = []
-    for big_psi, _ in clustered:
-        if abs(big_psi) <= 1e-9 * max(root_scale, 1e-300) or big_psi == 0:
-            # psi = 0 branch: lambda decouples to both square roots of -8c
-            lam0 = cmath.sqrt(-8 * c)
-            lams = [lam0] if lam0 == 0 else [lam0, -lam0]
-            for lam in lams:
-                candidates.append((0j, lam))
-        else:
-            psi0 = cmath.sqrt(big_psi)
-            for psi in (psi0, -psi0):
-                lam = (b - psi ** 4) / psi
-                candidates.append((psi, lam))
-
-    # deduplicate branches (e.g. the double sign on an exactly zero root)
-    psi_scale = max((abs(p) for p, _ in candidates), default=0.0)
-    lam_scale = max((abs(l) for _, l in candidates), default=0.0)
-    ptol = 1e-8 * max(psi_scale, 1e-300)
-    ltol = 1e-8 * max(lam_scale, 1e-300)
-    merged: list[tuple[complex, complex]] = []
-    for psi, lam in candidates:
-        if not any(abs(psi - p) <= ptol and abs(lam - l) <= ltol for p, l in merged):
-            merged.append((psi, lam))
+    root_scale = max(abs(r) for r, _ in clustered)
 
     branches = []
-    for psi, lam in merged:
-        chi = (psi * psi - a) / 12
-        res1 = abs(psi * psi - 12 * chi - a) / max(abs(psi) ** 2, 12 * abs(chi), abs(a), 1.0)
-        res2 = abs(psi ** 4 + lam * psi - b) / max(abs(psi) ** 4, abs(lam * psi), abs(b), 1.0)
-        res3 = (abs(psi ** 6 - 2.5 * lam * psi ** 3 - 0.125 * lam * lam - c)
-                / max(abs(psi) ** 6, 2.5 * abs(lam) * abs(psi) ** 3,
-                      0.125 * abs(lam) ** 2, abs(c), 1.0))
-        if max(res1, res2, res3) <= RESIDUAL_TOL:
-            branches.append(PsiBranch(psi, lam, chi, (res1, res2, res3)))
+    for big_psi, _ in clustered:
+        if abs(big_psi) <= 1e-9 * max(root_scale, 1e-300):
+            # psi = 0 branch: lambda decouples to both square roots of -8c
+            lam0 = cmath.sqrt(-8 * c)
+            pairs = [(0j, lam) for lam in ([lam0] if lam0 == 0 else [lam0, -lam0])]
+        else:
+            psi0 = cmath.sqrt(big_psi)
+            pairs = [(psi, (b - psi ** 4) / psi) for psi in (psi0, -psi0)]
+        for psi, lam in pairs:
+            chi = (psi * psi - a) / 12
+            res1 = abs(psi * psi - 12 * chi - a) / max(abs(psi) ** 2, 12 * abs(chi), abs(a), 1.0)
+            res2 = abs(psi ** 4 + lam * psi - b) / max(abs(psi) ** 4, abs(lam * psi), abs(b), 1.0)
+            res3 = (abs(psi ** 6 - 2.5 * lam * psi ** 3 - 0.125 * lam * lam - c)
+                    / max(abs(psi) ** 6, 2.5 * abs(lam) * abs(psi) ** 3,
+                          0.125 * abs(lam) ** 2, abs(c), 1.0))
+            if max(res1, res2, res3) <= RESIDUAL_TOL:
+                branches.append(PsiBranch(psi, lam, chi, (res1, res2, res3)))
     return branches
 
 
@@ -401,11 +369,17 @@ def filter_sign(raw: SolutionSet, i9: complex) -> SolutionSet:
     return replace(raw, triples=reflection_group.sort_rows(kept), filtered_count=len(kept))
 
 
+def _delta(inp: FormProblemInput) -> complex:
+    """delta = a^3 - 3ab + 2c, which equals 432 * I9^2."""
+    a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
+    return a ** 3 - 3 * a * b + 2 * c
+
+
 def infer_i9(inp: FormProblemInput) -> complex:
     """A representative i9 from the identity delta = 432 * I9^2 (either sign
     class gives the same count and classification)."""
     a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
-    delta = a ** 3 - 3 * a * b + 2 * c
+    delta = _delta(inp)
     scale = max(abs(a) ** 3, abs(b) ** 1.5, abs(c), 1e-300)
     if abs(delta) <= 1e-10 * scale:
         return 0j
@@ -495,8 +469,6 @@ def classify(inp: FormProblemInput, sol: SolutionSet | None = None) -> OrbitClas
     if sol is None:
         sol = solve(FormProblemInput(inp.a, inp.b, inp.c, i9))
     count = sol.filtered_count
-    a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
-    delta = a ** 3 - 3 * a * b + 2 * c
     if count not in POLYTOPE_LABELS:
         raise FormProblemError(
             f"enumerated count {count} is outside the admissible strata")
@@ -515,24 +487,23 @@ def classify(inp: FormProblemInput, sol: SolutionSet | None = None) -> OrbitClas
         polytope_label=POLYTOPE_LABELS[count],
         stabilizer_label=label,
         stabilizer_order=stab.order,
-        d_discriminant=_d_discriminant(b, c),
-        delta=delta,
+        d_discriminant=_d_discriminant(complex(inp.b), complex(inp.c)),
+        delta=_delta(inp),
         i9_used=i9,
         case_tree_prediction=prediction,
         case_tree_agrees=(prediction == count) if prediction is not None else False,
     )
 
 
-def emit_configuration(case: str, scale: complex = 1.0, path=None):
-    """Solve the canonical inputs of a polytope case: the points times scale
-    as a complex (n, 3) array, optionally written as CSV rows of its floats."""
+def emit_configuration(case: str, path=None):
+    """Solve the canonical inputs of a polytope case: the points as a
+    complex (n, 3) array, optionally written as CSV rows of its floats."""
     if case not in CANONICAL_CASES:
         raise FormProblemError(
             f"unknown case {case!r}; choose from {sorted(CANONICAL_CASES)}")
     a, b, c, i9 = CANONICAL_CASES[case]
     sol = solve(FormProblemInput(a, b, c, i9))
-    expected = {"hessian-vertices": 27, "hessian-edge-centers": 72,
-                "edges-2{4}3{3}3": 216}[case]
+    expected = next(n for n, label in POLYTOPE_LABELS.items() if label == case)
     if sol.filtered_count != expected:
         raise FormProblemError(
             f"{case}: got {sol.filtered_count} points, expected {expected}")
@@ -547,13 +518,12 @@ def emit_configuration(case: str, scale: complex = 1.0, path=None):
     if dist > 1e-6 * max(pt_scale, 1e-300):
         raise FormProblemError(f"{case}: solved points do not match the group orbit")
 
-    triples = sol.triples * complex(scale)
     if path is not None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["re_u", "im_u", "re_v", "im_v", "re_w", "im_w"])
-            writer.writerows([f"{q:.17g}" for q in row] for row in triples.view(float))
-    return triples
+            writer.writerows([f"{q:.17g}" for q in row] for row in sol.triples.view(float))
+    return sol.triples
 
 
 def set_distance(points_a, points_b) -> float:

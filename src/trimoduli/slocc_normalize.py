@@ -59,6 +59,11 @@ class IterationTrace:
 # below this Newton decrement -g.d, rounding in log N fails the Armijo test
 # at every step length, so the full step is taken
 FULL_STEP_DECREMENT = 1e-6
+# a Newton direction whose decrement -g.d is below this times |g|^4 has lost
+# the gradient: next to the null cone the Hessian's condition number reaches
+# 1e16, least squares drops its soft directions, which hold the gradient, and
+# the step would move nothing; the negative gradient is followed instead
+GRADIENT_FALLBACK = 1e-6
 ARMIJO_SLOPE = 1e-4
 MAX_HALVINGS = 60
 # far from the minimum a Newton step can overshoot by orders of magnitude; no
@@ -100,7 +105,8 @@ def normalize_slocc(s: State, tol: float = 1e-10, max_iter: int = 10000):
     the limit.  Otherwise each step is one Newton step on all three parties;
     the iteration stops when every reduced density is within `tol` of a
     multiple of the identity (converged) or after max_iter steps.  A step
-    whose Newton direction is not a descent direction follows the negative
+    whose Newton decrement -g.d is not above GRADIENT_FALLBACK |g|^4 (no
+    descent, or a direction that has lost the gradient) follows the negative
     gradient instead and is recorded in `floor_events`.
     """
     if tol <= 0:
@@ -132,7 +138,7 @@ def normalize_slocc(s: State, tol: float = 1e-10, max_iter: int = 10000):
         # the Hessian is singular, and the minimal step leaves that orbit alone
         d = -np.linalg.lstsq(hess, grad, rcond=None)[0]
         slope = float(grad @ d)
-        newton = slope < 0.0
+        newton = slope < -GRADIENT_FALLBACK * float(grad @ grad) ** 2
         if not newton:
             d, slope = -grad, -float(grad @ grad)
             trace.floor_events.append(step + 1)

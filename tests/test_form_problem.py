@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimoduli import form_problem as fp
 from trimoduli import reflection_group as rg
@@ -76,13 +78,50 @@ class TestRadicalSolvers:
                     assert abs(oracle[best] - r) < 1e-8
                     used.add(best)
 
-    def test_degree_reduction(self):
-        assert fp.solve_quartic_radicals(0, 1, 0, 0, -1) == fp.solve_cubic_radicals(1, 0, 0, -1)
-        roots = fp.solve_cubic_radicals(0, 1, -3, 2)
-        assert sorted(r.real for r in roots) == pytest.approx([1.0, 2.0])
+
+# one point each of the 27-, 72- and 216-point strata
+STRATUM_POINTS = ((0, 1, -1), (1, 0, 0), (1, 1, 0))
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def _stratum_multiple(point, r, theta, exponent):
+    z = r * 10.0 ** exponent * cmath.exp(1j * theta)
+    return tuple(z * c for c in point)
+
+
+TRIPLES = st.one_of(SEEDS.map(random_parameter_triple),
+                    st.builds(_stratum_multiple, st.sampled_from(STRATUM_POINTS),
+                              st.floats(0.5, 2.0), st.floats(0.0, 2 * cmath.pi),
+                              st.integers(-9, 3)))
+
+
+def _closed_form_input(t):
+    cv = c_formulas(*t)
+    return fp.FormProblemInput(cv.c6, cv.c12, cv.c18)
+
+
+def _scrambled_input(t, seed):
+    inv = invariants(apply_local(normal_form_state(t), random_local_transform(seed)))
+    return fp.FormProblemInput(inv.i6, inv.i12, inv.i18)
+
+
+PSI_INPUTS = st.one_of(TRIPLES.map(_closed_form_input),
+                       st.builds(_scrambled_input, TRIPLES, SEEDS))
 
 
 class TestPsiSystem:
+    @settings(max_examples=300, deadline=None)
+    @given(PSI_INPUTS)
+    def test_branches_are_distinct(self, inp):
+        # the branches are not merged: no two agree to 1e-8 of the largest
+        # |psi| and |lam| in both psi and lam
+        branches = fp.solve_psi_system(inp)
+        psi_tol = 1e-8 * max((abs(br.psi) for br in branches), default=1e-300)
+        lam_tol = 1e-8 * max((abs(br.lam) for br in branches), default=1e-300)
+        for i, one in enumerate(branches):
+            for other in branches[:i]:
+                assert abs(one.psi - other.psi) > psi_tol or abs(one.lam - other.lam) > lam_tol
+
     def test_hessian_vertex_inputs(self):
         branches = fp.solve_psi_system(fp.FormProblemInput(12, 0, 0))
         assert len(branches) == 1
@@ -413,6 +452,20 @@ class TestScaleRobustness:
         for r in roots:
             assert abs(abs(r) - 2e-30) < 1e-40
 
+    def test_cubic_whose_p_cubed_underflows(self):
+        # the resolvent cubic of a near-real multiple of (1, 1, 0): a triple
+        # root at 1/3 whose reduced p ~ 1e-128 has p^3 = 0 in floats, and q = 0
+        roots = fp.solve_cubic_radicals(8, -8.000000000000002 - 2.8787540890557695e-128j,
+                                        2.666666666666668 + 1.9191693927038465e-128j,
+                                        -0.2962962962962964 - 3.198615654506411e-129j)
+        assert max(abs(r - 1 / 3) for r in roots) < 1e-12
+
+    def test_underflowed_coefficient_of_the_rescaled_quartic(self):
+        # b = 1e-200: b^2 underflows to 0 in the psi quartic, and so does
+        # lam^4 at its root scale lam ~ 1e-100
+        oc = fp.classify(fp.FormProblemInput(1.0, 1e-200, 0.0))
+        assert (oc.count, oc.stabilizer_label) == (27, "G4")
+
 
 class TestEmission:
     @pytest.mark.parametrize("case,count", [
@@ -428,11 +481,6 @@ class TestEmission:
             rows = list(csv.reader(fh))
         assert rows[0] == ["re_u", "im_u", "re_v", "im_v", "re_w", "im_w"]
         assert len(rows) == count + 1
-
-    def test_scaling(self):
-        pts = fp.emit_configuration("hessian-vertices", scale=2.0j)
-        base = fp.emit_configuration("hessian-vertices")
-        assert fp.set_distance(pts, [tuple(2.0j * z for z in t) for t in base]) < 1e-9
 
     def test_unknown_case(self):
         with pytest.raises(fp.FormProblemError, match="unknown case"):

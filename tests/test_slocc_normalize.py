@@ -207,6 +207,20 @@ class TestNewtonIteration:
         norms = [st.norm_sq for st in trace.steps]
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
+    @pytest.mark.parametrize("base", [W_STATE, PRODUCT_111], ids=["w", "product"])
+    def test_converges_next_to_the_null_cone(self, base):
+        # next to W the Hessian's condition number reaches 1e16 and the least
+        # squares Newton direction loses the gradient; the gradient fallback
+        # keeps each of these stable states converging
+        for k in (1, 2, 5):
+            for d in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+                a = base + d * random_state(k).amplitudes
+                s = State(a / np.linalg.norm(a))
+                limit, trace = sn.normalize_slocc(s, max_iter=40)
+                assert trace.status == sn.CONVERGED, (k, d)
+                i6 = con.invariants(s).i6
+                assert abs(con.invariants(limit).i6 - i6) <= 1e-12 * abs(i6), (k, d)
+
     @pytest.mark.parametrize("k", [-100, -40, 0, 40, 100])
     def test_scale_by_power_of_two(self, k):
         for s in (scrambled_normal_form(21)[0], apply_local(State(W_STATE), random_local_transform(22))):

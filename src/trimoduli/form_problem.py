@@ -11,6 +11,12 @@ From the cube roots on, the candidates of all branches form one complex
 (n, 3) array, checked, merged, sign-filtered and sorted in one pass each;
 the check evaluates `concomitants.c_formulas` on its columns, the sign
 filter `concomitants.c9_formula`.
+
+`classify` decides the generic stratum from the invariants alone: a point
+off the reflection mirrors of K has a trivial stabilizer, so 648 solutions,
+and at unit weighted size it is off the mirrors exactly when b^3 != c^2.
+Where b^3 - c^2 is not clearly non-zero, the count is that of the solved
+set and its stabilizer is verified on a sample triple.
 """
 from __future__ import annotations
 
@@ -48,6 +54,10 @@ RESIDUAL_TOL = 1e-6
 
 class FormProblemError(ValueError):
     """Inconsistent input data or a failed internal verification."""
+
+
+def _sign_mismatch(i9: complex) -> FormProblemError:
+    return FormProblemError(f"no solutions match the sign datum i9={i9}: inconsistent input")
 
 
 @dataclass(frozen=True)
@@ -364,14 +374,12 @@ def filter_sign(raw: SolutionSet, i9: complex) -> SolutionSet:
     threshold = RESIDUAL_TOL * max(abs(i9), pt_scale ** 9, 1e-300)
     kept = pts[np.abs(concomitants.c9_formula(*pts.T) - i9) < threshold]
     if not len(kept):
-        raise FormProblemError(
-            f"no solutions match the sign datum i9={i9}: inconsistent input")
+        raise _sign_mismatch(i9)
     return replace(raw, triples=reflection_group.sort_rows(kept), filtered_count=len(kept))
 
 
-def _delta(inp: FormProblemInput) -> complex:
+def _delta(a: complex, b: complex, c: complex) -> complex:
     """delta = a^3 - 3ab + 2c, which equals 432 * I9^2."""
-    a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
     return a ** 3 - 3 * a * b + 2 * c
 
 
@@ -379,7 +387,7 @@ def infer_i9(inp: FormProblemInput) -> complex:
     """A representative i9 from the identity delta = 432 * I9^2 (either sign
     class gives the same count and classification)."""
     a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
-    delta = _delta(inp)
+    delta = _delta(a, b, c)
     scale = max(abs(a) ** 3, abs(b) ** 1.5, abs(c), 1e-300)
     if abs(delta) <= 1e-10 * scale:
         return 0j
@@ -431,20 +439,32 @@ def _d_discriminant(b: complex, c: complex) -> complex | None:
     return d if max(abs(d.real), abs(d.imag)) >= sys.float_info.min else None
 
 
-def _case_tree_prediction(inp: FormProblemInput, i9: complex) -> int | None:
-    """The printed case analysis (advisory; enumeration is authoritative),
-    evaluated on the invariants divided by their weighted size, so that the
-    degree-168 discriminant stays in float range at any scale."""
+def _unit_invariants(inp: FormProblemInput, i9: complex) -> tuple[complex, ...]:
+    """(a, b, c, i9) divided by s^6, s^12, s^18, s^9, where s is the
+    weighted size of (a, b, c); unchanged at the origin, where s = 0."""
     a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
     s = max(abs(a) ** (1 / 6), abs(b) ** (1 / 12), abs(c) ** (1 / 18))
-    if s:  # at the origin every test below holds as it stands
-        a, b, c = _at_unit_scale(a, s, 6), _at_unit_scale(b, s, 12), _at_unit_scale(c, s, 18)
-        i9 = _at_unit_scale(complex(i9), s, 9)
+    if not s:
+        return a, b, c, complex(i9)
+    return (_at_unit_scale(a, s, 6), _at_unit_scale(b, s, 12),
+            _at_unit_scale(c, s, 18), _at_unit_scale(complex(i9), s, 9))
 
+
+def _off_mirrors(b: complex, c: complex) -> bool:
+    """Whether b^3 - c^2, at unit weighted size, is clearly non-zero: the
+    point lies off every mirror of K, away from the 27-point stratum and
+    the origin (where b and c both vanish)."""
+    return (max(abs(b), abs(c)) > RESIDUAL_TOL
+            and abs(b ** 3 - c ** 2) > RESIDUAL_TOL * max(abs(b) ** 3, abs(c) ** 2))
+
+
+def _case_tree_prediction(a: complex, b: complex, c: complex, i9: complex) -> int | None:
+    """The printed case analysis on invariants at unit weighted size, where
+    its fixed 1e-9 tests are meaningful at any input scale."""
     def near(x, y):
         return abs(x - y) <= 1e-9
 
-    if not near(b ** 2 * (b ** 3 - c ** 2) ** 4, 0):
+    if _off_mirrors(b, c):
         return 648
     if near(b, 0):
         if not near(c, 0):
@@ -461,34 +481,45 @@ def _case_tree_prediction(inp: FormProblemInput, i9: complex) -> int | None:
 
 
 def classify(inp: FormProblemInput, sol: SolutionSet | None = None) -> OrbitClass:
-    """Count and label the solution stratum; the enumerated count is
-    authoritative, the printed case tree is recorded as advisory, and the
-    stabilizer structure is verified on a sample triple.  `sol` is
-    `solve(inp)` when the caller has already solved it."""
+    """Count and label the solution stratum.  Off the mirrors (b^3 != c^2 at
+    unit weighted size) the count is 648 and the stabilizer trivial, with
+    only the sign datum checked against delta = 432 * I9^2; elsewhere, and
+    whenever the caller passes `sol` = `solve(inp)`, the count is that of
+    the solution set and the stabilizer is verified on a sample triple.
+    The printed case tree is recorded beside the count."""
     i9 = complex(inp.i9) if inp.i9 is not None else infer_i9(inp)
-    if sol is None:
-        sol = solve(FormProblemInput(inp.a, inp.b, inp.c, i9))
-    count = sol.filtered_count
-    if count not in POLYTOPE_LABELS:
-        raise FormProblemError(
-            f"enumerated count {count} is outside the admissible strata")
+    ua, ub, uc, ui9 = _unit_invariants(inp, i9)
+    if sol is None and _off_mirrors(ub, uc):
+        # the sign filter's test without the rows: i9 is a root of 432 x^2 = delta
+        root = cmath.sqrt(_delta(ua, ub, uc) / 432)
+        if min(abs(root - ui9), abs(root + ui9)) > RESIDUAL_TOL * max(abs(ui9), 1.0):
+            raise _sign_mismatch(i9)
+        count, stab_order = 648, 1
+        label = reflection_group.STABILIZER_LABELS[1]
+    else:
+        if sol is None:
+            sol = solve(FormProblemInput(inp.a, inp.b, inp.c, i9))
+        count = sol.filtered_count
+        if count not in POLYTOPE_LABELS:
+            raise FormProblemError(
+                f"enumerated count {count} is outside the admissible strata")
+        group = reflection_group.group_k()
+        expected_order = 648 // count
+        stab = group if count == 1 else reflection_group.stabilizer(group, sol.triples[0], tol=1e-6)
+        label, stab_order = reflection_group.stabilizer_type(stab), stab.order
+        if stab_order != expected_order:
+            raise FormProblemError(
+                f"stabilizer order {stab_order} does not match 648/count={expected_order}")
 
-    group = reflection_group.group_k()
-    expected_order = 648 // count
-    stab = group if count == 1 else reflection_group.stabilizer(group, sol.triples[0], tol=1e-6)
-    label = reflection_group.stabilizer_type(stab)
-    if stab.order != expected_order:
-        raise FormProblemError(
-            f"stabilizer order {stab.order} does not match 648/count={expected_order}")
-
-    prediction = _case_tree_prediction(inp, i9)
+    a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
+    prediction = _case_tree_prediction(ua, ub, uc, ui9)
     return OrbitClass(
         count=count,
         polytope_label=POLYTOPE_LABELS[count],
         stabilizer_label=label,
-        stabilizer_order=stab.order,
-        d_discriminant=_d_discriminant(complex(inp.b), complex(inp.c)),
-        delta=_delta(inp),
+        stabilizer_order=stab_order,
+        d_discriminant=_d_discriminant(b, c),
+        delta=_delta(a, b, c),
         i9_used=i9,
         case_tree_prediction=prediction,
         case_tree_agrees=(prediction == count) if prediction is not None else False,

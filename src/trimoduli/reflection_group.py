@@ -211,8 +211,10 @@ def orbit(group: MatrixGroup, triple) -> np.ndarray:
 
 
 def sort_rows(pts: np.ndarray) -> np.ndarray:
-    """The rows sorted by (Re u, Im u, ..., Im w); lexsort's primary key is last."""
-    return pts[np.lexsort(pts.view(float)[:, ::-1].T)]
+    """The rows sorted by (Re u, Im u, ..., Im w): numpy orders complex
+    values by real part, then imaginary part, and lexsort's primary key is
+    last."""
+    return pts[np.lexsort(pts.T[::-1])]
 
 
 # a fixed unit direction with distinct, non-zero components, so that rows

@@ -1,17 +1,18 @@
 import cmath
 import csv
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trimoduli import form_problem as fp
 from trimoduli import reflection_group as rg
 from trimoduli.concomitants import c_formulas, invariants
 from trimoduli.qutrit_state import (apply_local, normal_form_state, random_local_transform,
-                                    random_parameter_triple)
+                                    random_parameter_triple, random_state)
 
 from oracles import companion_roots, dedup_triples_loop, solve_for_triple, solve_loop
 
@@ -372,6 +373,83 @@ class TestClassify:
         oc = fp.classify(fp.FormProblemInput(12, 0, 0, -2))
         assert oc.d_discriminant == 0
         assert abs(oc.delta - 1728) < 1e-9
+
+
+def _state_input(state, with_i9=True):
+    inv = invariants(state)
+    return fp.FormProblemInput(inv.i6, inv.i12, inv.i18, i9=inv.i9 if with_i9 else None)
+
+
+# random states scaled across the range `classify` meets, with and without i9
+SCALED_GENERIC_INPUTS = [_state_input(random_state(k).scaled(scale), with_i9)
+                         for k in (7, 22, 41) for scale in (1e-9, 1e-6, 1e-3, 1.0, 1e3)
+                         for with_i9 in (True, False)]
+
+
+class _Solved(Exception):
+    """Raised by a stand-in for `solve`: the call reached the radical chain."""
+
+
+def _raise_solved(*args):
+    raise _Solved
+
+
+class TestGenericFastPath:
+    """`classify` answers 648 off the mirrors (b^3 != c^2) without solving."""
+
+    @pytest.mark.parametrize("inp", _oracle_inputs() + SCALED_GENERIC_INPUTS)
+    def test_fast_path_matches_solved_classification(self, inp, monkeypatch):
+        solve = fp.solve
+        monkeypatch.setattr(fp, "solve", _raise_solved)
+        try:
+            got = fp.classify(inp)
+        except _Solved:
+            return  # the solved path, pinned by the tests above
+        assert got == fp.classify(inp, sol=solve(inp))
+
+    @pytest.mark.parametrize("inp", SCALED_GENERIC_INPUTS)
+    def test_generic_states_take_the_fast_path(self, inp, monkeypatch):
+        monkeypatch.setattr(fp, "solve", _raise_solved)
+        monkeypatch.setattr(fp, "enumerate_triples", _raise_solved)
+        oc = fp.classify(inp)
+        assert (oc.count, oc.polytope_label, oc.stabilizer_label, oc.stabilizer_order) \
+            == (648, "generic", "trivial", 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(_stratum_multiple, st.sampled_from(STRATUM_POINTS + ((0, 0, 0),)),
+                     st.floats(0.5, 2.0), st.floats(0.0, 2 * cmath.pi), st.integers(-9, 3)),
+           SEEDS)
+    # a multiple of (1, 1, 0) whose scramble has condition number 689: the
+    # rounding of its invariants puts b^3 - c^2 at 1.5e-6 relative, and the
+    # radical chain, too, finds 648 solutions
+    @example((-0.8714417262060287 - 0.696132140258386j,) * 2 + (-0j,), 310960661)
+    def test_never_fires_on_the_strata(self, t, seed):
+        with mock.patch.object(fp, "solve", _raise_solved), pytest.raises(_Solved):
+            fp.classify(_closed_form_input(t))
+        # a scramble may round a stratum point off its mirror by more than
+        # the band; the fast path then answers what the chain answers
+        inp = _scrambled_input(t, seed)
+        with mock.patch.object(fp, "solve", _raise_solved):
+            try:
+                got = fp.classify(inp)
+            except _Solved:
+                return
+        assert got == fp.classify(inp, sol=fp.solve(inp))
+
+    def test_inconsistent_sign_datum(self):
+        cv = c_formulas(*random_parameter_triple(66))
+        inp = fp.FormProblemInput(cv.c6, cv.c12, cv.c18, i9=2 * cv.c9)
+        with pytest.raises(fp.FormProblemError, match="inconsistent"):
+            fp.classify(inp)
+        with pytest.raises(fp.FormProblemError, match="inconsistent"):
+            fp.solve(inp)
+
+    def test_case_tree_agrees_on_random_states(self):
+        # the first test of the case tree is the fast path's b^3 != c^2 rule;
+        # an absolute 1e-9 on the degree-168 D mispredicted 216 on 9 of these
+        for k in range(200):
+            oc = fp.classify(_state_input(random_state(k)))
+            assert (oc.count, oc.case_tree_prediction, oc.case_tree_agrees) == (648, 648, True), k
 
 
 class TestRoundTrip:

@@ -244,6 +244,19 @@ class TestOrbits:
                 assert np.array_equal(flo.view(np.uint64), rg.sort_rows(flo).view(np.uint64))
                 assert fp.set_distance(exact_pts, flo) < 1e-12
 
+    def test_sort_rows_matches_six_float_keys(self, group_k):
+        # numpy orders complex keys as (Re, Im) pairs: shuffled orbits of a
+        # generic triple and of each degenerate stratum, whose rows tie in
+        # many coordinates, plus repeated rows and a signed zero
+        rng = np.random.default_rng(812)
+        for triple in (random_parameter_triple(81), (0, 1, -1), (1, 0, 0), (1, 1, 0)):
+            orb = rg.orbit(group_k, triple)
+            pts = np.concatenate([orb, orb[:5], orb[:1] * -1.0])
+            pts[-1, np.abs(pts[-1]) == 0] = complex(-0.0, -0.0)
+            pts = pts[rng.permutation(len(pts))]
+            want = pts[np.lexsort(pts.view(float)[:, ::-1].T)]
+            assert np.array_equal(rg.sort_rows(pts).view(np.uint64), want.view(np.uint64))
+
     def test_float_stabilizer_matches_exact(self, group_k):
         elements = element_rows(group_k)
         for triple in ((1, -1, 0), (0, 1, -1), (1, 0, 0), (1, 1, 0), (1, 2, 5), (0, 0, 0),

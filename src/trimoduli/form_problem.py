@@ -3,20 +3,18 @@
 Given (a, b, c) = (I6, I12, I18) and optionally the alternating I9, the
 parameters (u, v, w) are recovered by a radical chain: a quartic for
 psi^2 = (u^3+v^3+w^3)^2, then one cubic per psi-branch whose roots are
-{u^3, v^3, w^3}, then cube roots.  Generic inputs give 1296 raw triples of
-which the I9 sign selects 648; degenerate strata collapse to 216, 72, 27
-or 1 points realizing regular complex polytopes.
+{u^3, v^3, w^3}, then cube roots.  The candidates of the branches form one
+complex (n, 3) array, checked on `concomitants.c_formulas`, merged, and
+sign-filtered on `concomitants.c9_formula`.
 
-From the cube roots on, the candidates of all branches form one complex
-(n, 3) array, checked, merged, sign-filtered and sorted in one pass each;
-the check evaluates `concomitants.c_formulas` on its columns, the sign
-filter `concomitants.c9_formula`.
-
-`classify` decides the generic stratum from the invariants alone: a point
-off the reflection mirrors of K has a trivial stabilizer, so 648 solutions,
-and at unit weighted size it is off the mirrors exactly when b^3 != c^2.
-Where b^3 - c^2 is not clearly non-zero, the count is that of the solved
-set and its stabilizer is verified on a sample triple.
+The solutions are one orbit of the order-648 group K, the vertices of a
+regular complex polytope: 648 points off the reflection mirrors of K, where
+K acts freely, and 216, 72, 27 or 1 on them.  At unit weighted size a point
+is off the mirrors exactly when b^3 != c^2.  There `solve` returns the
+K-orbit of one checked, sign-correct row of the first branch, and `classify`
+answers 648 without solving.  Elsewhere `solve` enumerates all branches
+(up to 1296 candidates), and `classify` counts the solved set and verifies
+its stabilizer on a sample triple.
 """
 from __future__ import annotations
 
@@ -94,7 +92,9 @@ class OrbitClass:
 @dataclass
 class SolutionSet:
     """Solutions of the form problem as the rows (u, v, w) of one complex
-    (n, 3) array; after `filter_sign`, sorted by (Re u, Im u, ..., Im w)."""
+    (n, 3) array; after `filter_sign`, sorted by (Re u, Im u, ..., Im w).
+    raw_count counts both sign classes, dropped the candidates that failed
+    the check (of the first branch only, where `solve` takes an orbit)."""
     triples: np.ndarray
     raw_count: int
     filtered_count: int | None = None
@@ -120,12 +120,7 @@ def _root_scale(coeffs) -> float:
     """Characteristic root magnitude max_k |a_k/a_n|^(1/(n-k)); keeps the
     closed formulas inside floating-point range for badly scaled inputs."""
     lead = abs(complex(coeffs[0]))
-    best = 0.0
-    for k, c in enumerate(coeffs[1:], start=1):
-        mag = abs(complex(c))
-        if mag:
-            best = max(best, (mag / lead) ** (1.0 / k))
-    return best
+    return max((abs(complex(c)) / lead) ** (1.0 / k) for k, c in enumerate(coeffs[1:], start=1))
 
 
 def _rescaled(solver, coeffs) -> list[complex] | None:
@@ -164,11 +159,7 @@ def solve_cubic_radicals(a3, a2, a1, a0) -> list[complex]:
         s = cmath.sqrt(-p)
         return [shift, s + shift, shift - s]
     u = u3 ** (1.0 / 3.0)
-    roots = []
-    for k in range(3):
-        uk = u * _OMEGA ** k
-        roots.append(uk - p / (3 * uk) + shift)
-    return roots
+    return [uk - p / (3 * uk) + shift for uk in (u * _OMEGA ** k for k in range(3))]
 
 
 def solve_quartic_radicals(a4, a3, a2, a1, a0) -> list[complex]:
@@ -229,13 +220,8 @@ def cluster_roots(roots, coeffs):
                 break
         else:
             clusters.append([r, 1])
-    out = []
-    for total, mult in clusters:
-        value = total / mult
-        if mult > 1:
-            value = _refine_multiple_root(coeffs, value, mult)
-        out.append((value, mult))
-    return out
+    means = [(total / mult, mult) for total, mult in clusters]
+    return [(_refine_multiple_root(coeffs, x, m) if m > 1 else x, m) for x, m in means]
 
 
 def _refine_multiple_root(coeffs, x, mult):
@@ -383,24 +369,31 @@ def _delta(a: complex, b: complex, c: complex) -> complex:
     return a ** 3 - 3 * a * b + 2 * c
 
 
-def infer_i9(inp: FormProblemInput) -> complex:
-    """A representative i9 from the identity delta = 432 * I9^2 (either sign
-    class gives the same count and classification)."""
-    a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
-    delta = _delta(a, b, c)
-    scale = max(abs(a) ** 3, abs(b) ** 1.5, abs(c), 1e-300)
-    if abs(delta) <= 1e-10 * scale:
-        return 0j
-    return cmath.sqrt(delta / 432)
-
-
 def solve(inp: FormProblemInput) -> SolutionSet:
-    """Full radical chain with the sign filter; the i9 datum is inferred from
-    delta when absent."""
+    """The radical chain with the sign filter, i9 inferred from delta when
+    absent.  Off the mirrors, where the first branch keeps a checked row of
+    the sign, the solutions are the free K-orbit of that row: `orbit(group_k(),
+    triples[0])` bit for bit.  Elsewhere all branches are enumerated."""
     branches = solve_psi_system(inp)
-    raw = enumerate_triples(branches, inp)
-    i9 = inp.i9 if inp.i9 is not None else infer_i9(inp)
-    return filter_sign(raw, complex(i9))
+    i9, (_, ub, uc, _) = _unit_invariants(inp)
+    one = None
+    if _off_mirrors(ub, uc):
+        try:
+            one = filter_sign(enumerate_triples(branches[:1], inp), i9)
+        except FormProblemError:  # near a mirror of B, clustered roots may leave none
+            pass
+    if one is None:
+        return filter_sign(enumerate_triples(branches, inp), i9)
+    group = reflection_group.group_k()
+    # the row's image first in `sort_rows` order: its computed orbit starts with it
+    u = (group.matrices[:, 0] @ one.triples[0]).real
+    head = reflection_group.sort_rows(group.matrices[u == u.min()] @ one.triples[0])[0]
+    pts = reflection_group.orbit(group, head)
+    if len(pts) != group.order:
+        raise FormProblemError(f"the orbit of a solved row has {len(pts)} points, not 648")
+    # both sign classes, as many per sign-correct row as on the first branch
+    return replace(one, triples=pts, raw_count=len(pts) * one.raw_count // one.filtered_count,
+                   filtered_count=len(pts), branches=branches)
 
 
 def _at_unit_scale(x: complex, s: float, degree: int) -> complex:
@@ -439,15 +432,23 @@ def _d_discriminant(b: complex, c: complex) -> complex | None:
     return d if max(abs(d.real), abs(d.imag)) >= sys.float_info.min else None
 
 
-def _unit_invariants(inp: FormProblemInput, i9: complex) -> tuple[complex, ...]:
-    """(a, b, c, i9) divided by s^6, s^12, s^18, s^9, where s is the
-    weighted size of (a, b, c); unchanged at the origin, where s = 0."""
+def _unit_invariants(inp: FormProblemInput) -> tuple[complex, tuple[complex, ...]]:
+    """The sign datum i9 and (a, b, c, i9) divided by s^6, s^12, s^18, s^9,
+    where s is the weighted size of (a, b, c); unchanged at the origin, where
+    s = 0.  Without inp.i9, i9 is a root of delta = 432 * I9^2 (either sign
+    class gives the same solutions up to the swap of v and w), 0 where
+    |delta| is below 1e-10 of max(|a|^3, |b|^1.5, |c|)."""
     a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
+    i9, delta = inp.i9, _delta(a, b, c)
+    if i9 is None:
+        small = abs(delta) <= 1e-10 * max(abs(a) ** 3, abs(b) ** 1.5, abs(c), 1e-300)
+        i9 = 0j if small else cmath.sqrt(delta / 432)
+    i9 = complex(i9)
     s = max(abs(a) ** (1 / 6), abs(b) ** (1 / 12), abs(c) ** (1 / 18))
     if not s:
-        return a, b, c, complex(i9)
-    return (_at_unit_scale(a, s, 6), _at_unit_scale(b, s, 12),
-            _at_unit_scale(c, s, 18), _at_unit_scale(complex(i9), s, 9))
+        return i9, (a, b, c, i9)
+    return i9, (_at_unit_scale(a, s, 6), _at_unit_scale(b, s, 12),
+                _at_unit_scale(c, s, 18), _at_unit_scale(i9, s, 9))
 
 
 def _off_mirrors(b: complex, c: complex) -> bool:
@@ -487,8 +488,7 @@ def classify(inp: FormProblemInput, sol: SolutionSet | None = None) -> OrbitClas
     whenever the caller passes `sol` = `solve(inp)`, the count is that of
     the solution set and the stabilizer is verified on a sample triple.
     The printed case tree is recorded beside the count."""
-    i9 = complex(inp.i9) if inp.i9 is not None else infer_i9(inp)
-    ua, ub, uc, ui9 = _unit_invariants(inp, i9)
+    i9, (ua, ub, uc, ui9) = _unit_invariants(inp)
     if sol is None and _off_mirrors(ub, uc):
         # the sign filter's test without the rows: i9 is a root of 432 x^2 = delta
         root = cmath.sqrt(_delta(ua, ub, uc) / 432)

@@ -145,14 +145,19 @@ class MatrixGroup(NamedTuple):
 def generate_closure(gens, cap: int = 100000) -> MatrixGroup:
     """Breadth-first closure of a generator set under multiplication, with
     exact equality; raises if the cap is exceeded (wrong generator).  Each
-    round is one `_product` of the frontier with the generators on object
-    arrays of Python ints, so no entry wraps before the cap is met."""
+    round is one `_product` of the frontier with the generators: on int64
+    while every entry of both is below 2**20 in magnitude, so that a sum of
+    products stays below 2**43, and on object arrays of Python ints
+    otherwise, so no entry wraps before the cap is met."""
     gens = tuple(tuple(g) for g in gens)
-    right = np.array(gens, dtype=object).reshape(-1, 18)
+    right = np.array(gens).reshape(-1, 18)
     seen = {_IDENTITY}
     frontier = [_IDENTITY]
     while frontier:
-        p = _product(np.array(frontier, dtype=object)[:, None], right)
+        left = np.array(frontier)
+        narrow = max(np.abs(left).max(), np.abs(right).max(initial=0)) < 2 ** 20
+        dtype = np.int64 if narrow else object
+        p = _product(left.astype(dtype)[:, None], right.astype(dtype))
         if (p % 3).any():
             raise ArithmeticError("a product entry left (1/3)Z[eps]")
         new = []

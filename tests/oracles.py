@@ -919,10 +919,11 @@ def filter_sign_loop(raw, i9: complex, tol: float = 1e-6):
 
 
 def solve_loop(inp):
-    """`form_problem.solve` with the loop enumeration, dedup and filter."""
+    """The full enumeration of `form_problem.solve` (all branches, merge and
+    sign filter) as loops."""
     raw = enumerate_triples_loop(fp.solve_psi_system(inp), inp)
-    i9 = inp.i9 if inp.i9 is not None else fp.infer_i9(inp)
-    return filter_sign_loop(raw, complex(i9), fp.RESIDUAL_TOL)
+    i9, _ = fp._unit_invariants(inp)
+    return filter_sign_loop(raw, i9, fp.RESIDUAL_TOL)
 
 
 def _max_rel_deviation_rho(s: State) -> float:

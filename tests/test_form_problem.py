@@ -259,6 +259,13 @@ def _oracle_inputs():
     return inputs
 
 
+def _enumerated(inp):
+    """All psi-branches enumerated, merged and sign-filtered: what `solve`
+    runs on the mirrors, and off them the oracle of its orbit."""
+    i9, _ = fp._unit_invariants(inp)
+    return fp.filter_sign(fp.enumerate_triples(fp.solve_psi_system(inp), inp), i9)
+
+
 class TestLoopOracle:
     """The array enumeration, merge and sign filter against the scalar loops
     in tests/oracles.py: the arithmetic that builds the candidates is
@@ -270,10 +277,10 @@ class TestLoopOracle:
             want = solve_loop(inp)
         except fp.FormProblemError as exc:
             with pytest.raises(fp.FormProblemError) as got:
-                fp.solve(inp)
+                _enumerated(inp)
             assert str(got.value) == str(exc)
             return
-        got = fp.solve(inp)
+        got = _enumerated(inp)
         assert (got.raw_count, got.filtered_count, got.dropped) \
             == (want.raw_count, want.filtered_count, want.dropped)
         assert np.array_equal(_bits(got), _bits(want))
@@ -300,6 +307,99 @@ class TestLoopOracle:
         rng = np.random.default_rng(810)
         pts = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
         assert fp._merge_close(pts) is pts
+
+
+def _same_points(a, b, rel):
+    """Whether the rows of a and b are the same points up to rel times their
+    largest entry: each row of b within that radius of exactly one row of a,
+    the rows of a further apart."""
+    flat = np.concatenate([a, b]).view(float)
+    labels = rg.cluster_points(flat, rel * np.abs(flat).max())
+    n = len(a)
+    return (len(b) == n and np.array_equal(labels[:n], np.arange(n))
+            and np.array_equal(np.sort(labels[n:]), np.arange(n)))
+
+
+def _random_triple_inputs(count, seed):
+    """Random complex triples at scales 1e-6..1e3 with the float invariants
+    of each, every other one without i9."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        t = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 10 ** rng.uniform(-6, 3)
+        c6, c9, c12, c18 = (complex(x) for x in c_formulas(*t))
+        out.append((t, fp.FormProblemInput(c6, c12, c18, i9=c9 if k % 2 else None)))
+    return out
+
+
+class TestOrbitRoute:
+    """Off the mirrors `solve` returns the K-orbit of one row of the first
+    psi-branch; the enumeration of all branches is its oracle."""
+
+    @staticmethod
+    def _offered(monkeypatch):
+        """The number of branches of each `_candidates` call, as a list."""
+        offered = []
+        candidates = fp._candidates
+        monkeypatch.setattr(fp, "_candidates",
+                            lambda branches: offered.append(len(branches)) or candidates(branches))
+        return offered
+
+    def test_one_branch_then_the_orbit(self, monkeypatch, group_k):
+        cv = c_formulas(*random_parameter_triple(68))
+        inp = fp.FormProblemInput(cv.c6, cv.c12, cv.c18, i9=cv.c9)
+        assert len(fp.solve_psi_system(inp)) == 8
+        offered = self._offered(monkeypatch)
+        sol = fp.solve(inp)
+        assert offered == [1]
+        assert np.array_equal(_bits(sol), rg.orbit(group_k, sol.triples[0]).view(np.uint64))
+        wrong = fp.FormProblemInput(cv.c6, cv.c12, cv.c18, i9=2 * cv.c9)
+        with pytest.raises(fp.FormProblemError,
+                           match=r"no solutions match the sign datum .*: inconsistent input"):
+            fp.solve(wrong)
+
+    def test_first_branch_without_a_row_of_the_sign(self, monkeypatch):
+        # v and w 4e-6 apart, next to the mirror v = w of B: the first branch
+        # clusters its near-double cube root, keeps no row with this i9, and
+        # all branches are enumerated, as on the mirrors of K
+        t = (1.5099831293121058e-05 - 1.014468137602427j,
+             1.1888306785373703 + 0.6666833259020761j, 1.1888277812544144 + 0.666682548793781j)
+        c6, c9, c12, c18 = (complex(x) for x in c_formulas(*t))
+        inp = fp.FormProblemInput(c6, c12, c18, i9=c9)
+        want = _enumerated(inp)
+        offered = self._offered(monkeypatch)
+        got = fp.solve(inp)
+        assert offered == [1, 8]
+        assert (got.raw_count, got.filtered_count, got.dropped) \
+            == (want.raw_count, want.filtered_count, want.dropped)
+        assert got.filtered_count == 648
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("inp", _oracle_inputs()
+                             + [fp.FormProblemInput(13, -215, -5291, i9=0)])
+    def test_matches_enumeration(self, inp):
+        try:
+            want = _enumerated(inp)
+        except fp.FormProblemError as exc:
+            with pytest.raises(fp.FormProblemError) as got:
+                fp.solve(inp)
+            assert str(got.value) == str(exc)
+            return
+        got = fp.solve(inp)
+        assert (got.raw_count, got.filtered_count) == (want.raw_count, want.filtered_count)
+        assert _same_points(want.triples, got.triples, 1e-10)
+
+    @pytest.mark.parametrize("chunk", range(8))
+    def test_matches_enumeration_on_random_triples(self, chunk, group_k):
+        for t, inp in _random_triple_inputs(250, 812 + chunk):
+            got, want = fp.solve(inp), _enumerated(inp)
+            assert (got.raw_count, got.filtered_count) == (want.raw_count, want.filtered_count)
+            assert _same_points(want.triples, got.triples, 1e-10)
+            # without i9 the inferred sign class holds t or its swap of v and w
+            found = [t] if inp.i9 is not None else [t, t[[0, 2, 1]]]
+            gap = min(np.abs(got.triples - x).max(axis=1).min() for x in found)
+            assert gap <= 1e-10 * np.abs(got.triples).max()
+            assert np.array_equal(_bits(got), rg.orbit(group_k, got.triples[0]).view(np.uint64))
 
 
 class TestClassify:

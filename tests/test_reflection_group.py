@@ -192,6 +192,28 @@ class TestClosure:
         assert not contains(group_k, b)
         assert all(contains(h, g) for g in group_k.ints[:20])
 
+    def test_rounds_on_int64_or_python_ints(self, group_k, monkeypatch):
+        # K's rounds run on int64; K conjugated by a shear with entry 2**20
+        # has entries near 3 * 2**41, so its rounds run on Python ints
+        n = 2 ** 20
+        shear = np.array(pairs(((1, n, 0), (0, 1, 0), (0, 0, 1))), dtype=object)
+        inverse = np.array(pairs(((1, -n, 0), (0, 1, 0), (0, 0, 1))), dtype=object)
+
+        def conjugate(ints):
+            return rg._product(rg._product(shear, ints.astype(object)) // 3, inverse) // 3
+
+        gens = list(map(tuple, conjugate(np.array(group_k.gens)).tolist()))
+        want = sorted(map(tuple, conjugate(group_k.ints).tolist()))
+        assert max(max(map(abs, g)) for g in want) > 2 ** 40
+        dtypes = []
+        product = rg._product
+        monkeypatch.setattr(rg, "_product", lambda x, y: dtypes.append(x.dtype) or product(x, y))
+        assert np.array_equal(rg.generate_closure(group_k.gens).ints, group_k.ints)
+        assert set(dtypes) == {np.dtype(np.int64)}
+        dtypes.clear()
+        assert np.array_equal(rg.generate_closure(gens).ints, np.array(want, dtype=np.int64))
+        assert set(dtypes) == {np.dtype(object)}
+
     def test_cap_exceeded(self):
         # a non-unit scaling generates an infinite group
         bad = pairs(((2, 0, 0), (0, 1, 0), (0, 0, 1)))

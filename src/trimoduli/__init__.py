@@ -13,15 +13,11 @@ __version__ = "0.1.0"
 
 from .concomitants import (  # noqa: F401
     AronholdPair,
-    ConcomitantBundle,
     InvariantSet,
     aronhold,
-    build_concomitants,
     c_formulas,
-    calibration_report,
     invariants,
     is_semistable,
-    jacobian_check,
     projective_point,
     syzygy_residuals,
 )
@@ -52,7 +48,6 @@ from .qutrit_state import (  # noqa: F401
     random_state,
     read_state,
     reduced_density,
-    slice_cubic,
     write_state,
 )
 from .reflection_group import (  # noqa: F401

@@ -7,20 +7,19 @@ Aronhold S and T of its slice tensor by einsum brackets, and I18 from I6,
 I9, I12.  `aronhold` runs the brackets on any ternary cubic `Form`,
 exactly on exact tensors.  The concomitants are transvectants of the
 ground form f (`trilinear_form`) with the pairing forms P_alpha =
-sum xi_i x_i, P_beta = sum eta_j y_j and P_gamma = sum zeta_k z_k, and so
-are the degree-6/9/12 invariants
-(`invariant_raws`): dense `poly_engine.Form` tensors built from the 3x3x3
-array, exact on integer object arrays.  That route derives every
-normalization constant by calibration against the closed normal-form
-formulas (`calibration`); the runtime path uses them as pinned literals,
-which the tests re-derive exactly.  It also serves the twelve syzygies,
+sum xi_i x_i, P_beta = sum eta_j y_j and P_gamma = sum zeta_k z_k, one
+table from name to `poly_engine.Form` (`bundle_from_form`), exact on
+integer object arrays; the degree-6/9/12 invariants are full contractions
+of its entries (`invariant_raws`).  That route derives the pinned
+normalization constants by calibration against the closed normal-form
+formulas (`calibration`); the runtime path uses them as literals, which
+the tests re-derive exactly.  It also serves the twelve syzygies,
 evaluated term by term at a random point, and the tests as an oracle.
 
 The closed invariants C6, C9, C12, C18 of the normal form are written once,
 in `c_formulas` (C9 alone in `c9_formula`), for every scalar type; the form
-problem and `verify_vinberg` evaluate it on numbers, `c_polynomials`, the
-Jacobian and `verify_invariance` on the exact `poly_engine.Poly` in
-x1, x2, x3.
+problem and `verify_vinberg` evaluate it on numbers, `c_polynomials` and
+`verify_invariance` on the exact `poly_engine.Poly` in x1, x2, x3.
 
 This module also owns the one rule that decides when an invariant vanishes:
 |I_d| at most NULL_CONE_ULPS eps times its forward error bound
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -48,7 +46,6 @@ from .poly_engine import (
     transvectant,
 )
 from .qutrit_state import (
-    ParameterTriple,
     State,
     normal_form_amplitudes,
     slice_tensor,
@@ -92,41 +89,6 @@ class CValues(NamedTuple):
     c18: complex
 
 
-@dataclass(frozen=True)
-class ConcomitantBundle:
-    """The named concomitants of one state, as forms in the six groups."""
-
-    f: Form
-    p_alpha: Form
-    p_beta: Form
-    p_gamma: Form
-    q_alpha: Form
-    q_beta: Form
-    q_gamma: Form
-    b_alpha: Form
-    b_beta: Form
-    b_gamma: Form
-    c_alpha_beta: Form
-    c_beta_alpha: Form
-    c_alpha_gamma: Form
-    c_gamma_alpha: Form
-    c_beta_gamma: Form
-    c_gamma_beta: Form
-    d_alpha: Form
-    d_beta: Form
-    d_gamma: Form
-    e_alpha: Form
-    e_beta: Form
-    e_gamma: Form
-    g_alpha: Form
-    g_beta: Form
-    g_gamma: Form
-    h: Form
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-
 def pairing_form(name: str) -> Form:
     """P_alpha / P_beta / P_gamma: the pairing of a covariant group with its
     dual, the identity matrix.  Its int64 entries become Python ints in an
@@ -134,79 +96,56 @@ def pairing_form(name: str) -> Form:
     return Form(np.eye(3, dtype=np.int64), _PAIRS[name])
 
 
-def bundle_from_form(a) -> ConcomitantBundle:
+def bundle_from_form(a) -> dict:
     """All concomitants of the trilinear form of a 3x3x3 array, from their
-    transvectant recipes."""
+    transvectant recipes, by the names that SYZYGY_NAMES uses."""
     f_ = trilinear_form(a)
     pa_, pb_, pg_ = (pairing_form(n) for n in ("alpha", "beta", "gamma"))
-
     qa = transvectant(f_, f_, pb_ * pg_, upper=(0, 1, 1))
     qb = transvectant(f_, f_, pa_ * pg_, upper=(1, 0, 1))
     qg = transvectant(f_, f_, pa_ * pb_, upper=(1, 1, 0))
-
-    ba = transvectant(f_, f_, f_, upper=(0, 1, 1))
-    bb = transvectant(f_, f_, f_, upper=(1, 0, 1))
-    bg = transvectant(f_, f_, f_, upper=(1, 1, 0))
-
     quarter = Fraction(1, 4)
-    cab = transvectant(f_, f_, f_ * pb_, upper=(1, 1, 0)) * quarter
-    cba = transvectant(f_, f_, f_ * pa_, upper=(1, 1, 0)) * quarter
-    cag = transvectant(f_, f_, f_ * pg_, upper=(1, 0, 1)) * quarter
-    cga = transvectant(f_, f_, f_ * pa_, upper=(1, 0, 1)) * quarter
-    cbg = transvectant(f_, f_, f_ * pg_, upper=(0, 1, 1)) * quarter
-    cgb = transvectant(f_, f_, f_ * pb_, upper=(0, 1, 1)) * quarter
-
-    da = transvectant(f_ * pb_, f_ * pg_, f_, upper=(1, 1, 1)) * -2
-    db = transvectant(f_ * pa_, f_ * pg_, f_, upper=(1, 1, 1)) * 2
-    dg = transvectant(f_ * pa_, f_ * pb_, f_, upper=(1, 1, 1)) * -2
-
-    ea = transvectant(qa, f_, pa_, upper=(1, 0, 0))
-    eb = transvectant(qb, f_, pb_, upper=(0, 1, 0))
-    eg = transvectant(qg, f_, pg_, upper=(0, 0, 1))
-
     t38, t516 = Fraction(-3, 8), Fraction(5, 16)
-    ga = (transvectant(f_ * pb_, f_ * pg_, f_, upper=(0, 1, 1)) * t38
-          + transvectant(f_ * pb_ * pg_, f_, f_, upper=(0, 1, 1)) * t516)
-    gb = (transvectant(f_ * pa_, f_ * pg_, f_, upper=(1, 0, 1)) * t38
-          + transvectant(f_ * pa_ * pg_, f_, f_, upper=(1, 0, 1)) * t516)
-    gg = (transvectant(f_ * pa_, f_ * pb_, f_, upper=(1, 1, 0)) * t38
-          + transvectant(f_ * pa_ * pb_, f_, f_, upper=(1, 1, 0)) * t516)
-
-    h = transvectant(f_ * pa_, f_ * pb_, f_ * pg_, upper=(1, 1, 1)) * Fraction(1, 2)
-
-    return ConcomitantBundle(
-        f=f_, p_alpha=pa_, p_beta=pb_, p_gamma=pg_,
-        q_alpha=qa, q_beta=qb, q_gamma=qg,
-        b_alpha=ba, b_beta=bb, b_gamma=bg,
-        c_alpha_beta=cab, c_beta_alpha=cba, c_alpha_gamma=cag,
-        c_gamma_alpha=cga, c_beta_gamma=cbg, c_gamma_beta=cgb,
-        d_alpha=da, d_beta=db, d_gamma=dg,
-        e_alpha=ea, e_beta=eb, e_gamma=eg,
-        g_alpha=ga, g_beta=gb, g_gamma=gg,
-        h=h,
-    )
-
-
-def build_concomitants(s: State) -> ConcomitantBundle:
-    return bundle_from_form(s.amplitudes)
+    return {
+        "f": f_, "p_alpha": pa_, "p_beta": pb_, "p_gamma": pg_,
+        "q_alpha": qa, "q_beta": qb, "q_gamma": qg,
+        "b_alpha": transvectant(f_, f_, f_, upper=(0, 1, 1)),
+        "b_beta": transvectant(f_, f_, f_, upper=(1, 0, 1)),
+        "b_gamma": transvectant(f_, f_, f_, upper=(1, 1, 0)),
+        "c_alpha_beta": transvectant(f_, f_, f_ * pb_, upper=(1, 1, 0)) * quarter,
+        "c_beta_alpha": transvectant(f_, f_, f_ * pa_, upper=(1, 1, 0)) * quarter,
+        "c_alpha_gamma": transvectant(f_, f_, f_ * pg_, upper=(1, 0, 1)) * quarter,
+        "c_gamma_alpha": transvectant(f_, f_, f_ * pa_, upper=(1, 0, 1)) * quarter,
+        "c_beta_gamma": transvectant(f_, f_, f_ * pg_, upper=(0, 1, 1)) * quarter,
+        "c_gamma_beta": transvectant(f_, f_, f_ * pb_, upper=(0, 1, 1)) * quarter,
+        "d_alpha": transvectant(f_ * pb_, f_ * pg_, f_, upper=(1, 1, 1)) * -2,
+        "d_beta": transvectant(f_ * pa_, f_ * pg_, f_, upper=(1, 1, 1)) * 2,
+        "d_gamma": transvectant(f_ * pa_, f_ * pb_, f_, upper=(1, 1, 1)) * -2,
+        "e_alpha": transvectant(qa, f_, pa_, upper=(1, 0, 0)),
+        "e_beta": transvectant(qb, f_, pb_, upper=(0, 1, 0)),
+        "e_gamma": transvectant(qg, f_, pg_, upper=(0, 0, 1)),
+        "g_alpha": (transvectant(f_ * pb_, f_ * pg_, f_, upper=(0, 1, 1)) * t38
+                    + transvectant(f_ * pb_ * pg_, f_, f_, upper=(0, 1, 1)) * t516),
+        "g_beta": (transvectant(f_ * pa_, f_ * pg_, f_, upper=(1, 0, 1)) * t38
+                   + transvectant(f_ * pa_ * pg_, f_, f_, upper=(1, 0, 1)) * t516),
+        "g_gamma": (transvectant(f_ * pa_, f_ * pb_, f_, upper=(1, 1, 0)) * t38
+                    + transvectant(f_ * pa_ * pb_, f_, f_, upper=(1, 1, 0)) * t516),
+        "h": transvectant(f_ * pa_, f_ * pb_, f_ * pg_, upper=(1, 1, 1)) * Fraction(1, 2),
+    }
 
 
 # --- raw (uncalibrated) invariant contractions -----------------------------
 
 def invariant_raws(a) -> dict:
     """The three fundamental full contractions of a 3x3x3 array, before
-    normalization: Python ints on an object array of ints, complex on a
-    complex array."""
-    f = trilinear_form(a)
-    pa, pb, pg = (pairing_form(n) for n in ("alpha", "beta", "gamma"))
-    qa = transvectant(f, f, pb * pg, upper=(0, 1, 1))
-    qb = transvectant(f, f, pa * pg, upper=(1, 0, 1))
-    ea = transvectant(qa, f, pa, upper=(1, 0, 0))
-    eb = transvectant(qb, f, pb, upper=(0, 1, 0))
-    baf = transvectant(f, f, f, upper=(0, 1, 1)) * f
+    normalization, on its concomitants: Python ints on an object array of
+    ints, complex on a complex array."""
+    c = bundle_from_form(a)
+    qa, baf = c["q_alpha"], c["b_alpha"] * c["f"]
     return {
         "i6": transvectant(qa, qa, qa, upper=(2, 0, 0), lower=(0, 1, 1)).tensor.item(),
-        "i9": transvectant(ea, eb, eb, upper=(1, 1, 1), lower=(1, 1, 1)).tensor.item(),
+        "i9": transvectant(c["e_alpha"], c["e_beta"], c["e_beta"],
+                           upper=(1, 1, 1), lower=(1, 1, 1)).tensor.item(),
         "i12": transvectant(baf, baf, baf, upper=(4, 1, 1)).tensor.item(),
     }
 
@@ -342,38 +281,6 @@ def c_polynomials():
     variables x1, x2, x3 of `Poly`."""
     c6, c9, c12, _ = c_formulas(*(Poly.variable(i) for i in (1, 2, 3)))
     return c6, c9, c12
-
-
-@lru_cache(maxsize=None)
-def _jacobian_polynomial() -> Poly:
-    """det d(C6,C9,C12)/d(u,v,w) as an exact polynomial."""
-    c6, c9, c12 = c_polynomials()
-    cols = [[p.diff(i) for i in (1, 2, 3)] for p in (c6, c9, c12)]
-    det = None
-    for sigma, sign in PERMS3:
-        term = cols[0][sigma[0]] * cols[1][sigma[1]] * cols[2][sigma[2]]
-        term = term if sign > 0 else -term
-        det = term if det is None else det + term
-    return det
-
-
-class JacobianCheck(NamedTuple):
-    jacobian: complex
-    c12_prime_sq: complex
-    ratio: complex | None
-
-
-def jacobian_check(t: ParameterTriple | tuple) -> JacobianCheck:
-    """Jacobian of (C6, C9, C12) at t and its ratio to C12'**2; the ratio is
-    None (flagged) on the twelve mirror planes where C12' vanishes."""
-    u, v, w = t
-    jac = _jacobian_polynomial().eval((u, v, w))
-    c12p = c12_prime(u, v, w)
-    c12p_sq = c12p * c12p
-    if not c12p_sq:
-        return JacobianCheck(jac, c12p_sq, None)
-    ratio = Fraction(jac) / Fraction(c12p_sq) if is_exact((u, v, w)) else jac / c12p_sq
-    return JacobianCheck(jac, c12p_sq, ratio)
 
 
 # --- Aronhold invariants of a ternary cubic ---------------------------------
@@ -596,7 +503,7 @@ def syzygy_residuals(s: State, seed: int):
     is reported relative to the largest of its terms."""
     point = random_evaluation_point(seed)
     values = {name: complex(form.value(point))
-              for name, form in build_concomitants(s).as_dict().items()}
+              for name, form in bundle_from_form(s.amplitudes).items()}
     results = []
     for name in SYZYGY_NAMES:
         terms = syzygy_terms(values, name)
@@ -635,9 +542,10 @@ def _hesse_tensor(phi, psi) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def calibration() -> dict:
-    """Exact one-time calibration of every normalization constant, done on
-    rational normal forms and rational Hesse cubics.  Returns a read-only
-    dict of Fractions (see `calibration_report` for the JSON form)."""
+    """Exact one-time calibration of the normalization constants that the
+    package pins or the README quotes, done on rational normal forms and
+    rational Hesse cubics: a dict of Fractions, against which the tests check
+    the pinned literals."""
     data: dict = {}
 
     # Python int entries: Fraction entries make the contractions 100 times slower
@@ -696,32 +604,6 @@ def calibration() -> dict:
         d_pairs.append((disc, Fraction(c12_prime(u, v, w)) ** 3))
     data["delta_scale"] = _fit_constant(d_pairs, "delta_scale")
 
-    # I18 = i18_vs_t_scale * 6^6 T on normal forms (recorded, not used).
-    t18_pairs = []
-    for (u, v, w), row, target in zip(_CAL_TRIPLES, rows, rhs):
-        uf, vf, wf = Fraction(u), Fraction(v), Fraction(w)
-        phi, psi = uf * vf * wf, uf ** 3 + vf ** 3 + wf ** 3
-        t66 = 46656 * phi ** 6 + 4320 * phi ** 3 * psi ** 3 - 8 * psi ** 6
-        t18_pairs.append((t66, target))
-    data["i18_vs_66t_scale"] = _fit_constant(t18_pairs, "i18_vs_66t_scale")
-
-    # Jacobian of (C6, C9, C12) over C12'^2 (recorded constant).
-    j_pairs = []
-    for (u, v, w) in ((1, 2, 3), (2, 1, -3)):
-        chk = jacobian_check((Fraction(u), Fraction(v), Fraction(w)))
-        j_pairs.append((chk.c12_prime_sq, Fraction(chk.jacobian)))
-    data["jacobian_vs_c12_prime_sq"] = _fit_constant(j_pairs, "jacobian_vs_c12_prime_sq")
-
-    # delta identity: a^3 - 3ab + 2c = delta_vs_c9_sq * C9^2.
-    dd_pairs = []
-    for r, t in zip(raws, targets):
-        a, b, c = Fraction(t.c6), Fraction(t.c12), Fraction(t.c18)
-        dd_pairs.append((Fraction(t.c9) ** 2, a ** 3 - 3 * a * b + 2 * c))
-    data["delta_vs_c9_sq"] = _fit_constant(dd_pairs, "delta_vs_c9_sq")
-
-    # resolution of the I9 contraction variant: (E_a, E_b, E_g) vanishes
-    # identically, (E_a, E_b, E_b) carries the invariant.
-    data["i9_variant"] = "e_alpha,e_beta,e_beta"
     return data
 
 
@@ -742,22 +624,3 @@ def _solve3(rows, rhs):
             m[i][col] = rhs[i]
         sols.append(Fraction(det3(m)) / Fraction(d))
     return tuple(sols)
-
-
-def calibration_report() -> dict:
-    """JSON-ready calibration report: exact constants as fraction strings."""
-    report = {}
-    for name, value in calibration().items():
-        if isinstance(value, Fraction):
-            report[name] = str(value)
-        else:
-            report[name] = value
-    return report
-
-
-def write_calibration_report(path) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(calibration_report(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -22,7 +22,7 @@ import cmath
 import csv
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,7 +99,6 @@ class SolutionSet:
     raw_count: int
     filtered_count: int | None = None
     dropped: int = 0
-    branches: list[PsiBranch] = field(default_factory=list)
 
 
 # --- closed-root solvers ------------------------------------------------------
@@ -326,7 +325,7 @@ def enumerate_triples(branches, inp: FormProblemInput) -> SolutionSet:
           & (np.abs(c18 - c) <= RESIDUAL_TOL * den18))
     triples = _merge_close(cands[ok])
     return SolutionSet(triples=triples, raw_count=len(triples),
-                       dropped=int(np.count_nonzero(~ok)), branches=list(branches))
+                       dropped=int(np.count_nonzero(~ok)))
 
 
 def _merge_close(pts: np.ndarray) -> np.ndarray:
@@ -393,7 +392,7 @@ def solve(inp: FormProblemInput) -> SolutionSet:
         raise FormProblemError(f"the orbit of a solved row has {len(pts)} points, not 648")
     # both sign classes, as many per sign-correct row as on the first branch
     return replace(one, triples=pts, raw_count=len(pts) * one.raw_count // one.filtered_count,
-                   filtered_count=len(pts), branches=branches)
+                   filtered_count=len(pts))
 
 
 def _at_unit_scale(x: complex, s: float, degree: int) -> complex:

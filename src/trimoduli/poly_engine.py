@@ -10,10 +10,11 @@ Levi-Civita symbols (Olver, *Classical Invariant Theory*, 1999, ch. 6),
 one numpy einsum per transvectant.  Integer object arrays stay exact and
 complex arrays stay complex.
 
-Every form of a state is a `Form`: the trilinear ground form, its slice
-cubics and its concomitants.  `Poly` is an exact polynomial in x1, x2, x3,
-keyed by exponent triples, for the closed normal-form invariants of the
-parameters (u, v, w), their Jacobian and their invariance proof.
+Every form of a state is a `Form`: the trilinear ground form, its
+concomitants and the ternary cubics whose Aronhold invariants are taken.
+`Poly` is an exact polynomial in x1, x2, x3, keyed by exponent triples,
+for the closed normal-form invariants of the parameters (u, v, w) and
+their invariance proof.
 """
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ class Poly:
     """An exact polynomial in x1, x2, x3 (the parameters u, v, w of the
     normal form): its terms map exponent triples to nonzero coefficients,
     ints, Fractions or `reflection_group.Eisenstein` pairs, in the order the
-    operations make them, so that `eval` adds the terms in a fixed order."""
+    operations make them."""
 
     __slots__ = ("terms",)
 
@@ -97,23 +98,6 @@ class Poly:
         return Poly(prod)
 
     __rmul__ = __mul__
-
-    def diff(self, i: int) -> "Poly":
-        """The partial derivative in x_i; distinct terms stay distinct."""
-        k = i - 1
-        return Poly({e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k]
-                     for e, c in self.terms.items() if e[k]})
-
-    def eval(self, point):
-        """The value at point = (x1, x2, x3), the terms added in order."""
-        total = 0
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    term = term * x ** e
-            total = total + term
-        return total
 
 
 class Form(NamedTuple):

@@ -5,8 +5,7 @@ the local group SL(3,C)^x3 acts by contracting each tensor leg with the
 matching matrix; `trilinear_form` is that form as a `poly_engine.Form`.
 This module also holds the slice tensor, the determinant of a slice as a
 symmetric 3x3x3 tensor (by numpy einsum against the Levi-Civita symbol of
-`poly_engine`; `slice_cubic` is the cubic as a one-group `Form`), and
-builds the three-parameter normal-form family, reduced
+`poly_engine`), and builds the three-parameter normal-form family, reduced
 densities, the tangent map of sl(3)^3 on the Gell-Mann matrices (the
 filtering iteration's derivatives), and the JSON
 state file format.
@@ -154,16 +153,6 @@ def slice_tensor(a, symbol=LEVI_CIVITA) -> np.ndarray:
     t = np.einsum("almk,bln->amkbn", t, a)
     t = np.einsum("amkbn,kno->ambo", t, e)
     return np.einsum("ambo,cmo->abc", t, a)
-
-
-def slice_cubic(s: State, axis: str) -> Form:
-    """Determinant of the 3x3 matrix of linear forms obtained by contracting
-    the chosen leg with its variables: a ternary cubic in that group, the
-    one-group `Form` of K / 6 for `slice_tensor` K."""
-    if axis not in ("x", "y", "z"):
-        raise ValueError("axis must be one of 'x', 'y', 'z'")
-    k = slice_tensor(np.moveaxis(s.amplitudes, "xyz".index(axis), 0))
-    return Form(k / 6, (axis,) * 3)
 
 
 def reduced_density(s: State, party: int) -> np.ndarray:

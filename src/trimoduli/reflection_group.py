@@ -26,6 +26,7 @@ orders the rows, here and in the form problem.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from functools import lru_cache
 from typing import NamedTuple
@@ -203,16 +204,33 @@ def is_unitary(group: MatrixGroup) -> bool:
     return bool((_product(group.ints, adjoint) == 3 * np.array(_IDENTITY)).all())
 
 
+def ldexp(a: np.ndarray, e: int) -> np.ndarray:
+    """a * 2**e for a complex array, exact wherever the result is normal."""
+    return np.ldexp(np.ascontiguousarray(a).view(float), e).view(complex)
+
+
+def _unit_size(triple) -> tuple[np.ndarray, int]:
+    """(t, e): the triple as a complex array t times 2**e, where 2**-e brings
+    its largest real or imaginary part into [1/2, 1), exactly."""
+    t = np.array(triple, dtype=complex)
+    e = math.frexp(float(np.abs(t.view(float)).max()))[1]
+    return ldexp(t, -e), e
+
+
 def orbit(group: MatrixGroup, triple) -> np.ndarray:
     """The orbit {g.t} without repeats, of a triple of scalars that convert
     to Python complex numbers: a complex (n, 3) array in
     `sort_rows` order, one point per cluster of the images within 1e-9 times
     their largest real or imaginary part, so its size does not depend on the
-    scale of the triple."""
-    pts = group.matrices @ np.array(triple, dtype=complex)
+    scale of the triple.  The images are those of the triple times the power
+    of two that brings it to unit size (`_unit_size`), scaled back, so that
+    no squared distance leaves the float range; a result in the normal range
+    keeps its bits."""
+    t, e = _unit_size(triple)
+    pts = group.matrices @ t
     flat = np.column_stack([pts.real, pts.imag])
     labels = cluster_points(flat, 1e-9 * float(np.max(np.abs(flat))))
-    return sort_rows(pts[labels == np.arange(len(labels))])
+    return ldexp(sort_rows(pts[labels == np.arange(len(labels))]), e)
 
 
 def sort_rows(pts: np.ndarray) -> np.ndarray:
@@ -285,8 +303,10 @@ def stabilizer(group: MatrixGroup, triple, tol: float = 1e-9) -> MatrixGroup:
     numbers, selected on the complex
     matrices: the test allows tol times the largest entry of the triple, so
     the subgroup does not depend on the scale of the triple.  The subgroup
-    keeps its rows of the group's integer array and complex matrices."""
-    t = np.array(triple, dtype=complex)
+    keeps its rows of the group's integer array and complex matrices.  The
+    test runs on the triple at unit size (`_unit_size`), so that a subnormal
+    triple keeps a tolerance above zero."""
+    t, _ = _unit_size(triple)
     scale = float(np.max(np.abs(t)))
     fixed = np.max(np.abs(group.matrices @ t - t), axis=1) <= tol * scale
     # a subset of the sorted element array is sorted

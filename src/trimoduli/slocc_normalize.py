@@ -26,6 +26,7 @@ import numpy as np
 
 from . import concomitants
 from .qutrit_state import GELL_MANN, LocalTransform, State, apply_local, tangent_rows
+from .reflection_group import ldexp
 
 CONVERGED = "converged"
 UNSTABLE = "unstable"
@@ -74,11 +75,6 @@ STEP_RADIUS = 1.0
 NORM_REL_TOL = 1e-5
 
 
-def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
-    """a * 2**e for a complex array, exact wherever the result is normal."""
-    return np.ldexp(np.ascontiguousarray(a).view(float), e).view(complex)
-
-
 def _derivatives(a: np.ndarray):
     """Gradient 2<psi, l psi>/N and Hessian 4 Re<l psi, m psi>/N - g g^T of
     log N at psi = a, over the Gell-Mann matrices l, m of parties 1, 2, 3."""
@@ -109,8 +105,8 @@ def normalize_slocc(s: State, tol: float = 1e-10, max_iter: int = 10000):
     descent, or a direction that has lost the gradient) follows the negative
     gradient instead and is recorded in `floor_events`.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
     if not np.any(s.amplitudes):
@@ -118,7 +114,7 @@ def normalize_slocc(s: State, tol: float = 1e-10, max_iter: int = 10000):
 
     # the power of two at the largest modulus: exact, and nothing overflows
     e = math.frexp(float(np.max(np.abs(s.amplitudes))))[1]
-    current = State(_ldexp(s.amplitudes, -e))
+    current = State(ldexp(s.amplitudes, -e))
     inv = concomitants.invariants(current)
     unstable = not concomitants.is_semistable(current, inv)[0]
     trace = IterationTrace(inv, e, status=UNSTABLE if unstable else MAX_ITERATIONS)
@@ -152,7 +148,7 @@ def normalize_slocc(s: State, tol: float = 1e-10, max_iter: int = 10000):
                 t /= 2.0
                 candidate = apply_local(current, along(t))
         current = candidate
-    return State(_ldexp(current.amplitudes, e)), trace
+    return State(ldexp(current.amplitudes, e)), trace
 
 
 def verify_vinberg(limit: State, candidates,

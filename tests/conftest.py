@@ -10,6 +10,6 @@ def group_k():
 
 @pytest.fixture(scope="session")
 def calibrated():
-    from trimoduli import concomitants
+    from oracles import calibration_entries
 
-    return concomitants.calibration()
+    return calibration_entries()

@@ -20,11 +20,16 @@ complex matrix of one group element entry by entry, the structure probes
 of a group (commutation, element orders, pseudo-reflections), its orbits
 and stabilizers in exact products of `Cyclo` rows, and the form problem
 solved on invariants taken exactly over Q(i).  Also `states_close`, the
-test comparison of two states.
+test comparison of two states, the derivative and the value of a `Poly`
+with the Jacobian of (C6, C9, C12) on them (`jacobian_check`), the slice
+cubic of a state as a one-group `Form` (`slice_cubic`), and the entries of
+calibration_report.json that the package does not read, with the report
+writer (`write_calibration_report`).
 """
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -35,12 +40,22 @@ import numpy as np
 
 from trimoduli import form_problem as fp
 from trimoduli import reflection_group as rg
-from trimoduli.concomitants import _triple_tensor, c_formulas
+from trimoduli.concomitants import (
+    _CAL_TRIPLES,
+    _fit_constant,
+    _triple_tensor,
+    c12_prime,
+    c_formulas,
+    c_polynomials,
+    calibration,
+    is_exact,
+)
 from trimoduli.poly_engine import (
     _GROUP_RANK,
     GROUPS,
     PERMS3,
     Form,
+    Poly,
     PolyError,
 )
 from trimoduli.qutrit_state import (
@@ -49,6 +64,7 @@ from trimoduli.qutrit_state import (
     State,
     apply_local,
     reduced_density,
+    slice_tensor,
     tangent_rows,
 )
 
@@ -884,8 +900,7 @@ def enumerate_triples_loop(branches, inp):
                         else:
                             dropped += 1
     triples = dedup_triples_loop(candidates)
-    return fp.SolutionSet(triples=triples, raw_count=len(triples),
-                          dropped=dropped, branches=list(branches))
+    return fp.SolutionSet(triples=triples, raw_count=len(triples), dropped=dropped)
 
 
 def dedup_triples_loop(candidates, rel_tol: float = 1e-8):
@@ -914,8 +929,7 @@ def filter_sign_loop(raw, i9: complex, tol: float = 1e-6):
         raise fp.FormProblemError(
             f"no solutions match the sign datum i9={i9}: inconsistent input")
     return fp.SolutionSet(triples=kept, raw_count=raw.raw_count,
-                          filtered_count=len(kept), dropped=raw.dropped,
-                          branches=raw.branches)
+                          filtered_count=len(kept), dropped=raw.dropped)
 
 
 def solve_loop(inp):
@@ -1303,3 +1317,112 @@ def solve_for_triple(t) -> fp.SolutionSet:
 def states_close(s: State, t: State, tol: float) -> bool:
     """True when no amplitude of s and t differs by more than tol."""
     return bool(np.max(np.abs(s.amplitudes - t.amplitudes)) <= tol)
+
+
+# --- the closed Jacobian, the slice cubic and the calibration report ----------
+
+def poly_diff(p: Poly, i: int) -> Poly:
+    """The partial derivative of p in x_i; distinct terms stay distinct."""
+    k = i - 1
+    return Poly({e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k] for e, c in p.terms.items() if e[k]})
+
+
+def poly_eval(p: Poly, point):
+    """The value of p at point = (x1, x2, x3), its terms added in order."""
+    total = 0
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for x, e in zip(point, exps):
+            if e:
+                term = term * x ** e
+        total = total + term
+    return total
+
+
+@lru_cache(maxsize=None)
+def jacobian_polynomial() -> Poly:
+    """det d(C6,C9,C12)/d(u,v,w) as an exact polynomial."""
+    c6, c9, c12 = c_polynomials()
+    cols = [[poly_diff(p, i) for i in (1, 2, 3)] for p in (c6, c9, c12)]
+    det = None
+    for sigma, sign in PERMS3:
+        term = cols[0][sigma[0]] * cols[1][sigma[1]] * cols[2][sigma[2]]
+        term = term if sign > 0 else -term
+        det = term if det is None else det + term
+    return det
+
+
+class JacobianCheck(NamedTuple):
+    jacobian: complex
+    c12_prime_sq: complex
+    ratio: complex | None
+
+
+def jacobian_check(t) -> JacobianCheck:
+    """Jacobian of (C6, C9, C12) at t and its ratio to C12'**2; the ratio is
+    None (flagged) on the twelve mirror planes where C12' vanishes."""
+    u, v, w = t
+    jac = poly_eval(jacobian_polynomial(), (u, v, w))
+    c12p = c12_prime(u, v, w)
+    c12p_sq = c12p * c12p
+    if not c12p_sq:
+        return JacobianCheck(jac, c12p_sq, None)
+    ratio = Fraction(jac) / Fraction(c12p_sq) if is_exact((u, v, w)) else jac / c12p_sq
+    return JacobianCheck(jac, c12p_sq, ratio)
+
+
+def slice_cubic(s: State, axis: str) -> Form:
+    """Determinant of the 3x3 matrix of linear forms obtained by contracting
+    the chosen leg with its variables: a ternary cubic in that group, the
+    one-group `Form` of K / 6 for `slice_tensor` K."""
+    if axis not in ("x", "y", "z"):
+        raise ValueError("axis must be one of 'x', 'y', 'z'")
+    k = slice_tensor(np.moveaxis(s.amplitudes, "xyz".index(axis), 0))
+    return Form(k / 6, (axis,) * 3)
+
+
+def recorded_calibration() -> dict:
+    """The entries of calibration_report.json that nothing in the package
+    reads, on the calibration's normal forms: I18 over 6^6 T, the Jacobian
+    of (C6, C9, C12) over C12'^2, delta = a^3 - 3ab + 2c over C9^2, and the
+    I9 contraction variant that carries the invariant ((E_a, E_b, E_g)
+    vanishes identically)."""
+    targets = [c_formulas(*map(Fraction, t)) for t in _CAL_TRIPLES]
+    t18_pairs = []
+    for (u, v, w), t in zip(_CAL_TRIPLES, targets):
+        uf, vf, wf = Fraction(u), Fraction(v), Fraction(w)
+        phi, psi = uf * vf * wf, uf ** 3 + vf ** 3 + wf ** 3
+        t66 = 46656 * phi ** 6 + 4320 * phi ** 3 * psi ** 3 - 8 * psi ** 6
+        t18_pairs.append((t66, Fraction(t.c18)))
+    j_pairs = []
+    for (u, v, w) in ((1, 2, 3), (2, 1, -3)):
+        chk = jacobian_check((Fraction(u), Fraction(v), Fraction(w)))
+        j_pairs.append((chk.c12_prime_sq, Fraction(chk.jacobian)))
+    dd_pairs = []
+    for t in targets:
+        a, b, c = Fraction(t.c6), Fraction(t.c12), Fraction(t.c18)
+        dd_pairs.append((Fraction(t.c9) ** 2, a ** 3 - 3 * a * b + 2 * c))
+    return {
+        "i18_vs_66t_scale": _fit_constant(t18_pairs, "i18_vs_66t_scale"),
+        "jacobian_vs_c12_prime_sq": _fit_constant(j_pairs, "jacobian_vs_c12_prime_sq"),
+        "delta_vs_c9_sq": _fit_constant(dd_pairs, "delta_vs_c9_sq"),
+        "i9_variant": "e_alpha,e_beta,e_beta",
+    }
+
+
+def calibration_entries() -> dict:
+    """Every entry of calibration_report.json: `concomitants.calibration`
+    and the recorded ones."""
+    return {**calibration(), **recorded_calibration()}
+
+
+def calibration_report() -> dict:
+    """JSON-ready calibration report: exact constants as fraction strings."""
+    return {name: str(value) if isinstance(value, Fraction) else value
+            for name, value in calibration_entries().items()}
+
+
+def write_calibration_report(path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(calibration_report(), fh, indent=2, sort_keys=True)
+        fh.write("\n")

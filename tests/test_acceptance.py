@@ -21,10 +21,17 @@ from trimoduli.qutrit_state import (
     random_local_transform,
     random_parameter_triple,
     random_state,
-    slice_cubic,
 )
 
-from oracles import element_rows, exponent, is_abelian, solve_for_triple
+from oracles import (
+    calibration_report,
+    element_rows,
+    exponent,
+    is_abelian,
+    jacobian_check,
+    slice_cubic,
+    solve_for_triple,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -68,9 +75,10 @@ def test_criterion_02_slocc_invariance():
 
 
 def test_criterion_03_calibration_specialization():
-    # the committed report must be what the exact calibration derives
-    committed = json.loads((REPO_ROOT / "calibration_report.json").read_text())
-    assert committed == con.calibration_report()
+    # the committed report must be what the exact calibration derives, in
+    # the writer's serialisation: indent 2, sorted keys, a trailing newline
+    committed = (REPO_ROOT / "calibration_report.json").read_text(encoding="utf-8")
+    assert committed == json.dumps(calibration_report(), indent=2, sort_keys=True) + "\n"
     worst = 0.0
     for seed in TRIPLE_SEEDS:
         t = random_parameter_triple(seed)
@@ -206,7 +214,7 @@ def test_criterion_09_degenerate_identities():
         worst = max(worst, rel)
         assert rel < 1e-8
 
-    ratios = [con.jacobian_check(random_parameter_triple(9500 + i)).ratio
+    ratios = [jacobian_check(random_parameter_triple(9500 + i)).ratio
               for i in range(20)]
     for r in ratios[1:]:
         assert abs(r - ratios[0]) < 1e-8 * abs(ratios[0])

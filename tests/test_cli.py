@@ -329,8 +329,9 @@ def test_help_exits_zero(capsys):
 def test_normal_form_rejects_negative_limits(tmp_path, capsys):
     path = tmp_path / "state.json"
     write_state(path, random_state(3))
-    for flag in ("--max-iter", "--max-candidates"):
-        code, out, err = run_cli(capsys, "normal-form", str(path), flag, "-1")
+    for flag, value in (("--max-iter", "-1"), ("--max-candidates", "-1"),
+                        ("--tol", "nan"), ("--tol", "inf")):
+        code, out, err = run_cli(capsys, "normal-form", str(path), flag, value)
         assert code == cli.EXIT_INVALID_INPUT, flag
         assert out == "", flag
         lines = err.strip().splitlines()

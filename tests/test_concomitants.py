@@ -13,7 +13,6 @@ from trimoduli.qutrit_state import (
     normal_form_state,
     random_parameter_triple,
     random_state,
-    slice_cubic,
     trilinear_form,
 )
 from trimoduli.reflection_group import EPS_COMPLEX
@@ -24,10 +23,16 @@ from oracles import (
     aronhold_raws_loop,
     bundle_sparse,
     c12_prime_mirrors,
+    calibration_report,
     dense_raws_einsum,
     form_to_poly,
     group_catalog,
+    jacobian_check,
+    jacobian_polynomial,
+    poly_eval,
+    slice_cubic,
     slice_cubic_expansion,
+    write_calibration_report,
 )
 
 ZERO_STATE = State(np.zeros((3, 3, 3), dtype=complex))
@@ -67,13 +72,13 @@ class TestCalibration:
             assert isinstance(pinned, Fraction) and pinned == calibrated[name], name
 
     def test_report_round_trips(self, calibrated):
-        report = con.calibration_report()
+        report = calibration_report()
         assert Fraction(report["i12_scale"]) == calibrated["i12_scale"]
         assert set(report) == set(calibrated)
 
     def test_report_file(self, tmp_path, calibrated):
         path = tmp_path / "calibration.json"
-        con.write_calibration_report(path)
+        write_calibration_report(path)
         import json
 
         data = json.loads(path.read_text())
@@ -82,15 +87,15 @@ class TestCalibration:
 
 class TestBundle:
     def test_zero_state_all_zero(self):
-        bundle = con.build_concomitants(ZERO_STATE)
-        for name, form in bundle.as_dict().items():
+        bundle = con.bundle_from_form(ZERO_STATE.amplitudes)
+        for name, form in bundle.items():
             if name.startswith("p_"):
                 continue
             assert not form.tensor.any(), name
 
     def test_b_alpha_of_diagonal_form(self):
         bundle = con.bundle_from_form(int_array(normal_form_amplitudes(1, 0, 0)))
-        sig = dict(form_to_poly(bundle.b_alpha).term_items())
+        sig = dict(form_to_poly(bundle["b_alpha"]).term_items())
         assert len(sig) == 1
         ((key, coeff),) = sig.items()
         assert coeff == 6
@@ -99,12 +104,12 @@ class TestBundle:
     def test_syzygy_exact_polynomial_identity(self):
         # 3*C_ab - B_gamma*P_beta vanishes identically, checked exactly
         b = con.bundle_from_form(int_array(normal_form_amplitudes(1, 2, 3)))
-        lhs = b.c_alpha_beta * 3 + -(b.b_gamma * b.p_beta)
+        lhs = b["c_alpha_beta"] * 3 + -(b["b_gamma"] * b["p_beta"])
         assert form_to_poly(lhs).is_zero()
 
     def test_all_syzygies_vanish_exactly(self):
         amp = np.random.default_rng(44).integers(-3, 4, size=(3, 3, 3))
-        forms = con.bundle_from_form(amp.astype(object)).as_dict()
+        forms = con.bundle_from_form(amp.astype(object))
         for name in con.SYZYGY_NAMES:
             terms = con.syzygy_terms(forms, name)
             assert not any(form_to_poly(t).is_zero() for t in terms), name
@@ -115,7 +120,7 @@ class TestBundle:
         # engine, exactly, on a random integer array and a normal form
         amp = np.random.default_rng(45).integers(-3, 4, size=(3, 3, 3))
         for a in (amp.astype(object), int_array(normal_form_amplitudes(1, 2, -3))):
-            dense = con.bundle_from_form(a).as_dict()
+            dense = con.bundle_from_form(a)
             sparse = bundle_sparse(form_to_poly(trilinear_form(a)))
             assert set(dense) == set(sparse)
             for name, form in dense.items():
@@ -123,7 +128,7 @@ class TestBundle:
 
     def test_degree_profiles(self):
         s = random_state(50)
-        b = con.build_concomitants(s)
+        b = con.bundle_from_form(s.amplitudes)
         profiles = {
             "f": (1, 1, 1, 0, 0, 0),
             "q_alpha": (2, 0, 0, 0, 1, 1),
@@ -135,7 +140,7 @@ class TestBundle:
             "h": (1, 1, 1, 1, 1, 1),
         }
         for name, want in profiles.items():
-            got = tuple(getattr(b, name).groups.count(g) for g in GROUPS)
+            got = tuple(b[name].groups.count(g) for g in GROUPS)
             assert got == want, name
 
 
@@ -391,7 +396,7 @@ class TestCFormulas:
             exact = tuple(Fraction(int(z.real * 64), 64) for z in t)
             cv = con.c_formulas(*exact)
             assert all(isinstance(x, Fraction) for x in cv)
-            assert tuple(cv[:3]) == tuple(p.eval(exact) for p in polys)
+            assert tuple(cv[:3]) == tuple(poly_eval(p, exact) for p in polys)
         assert all(r.dtype == np.complex128 and r.shape == (50,) for r in rows)
 
     def test_polynomials_match_the_sparse_oracle(self):
@@ -408,7 +413,7 @@ class TestCFormulas:
         for sigma, sign in PERMS3:
             term = cols[0][sigma[0]] * cols[1][sigma[1]] * cols[2][sigma[2]]
             det = det + (term if sign > 0 else -term)
-        assert con._jacobian_polynomial().terms == det.terms and det.terms
+        assert jacobian_polynomial().terms == det.terms and det.terms
 
     def test_c12_prime_equals_twelve_mirror_product_exactly(self):
         rng = np.random.default_rng(92)
@@ -564,23 +569,23 @@ class TestSyzygyResiduals:
 
 class TestJacobian:
     def test_ratio_constant(self):
-        checks = [con.jacobian_check(random_parameter_triple(s)) for s in (120, 121)]
+        checks = [jacobian_check(random_parameter_triple(s)) for s in (120, 121)]
         r0, r1 = checks[0].ratio, checks[1].ratio
         assert abs(r0 - r1) < 1e-9 * abs(r0)
 
     def test_exact_ratio_value(self, calibrated):
-        chk = con.jacobian_check((Fraction(1), Fraction(2), Fraction(3)))
+        chk = jacobian_check((Fraction(1), Fraction(2), Fraction(3)))
         assert chk.ratio == calibrated["jacobian_vs_c12_prime_sq"]
 
     def test_mirror_plane_flagged(self):
-        chk = con.jacobian_check((1, -1, 0))
+        chk = jacobian_check((1, -1, 0))
         assert abs(chk.jacobian) < 1e-9
         assert chk.ratio is None
 
     def test_scaling_degree_24(self):
         t = random_parameter_triple(122)
-        chk1 = con.jacobian_check(t)
-        chk2 = con.jacobian_check(tuple(2.0 * z for z in t))
+        chk1 = jacobian_check(t)
+        chk2 = jacobian_check(tuple(2.0 * z for z in t))
         assert abs(chk2.jacobian - 2 ** 24 * chk1.jacobian) < 1e-9 * abs(chk2.jacobian)
 
 

@@ -182,9 +182,10 @@ class TestEnumeration:
         # noise near 1e-68, not zero, so eight nearly equal psi-branches
         # survive and their checked rows coincide in groups of eight
         inp = SCRAMBLED_HESSIAN_VERTEX
-        raw = fp.enumerate_triples(fp.solve_psi_system(inp), inp)
-        assert len(raw.branches) == 8
-        assert len(fp._candidates(raw.branches)) - raw.dropped == 432
+        branches = fp.solve_psi_system(inp)
+        raw = fp.enumerate_triples(branches, inp)
+        assert len(branches) == 8
+        assert len(fp._candidates(branches)) - raw.dropped == 432
         assert raw.raw_count == 54
         sol = fp.solve(inp)
         assert sol.filtered_count == 27

@@ -17,6 +17,8 @@ from oracles import (
     group_catalog,
     make_catalog,
     omega_apply,
+    poly_diff,
+    poly_eval,
     reslot,
     trace_collapse,
     transvectant_naive,
@@ -117,17 +119,17 @@ class TestPoly:
 
     def test_formal_derivative(self):
         p = self.X1 * self.X1 * self.X2 * 5 + self.X3
-        assert p.diff(1).terms == {(1, 1, 0): 10}
-        assert p.diff(2).terms == {(2, 0, 0): 5}
-        assert p.diff(3).terms == {(0, 0, 0): 1}
-        assert self.X3.diff(1).is_zero()
+        assert poly_diff(p, 1).terms == {(1, 1, 0): 10}
+        assert poly_diff(p, 2).terms == {(2, 0, 0): 5}
+        assert poly_diff(p, 3).terms == {(0, 0, 0): 1}
+        assert poly_diff(self.X3, 1).is_zero()
 
     def test_eval_exact_and_complex(self):
         p = self.X1 * self.X1 * self.X2 - 4 * self.X3
-        assert p.eval((2, 3, 5)) == -8
-        assert p.eval((Fraction(1, 2), 4, Fraction(1, 4))) == 0
-        assert p.eval((1j, 1, 0)) == -1
-        assert Poly({}).eval((1, 2, 3)) == 0
+        assert poly_eval(p, (2, 3, 5)) == -8
+        assert poly_eval(p, (Fraction(1, 2), 4, Fraction(1, 4))) == 0
+        assert poly_eval(p, (1j, 1, 0)) == -1
+        assert poly_eval(Poly({}), (1, 2, 3)) == 0
 
 
 class TestPolyCore:
@@ -299,9 +301,10 @@ class TestTransvectant:
         from trimoduli import concomitants as con
 
         b = con.bundle_from_form(np.array(normal_form_amplitudes(1, 2, 0), dtype=object))
-        baf = b.b_alpha * b.f
-        for forms, upper, lower in (((b.q_alpha,) * 3, (2, 0, 0), (0, 1, 1)),
-                                    ((b.e_alpha, b.e_beta, b.e_beta), (1, 1, 1), (1, 1, 1)),
+        baf = b["b_alpha"] * b["f"]
+        e_a, e_b = b["e_alpha"], b["e_beta"]
+        for forms, upper, lower in (((b["q_alpha"],) * 3, (2, 0, 0), (0, 1, 1)),
+                                    ((e_a, e_b, e_b), (1, 1, 1), (1, 1, 1)),
                                     ((baf,) * 3, (4, 1, 1), (0, 0, 0))):
             fast = transvectant(*forms, upper, lower)
             assert fast.groups == ()

@@ -31,6 +31,8 @@ from oracles import (
 )
 
 IDENTITY = pairs(IDENTITY_ROWS)
+# from a subnormal 2**-1070 to 2**1000
+BINARY_SCALES = tuple(2.0 ** k for k in (-1070, -1000, -600, 600, 1000))
 
 
 def product(g, h) -> tuple:
@@ -308,13 +310,20 @@ class TestOrbits:
         assert rg.stabilizer_type(stab) == "trivial"
 
     def test_orbit_size_does_not_depend_on_scale(self, group_k):
-        # a generic triple and one point of the 216-, 72- and 27-point strata
+        # a generic triple and one point of the 216-, 72- and 27-point strata,
+        # down to a subnormal triple and up to one whose unscaled images have
+        # squared distances beyond the float range
         points = (((0.3 + 0.1j, -0.7j, 1.1), 648), ((1, 1, 0), 216), ((1, 0, 0), 72),
                   ((0, 1, -1), 27), ((0, 0, 0), 1))
         for point, size in points:
-            for scale in (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6):
+            for scale in (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, *BINARY_SCALES):
                 triple = tuple(complex(c) * scale for c in point)
                 assert len(rg.orbit(group_k, triple)) == size, (point, scale)
+            # a power of two with a normal result scales the orbit bit for bit
+            for k in (-600, 600, 1000):
+                triple = tuple(complex(c) * 2.0 ** k for c in point)
+                assert np.array_equal(rg.orbit(group_k, triple),
+                                      rg.ldexp(rg.orbit(group_k, point), k)), (point, k)
 
 
 def _planted_cloud(seed, radius):
@@ -423,9 +432,9 @@ class TestStabilizerTypes:
     def test_order_does_not_depend_on_scale(self, group_k):
         # a generic triple and one point of the 216-, 72- and 27-point strata
         points = ((tuple(random_parameter_triple(32)), 1), ((1, 1, 0), 3),
-                  ((1, 0, 0), 9), ((0, 1, -1), 24))
+                  ((1, 0, 0), 9), ((0, 1, -1), 24), ((0, 1.7j, -1.7j), 24))
         for point, order in points:
-            for scale in (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3):
+            for scale in (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, *BINARY_SCALES):
                 triple = tuple(complex(c) * scale for c in point)
                 assert rg.stabilizer(group_k, triple, tol=1e-6).order == order, (point, scale)
 

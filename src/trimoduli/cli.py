@@ -2,8 +2,8 @@
 
 Every command prints one JSON report to stdout (floats with 17 significant
 digits, complex values as [re, im] pairs) and diagnostics to stderr.
-Exit codes: 0 success, 1 invalid input (argparse rejections included),
-2 numerical failure, 3 internal verification mismatch.
+Exit codes: 0 success, 1 invalid input (argparse rejections and unwritable
+output paths included), 2 numerical failure, 3 internal verification mismatch.
 """
 from __future__ import annotations
 
@@ -67,8 +67,14 @@ def _parse_complex(text: str) -> complex:
 
 
 def _invariants_payload(inv: concomitants.InvariantSet) -> dict:
-    return {"I6": inv.i6, "I9": inv.i9, "I12": inv.i12,
-            "I18": inv.i18, "Delta": inv.delta}
+    """The invariants by name; ArithmeticError naming the first one that is
+    not finite, which JSON cannot carry."""
+    payload = {"I6": inv.i6, "I9": inv.i9, "I12": inv.i12,
+               "I18": inv.i18, "Delta": inv.delta}
+    for name, value in payload.items():
+        if not cmath.isfinite(value):
+            raise ArithmeticError(f"invariant {name} is not finite: {value}")
+    return payload
 
 
 def cmd_invariants(args) -> int:
@@ -300,7 +306,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StateIOError, form_problem.FormProblemError, ValueError) as exc:
+    except (StateIOError, form_problem.FormProblemError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except ArithmeticError as exc:

@@ -409,28 +409,25 @@ def _leading_degree(s: State, inv: InvariantSet) -> int | None:
                  if margin > NULL_CONE_ULPS), None)
 
 
-def is_semistable(s: State, inv: InvariantSet | None = None):
+def is_semistable(s: State, inv: InvariantSet):
     """True iff some fundamental invariant does not vanish, that is, s is
     off the null cone; returns the (flag, witness-name) pair, the witness
     being the leading invariant that `projective_point` sets to 1.  An
     invariant vanishes when it is within NULL_CONE_ULPS eps of its forward
-    error bound (`invariant_margins`).  `inv` passes the invariants of s when
-    the caller has them already."""
-    degree = _leading_degree(s, invariants(s) if inv is None else inv)
+    error bound (`invariant_margins`).  `inv` holds the invariants of s."""
+    degree = _leading_degree(s, inv)
     return (False, None) if degree is None else (True, f"I{degree}")
 
 
-def projective_point(s: State, inv: InvariantSet | None = None):
+def projective_point(s: State, inv: InvariantSet):
     """Weighted projective coordinates (I6 : I9 : I12), canonicalized so the
     first nonvanishing invariant equals 1 and the residual root-of-unity
     ambiguity is fixed deterministically.  An invariant vanishes by the rule
     of `is_semistable`, so every state flagged semistable has a point and a
-    null-cone state raises ValueError.  `inv` passes the invariants of s
-    when the caller has them already.
+    null-cone state raises ValueError.  `inv` holds the invariants of s.
     """
     if s.norm_sq == 0:
         raise ValueError("zero state has no projective invariant point")
-    inv = invariants(s) if inv is None else inv
     degree = _leading_degree(s, inv)
 
     def lex_max(candidates):

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import concomitants, reflection_group
+from .reflection_group import scalar_ldexp
 
 _OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -94,11 +95,15 @@ class SolutionSet:
     """Solutions of the form problem as the rows (u, v, w) of one complex
     (n, 3) array; after `filter_sign`, sorted by (Re u, Im u, ..., Im w).
     raw_count counts both sign classes, dropped the candidates that failed
-    the check (of the first branch only, where `solve` takes an orbit)."""
+    the check (of the first branch only, where `solve` takes an orbit), and
+    filtered_count is the number of rows."""
     triples: np.ndarray
     raw_count: int
-    filtered_count: int | None = None
-    dropped: int = 0
+    dropped: int
+
+    @property
+    def filtered_count(self) -> int:
+        return len(self.triples)
 
 
 # --- closed-root solvers ------------------------------------------------------
@@ -360,7 +365,7 @@ def filter_sign(raw: SolutionSet, i9: complex) -> SolutionSet:
     kept = pts[np.abs(concomitants.c9_formula(*pts.T) - i9) < threshold]
     if not len(kept):
         raise _sign_mismatch(i9)
-    return replace(raw, triples=reflection_group.sort_rows(kept), filtered_count=len(kept))
+    return replace(raw, triples=reflection_group.sort_rows(kept))
 
 
 def _delta(a: complex, b: complex, c: complex) -> complex:
@@ -391,8 +396,7 @@ def solve(inp: FormProblemInput) -> SolutionSet:
     if len(pts) != group.order:
         raise FormProblemError(f"the orbit of a solved row has {len(pts)} points, not 648")
     # both sign classes, as many per sign-correct row as on the first branch
-    return replace(one, triples=pts, raw_count=len(pts) * one.raw_count // one.filtered_count,
-                   filtered_count=len(pts))
+    return replace(one, triples=pts, raw_count=len(pts) * one.raw_count // one.filtered_count)
 
 
 def _at_unit_scale(x: complex, s: float, degree: int) -> complex:
@@ -401,12 +405,6 @@ def _at_unit_scale(x: complex, s: float, degree: int) -> complex:
     for _ in range(degree):
         x /= s
     return x
-
-
-def _ldexp(z: complex, n: int) -> complex:
-    """z * 2**n, exact while the result stays in the normal float range;
-    OverflowError above it."""
-    return complex(math.ldexp(z.real, n), math.ldexp(z.imag, n))
 
 
 def _d_discriminant(b: complex, c: complex) -> complex | None:
@@ -420,12 +418,12 @@ def _d_discriminant(b: complex, c: complex) -> complex | None:
     if s == 0:
         return 0j
     e = math.frexp(s)[1]
-    ub, uc = _ldexp(b, -12 * e), _ldexp(c, -18 * e)
+    ub, uc = scalar_ldexp(b, -12 * e), scalar_ldexp(c, -18 * e)
     d = ub ** 2 * (ub ** 3 - uc ** 2) ** 4
     if d == 0:
         return d
     try:
-        d = _ldexp(d, 168 * e)
+        d = scalar_ldexp(d, 168 * e)
     except OverflowError:
         return None
     return d if max(abs(d.real), abs(d.imag)) >= sys.float_info.min else None
@@ -525,9 +523,9 @@ def classify(inp: FormProblemInput, sol: SolutionSet | None = None) -> OrbitClas
     )
 
 
-def emit_configuration(case: str, path=None):
+def emit_configuration(case: str, path):
     """Solve the canonical inputs of a polytope case: the points as a
-    complex (n, 3) array, optionally written as CSV rows of its floats."""
+    complex (n, 3) array, written to path as CSV rows of its floats."""
     if case not in CANONICAL_CASES:
         raise FormProblemError(
             f"unknown case {case!r}; choose from {sorted(CANONICAL_CASES)}")
@@ -548,11 +546,10 @@ def emit_configuration(case: str, path=None):
     if dist > 1e-6 * max(pt_scale, 1e-300):
         raise FormProblemError(f"{case}: solved points do not match the group orbit")
 
-    if path is not None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["re_u", "im_u", "re_v", "im_v", "re_w", "im_w"])
-            writer.writerows([f"{q:.17g}" for q in row] for row in sol.triples.view(float))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["re_u", "im_u", "re_v", "im_v", "re_w", "im_w"])
+        writer.writerows([f"{q:.17g}" for q in row] for row in sol.triples.view(float))
     return sol.triples
 
 

@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,14 +39,6 @@ GELL_MANN = np.array(
 
 class StateIOError(ValueError):
     """Raised for malformed state files."""
-
-
-class ParameterTriple(NamedTuple):
-    """Normal-form parameters (u, v, w)."""
-
-    u: complex
-    v: complex
-    w: complex
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,16 +88,6 @@ class LocalTransform:
     def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.g1, self.g2, self.g3)
 
-    def det_normalized(self) -> "LocalTransform":
-        """Rescale each matrix by det**(-1/3) (principal cube root)."""
-        mats = []
-        for m in self.matrices:
-            d = np.linalg.det(m)
-            if d == 0:
-                raise ValueError("cannot det-normalize a singular matrix")
-            mats.append(m / d ** (1.0 / 3.0))
-        return LocalTransform(*mats)
-
 
 def trilinear_form(amplitudes) -> Form:
     """Trilinear form sum A[i,j,k] x_i y_j z_k of any 3x3x3 array or nested
@@ -128,7 +109,7 @@ def normal_form_amplitudes(u, v, w):
     return amp
 
 
-def normal_form_state(t: ParameterTriple | tuple) -> State:
+def normal_form_state(t: tuple) -> State:
     """The state with u on the diagonal, v on odd and w on even arrangements
     of (1,2,3), zero elsewhere."""
     u, v, w = (complex(c) for c in t)
@@ -228,23 +209,23 @@ def random_state(seed: int) -> State:
     return State((re + 1j * im).reshape(3, 3, 3))
 
 
-def random_parameter_triple(seed: int) -> ParameterTriple:
+def random_parameter_triple(seed: int) -> tuple[complex, complex, complex]:
     rng = np.random.Generator(np.random.PCG64(seed))
     re = rng.standard_normal(3)
     im = rng.standard_normal(3)
-    return ParameterTriple(*(complex(a, b) for a, b in zip(re, im)))
+    return tuple(complex(a, b) for a, b in zip(re, im))
 
 
-def random_local_transform(seed: int, det_normalized: bool = True) -> LocalTransform:
-    """Seeded random local transform; each matrix is standard-normal complex
-    and, by default, rescaled to unit determinant."""
+def random_local_transform(seed: int) -> LocalTransform:
+    """Seeded random local transform; each matrix is standard-normal complex,
+    rescaled by det**(-1/3) (principal cube root) to unit determinant."""
     rng = np.random.Generator(np.random.PCG64(seed))
     mats = []
     for _ in range(3):
         while True:
             m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            if abs(np.linalg.det(m)) > 1e-6:
+            d = np.linalg.det(m)
+            if abs(d) > 1e-6:
                 break
-        mats.append(m)
-    g = LocalTransform(*mats)
-    return g.det_normalized() if det_normalized else g
+        mats.append(m / d ** (1.0 / 3.0))
+    return LocalTransform(*mats)

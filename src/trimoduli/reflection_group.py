@@ -209,6 +209,12 @@ def ldexp(a: np.ndarray, e: int) -> np.ndarray:
     return np.ldexp(np.ascontiguousarray(a).view(float), e).view(complex)
 
 
+def scalar_ldexp(z: complex, e: int) -> complex:
+    """z * 2**e for a complex scalar, exact while the result stays in the
+    normal float range; OverflowError above it."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
 def _unit_size(triple) -> tuple[np.ndarray, int]:
     """(t, e): the triple as a complex array t times 2**e, where 2**-e brings
     its largest real or imaginary part into [1/2, 1), exactly."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import concomitants
 from .qutrit_state import GELL_MANN, LocalTransform, State, apply_local, tangent_rows
-from .reflection_group import ldexp
+from .reflection_group import ldexp, scalar_ldexp
 
 CONVERGED = "converged"
 UNSTABLE = "unstable"
@@ -45,15 +45,15 @@ class IterationTrace:
     # the invariants of the input times 2**-exponent, the state the iteration runs on
     unit_invariants: concomitants.InvariantSet
     exponent: int
+    status: str
     steps: list[IterationStep] = field(default_factory=list)
-    status: str = ""
     floor_events: list[int] = field(default_factory=list)
 
     def input_invariants(self) -> concomitants.InvariantSet:
         """The invariants of the input: each I_d of degree d scaled back by
         2**(d * exponent), exactly; OverflowError where one is too large."""
         return concomitants.InvariantSet(*(
-            complex(math.ldexp(z.real, d * self.exponent), math.ldexp(z.imag, d * self.exponent))
+            scalar_ldexp(z, d * self.exponent)
             for d, z in zip(concomitants.INVARIANT_DEGREES, self.unit_invariants)))
 
 

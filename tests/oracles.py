@@ -928,8 +928,7 @@ def filter_sign_loop(raw, i9: complex, tol: float = 1e-6):
     if not kept:
         raise fp.FormProblemError(
             f"no solutions match the sign datum i9={i9}: inconsistent input")
-    return fp.SolutionSet(triples=kept, raw_count=raw.raw_count,
-                          filtered_count=len(kept), dropped=raw.dropped)
+    return fp.SolutionSet(triples=kept, raw_count=raw.raw_count, dropped=raw.dropped)
 
 
 def solve_loop(inp):

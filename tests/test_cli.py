@@ -448,6 +448,28 @@ def test_amplitude_beyond_float_range_rejected(tmp_path, capsys):
     assert err == "error: non-finite or out-of-range amplitude in state file\n"
 
 
+@pytest.mark.parametrize("argv", [("random", "--seed", "7"),
+                                  ("emit-points", "--case", "hessian-vertices")])
+def test_unwritable_output_path_exits_invalid_input(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "out"))
+    assert code == cli.EXIT_INVALID_INPUT
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_non_finite_invariant_is_a_numerical_failure(tmp_path, capsys):
+    # at scale 1e30, I12 (degree 12) overflows to nan while I6 and I9 stay finite
+    path = tmp_path / "huge.json"
+    write_state(path, random_state(7).scaled(1e30))
+    code, out, err = run_cli(capsys, "invariants", str(path))
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err.startswith("numerical failure: invariant I12 is not finite")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_classify_discriminant_out_of_float_range(tmp_path, capsys):
     # D = b^2 (b^3 - c^2)^4 has weighted degree 168: finite at unit scale,
     # beyond float range (reported as null) for states scaled by 1e3 or more

@@ -591,21 +591,24 @@ class TestJacobian:
 
 class TestSemistability:
     def test_diagonal_unit(self):
-        flag, witness = con.is_semistable(normal_form_state((1, 0, 0)))
+        s = normal_form_state((1, 0, 0))
+        flag, witness = con.is_semistable(s, con.invariants(s))
         assert flag and witness in ("I6", "I12")
 
     def test_product_state(self):
-        flag, witness = con.is_semistable(State(PRODUCT_111))
+        s = State(PRODUCT_111)
+        flag, witness = con.is_semistable(s, con.invariants(s))
         assert not flag and witness is None
 
     def test_zero_state(self):
-        flag, _ = con.is_semistable(ZERO_STATE)
+        flag, _ = con.is_semistable(ZERO_STATE, con.invariants(ZERO_STATE))
         assert not flag
 
 
 class TestProjectivePoint:
     def test_diagonal_unit(self):
-        p = con.projective_point(normal_form_state((1, 0, 0)))
+        s = normal_form_state((1, 0, 0))
+        p = con.projective_point(s, con.invariants(s))
         assert abs(p[0] - 1) < 1e-12
         assert abs(p[1]) < 1e-12
         assert abs(p[2] - 1) < 1e-9
@@ -615,8 +618,8 @@ class TestProjectivePoint:
         for seed in (131, 132):
             s = random_state(seed)
             t = complex(*rng.standard_normal(2))
-            p1 = con.projective_point(s)
-            p2 = con.projective_point(s.scaled(t))
+            p1 = con.projective_point(s, con.invariants(s))
+            p2 = con.projective_point(s.scaled(t), con.invariants(s.scaled(t)))
             for a, b in zip(p1, p2):
                 assert abs(a - b) < 1e-7 * max(abs(a), 1.0)
 
@@ -628,18 +631,21 @@ class TestProjectivePoint:
         w = ((90 + cmath.sqrt(8160)) / 2) ** (1 / 3)
         s = normal_form_state((1, 2, w))
         assert abs(con.c_formulas(1, 2, w).c6) < 1e-9
-        p = con.projective_point(s)
+        p = con.projective_point(s, con.invariants(s))
         assert p[0] == 0
         assert p[1] == 1
         assert abs(p[2]) > 1.0
         for t in (0.7 + 1.3j, -2.1 + 0.4j):
-            q = con.projective_point(s.scaled(t))
+            q = con.projective_point(s.scaled(t), con.invariants(s.scaled(t)))
             assert max(abs(a - b) for a, b in zip(p, q)) < 1e-7 * abs(p[2])
 
     def test_zero_state_rejected(self):
+        inv = con.invariants(ZERO_STATE)
         with pytest.raises(ValueError):
-            con.projective_point(ZERO_STATE)
+            con.projective_point(ZERO_STATE, inv)
 
     def test_null_cone_rejected(self):
+        s = State(PRODUCT_111)
+        inv = con.invariants(s)
         with pytest.raises(ValueError):
-            con.projective_point(State(PRODUCT_111))
+            con.projective_point(s, inv)

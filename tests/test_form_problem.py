@@ -661,6 +661,6 @@ class TestEmission:
         assert rows[0] == ["re_u", "im_u", "re_v", "im_v", "re_w", "im_w"]
         assert len(rows) == count + 1
 
-    def test_unknown_case(self):
+    def test_unknown_case(self, tmp_path):
         with pytest.raises(fp.FormProblemError, match="unknown case"):
-            fp.emit_configuration("icosahedron")
+            fp.emit_configuration("icosahedron", tmp_path / "points.csv")

@@ -95,8 +95,11 @@ class TestApplyLocal:
         rng_seeds = range(100, 150)
         s = random_state(14)
         for seed in rng_seeds:
-            g = random_local_transform(seed, det_normalized=False)
-            h = random_local_transform(seed + 1000, det_normalized=False)
+            # non-unit determinants: scalar multiples of the seeded det-1 transforms
+            g = LocalTransform(*(k * m for k, m in zip((1.7, 0.4j, -2.3 + 0.5j),
+                                                        random_local_transform(seed).matrices)))
+            h = LocalTransform(*(k * m for k, m in zip((0.6 - 1.1j, 3.2, 0.9j),
+                                                        random_local_transform(seed + 1000).matrices)))
             lhs = apply_local(apply_local(s, h), g)
             rhs = apply_local(s, compose_local(g, h))
             scale = float(np.max(np.abs(rhs.amplitudes)))

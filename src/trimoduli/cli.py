@@ -81,13 +81,11 @@ def cmd_invariants(args) -> int:
     s = read_state(args.path)
     inv = concomitants.invariants(s)
     payload = _invariants_payload(inv)
-    semistable, witness = concomitants.is_semistable(s, inv)
-    payload["semistable"] = semistable
-    payload["witness"] = witness
-    if semistable:
-        payload["projective"] = list(concomitants.projective_point(s, inv))
-    else:
-        payload["projective"] = None
+    degree = concomitants.leading_degree(s.amplitudes, inv)
+    payload["semistable"] = degree is not None
+    payload["witness"] = None if degree is None else f"I{degree}"
+    payload["projective"] = (None if degree is None
+                             else list(concomitants.projective_point(inv, degree)))
     emit_report("invariants", payload)
     return EXIT_OK
 
@@ -136,14 +134,13 @@ def cmd_normal_form(args) -> int:
             return EXIT_OK
         # off the null cone, yet not converged: name how far the leading
         # invariant of the state the iteration ran on stands above rounding
-        unit = s.scaled(2.0 ** -trace.exponent)
-        _, witness = concomitants.is_semistable(unit, trace.unit_invariants)
+        unit, _ = reflection_group.unit_size(s.amplitudes)
         margins = concomitants.invariant_margins(unit, trace.unit_invariants)
-        margin = dict(zip(("I6", "I9", "I12"), margins))[witness]
+        margin = dict(zip(concomitants.INVARIANT_DEGREES, margins))[trace.degree]
         print(f"numerical failure: filtering stopped at max-iterations after "
               f"{payload['steps']} steps with deviation {payload['final_max_rel_deviation']:.3g} "
-              f"> tol {args.tol:.3g}; leading invariant {witness} stands {margin:.3g} eps "
-              f"times its error bound", file=sys.stderr)
+              f"> tol {args.tol:.3g}; leading invariant I{trace.degree} stands {margin:.3g} "
+              f"eps times its error bound", file=sys.stderr)
         return EXIT_NUMERICAL
     sol = form_problem.solve(form_problem.FormProblemInput(
         inv.i6, inv.i12, inv.i18, i9=inv.i9))

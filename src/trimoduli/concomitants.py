@@ -24,8 +24,9 @@ problem and `verify_vinberg` evaluate it on numbers, `c_polynomials` and
 This module also owns the one rule that decides when an invariant vanishes:
 |I_d| at most NULL_CONE_ULPS eps times its forward error bound
 (`invariant_bounds`).  The null cone is where I6, I9 and I12 all vanish
-(Hilbert-Mumford); `is_semistable`, `projective_point` and the null-cone test
-of `slocc_normalize` all decide by it.
+(Hilbert-Mumford).  `leading_degree` decides it once per state, and its
+answer is carried along: `projective_point` takes it, and the trace of
+`slocc_normalize.normalize_slocc` keeps the one made there.
 """
 from __future__ import annotations
 
@@ -360,32 +361,27 @@ def i18_from_fundamentals(i6, i9, i12):
     """I18 as the unique weighted-degree-18 combination of the fundamentals
     matching the normal-form equation system."""
     p, q, r = I18_COEFF_I6_CUBED, I18_COEFF_I6_I12, I18_COEFF_I9_SQ
-    if isinstance(i6, (complex, float)) or isinstance(i9, (complex, float)) \
-            or isinstance(i12, (complex, float)):
-        p, q, r = float(p), float(q), float(r)
     return p * i6 ** 3 + q * i6 * i12 + r * i9 ** 2
 
 
 # I_d vanishes when |I_d| is at most this many eps times its forward error
-# bound: rounding alone can leave that much of an exact zero.  The null-cone
-# test of `normalize_slocc`, the semistability flag and the projective point
-# all decide through `_leading_degree`, so a state flagged semistable has a
-# point and is filtered, and a state flagged unstable is not
+# bound: rounding alone can leave that much of an exact zero.  The decision
+# is made once per state, by `leading_degree`, and passed along: to
+# `projective_point`, and in the trace of `normalize_slocc`, so a state
+# flagged semistable has a point and is filtered, and a state flagged
+# unstable is not
 NULL_CONE_ULPS = 64
 
 
-@lru_cache(maxsize=1)
-def invariant_margins(s: State, inv: InvariantSet) -> tuple:
+def invariant_margins(a: np.ndarray, inv: InvariantSet) -> tuple:
     """|I_d| / (eps * bound_d) for d = 6, 9, 12, with bound_d from
-    `invariant_bounds` of s: I_d vanishes when its margin is at most
-    NULL_CONE_ULPS, and 0 / 0 (nan) vanishes too.  `inv` holds the invariants
-    of s.  The last (state, invariants) pair is cached, `State` hashing by
-    identity, so one command that asks for the flag, the point and the
-    margins computes the bounds once."""
+    `invariant_bounds` of the amplitude array a: I_d vanishes when its
+    margin is at most NULL_CONE_ULPS, and 0 / 0 (nan) vanishes too.  `inv`
+    holds the invariants of a."""
     eps = np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore"):
         return tuple(float(np.float64(abs(value)) / (eps * np.float64(bound)))
-                     for value, bound in zip(inv[:3], invariant_bounds(s.amplitudes)))
+                     for value, bound in zip(inv[:3], invariant_bounds(a)))
 
 
 @lru_cache(maxsize=None)
@@ -395,41 +391,29 @@ def _all_ones_bound6() -> float:
     return float(invariant_bounds(np.ones((3, 3, 3)))[0])
 
 
-def _leading_degree(s: State, inv: InvariantSet) -> int | None:
+def leading_degree(a: np.ndarray, inv: InvariantSet) -> int | None:
     """Degree of the first of I6, I9, I12 that does not vanish, or None when
-    all three vanish (the null cone).  bound_6 is at most the all-ones bound
-    times max|a|**6, so an I6 above twice that (a factor no rounding in
-    either undercuts) does not vanish, and the bounds are not computed: the
-    common case, off the I6 = 0 hypersurface."""
+    all three vanish: the null cone, the zero state included.  `inv` holds
+    the invariants of the amplitude array a, and an invariant vanishes when
+    its margin (`invariant_margins`) is at most NULL_CONE_ULPS.  bound_6 is
+    at most the all-ones bound times max|a|**6, so an I6 above twice that (a
+    factor no rounding in either undercuts) does not vanish, and the bounds
+    are not computed: the common case, off the I6 = 0 hypersurface."""
     with np.errstate(over="ignore", under="ignore"):
-        top6 = np.max(np.abs(s.amplitudes)) ** 6
+        top6 = np.max(np.abs(a)) ** 6
     if abs(inv.i6) > 2 * NULL_CONE_ULPS * np.finfo(float).eps * _all_ones_bound6() * top6:
         return 6
-    return next((degree for degree, margin in zip(INVARIANT_DEGREES, invariant_margins(s, inv))
+    return next((degree for degree, margin in zip(INVARIANT_DEGREES, invariant_margins(a, inv))
                  if margin > NULL_CONE_ULPS), None)
 
 
-def is_semistable(s: State, inv: InvariantSet):
-    """True iff some fundamental invariant does not vanish, that is, s is
-    off the null cone; returns the (flag, witness-name) pair, the witness
-    being the leading invariant that `projective_point` sets to 1.  An
-    invariant vanishes when it is within NULL_CONE_ULPS eps of its forward
-    error bound (`invariant_margins`).  `inv` holds the invariants of s."""
-    degree = _leading_degree(s, inv)
-    return (False, None) if degree is None else (True, f"I{degree}")
-
-
-def projective_point(s: State, inv: InvariantSet):
-    """Weighted projective coordinates (I6 : I9 : I12), canonicalized so the
-    first nonvanishing invariant equals 1 and the residual root-of-unity
-    ambiguity is fixed deterministically.  An invariant vanishes by the rule
-    of `is_semistable`, so every state flagged semistable has a point and a
-    null-cone state raises ValueError.  `inv` holds the invariants of s.
+def projective_point(inv: InvariantSet, degree: int | None):
+    """Weighted projective coordinates (I6 : I9 : I12) of invariants `inv`,
+    canonicalized so the invariant of the leading degree `degree` (from
+    `leading_degree`) equals 1 and the residual root-of-unity ambiguity is
+    fixed deterministically.  A degree of None (the null cone) raises
+    ValueError.
     """
-    if s.norm_sq == 0:
-        raise ValueError("zero state has no projective invariant point")
-    degree = _leading_degree(s, inv)
-
     def lex_max(candidates):
         return max(candidates, key=lambda c: (round(c.real, 12), round(c.imag, 12)))
 

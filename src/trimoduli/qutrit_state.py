@@ -159,13 +159,9 @@ def tangent_rows(a: np.ndarray) -> np.ndarray:
 
 
 def write_state(path, s: State) -> None:
-    flat = []
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                a = s.amplitudes[i, j, k]
-                flat.append([a.real, a.imag])
-    payload = {"format": STATE_FORMAT, "amplitudes": flat}
+    # 27 [re, im] pairs in C order
+    payload = {"format": STATE_FORMAT,
+               "amplitudes": s.amplitudes.reshape(27, 1).view(float).tolist()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
         fh.write("\n")

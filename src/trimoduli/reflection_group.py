@@ -143,9 +143,12 @@ class MatrixGroup(NamedTuple):
         return len(self.ints)
 
 
-def generate_closure(gens, cap: int = 100000) -> MatrixGroup:
+CLOSURE_CAP = 100000
+
+
+def generate_closure(gens) -> MatrixGroup:
     """Breadth-first closure of a generator set under multiplication, with
-    exact equality; raises if the cap is exceeded (wrong generator).  Each
+    exact equality; raises if CLOSURE_CAP is exceeded (wrong generator).  Each
     round is one `_product` of the frontier with the generators: on int64
     while every entry of both is below 2**20 in magnitude, so that a sum of
     products stays below 2**43, and on object arrays of Python ints
@@ -166,8 +169,8 @@ def generate_closure(gens, cap: int = 100000) -> MatrixGroup:
             if prod not in seen:
                 seen.add(prod)
                 new.append(prod)
-                if len(seen) > cap:
-                    raise RuntimeError(f"closure exceeded cap {cap}")
+                if len(seen) > CLOSURE_CAP:
+                    raise RuntimeError(f"closure exceeded cap {CLOSURE_CAP}")
         frontier = new
     # (a, b) of 3 * entry orders entries as (a, b) of the entry itself
     ints = np.array(sorted(seen), dtype=np.int64).reshape(-1, 18)
@@ -215,10 +218,11 @@ def scalar_ldexp(z: complex, e: int) -> complex:
     return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
 
 
-def _unit_size(triple) -> tuple[np.ndarray, int]:
-    """(t, e): the triple as a complex array t times 2**e, where 2**-e brings
-    its largest real or imaginary part into [1/2, 1), exactly."""
-    t = np.array(triple, dtype=complex)
+def unit_size(a) -> tuple[np.ndarray, int]:
+    """(t, e): a triple or amplitude array a as a complex array t times 2**e,
+    where 2**-e brings its largest real or imaginary part into [1/2, 1),
+    exactly (e = 0 for zeros): the package's one unit scaling."""
+    t = np.array(a, dtype=complex)
     e = math.frexp(float(np.abs(t.view(float)).max()))[1]
     return ldexp(t, -e), e
 
@@ -229,10 +233,10 @@ def orbit(group: MatrixGroup, triple) -> np.ndarray:
     `sort_rows` order, one point per cluster of the images within 1e-9 times
     their largest real or imaginary part, so its size does not depend on the
     scale of the triple.  The images are those of the triple times the power
-    of two that brings it to unit size (`_unit_size`), scaled back, so that
+    of two that brings it to unit size (`unit_size`), scaled back, so that
     no squared distance leaves the float range; a result in the normal range
     keeps its bits."""
-    t, e = _unit_size(triple)
+    t, e = unit_size(triple)
     pts = group.matrices @ t
     flat = np.column_stack([pts.real, pts.imag])
     labels = cluster_points(flat, 1e-9 * float(np.max(np.abs(flat))))
@@ -310,9 +314,9 @@ def stabilizer(group: MatrixGroup, triple, tol: float = 1e-9) -> MatrixGroup:
     matrices: the test allows tol times the largest entry of the triple, so
     the subgroup does not depend on the scale of the triple.  The subgroup
     keeps its rows of the group's integer array and complex matrices.  The
-    test runs on the triple at unit size (`_unit_size`), so that a subnormal
+    test runs on the triple at unit size (`unit_size`), so that a subnormal
     triple keeps a tolerance above zero."""
-    t, _ = _unit_size(triple)
+    t, _ = unit_size(triple)
     scale = float(np.max(np.abs(t)))
     fixed = np.max(np.abs(group.matrices @ t - t), axis=1) <= tol * scale
     # a subset of the sorted element array is sorted

@@ -11,22 +11,23 @@ the minimum all three reduced densities are proportional to the identity.
 
 Before any step the null cone is decided by Hilbert-Mumford: a state lies in
 it exactly when I6 = I9 = I12 = 0, by the vanishing rule of `concomitants`
-(`is_semistable`).  Such a state is unstable, with the zero state (the closed
+(`leading_degree`).  Such a state is unstable, with the zero state (the closed
 orbit in its orbit closure) as its limit.  The test and the iteration run on
-the state times an exact power of two, so no input scale changes the result,
-and the trace keeps the invariants computed there: the input's own are the
-same values times a power of two (`IterationTrace.input_invariants`).
+the state at unit size (`reflection_group.unit_size`), an exact power of two
+times it, so no input scale changes the result.  The decision is made once,
+and the trace carries it with the invariants computed there: the input's own
+are the same values times a power of two (`IterationTrace.input_invariants`).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import concomitants
 from .qutrit_state import GELL_MANN, LocalTransform, State, apply_local, tangent_rows
-from .reflection_group import ldexp, scalar_ldexp
+from .reflection_group import ldexp, scalar_ldexp, unit_size
 
 CONVERGED = "converged"
 UNSTABLE = "unstable"
@@ -35,7 +36,6 @@ MAX_ITERATIONS = "max-iterations"
 
 @dataclass(frozen=True)
 class IterationStep:
-    step: int
     norm_sq: float
     max_rel_deviation: float
 
@@ -45,9 +45,11 @@ class IterationTrace:
     # the invariants of the input times 2**-exponent, the state the iteration runs on
     unit_invariants: concomitants.InvariantSet
     exponent: int
+    # that state's `concomitants.leading_degree`, None on the null cone
+    degree: int | None
     status: str
-    steps: list[IterationStep] = field(default_factory=list)
-    floor_events: list[int] = field(default_factory=list)
+    steps: list[IterationStep]
+    floor_events: list[int]
 
     def input_invariants(self) -> concomitants.InvariantSet:
         """The invariants of the input: each I_d of degree d scaled back by
@@ -112,19 +114,18 @@ def normalize_slocc(s: State, tol: float = 1e-10, max_iter: int = 10000):
     if not np.any(s.amplitudes):
         raise ValueError("cannot normalize the zero state")
 
-    # the power of two at the largest modulus: exact, and nothing overflows
-    e = math.frexp(float(np.max(np.abs(s.amplitudes))))[1]
-    current = State(ldexp(s.amplitudes, -e))
+    unit, e = unit_size(s.amplitudes)
+    current = State(unit)
     inv = concomitants.invariants(current)
-    unstable = not concomitants.is_semistable(current, inv)[0]
-    trace = IterationTrace(inv, e, status=UNSTABLE if unstable else MAX_ITERATIONS)
+    degree = concomitants.leading_degree(unit, inv)
+    trace = IterationTrace(inv, e, degree, UNSTABLE if degree is None else MAX_ITERATIONS, [], [])
     for step in range(max_iter + 1):
         grad, hess = _derivatives(current.amplitudes)
         # party p's gradient block is 2 tr(l_a rho_p) / tr(rho_p), so its norm
         # over sqrt(8) is ||rho_p - tr(rho_p)/3||_F / tr(rho_p)
         dev = float(np.max(np.linalg.norm(grad.reshape(3, 8), axis=1))) / math.sqrt(8.0)
-        trace.steps.append(IterationStep(step, math.ldexp(current.norm_sq, 2 * e), dev))
-        if unstable:
+        trace.steps.append(IterationStep(math.ldexp(current.norm_sq, 2 * e), dev))
+        if degree is None:
             return State(np.zeros((3, 3, 3), dtype=complex)), trace
         if dev < tol:
             trace.status = CONVERGED

@@ -194,16 +194,21 @@ def test_invariants_and_bounds_computed_once_per_command(tmp_path, capsys, monke
 
 
 def test_normal_form_max_iterations_names_the_margin(tmp_path, capsys):
+    # below 2**-1024 the power of two that brings a state to unit size is
+    # not a float; at 1e-318 the W-state noise underflows to zero, so the
+    # scaled inputs are a random state
     path = tmp_path / "state.json"
-    write_state(path, near_null_cone(W_STATE, 1e-8, 5))
-    code, out, err = run_cli(capsys, "normal-form", str(path), "--max-iter", "3")
-    assert code == cli.EXIT_NUMERICAL
-    payload = json.loads(out)
-    assert payload["status"] == "max-iterations" and payload["verdict"] is None
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and "Traceback" not in err
-    assert lines[0].startswith("numerical failure: ")
-    assert "after 3 steps" in lines[0] and "leading invariant I" in lines[0]
+    for state in (near_null_cone(W_STATE, 1e-8, 5),
+                  random_state(7).scaled(1e-310), random_state(7).scaled(1e-318)):
+        write_state(path, state)
+        code, out, err = run_cli(capsys, "normal-form", str(path), "--max-iter", "3")
+        assert code == cli.EXIT_NUMERICAL
+        payload = json.loads(out)
+        assert payload["status"] == "max-iterations" and payload["verdict"] is None
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "Traceback" not in err
+        assert lines[0].startswith("numerical failure: ")
+        assert "after 3 steps" in lines[0] and "leading invariant I" in lines[0]
 
 
 def test_classify_matches_solve(tmp_path, capsys):

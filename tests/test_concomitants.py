@@ -592,23 +592,25 @@ class TestJacobian:
 class TestSemistability:
     def test_diagonal_unit(self):
         s = normal_form_state((1, 0, 0))
-        flag, witness = con.is_semistable(s, con.invariants(s))
-        assert flag and witness in ("I6", "I12")
+        assert con.leading_degree(s.amplitudes, con.invariants(s)) in (6, 12)
 
     def test_product_state(self):
         s = State(PRODUCT_111)
-        flag, witness = con.is_semistable(s, con.invariants(s))
-        assert not flag and witness is None
+        assert con.leading_degree(s.amplitudes, con.invariants(s)) is None
 
     def test_zero_state(self):
-        flag, _ = con.is_semistable(ZERO_STATE, con.invariants(ZERO_STATE))
-        assert not flag
+        assert con.leading_degree(ZERO_STATE.amplitudes, con.invariants(ZERO_STATE)) is None
+
+
+def _point(s):
+    inv = con.invariants(s)
+    return con.projective_point(inv, con.leading_degree(s.amplitudes, inv))
 
 
 class TestProjectivePoint:
     def test_diagonal_unit(self):
         s = normal_form_state((1, 0, 0))
-        p = con.projective_point(s, con.invariants(s))
+        p = _point(s)
         assert abs(p[0] - 1) < 1e-12
         assert abs(p[1]) < 1e-12
         assert abs(p[2] - 1) < 1e-9
@@ -618,8 +620,8 @@ class TestProjectivePoint:
         for seed in (131, 132):
             s = random_state(seed)
             t = complex(*rng.standard_normal(2))
-            p1 = con.projective_point(s, con.invariants(s))
-            p2 = con.projective_point(s.scaled(t), con.invariants(s.scaled(t)))
+            p1 = _point(s)
+            p2 = _point(s.scaled(t))
             for a, b in zip(p1, p2):
                 assert abs(a - b) < 1e-7 * max(abs(a), 1.0)
 
@@ -631,21 +633,23 @@ class TestProjectivePoint:
         w = ((90 + cmath.sqrt(8160)) / 2) ** (1 / 3)
         s = normal_form_state((1, 2, w))
         assert abs(con.c_formulas(1, 2, w).c6) < 1e-9
-        p = con.projective_point(s, con.invariants(s))
+        p = _point(s)
         assert p[0] == 0
         assert p[1] == 1
         assert abs(p[2]) > 1.0
         for t in (0.7 + 1.3j, -2.1 + 0.4j):
-            q = con.projective_point(s.scaled(t), con.invariants(s.scaled(t)))
+            q = _point(s.scaled(t))
             assert max(abs(a - b) for a, b in zip(p, q)) < 1e-7 * abs(p[2])
 
     def test_zero_state_rejected(self):
         inv = con.invariants(ZERO_STATE)
-        with pytest.raises(ValueError):
-            con.projective_point(ZERO_STATE, inv)
+        degree = con.leading_degree(ZERO_STATE.amplitudes, inv)
+        with pytest.raises(ValueError, match="not semi-stable"):
+            con.projective_point(inv, degree)
 
     def test_null_cone_rejected(self):
         s = State(PRODUCT_111)
         inv = con.invariants(s)
-        with pytest.raises(ValueError):
-            con.projective_point(s, inv)
+        degree = con.leading_degree(s.amplitudes, inv)
+        with pytest.raises(ValueError, match="not semi-stable"):
+            con.projective_point(inv, degree)

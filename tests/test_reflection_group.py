@@ -216,11 +216,12 @@ class TestClosure:
         assert np.array_equal(rg.generate_closure(gens).ints, np.array(want, dtype=np.int64))
         assert set(dtypes) == {np.dtype(object)}
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
         # a non-unit scaling generates an infinite group
         bad = pairs(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+        monkeypatch.setattr(rg, "CLOSURE_CAP", 64)
         with pytest.raises(RuntimeError, match="cap"):
-            rg.generate_closure((bad,), cap=64)
+            rg.generate_closure((bad,))
 
     def test_all_unitary(self, group_k):
         assert rg.is_unitary(group_k)

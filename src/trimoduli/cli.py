@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from functools import lru_cache
 
@@ -121,8 +122,8 @@ def cmd_normal_form(args) -> int:
     payload = {
         "status": trace.status,
         "steps": len(trace.steps) - 1,
-        "initial_norm_sq": trace.steps[0].norm_sq,
-        "final_norm_sq": trace.steps[-1].norm_sq,
+        "initial_norm_sq": math.ldexp(trace.steps[0].norm_sq, 2 * trace.exponent),
+        "final_norm_sq": math.ldexp(trace.steps[-1].norm_sq, 2 * trace.exponent),
         "final_max_rel_deviation": trace.steps[-1].max_rel_deviation,
         "input_invariants": _invariants_payload(inv),
         "limit_invariants": _invariants_payload(limit_inv),

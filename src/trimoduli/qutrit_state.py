@@ -1,14 +1,13 @@
 """Three-qutrit states as 3x3x3 complex tensors.
 
-A state is identified with the trilinear form sum_ijk A[i,j,k] x_i y_j z_k;
-the local group SL(3,C)^x3 acts by contracting each tensor leg with the
-matching matrix; `trilinear_form` is that form as a `poly_engine.Form`.
-This module also holds the slice tensor, the determinant of a slice as a
-symmetric 3x3x3 tensor (by numpy einsum against the Levi-Civita symbol of
-`poly_engine`), and builds the three-parameter normal-form family, reduced
-densities, the tangent map of sl(3)^3 on the Gell-Mann matrices (the
-filtering iteration's derivatives), and the JSON
-state file format.
+A state is identified with the trilinear form sum_ijk A[i,j,k] x_i y_j z_k
+(`trilinear_form`, a `poly_engine.Form`); the local group SL(3,C)^x3 acts by
+contracting each tensor leg with the matching matrix.  This module also
+holds the slice tensor, the determinant of a slice as a symmetric 3x3x3
+tensor (by einsum against the Levi-Civita symbol of `poly_engine`), the
+three-parameter normal-form family, reduced densities, the tangent map of
+sl(3)^3 on the Gell-Mann matrices as one constant matrix (`TANGENT`, for the
+filtering iteration's derivatives), and the JSON state file format.
 """
 from __future__ import annotations
 
@@ -16,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -84,10 +84,6 @@ class LocalTransform:
             m.setflags(write=False)
             object.__setattr__(self, name, m)
 
-    @property
-    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.g1, self.g2, self.g3)
-
 
 def trilinear_form(amplitudes) -> Form:
     """Trilinear form sum A[i,j,k] x_i y_j z_k of any 3x3x3 array or nested
@@ -99,21 +95,17 @@ def trilinear_form(amplitudes) -> Form:
 def normal_form_amplitudes(u, v, w):
     """Normal-form coefficient layout as a nested 3x3x3 list, scalar-generic."""
     zero = u - u  # matches the scalar type of the inputs
-    amp = [[[zero for _ in range(3)] for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        amp[i][i][i] = u
-    for (i, j, k) in ODD_TRIPLES:
-        amp[i - 1][j - 1][k - 1] = v
-    for (i, j, k) in EVEN_TRIPLES:
-        amp[i - 1][j - 1][k - 1] = w
+    amp = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+    for c, triples in ((u, ((1, 1, 1), (2, 2, 2), (3, 3, 3))), (v, ODD_TRIPLES), (w, EVEN_TRIPLES)):
+        for i, j, k in triples:
+            amp[i - 1][j - 1][k - 1] = c
     return amp
 
 
 def normal_form_state(t: tuple) -> State:
     """The state with u on the diagonal, v on odd and w on even arrangements
     of (1,2,3), zero elsewhere."""
-    u, v, w = (complex(c) for c in t)
-    return State(np.array(normal_form_amplitudes(u, v, w), dtype=complex))
+    return State(np.array(normal_form_amplitudes(*map(complex, t)), dtype=complex))
 
 
 def apply_local(s: State, g: LocalTransform) -> State:
@@ -129,33 +121,31 @@ def slice_tensor(a, symbol=LEVI_CIVITA) -> np.ndarray:
     symmetric, so K is six times the symmetric coefficient tensor of that
     cubic.  The einsum order is fixed; integer arrays give an integer K and
     object arrays of Fractions stay exact.  `symbol` stands in for eps."""
-    e = symbol
-    t = np.einsum("jlm,ajk->almk", e, a)
+    t = np.einsum("jlm,ajk->almk", symbol, a)
     t = np.einsum("almk,bln->amkbn", t, a)
-    t = np.einsum("amkbn,kno->ambo", t, e)
+    t = np.einsum("amkbn,kno->ambo", t, symbol)
     return np.einsum("ambo,cmo->abc", t, a)
 
 
 def reduced_density(s: State, party: int) -> np.ndarray:
     """Single-party reduced density matrix of the unnormalized state."""
-    A = s.amplitudes
-    if party == 1:
-        rho = np.einsum("ijk,ljk->il", A, A.conj())
-    elif party == 2:
-        rho = np.einsum("ijk,ilk->jl", A, A.conj())
-    elif party == 3:
-        rho = np.einsum("ijk,ijl->kl", A, A.conj())
-    else:
+    if party not in (1, 2, 3):
         raise ValueError("party must be 1, 2 or 3")
-    return rho
+    A = s.amplitudes
+    return np.einsum(("ijk,ljk->il", "ijk,ilk->jl", "ijk,ijl->kl")[party - 1], A, A.conj())
+
+
+# the tangent map as one (648, 27) matrix on the flattened tensor: block 8p + k
+# is l_k on leg p + 1, the Kronecker product of l_k with two identities; each
+# row of a Gell-Mann matrix has one nonzero entry, so no entry sums two products
+TANGENT = np.array([reduce(np.kron, [l if q == p else _E for q in range(3)])
+                    for p in range(3) for l in GELL_MANN]).reshape(648, 27)
 
 
 def tangent_rows(a: np.ndarray) -> np.ndarray:
     """The tangent map of sl(3)^3 at a 3x3x3 array a, as the (24, 27) matrix
     whose row 8p + k is the Gell-Mann matrix l_k applied to leg p + 1 of a."""
-    return np.concatenate((np.einsum("aip,pjk->aijk", GELL_MANN, a),
-                           np.einsum("ajq,iqk->aijk", GELL_MANN, a),
-                           np.einsum("akr,ijr->aijk", GELL_MANN, a))).reshape(24, 27)
+    return (TANGENT @ a.ravel()).reshape(24, 27)
 
 
 def write_state(path, s: State) -> None:
@@ -192,23 +182,20 @@ def read_state(path) -> State:
         if not all(abs(p) <= sys.float_info.max for p in (re, im)):
             raise StateIOError("non-finite or out-of-range amplitude in state file")
         values.append(complex(re, im))
-    amp = np.array(values, dtype=complex).reshape(3, 3, 3)
-    return State(amp)
+    return State(np.array(values, dtype=complex).reshape(3, 3, 3))
 
 
 def random_state(seed: int) -> State:
     """Seeded generic state: PCG64 stream, 27 standard-normal real parts
     followed by 27 imaginary parts."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    re = rng.standard_normal(27)
-    im = rng.standard_normal(27)
+    re, im = rng.standard_normal(27), rng.standard_normal(27)
     return State((re + 1j * im).reshape(3, 3, 3))
 
 
 def random_parameter_triple(seed: int) -> tuple[complex, complex, complex]:
     rng = np.random.Generator(np.random.PCG64(seed))
-    re = rng.standard_normal(3)
-    im = rng.standard_normal(3)
+    re, im = rng.standard_normal(3), rng.standard_normal(3)
     return tuple(complex(a, b) for a, b in zip(re, im))
 
 

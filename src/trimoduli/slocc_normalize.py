@@ -8,15 +8,16 @@ directions of the three parties, taken along that geodesic (unit
 determinant, so the invariants are kept) with Armijo backtracking on log N
 (Buergisser, Franks, Garg, Oliveira, Walter and Wigderson, FOCS 2018).  At
 the minimum all three reduced densities are proportional to the identity.
+The Newton system is solved by Cholesky, or by least squares where the
+Hessian is singular or ill-conditioned (`CHOLESKY_MIN_RATIO`).
 
-Before any step the null cone is decided by Hilbert-Mumford: a state lies in
-it exactly when I6 = I9 = I12 = 0, by the vanishing rule of `concomitants`
-(`leading_degree`).  Such a state is unstable, with the zero state (the closed
-orbit in its orbit closure) as its limit.  The test and the iteration run on
-the state at unit size (`reflection_group.unit_size`), an exact power of two
-times it, so no input scale changes the result.  The decision is made once,
-and the trace carries it with the invariants computed there: the input's own
-are the same values times a power of two (`IterationTrace.input_invariants`).
+Before any step the null cone, I6 = I9 = I12 = 0 by Hilbert-Mumford, is
+decided once (`concomitants.leading_degree`); a state in it is unstable,
+with the zero state (the closed orbit in its orbit closure) as its limit.
+The test and the iteration run on the state at unit size
+(`reflection_group.unit_size`), an exact power of two times it, so no input
+scale changes the result.  The trace carries the decision and the invariants
+computed there, which `IterationTrace.input_invariants` scales back.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ MAX_ITERATIONS = "max-iterations"
 
 @dataclass(frozen=True)
 class IterationStep:
+    # of the state at unit size, the input's squared norm times 4**-exponent
     norm_sq: float
     max_rel_deviation: float
 
@@ -52,11 +54,15 @@ class IterationTrace:
     floor_events: list[int]
 
     def input_invariants(self) -> concomitants.InvariantSet:
-        """The invariants of the input: each I_d of degree d scaled back by
-        2**(d * exponent), exactly; OverflowError where one is too large."""
-        return concomitants.InvariantSet(*(
-            scalar_ldexp(z, d * self.exponent)
-            for d, z in zip(concomitants.INVARIANT_DEGREES, self.unit_invariants)))
+        """The invariants of the input, each of degree d times 2**(d * exponent),
+        exactly; OverflowError naming the first one that overflows."""
+        inv, out = self.unit_invariants, []
+        for name, d, z in zip(inv._fields, concomitants.INVARIANT_DEGREES, inv):
+            try:
+                out.append(scalar_ldexp(z, d * self.exponent))
+            except OverflowError:
+                raise OverflowError(f"input invariant {name.capitalize()} overflows") from None
+        return concomitants.InvariantSet(*out)
 
 
 # below this Newton decrement -g.d, rounding in log N fails the Armijo test
@@ -67,6 +73,10 @@ FULL_STEP_DECREMENT = 1e-6
 # 1e16, least squares drops its soft directions, which hold the gradient, and
 # the step would move nothing; the negative gradient is followed instead
 GRADIENT_FALLBACK = 1e-6
+# (min / max of the Cholesky diagonal)^2 bounds the Hessian's inverse condition
+# number from above; below this (next to the null cone) a solve moved the step
+# counts, so least squares keeps the step there, as on a singular Hessian
+CHOLESKY_MIN_RATIO = 1e-4
 ARMIJO_SLOPE = 1e-4
 MAX_HALVINGS = 60
 # far from the minimum a Newton step can overshoot by orders of magnitude; no
@@ -80,8 +90,7 @@ NORM_REL_TOL = 1e-5
 def _derivatives(a: np.ndarray):
     """Gradient 2<psi, l psi>/N and Hessian 4 Re<l psi, m psi>/N - g g^T of
     log N at psi = a, over the Gell-Mann matrices l, m of parties 1, 2, 3."""
-    rows = tangent_rows(a)
-    flat = a.ravel()
+    rows, flat = tangent_rows(a), a.ravel()
     norm_sq = np.vdot(flat, flat).real
     grad = 2.0 * (rows @ flat.conj()).real / norm_sq
     return grad, 4.0 * (rows.conj() @ rows.T).real / norm_sq - np.outer(grad, grad)
@@ -124,23 +133,28 @@ def normalize_slocc(s: State, tol: float = 1e-10, max_iter: int = 10000):
         # party p's gradient block is 2 tr(l_a rho_p) / tr(rho_p), so its norm
         # over sqrt(8) is ||rho_p - tr(rho_p)/3||_F / tr(rho_p)
         dev = float(np.max(np.linalg.norm(grad.reshape(3, 8), axis=1))) / math.sqrt(8.0)
-        trace.steps.append(IterationStep(math.ldexp(current.norm_sq, 2 * e), dev))
+        trace.steps.append(IterationStep(current.norm_sq, dev))
         if degree is None:
             return State(np.zeros((3, 3, 3), dtype=complex)), trace
-        if dev < tol:
-            trace.status = CONVERGED
         if dev < tol or step == max_iter:
+            trace.status = CONVERGED if dev < tol else trace.status
             break
-        # least squares: at a state with a positive-dimensional stabilizer
-        # the Hessian is singular, and the minimal step leaves that orbit alone
-        d = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+        # a solve where the Cholesky factor shows the Hessian well conditioned,
+        # else least squares: at a positive-dimensional stabilizer the Hessian
+        # is singular, and the minimal step leaves that orbit alone
+        try:
+            diag = np.diagonal(np.linalg.cholesky(hess))
+            well = (diag.min() / diag.max()) ** 2 >= CHOLESKY_MIN_RATIO
+        except np.linalg.LinAlgError:
+            well = False
+        d = -(np.linalg.solve(hess, grad) if well else np.linalg.lstsq(hess, grad, rcond=None)[0])
         slope = float(grad @ d)
         newton = slope < -GRADIENT_FALLBACK * float(grad @ grad) ** 2
         if not newton:
             d, slope = -grad, -float(grad @ grad)
             trace.floor_events.append(step + 1)
         along, t_max = _geodesic(d)
-        t, log_n = min(1.0, t_max), math.log(current.norm_sq)
+        t, log_n = min(1.0, t_max), math.log(trace.steps[-1].norm_sq)
         candidate = apply_local(current, along(t))
         if not newton or -slope > FULL_STEP_DECREMENT:
             for _ in range(MAX_HALVINGS):
@@ -176,13 +190,11 @@ def verify_vinberg(limit: State, candidates,
 
     inv = concomitants.invariants(limit) if limit_inv is None else limit_inv
     cv = concomitants.c_formulas(*pts[0].tolist())
-    targets = {"I6": cv.c6, "I9": cv.c9, "I12": cv.c12, "I18": cv.c18}
-    got = {"I6": inv.i6, "I9": inv.i9, "I12": inv.i12, "I18": inv.i18}
-    scale = max(abs(t) for t in targets.values())
-    inv_errs = {k: abs(got[k] - targets[k]) / max(scale, 1e-300) for k in targets}
+    scale = max(abs(t) for t in cv)
+    inv_errs = {k: abs(g - t) / max(scale, 1e-300)
+                for k, g, t in zip(("I6", "I9", "I12", "I18"), inv, cv)}
 
-    ok = (norm_err < NORM_REL_TOL
-          and norm_spread < 10 * NORM_REL_TOL
+    ok = (norm_err < NORM_REL_TOL and norm_spread < 10 * NORM_REL_TOL
           and all(e < 1e-4 for e in inv_errs.values()))
     return {
         "ok": bool(ok),

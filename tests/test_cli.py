@@ -211,6 +211,18 @@ def test_normal_form_max_iterations_names_the_margin(tmp_path, capsys):
         assert "after 3 steps" in lines[0] and "leading invariant I" in lines[0]
 
 
+def test_normal_form_beyond_float_range_names_the_invariant(tmp_path, capsys):
+    # the iteration runs at unit size; the input's invariants, scaled back,
+    # leave the float range: I18 first at scale 1e20, I6 and the squared norm
+    # too at 1e160 and 1e200
+    path = tmp_path / "state.json"
+    for scale, name in ((1e20, "I18"), (1e160, "I6"), (1e200, "I6")):
+        write_state(path, random_state(7).scaled(scale))
+        code, out, err = run_cli(capsys, "normal-form", str(path))
+        assert code == cli.EXIT_NUMERICAL and out == ""
+        assert err.splitlines() == [f"numerical failure: input invariant {name} overflows"]
+
+
 def test_classify_matches_solve(tmp_path, capsys):
     from trimoduli.qutrit_state import random_state
     from trimoduli import concomitants

@@ -86,7 +86,7 @@ class TestApplyLocal:
     def test_invariant_preserved(self):
         s = random_state(12)
         g = random_local_transform(13)
-        assert all(abs(np.linalg.det(m) - 1.0) < 1e-12 for m in g.matrices)
+        assert all(abs(np.linalg.det(m) - 1.0) < 1e-12 for m in (g.g1, g.g2, g.g3))
         i6_before = concomitants.invariants(s).i6
         i6_after = concomitants.invariants(apply_local(s, g)).i6
         assert abs(i6_after - i6_before) / abs(i6_before) < 1e-8
@@ -96,10 +96,9 @@ class TestApplyLocal:
         s = random_state(14)
         for seed in rng_seeds:
             # non-unit determinants: scalar multiples of the seeded det-1 transforms
-            g = LocalTransform(*(k * m for k, m in zip((1.7, 0.4j, -2.3 + 0.5j),
-                                                        random_local_transform(seed).matrices)))
-            h = LocalTransform(*(k * m for k, m in zip((0.6 - 1.1j, 3.2, 0.9j),
-                                                        random_local_transform(seed + 1000).matrices)))
+            g0, h0 = random_local_transform(seed), random_local_transform(seed + 1000)
+            g = LocalTransform(*(k * m for k, m in zip((1.7, 0.4j, -2.3 + 0.5j), (g0.g1, g0.g2, g0.g3))))
+            h = LocalTransform(*(k * m for k, m in zip((0.6 - 1.1j, 3.2, 0.9j), (h0.g1, h0.g2, h0.g3))))
             lhs = apply_local(apply_local(s, h), g)
             rhs = apply_local(s, compose_local(g, h))
             scale = float(np.max(np.abs(rhs.amplitudes)))

@@ -201,11 +201,56 @@ class TestNewtonIteration:
             return np.full_like(b, np.nan), None, None, None
 
         s, _ = scrambled_normal_form(23)
+        # both routes of the Newton system give no direction
         monkeypatch.setattr(sn.np.linalg, "lstsq", no_direction)
+        monkeypatch.setattr(sn.np.linalg, "solve", lambda a, b: no_direction(a, b)[0])
         _, trace = sn.normalize_slocc(s, max_iter=5)
         assert trace.floor_events == [1, 2, 3, 4, 5]
         norms = [st.norm_sq for st in trace.steps]
         assert all(b < a for a, b in zip(norms, norms[1:]))
+
+    def test_newton_system_route(self, monkeypatch):
+        # a solve wherever the Cholesky factor shows a well-conditioned Hessian,
+        # least squares elsewhere: on every step of a generic state, and only
+        # on the ill-conditioned steps next to W
+        routes = []
+        for name in ("solve", "lstsq"):
+            def spy(hess, grad, _real=getattr(np.linalg, name), _name=name, **kw):
+                routes.append((_name, hess))
+                return _real(hess, grad, **kw)
+            monkeypatch.setattr(sn.np.linalg, name, spy)
+        _, trace = sn.normalize_slocc(random_state(3))
+        assert [name for name, _ in routes] == ["solve"] * (len(trace.steps) - 1)
+        for k in range(3):
+            routes.clear()
+            a = W_STATE + 1e-12 * random_state(k).amplitudes
+            _, trace = sn.normalize_slocc(State(a))
+            assert trace.status == sn.CONVERGED
+            assert "lstsq" in [name for name, _ in routes], k
+            for name, hess in routes:
+                try:
+                    diag = np.diagonal(np.linalg.cholesky(hess))
+                    well = (diag.min() / diag.max()) ** 2 >= sn.CHOLESKY_MIN_RATIO
+                except np.linalg.LinAlgError:
+                    well = False
+                assert well == (name == "solve"), k
+
+    def test_least_squares_route_agrees(self, monkeypatch):
+        # with the Cholesky route shut, least squares takes every step: the
+        # same steps and fallbacks, and the same limit within rounding
+        states = [random_state(seed) for seed in range(40)]
+        default = [sn.normalize_slocc(s) for s in states]
+
+        def not_positive_definite(hess):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(sn.np.linalg, "cholesky", not_positive_definite)
+        for seed, (s, (limit, trace)) in enumerate(zip(states, default)):
+            oracle, oracle_trace = sn.normalize_slocc(s)
+            assert len(oracle_trace.steps) == len(trace.steps), seed
+            assert oracle_trace.floor_events == trace.floor_events, seed
+            scale = np.max(np.abs(oracle.amplitudes))
+            assert np.max(np.abs(limit.amplitudes - oracle.amplitudes)) <= 1e-12 * scale, seed
 
     @pytest.mark.parametrize("base", [W_STATE, PRODUCT_111], ids=["w", "product"])
     def test_converges_next_to_the_null_cone(self, base):
@@ -221,7 +266,7 @@ class TestNewtonIteration:
                 i6 = con.invariants(s).i6
                 assert abs(con.invariants(limit).i6 - i6) <= 1e-12 * abs(i6), (k, d)
 
-    @pytest.mark.parametrize("k", [-100, -40, 0, 40, 100])
+    @pytest.mark.parametrize("k", [-664, -532, -100, -40, 0, 40, 100, 532, 664])
     def test_scale_by_power_of_two(self, k):
         for s in (scrambled_normal_form(21)[0], apply_local(State(W_STATE), random_local_transform(22))):
             limit, trace = sn.normalize_slocc(s)

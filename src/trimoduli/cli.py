@@ -107,8 +107,6 @@ def _orbit_class_payload(a, b, c, oc: form_problem.OrbitClass) -> dict:
         "count": oc.count, "polytope_label": oc.polytope_label,
         "stabilizer_label": oc.stabilizer_label,
         "stabilizer_order": oc.stabilizer_order,
-        "case_tree_prediction": oc.case_tree_prediction,
-        "case_tree_agrees": oc.case_tree_agrees,
     }
 
 
@@ -119,11 +117,16 @@ def cmd_normal_form(args) -> int:
     limit, trace = slocc_normalize.normalize_slocc(s, tol=args.tol, max_iter=args.max_iter)
     inv = trace.input_invariants()
     limit_inv = concomitants.invariants(limit)
+    norm_sq = {}
+    for name, step in (("initial_norm_sq", trace.steps[0]), ("final_norm_sq", trace.steps[-1])):
+        try:
+            norm_sq[name] = math.ldexp(step.norm_sq, 2 * trace.exponent)
+        except OverflowError:
+            raise OverflowError(f"{name} leaves the float range") from None
     payload = {
         "status": trace.status,
         "steps": len(trace.steps) - 1,
-        "initial_norm_sq": math.ldexp(trace.steps[0].norm_sq, 2 * trace.exponent),
-        "final_norm_sq": math.ldexp(trace.steps[-1].norm_sq, 2 * trace.exponent),
+        **norm_sq,
         "final_max_rel_deviation": trace.steps[-1].max_rel_deviation,
         "input_invariants": _invariants_payload(inv),
         "limit_invariants": _invariants_payload(limit_inv),
@@ -156,7 +159,7 @@ def cmd_normal_form(args) -> int:
 def cmd_solve(args) -> int:
     inp = form_problem.FormProblemInput(args.a, args.b, args.c, i9=args.i9)
     sol = form_problem.solve(inp)
-    oc = form_problem.classify(inp, sol=sol)
+    oc = form_problem.classify(inp)
     payload = _orbit_class_payload(args.a, args.b, args.c, oc)
     payload["raw_count"] = sol.raw_count
     if args.full:

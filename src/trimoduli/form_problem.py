@@ -1,20 +1,16 @@
 """The form problem: normal-form parameters from invariant values.
 
 Given (a, b, c) = (I6, I12, I18) and optionally the alternating I9, the
-parameters (u, v, w) are recovered by a radical chain: a quartic for
-psi^2 = (u^3+v^3+w^3)^2, then one cubic per psi-branch whose roots are
-{u^3, v^3, w^3}, then cube roots.  The candidates of the branches form one
-complex (n, 3) array, checked on `concomitants.c_formulas`, merged, and
-sign-filtered on `concomitants.c9_formula`.
-
-The solutions are one orbit of the order-648 group K, the vertices of a
-regular complex polytope: 648 points off the reflection mirrors of K, where
-K acts freely, and 216, 72, 27 or 1 on them.  At unit weighted size a point
-is off the mirrors exactly when b^3 != c^2.  There `solve` returns the
-K-orbit of one checked, sign-correct row of the first branch, and `classify`
-answers 648 without solving.  Elsewhere `solve` enumerates all branches
-(up to 1296 candidates), and `classify` counts the solved set and verifies
-its stabilizer on a sample triple.
+solutions (u, v, w) are one orbit of the order-648 group K, the vertices of
+a regular complex polytope: 648 points off the reflection mirrors of K, where
+K acts freely, and 216, 72, 27 or 1 on them.  The case analysis `_stratum`
+decides which, and `classify` is that decision alone.  `solve` returns the
+K-orbit of one point that reproduces (a, b, c) on `concomitants.c_formulas`
+and the sign datum on `concomitants.c9_formula`: a closed form on a
+degenerate stratum, and off the mirrors a row of the radical chain, a quartic
+for psi^2 = (u^3+v^3+w^3)^2, one cubic per psi-branch whose roots are
+{u^3, v^3, w^3}, then cube roots, each branch's candidates one complex (n, 3)
+array, checked and sign-filtered.
 """
 from __future__ import annotations
 
@@ -86,17 +82,14 @@ class OrbitClass:
     d_discriminant: complex | None  # None where b^2 (b^3 - c^2)^4 leaves the normal float range
     delta: complex
     i9_used: complex
-    case_tree_prediction: int | None
-    case_tree_agrees: bool
 
 
 @dataclass
 class SolutionSet:
     """Solutions of the form problem as the rows (u, v, w) of one complex
     (n, 3) array; after `filter_sign`, sorted by (Re u, Im u, ..., Im w).
-    raw_count counts both sign classes, dropped the candidates that failed
-    the check (of the first branch only, where `solve` takes an orbit), and
-    filtered_count is the number of rows."""
+    raw_count counts the rows of both sign classes, dropped the candidates
+    that failed the check, and filtered_count is the number of rows."""
     triples: np.ndarray
     raw_count: int
     dropped: int
@@ -251,7 +244,7 @@ def _refine_multiple_root(coeffs, x, mult):
 def solve_psi_system(inp: FormProblemInput) -> list[PsiBranch]:
     """All consistent branches (psi, lambda, chi) of the invariant system, one
     or two per cluster of quartic roots psi^2: distinct, as the clusters are,
-    so not merged (rows two branches share merge in `enumerate_triples`)."""
+    so not merged."""
     a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
     coeffs = [27.0, 0.0, -18 * b, -8 * c, -b * b]
     roots = solve_quartic_radicals(*coeffs)
@@ -314,55 +307,43 @@ def _candidates(branches) -> np.ndarray:
     return np.array(table, dtype=complex).reshape(-1, 9)[branch[:, None], _PICKS[pick]]
 
 
-def enumerate_triples(branches, inp: FormProblemInput) -> SolutionSet:
-    """All (u, v, w) from the branch cubics: orderings of {u^3, v^3, w^3}
-    times all cube-root choices, each candidate verified to reproduce
-    (a, b, c), close candidates merged.  The rows are not sorted;
-    `filter_sign` sorts the ones it keeps."""
+def _reproduces(rows: np.ndarray, inp: FormProblemInput) -> np.ndarray:
+    """Which rows reproduce (a, b, c) on `concomitants.c_formulas`, each
+    within RESIDUAL_TOL of the larger of its invariant and the power of the
+    characteristic parameter size of its degree."""
     a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
-    # characteristic parameter size; relative errors are judged against it
     s = max(abs(a) ** (1 / 6), abs(b) ** (1 / 12), abs(c) ** (1 / 18), 1e-30)
     den6, den12, den18 = max(abs(a), s ** 6), max(abs(b), s ** 12), max(abs(c), s ** 18)
+    c6, _, c12, c18 = concomitants.c_formulas(*rows.T)
+    return ((np.abs(c6 - a) <= RESIDUAL_TOL * den6)
+            & (np.abs(c12 - b) <= RESIDUAL_TOL * den12)
+            & (np.abs(c18 - c) <= RESIDUAL_TOL * den18))
+
+
+def _matches_sign(rows: np.ndarray, i9: complex) -> np.ndarray:
+    """Which rows have the alternating invariant i9, within RESIDUAL_TOL
+    times the natural degree-9 scale of the rows (with |i9| as a lower
+    bound), so the two sign classes stay separated whatever the overall
+    normalization of the input."""
+    pt_scale = float(np.abs(rows).max(initial=0.0))
+    threshold = RESIDUAL_TOL * max(abs(i9), pt_scale ** 9, 1e-300)
+    return np.abs(concomitants.c9_formula(*rows.T) - i9) < threshold
+
+
+def enumerate_triples(branches, inp: FormProblemInput) -> SolutionSet:
+    """All (u, v, w) from the branch cubics: orderings of {u^3, v^3, w^3}
+    times all cube-root choices, the ones that reproduce (a, b, c) kept.
+    The rows are not sorted; `filter_sign` sorts the ones it keeps."""
     cands = _candidates(branches)
-    c6, _, c12, c18 = concomitants.c_formulas(*cands.T)
-    ok = ((np.abs(c6 - a) <= RESIDUAL_TOL * den6)
-          & (np.abs(c12 - b) <= RESIDUAL_TOL * den12)
-          & (np.abs(c18 - c) <= RESIDUAL_TOL * den18))
-    triples = _merge_close(cands[ok])
-    return SolutionSet(triples=triples, raw_count=len(triples),
+    ok = _reproduces(cands, inp)
+    return SolutionSet(triples=cands[ok], raw_count=int(np.count_nonzero(ok)),
                        dropped=int(np.count_nonzero(~ok)))
-
-
-def _merge_close(pts: np.ndarray) -> np.ndarray:
-    """Merge the rows of pts closer than 1e-8 times the diameter of the
-    set into their mean, summed in member order; the clusters in the order
-    of their first members.  Without a close pair pts comes back as it is."""
-    if len(pts) < 2:
-        return pts
-    flat = np.column_stack([pts.real, pts.imag])
-    # ranges over a contiguous transpose: axis 0 of (n, 6) reduces ~6x slower
-    diameter = float(np.linalg.norm(np.ptp(flat.T.copy(), axis=1)))
-    labels = reflection_group.cluster_points(flat, 1e-8 * max(diameter, 1e-12))
-    if np.array_equal(labels, np.arange(len(pts))):
-        return pts
-    _, group = np.unique(labels, return_inverse=True)
-    counts = np.bincount(group)
-    sums = np.zeros((len(counts), 3), dtype=complex)
-    np.add.at(sums, group, pts)
-    return sums / counts[:, None]
 
 
 def filter_sign(raw: SolutionSet, i9: complex) -> SolutionSet:
     """Keep the rows of raw.triples whose alternating invariant matches i9,
-    in `reflection_group.sort_rows` order.
-
-    The comparison threshold is RESIDUAL_TOL times the natural degree-9 scale
-    of the solution set (with |i9| as a lower bound), so the two sign classes
-    stay separated whatever the overall normalization of the input."""
-    pts = raw.triples
-    pt_scale = float(np.abs(pts).max(initial=0.0))
-    threshold = RESIDUAL_TOL * max(abs(i9), pt_scale ** 9, 1e-300)
-    kept = pts[np.abs(concomitants.c9_formula(*pts.T) - i9) < threshold]
+    in `reflection_group.sort_rows` order."""
+    kept = raw.triples[_matches_sign(raw.triples, i9)]
     if not len(kept):
         raise _sign_mismatch(i9)
     return replace(raw, triples=reflection_group.sort_rows(kept))
@@ -373,30 +354,118 @@ def _delta(a: complex, b: complex, c: complex) -> complex:
     return a ** 3 - 3 * a * b + 2 * c
 
 
+# --- the strata ---------------------------------------------------------------
+
+MIRROR_TOL = 1e-9  # of the mirror test on |b^3 - c^2| / max(|b|^2, |c|) at unit size
+
+
+# closed-form representatives of the degenerate strata, from the input's
+# (a, b, c, i9), each inverting an identity of `c_formulas`
+def _origin(a, b, c, i9):
+    return 0j, 0j, 0j
+
+
+def _hessian_vertex(a, b, c, i9):
+    """(0, t, -t): C6 = 12 t^6 and C9 = -2 t^9, so t^3 = -6 i9 / a."""
+    t = (-6 * i9 / a) ** (1 / 3)
+    return 0j, t, -t
+
+
+def _hessian_edge_center(a, b, c, i9):
+    """(t, 0, 0): C6 = t^6."""
+    return a ** (1 / 6), 0j, 0j
+
+
+def _edge_point(a, b, c, i9):
+    """(t, t, 0): C6 = -8 t^6, C12 = 16 t^12, C18 = 64 t^18 and C9 = 0."""
+    t = (-a / 8) ** (1 / 6)
+    return t, t, 0j
+
+
+def _mirror_point(a, b, c, i9):
+    """(0, v, w) on the mirror u = 0: with s = v^3 + w^3 and p = v^3 w^3,
+    C6 = s^2 - 12 p, C12 = s^4, C18 = s^6 and C9 = p (v^3 - w^3).  So
+    s^2 = c / b, and v^3 and w^3 are the roots of x^2 - s x + p, in the
+    order whose p (v^3 - w^3) is nearer i9 (the other sign of s swaps them)."""
+    s2 = c / b
+    s, p = cmath.sqrt(s2), (s2 - a) / 12
+    x, y = solve_quadratic(1, -s, p)
+    if abs(p * (x - y) - i9) > abs(p * (y - x) - i9):
+        x, y = y, x
+    return 0j, x ** (1 / 3), y ** (1 / 3)
+
+
+def _stratum(a: complex, b: complex, c: complex, i9: complex):
+    """The case analysis on invariants at unit weighted size: the count of
+    the solution set, with the closed form of a representative on a
+    degenerate stratum (None for 648).  The point tests come first, each at
+    RESIDUAL_TOL; then b^3 = c^2 puts the point on a mirror of K, with 216
+    solutions, where |b^3 - c^2| is within RESIDUAL_TOL of max(|b|^3, |c|^2),
+    as a residual of the chain, and within MIRROR_TOL of max(|b|^2, |c|),
+    the scale of its change 3 b^2 db - 2 c dc under the rounding of b and c.
+    The first bound is the tighter next to a Hessian vertex, where b and c
+    are small, the second elsewhere; anything else is off the mirrors."""
+    def small(*xs):
+        return max(map(abs, xs)) <= RESIDUAL_TOL
+
+    if small(a, b, c):
+        return 1, _origin
+    if small(b, c):
+        return 27, _hessian_vertex
+    if small(i9, b - a * a, c - a ** 3):
+        return 72, _hessian_edge_center
+    if small(i9, b - a * a / 4, c + a ** 3 / 8):
+        return 216, _edge_point
+    if abs(b ** 3 - c ** 2) <= min(RESIDUAL_TOL * max(abs(b) ** 3, abs(c) ** 2),
+                                   MIRROR_TOL * max(abs(b) ** 2, abs(c))):
+        return 216, _mirror_point
+    return 648, None
+
+
+def _closed_form_row(inp: FormProblemInput, i9: complex, form) -> np.ndarray:
+    """A stratum's closed-form point as a (1, 3) row, checked as a chain row is."""
+    row = np.array([form(complex(inp.a), complex(inp.b), complex(inp.c), i9)])
+    if not (_reproduces(row, inp) & _matches_sign(row, i9))[0]:
+        raise _sign_mismatch(i9)
+    return row
+
+
 def solve(inp: FormProblemInput) -> SolutionSet:
-    """The radical chain with the sign filter, i9 inferred from delta when
-    absent.  Off the mirrors, where the first branch keeps a checked row of
-    the sign, the solutions are the free K-orbit of that row: `orbit(group_k(),
-    triples[0])` bit for bit.  Elsewhere all branches are enumerated."""
-    branches = solve_psi_system(inp)
-    i9, (_, ub, uc, _) = _unit_invariants(inp)
-    one = None
-    if _off_mirrors(ub, uc):
+    """The K-orbit of one checked, sign-correct point, of the size that
+    `_stratum` decides, with i9 inferred from delta when absent.  The point
+    is a degenerate stratum's closed form, or off the mirrors a row of the
+    radical chain: of the first psi-branch, or of all branches where that
+    keeps no row of the sign (next to a mirror of B).  raw_count counts the
+    points of both sign classes, dropped the chain's rejected candidates.
+    The set is `orbit(group_k(), triples[0])` bit for bit: what `trimoduli
+    orbit --full` prints for the first triple that `solve --full` prints."""
+    i9, unit = _unit_invariants(inp)
+    count, form = _stratum(*unit)
+    if form is None:
+        branches = solve_psi_system(inp)
         try:
             one = filter_sign(enumerate_triples(branches[:1], inp), i9)
-        except FormProblemError:  # near a mirror of B, clustered roots may leave none
-            pass
-    if one is None:
-        return filter_sign(enumerate_triples(branches, inp), i9)
+        except FormProblemError:
+            one = filter_sign(enumerate_triples(branches, inp), i9)
+    else:
+        one = SolutionSet(triples=_closed_form_row(inp, i9, form), raw_count=1, dropped=0)
     group = reflection_group.group_k()
-    # the row's image first in `sort_rows` order: its computed orbit starts with it
-    u = (group.matrices[:, 0] @ one.triples[0]).real
-    head = reflection_group.sort_rows(group.matrices[u == u.min()] @ one.triples[0])[0]
-    pts = reflection_group.orbit(group, head)
-    if len(pts) != group.order:
-        raise FormProblemError(f"the orbit of a solved row has {len(pts)} points, not 648")
-    # both sign classes, as many per sign-correct row as on the first branch
-    return replace(one, triples=pts, raw_count=len(pts) * one.raw_count // one.filtered_count)
+    # step to the point's first image in `sort_rows` order, which `orbit`
+    # puts first, until that is the point: on a stratum a stabilizer image
+    # may round below it.  I.t = t, so t only descends, and the loop ends.
+    t, e = reflection_group.unit_size(one.triples[0])
+    while True:
+        u = (group.matrices[:, 0] @ t).real
+        first = reflection_group.sort_rows(group.matrices[u == u.min()] @ t)[0]
+        if np.array_equal(first, t):
+            break
+        t = first
+    pts = reflection_group.orbit(group, reflection_group.ldexp(t, e))
+    if len(pts) != count:
+        raise FormProblemError(f"the orbit of a solved point has {len(pts)} points, not {count}")
+    # the two sign classes coincide where the point also matches -i9
+    sign_classes = 1 if _matches_sign(one.triples[:1], -i9)[0] else 2
+    return replace(one, triples=pts, raw_count=count * sign_classes)
 
 
 def _at_unit_scale(x: complex, s: float, degree: int) -> complex:
@@ -409,11 +478,10 @@ def _at_unit_scale(x: complex, s: float, degree: int) -> complex:
 
 def _d_discriminant(b: complex, c: complex) -> complex | None:
     """D = b^2 (b^3 - c^2)^4, of weighted degree 168, formed on b / 2^(12e)
-    and c / 2^(18e), where 2^e is the power of two just above the weighted
-    size of b and c, and multiplied back by 2^(168e).  Scaling by powers of
-    two is exact, so D is the direct formula's value wherever that stays in
-    float range; None where a nonzero D leaves the range of normal floats,
-    above or below."""
+    and c / 2^(18e), 2^e the power of two just above the weighted size of b
+    and c, and multiplied back by 2^(168e): exact, so the direct formula's
+    value wherever that stays in float range; None where a nonzero D leaves
+    the range of normal floats, above or below."""
     s = max(abs(b) ** (1 / 12), abs(c) ** (1 / 18))
     if s == 0:
         return 0j
@@ -448,79 +516,24 @@ def _unit_invariants(inp: FormProblemInput) -> tuple[complex, tuple[complex, ...
                 _at_unit_scale(c, s, 18), _at_unit_scale(i9, s, 9))
 
 
-def _off_mirrors(b: complex, c: complex) -> bool:
-    """Whether b^3 - c^2, at unit weighted size, is clearly non-zero: the
-    point lies off every mirror of K, away from the 27-point stratum and
-    the origin (where b and c both vanish)."""
-    return (max(abs(b), abs(c)) > RESIDUAL_TOL
-            and abs(b ** 3 - c ** 2) > RESIDUAL_TOL * max(abs(b) ** 3, abs(c) ** 2))
-
-
-def _case_tree_prediction(a: complex, b: complex, c: complex, i9: complex) -> int | None:
-    """The printed case analysis on invariants at unit weighted size, where
-    its fixed 1e-9 tests are meaningful at any input scale."""
-    def near(x, y):
-        return abs(x - y) <= 1e-9
-
-    if _off_mirrors(b, c):
-        return 648
-    if near(b, 0):
-        if not near(c, 0):
-            return 648
-        return 27 if not near(a, 0) else 1
-    # b^3 = c^2 with b != 0
-    if not near(i9, 0):
-        return 216
-    if near(b, a * a / 4) and near(c, -a ** 3 / 8):
-        return 216
-    if near(b, a * a) and near(c, a ** 3):
-        return 72
-    return None
-
-
-def classify(inp: FormProblemInput, sol: SolutionSet | None = None) -> OrbitClass:
-    """Count and label the solution stratum.  Off the mirrors (b^3 != c^2 at
-    unit weighted size) the count is 648 and the stabilizer trivial, with
-    only the sign datum checked against delta = 432 * I9^2; elsewhere, and
-    whenever the caller passes `sol` = `solve(inp)`, the count is that of
-    the solution set and the stabilizer is verified on a sample triple.
-    The printed case tree is recorded beside the count."""
+def classify(inp: FormProblemInput) -> OrbitClass:
+    """Count and label the solution stratum by `_stratum`, without solving:
+    the stabilizer of a point of the stratum has order 648 / count.  The
+    sign datum is checked on a degenerate stratum's closed-form point, as in
+    `solve`, and off the mirrors against delta = 432 * I9^2."""
     i9, (ua, ub, uc, ui9) = _unit_invariants(inp)
-    if sol is None and _off_mirrors(ub, uc):
-        # the sign filter's test without the rows: i9 is a root of 432 x^2 = delta
+    count, form = _stratum(ua, ub, uc, ui9)
+    if form is not None:
+        _closed_form_row(inp, i9, form)
+    else:
         root = cmath.sqrt(_delta(ua, ub, uc) / 432)
         if min(abs(root - ui9), abs(root + ui9)) > RESIDUAL_TOL * max(abs(ui9), 1.0):
             raise _sign_mismatch(i9)
-        count, stab_order = 648, 1
-        label = reflection_group.STABILIZER_LABELS[1]
-    else:
-        if sol is None:
-            sol = solve(FormProblemInput(inp.a, inp.b, inp.c, i9))
-        count = sol.filtered_count
-        if count not in POLYTOPE_LABELS:
-            raise FormProblemError(
-                f"enumerated count {count} is outside the admissible strata")
-        group = reflection_group.group_k()
-        expected_order = 648 // count
-        stab = group if count == 1 else reflection_group.stabilizer(group, sol.triples[0], tol=1e-6)
-        label, stab_order = reflection_group.stabilizer_type(stab), stab.order
-        if stab_order != expected_order:
-            raise FormProblemError(
-                f"stabilizer order {stab_order} does not match 648/count={expected_order}")
-
     a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
-    prediction = _case_tree_prediction(ua, ub, uc, ui9)
-    return OrbitClass(
-        count=count,
-        polytope_label=POLYTOPE_LABELS[count],
-        stabilizer_label=label,
-        stabilizer_order=stab_order,
-        d_discriminant=_d_discriminant(b, c),
-        delta=_delta(a, b, c),
-        i9_used=i9,
-        case_tree_prediction=prediction,
-        case_tree_agrees=(prediction == count) if prediction is not None else False,
-    )
+    return OrbitClass(count=count, polytope_label=POLYTOPE_LABELS[count],
+                      stabilizer_label=reflection_group.STABILIZER_LABELS[648 // count],
+                      stabilizer_order=648 // count, d_discriminant=_d_discriminant(b, c),
+                      delta=_delta(a, b, c), i9_used=i9)
 
 
 def emit_configuration(case: str, path):
@@ -535,28 +548,8 @@ def emit_configuration(case: str, path):
     if sol.filtered_count != expected:
         raise FormProblemError(
             f"{case}: got {sol.filtered_count} points, expected {expected}")
-
-    # certify the points form a single orbit of the symmetry group
-    group = reflection_group.group_k()
-    orbit_pts = reflection_group.orbit(group, sol.triples[0])
-    if len(orbit_pts) != expected:
-        raise FormProblemError(f"{case}: sample point orbit has {len(orbit_pts)} points")
-    dist = set_distance(orbit_pts, sol.triples)
-    pt_scale = float(np.abs(sol.triples).max())
-    if dist > 1e-6 * max(pt_scale, 1e-300):
-        raise FormProblemError(f"{case}: solved points do not match the group orbit")
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["re_u", "im_u", "re_v", "im_v", "re_w", "im_w"])
         writer.writerows([f"{q:.17g}" for q in row] for row in sol.triples.view(float))
     return sol.triples
-
-
-def set_distance(points_a, points_b) -> float:
-    """Two-sided max point-to-set distance between triple sets in C^3, by
-    brute force over all pairs (the sets hold at most 648 points)."""
-    fa = np.array(points_a, dtype=complex).reshape(-1, 3)
-    fb = np.array(points_b, dtype=complex).reshape(-1, 3)
-    dist = np.linalg.norm(fa[:, None, :] - fb[None, :, :], axis=2)
-    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))

@@ -20,9 +20,9 @@ converts to a Python complex; a stabilizer keeps its rows of the array and
 of the stack, and `stabilizer_type` labels it by probes on those
 matrices, which decide exactly because their entries are Eisenstein numbers
 with a bounded denominator.  A float triple set is one complex (n, 3) array:
+`sort_rows` orders the rows, here and in the form problem, and
 `cluster_points` (candidate pairs from a sort along one direction, then a
-union of the pairs within the radius) merges near points and `sort_rows`
-orders the rows, here and in the form problem.
+union of the pairs within the radius) groups the near images of `orbit`.
 """
 from __future__ import annotations
 
@@ -229,18 +229,20 @@ def unit_size(a) -> tuple[np.ndarray, int]:
 
 def orbit(group: MatrixGroup, triple) -> np.ndarray:
     """The orbit {g.t} without repeats, of a triple of scalars that convert
-    to Python complex numbers: a complex (n, 3) array in
-    `sort_rows` order, one point per cluster of the images within 1e-9 times
-    their largest real or imaginary part, so its size does not depend on the
-    scale of the triple.  The images are those of the triple times the power
+    to Python complex numbers: a complex (n, 3) array in `sort_rows` order,
+    the first image in that order of each cluster of the images within 1e-9
+    times their largest real or imaginary part, so its size does not depend
+    on the scale of the triple.  The images are those of the triple times the power
     of two that brings it to unit size (`unit_size`), scaled back, so that
     no squared distance leaves the float range; a result in the normal range
-    keeps its bits."""
+    keeps its bits.  The orbit of zero is the zero row, without clustering."""
     t, e = unit_size(triple)
-    pts = group.matrices @ t
+    if not t.any():
+        return np.zeros((1, 3), dtype=complex)
+    pts = sort_rows(group.matrices @ t)
     flat = np.column_stack([pts.real, pts.imag])
     labels = cluster_points(flat, 1e-9 * float(np.max(np.abs(flat))))
-    return ldexp(sort_rows(pts[labels == np.arange(len(labels))]), e)
+    return ldexp(pts[labels == np.arange(len(labels))], e)
 
 
 def sort_rows(pts: np.ndarray) -> np.ndarray:

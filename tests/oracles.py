@@ -8,9 +8,9 @@ dense `poly_engine.transvectant` replaced (omega expansions distributed over
 a factored triple) with the concomitant recipes on it, a dense form written out as a sparse polynomial, the numpy
 companion-matrix root finder, the slice cubic as a direct expansion of its
 determinant, the Aronhold brackets as loops over permutations, I6 and I9 as
-chains of einsum contractions against the Levi-Civita symbols, and the form
-problem's candidate check, dedup and sign filter as scalar loops over an
-all-pairs union-find, the first-order round-robin filtering iteration
+chains of einsum contractions against the Levi-Civita symbols, an all-pairs
+union-find, the form problem's candidate enumeration, check and sign
+filter as scalar loops, the first-order round-robin filtering iteration
 that the Newton steps of `slocc_normalize` replaced, the orbit dimension
 of a state, the composition and the identity of local transforms,
 `Cyclo`, the exact field Q(eps) of the group entries, with the 18 ints of
@@ -19,8 +19,8 @@ an element from its `Cyclo` rows (`pairs`) and back
 complex matrix of one group element entry by entry, the structure probes
 of a group (commutation, element orders, pseudo-reflections), its orbits
 and stabilizers in exact products of `Cyclo` rows, and the form problem
-solved on invariants taken exactly over Q(i).  Also `states_close`, the
-test comparison of two states, the derivative and the value of a `Poly`
+solved on invariants taken exactly over Q(i).  Also `set_distance`
+between two triple sets, `states_close`, the test comparison of two states, the derivative and the value of a `Poly`
 with the Jacobian of (C6, C9, C12) on them (`jacobian_check`), the slice
 cubic of a state as a one-group `Form` (`slice_cubic`), and the entries of
 calibration_report.json that the package does not read, with the report
@@ -899,25 +899,7 @@ def enumerate_triples_loop(branches, inp):
                             candidates.append((cu, cv, cw))
                         else:
                             dropped += 1
-    triples = dedup_triples_loop(candidates)
-    return fp.SolutionSet(triples=triples, raw_count=len(triples), dropped=dropped)
-
-
-def dedup_triples_loop(candidates, rel_tol: float = 1e-8):
-    """Each cluster of candidates replaced by its np.mean, sorted by tuples."""
-    if not candidates:
-        return []
-    pts = np.array(candidates)
-    flat = np.column_stack([pts.real, pts.imag])
-    diameter = float(np.linalg.norm(flat.max(axis=0) - flat.min(axis=0)))
-    labels = cluster_labels_brute(flat, rel_tol * max(diameter, 1e-12))
-    clusters: dict[int, list[int]] = {}
-    for i, root in enumerate(labels.tolist()):
-        clusters.setdefault(root, []).append(i)
-    out = [tuple(complex(z) for z in pts[members].mean(axis=0))
-           for members in clusters.values()]
-    out.sort(key=lambda t: tuple((z.real, z.imag) for z in t))
-    return out
+    return fp.SolutionSet(triples=candidates, raw_count=len(candidates), dropped=dropped)
 
 
 def filter_sign_loop(raw, i9: complex, tol: float = 1e-6):
@@ -928,12 +910,13 @@ def filter_sign_loop(raw, i9: complex, tol: float = 1e-6):
     if not kept:
         raise fp.FormProblemError(
             f"no solutions match the sign datum i9={i9}: inconsistent input")
+    kept.sort(key=lambda t: tuple((z.real, z.imag) for z in t))
     return fp.SolutionSet(triples=kept, raw_count=raw.raw_count, dropped=raw.dropped)
 
 
 def solve_loop(inp):
-    """The full enumeration of `form_problem.solve` (all branches, merge and
-    sign filter) as loops."""
+    """The enumeration of all branches with the check and the sign filter,
+    as loops."""
     raw = enumerate_triples_loop(fp.solve_psi_system(inp), inp)
     i9, _ = fp._unit_invariants(inp)
     return filter_sign_loop(raw, i9, fp.RESIDUAL_TOL)
@@ -1311,6 +1294,15 @@ def solve_for_triple(t) -> fp.SolutionSet:
                                 sum(q * (0, 1, 0, -1)[k % 4] for (k,), q in p.terms.items()))
                         for p in cv)
     return fp.solve(fp.FormProblemInput(c6, c12, c18, i9=c9))
+
+
+def set_distance(points_a, points_b) -> float:
+    """Two-sided max point-to-set distance between triple sets in C^3, by
+    brute force over all pairs (the sets hold at most 648 points)."""
+    fa = np.array(points_a, dtype=complex).reshape(-1, 3)
+    fb = np.array(points_b, dtype=complex).reshape(-1, 3)
+    dist = np.linalg.norm(fa[:, None, :] - fb[None, :, :], axis=2)
+    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
 def states_close(s: State, t: State, tol: float) -> bool:

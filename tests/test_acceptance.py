@@ -29,6 +29,7 @@ from oracles import (
     exponent,
     is_abelian,
     jacobian_check,
+    set_distance,
     slice_cubic,
     solve_for_triple,
 )
@@ -131,7 +132,7 @@ def test_criterion_06_round_trip():
         contains = min(max(abs(a - b) for a, b in zip(tr, t)) for tr in sol.triples)
         assert contains < 1e-7
         orbit_pts = rg.orbit(group, tuple(t))
-        assert fp.set_distance(orbit_pts, sol.triples) < 1e-6
+        assert set_distance(orbit_pts, sol.triples) < 1e-6
     _report(6, "round trip: solution sets equal group orbits and contain the seed triple")
 
 

@@ -223,6 +223,18 @@ def test_normal_form_beyond_float_range_names_the_invariant(tmp_path, capsys):
         assert err.splitlines() == [f"numerical failure: input invariant {name} overflows"]
 
 
+def test_normal_form_beyond_float_range_on_the_null_cone(tmp_path, capsys):
+    # W with amplitudes 1e200: its invariants are zero, so the first value
+    # to leave the float range is the squared norm scaled back from unit size
+    a = np.zeros((3, 3, 3), dtype=complex)
+    a[0, 0, 1] = a[0, 1, 0] = a[1, 0, 0] = 1e200
+    path = tmp_path / "w.json"
+    write_state(path, State(a))
+    code, out, err = run_cli(capsys, "normal-form", str(path))
+    assert code == cli.EXIT_NUMERICAL and out == ""
+    assert err.splitlines() == ["numerical failure: initial_norm_sq leaves the float range"]
+
+
 def test_classify_matches_solve(tmp_path, capsys):
     from trimoduli.qutrit_state import random_state
     from trimoduli import concomitants

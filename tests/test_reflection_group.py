@@ -25,6 +25,7 @@ from oracles import (
     mul_rows,
     orbit_exact,
     pairs,
+    set_distance,
     solve_for_triple,
     stabilizer_exact,
     stabilizer_type_exact,
@@ -247,6 +248,16 @@ class TestClosure:
 
 
 class TestOrbits:
+    def test_orbit_of_zero_is_one_row_without_clustering(self, group_k, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cluster_points reached")
+
+        monkeypatch.setattr(rg, "cluster_points", refuse)
+        for zero in ((0, 0, 0), (0j, -0.0, complex(-0.0, -0.0)), np.zeros(3)):
+            orb = rg.orbit(group_k, zero)
+            assert orb.dtype == np.complex128 and orb.shape == (1, 3)
+            assert np.array_equal(orb.view(np.uint64), np.zeros((1, 6), dtype=np.uint64))
+
     def test_mirror_point_orbit(self, group_k):
         orb = rg.orbit(group_k, (1, -1, 0))
         assert len(orb) == 27
@@ -267,7 +278,7 @@ class TestOrbits:
                 flo = rg.orbit(group_k, given)
                 assert flo.dtype == np.complex128 and flo.shape == (len(exact), 3)
                 assert np.array_equal(flo.view(np.uint64), rg.sort_rows(flo).view(np.uint64))
-                assert fp.set_distance(exact_pts, flo) < 1e-12
+                assert set_distance(exact_pts, flo) < 1e-12
 
     def test_sort_rows_matches_six_float_keys(self, group_k):
         # numpy orders complex keys as (Re, Im) pairs: shuffled orbits of a
@@ -545,4 +556,4 @@ class TestFormProblemAgreement:
             sol = solve_for_triple(t)
             orb = rg.orbit(group_k, tuple(t))
             assert len(orb) == sol.filtered_count == 648
-            assert fp.set_distance(orb, sol.triples) < 1e-6
+            assert set_distance(orb, sol.triples) < 1e-6

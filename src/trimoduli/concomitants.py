@@ -1,20 +1,19 @@
 """Concomitants, fundamental invariants and the ternary-cubic invariants.
 
 On the runtime path the invariants of a state are numpy sums over its 3x3x3
-array: I6 and I9 as signed sums of monomials in its triple tensor, from
-index and sign tables built once (`dense_raws`), I12 and Delta from the
-Aronhold S and T of its slice tensor by einsum brackets, and I18 from I6,
-I9, I12.  `aronhold` runs the brackets on any ternary cubic `Form`,
-exactly on exact tensors.  The concomitants are transvectants of the
-ground form f (`trilinear_form`) with the pairing forms P_alpha =
-sum xi_i x_i, P_beta = sum eta_j y_j and P_gamma = sum zeta_k z_k, one
-table from name to `poly_engine.Form` (`bundle_from_form`), exact on
-integer object arrays; the degree-6/9/12 invariants are full contractions
-of its entries (`invariant_raws`).  That route derives the pinned
-normalization constants by calibration against the closed normal-form
-formulas (`calibration`); the runtime path uses them as literals, which
-the tests re-derive exactly.  It also serves the twelve syzygies,
-evaluated term by term at a random point, and the tests as an oracle.
+array A: I6 and I9 as sums of products of the 84 3x3 minors of
+A.reshape(3, 9), from tables built once (`dense_raws`); I12 from the
+Aronhold S of its slice tensor, one einsum bracket; I18 from I6, I9, I12;
+and Delta from S and T = -I18 / 5832.  `aronhold` runs the brackets on any
+ternary cubic `Form`, exactly on exact tensors.  The concomitants are
+transvectants of the ground form f (`trilinear_form`) with the pairing
+forms P_alpha = sum xi_i x_i, P_beta = sum eta_j y_j and P_gamma = sum
+zeta_k z_k, one table from name to `poly_engine.Form` (`bundle_from_form`),
+exact on integer object arrays; the degree-6/9/12 invariants are full
+contractions of its entries (`invariant_raws`).  That route derives the
+pinned constants by calibration against the closed normal-form formulas
+(`calibration`), which the tests check the literals against.  It also
+serves the twelve syzygies, evaluated at a random point, and the tests.
 
 The closed invariants C6, C9, C12, C18 of the normal form are written once,
 in `c_formulas` (C9 alone in `c9_formula`), for every scalar type; the form
@@ -156,8 +155,9 @@ def invariant_raws(a) -> dict:
 # raw `dense_raws` -> calibrated invariant, pinned exactly by the tests
 I6_DENSE_SCALE = Fraction(-1, 6)
 I9_DENSE_SCALE = Fraction(-1, 72)
-# I12 = -6^4 S for the Aronhold S of any slice cubic
+# I12 = -6^4 S and T = -I18 / 5832 for the Aronhold S and T of any slice cubic
 I12_FROM_S = -1296
+T_FROM_I18 = Fraction(-1, 5832)
 # the Aronhold scales, the discriminant scale and the I18 combination as
 # pinned literals, so no runtime call derives them; the tests re-derive each
 # one exactly with calibration()
@@ -167,54 +167,73 @@ DELTA_SCALE = Fraction(-19683)
 I18_COEFF_I6_CUBED = Fraction(-1, 2)
 I18_COEFF_I6_I12 = Fraction(3, 2)
 I18_COEFF_I9_SQ = Fraction(216)
+# each bracket of four K tensors carries the factor 6^4 of the symmetric tensors
+_BRACKET_SCALE = Fraction(1, 1296)
 
 
-def _triple_tensor(a, symbol=LEVI_CIVITA) -> np.ndarray:
-    """T[b0,b1,b2,c0,c1,c2] = eps_{a0a1a2} A[a0,b0,c0] A[a1,b1,c1] A[a2,b2,c2]:
-    three copies of the array with their party-1 legs antisymmetrized."""
-    t = np.einsum("xyz,xbj->yzbj", symbol, a)
-    t = np.einsum("yzbj,yck->zbjck", t, a)
-    return np.einsum("zbjck,zdl->bcdjkl", t, a)
+# the copies of the array whose legs each eps symbol of I6 and I9 joins:
+# party 2 (legs b) in the first half, party 3 (legs c) in the second; copies
+# 3m, 3m + 1, 3m + 2 make copy m of T
+_JOINS = (((0, 1, 3), (2, 4, 5), (0, 3, 5), (1, 2, 4)),
+          ((0, 3, 6), (1, 4, 7), (2, 5, 8), (0, 3, 7), (1, 4, 8), (2, 5, 6)))
 
 
 @lru_cache(maxsize=None)
-def _monomial_tables(symbol_bytes: bytes) -> tuple:
-    """Index and sign tables of `dense_raws` for the int64 symbol with these bytes."""
+def _minor_tables(symbol_bytes: bytes) -> tuple:
+    """Gather and coefficient tables of `dense_raws` for the int64 symbol
+    with these bytes, alternating or symmetric in its legs."""
     e = np.frombuffer(symbol_bytes, dtype=np.int64).reshape(3, 3, 3)
-    perms, flat = np.argwhere(LEVI_CIVITA), 3 ** np.arange(5, -1, -1)
-    # I6: the legs of eps(x0 x1 y0) eps(x2 y1 y2) eps(x3 y3 y5) eps(x4 x5 y4)
-    i = np.indices((6,) * 4).reshape(4, -1)
-    legs = perms[i].transpose(0, 2, 1).reshape(12, -1)
-    x6, y6 = (flat @ legs[k] for k in ([0, 1, 3, 6, 9, 10], [2, 4, 5, 7, 11, 8]))
-    # I9: row z; slot s has (x_s, y_s) = (z_s + 1, z_s + 2) or the reverse, mod 3
-    z = np.indices((3,) * 6, dtype=np.int8).reshape(6, 729, 1)
-    c = np.indices((2,) * 6, dtype=np.int8).reshape(6, 1, 64)
-    x, y = (z + 1 + c) % 3, (z + 2 - c) % 3
-    x9, y9 = np.einsum("s,szc->zc", flat, x), np.einsum("s,szc->zc", flat, y)
-    s9 = 2 * e[x, y, z].prod(axis=0)
-    rho = flat @ z[[0, 1, 2, 5, 3, 4], :, 0]
-    return (x6, y6, e[tuple(perms.T)][i].prod(axis=0),
-            *(v[x9 < y9].reshape(729, 32) for v in (x9, y9, s9)), rho)
+    alternating = np.array_equal(e, -e.transpose(1, 0, 2))
+    if not (alternating or np.array_equal(e, e.transpose(1, 0, 2))) or \
+            not np.array_equal(e, e.transpose(1, 2, 0)):
+        raise ValueError("the symbol is neither alternating nor symmetric")
+    # T at columns j = (j0, j1, j2), flat 81 j0 + 9 j1 + j2, is the coordinate
+    # of the sorted columns, times the sign of the sort if e alternates (0
+    # where a column repeats); the coordinates keep the flat sorted columns
+    j = np.indices((9,) * 3).reshape(3, 729)
+    sign = np.where(alternating, np.sign((j[1] - j[0]) * (j[2] - j[0]) * (j[2] - j[1])), 1)
+    coord = np.zeros(729, np.int64)
+    keys, coord[sign != 0] = np.unique(((81, 9, 1) @ np.sort(j, axis=0))[sign != 0],
+                                       return_inverse=True)
+    support, values = np.argwhere(e), e[e != 0]
+    tables = [support.T[:, :, None] * 9 + keys // np.array([81, 9, 1])[:, None, None] % 9, values]
+    for joins in _JOINS:
+        # one monomial per choice of an entry of the support for each symbol:
+        # the flat columns of each copy of T, and the product of the entries
+        cols, signs = np.zeros((len(joins) // 2, 1), np.int64), np.ones(1, np.int64)
+        for s, copies in enumerate(joins):
+            weights = np.zeros((3, len(cols)), np.int64)
+            for leg, n in enumerate(copies):
+                weights[leg, n // 3] = 9 ** (2 - n % 3) * 3 ** (2 * s < len(joins))
+            cols = (cols[:, :, None] + (support @ weights).T[:, None, :]).reshape(len(cols), -1)
+            signs = np.outer(signs, values).ravel()
+        # like monomials summed under one 1-D key of their sorted coordinates
+        live = signs * sign[cols].prod(axis=0)
+        shape = (len(keys),) * len(cols)
+        terms, inverse = np.unique(np.ravel_multi_index(
+            np.sort(coord[cols[:, live != 0]], axis=0), shape), return_inverse=True)
+        coeff = np.bincount(inverse, live[live != 0]).astype(np.int64)
+        tables += [np.stack(np.unravel_index(terms[coeff != 0], shape)), coeff[coeff != 0]]
+    return tuple(tables)
 
 
 def dense_raws(a, symbol=LEVI_CIVITA) -> tuple:
-    """Raw I6 and I9 of a 3x3x3 array as signed sums of monomials in the
-    flat triple tensor T = `_triple_tensor(a)`, whose six slots are
-    (b0 b1 b2 c0 c1 c2), copy n of the array carrying the legs a_n b_n c_n.
-    I6 joins two triples, party 2 on copies {0,1,3}, {2,4,5} and party 3 on
-    {0,3,5}, {1,2,4}: raw6 = sum s(x, y) T[x] T[y] over 1296 pairs.  I9 joins
-    three, party 2 on {0,3,6}, {1,4,7}, {2,5,8} and party 3 on {0,3,7},
-    {1,4,8}, {2,5,6}: raw9 = sum e(x, y, z) T[x] T[y] T[rho z], e the product
-    over slots s of eps(x_s, y_s, z_s), rho rotating the third copy's c-slots
-    (c6 c7 c8) -> (c7 c8 c6).  Swapping x and y flips six signs, so only
-    x < y is kept, with sign 2e: q[z] sums 32 pairs, raw9 = q . T[rho].
-    `symbol` stands in for eps; with |eps| every kept sign is positive.
-    Integer arrays give numpy integers; object arrays stay exact."""
-    x6, y6, s6, x9, y9, s9, rho = _monomial_tables(np.asarray(symbol, np.int64).tobytes())
-    t = _triple_tensor(a, symbol).reshape(729)
-    raw6 = np.sum(s6 * t.take(x6) * t.take(y6))
-    q = np.sum(s9 * t.take(x9) * t.take(y9), axis=1)
-    return raw6, q @ t.take(rho)
+    """Raw I6 and I9 of a 3x3x3 array A as sums over the 84 3x3 minors of
+    M = A.reshape(3, 9), column 3b + c being A[:, b, c].  Both contract copies
+    of T[b0 b1 b2 c0 c1 c2] = eps_{a0a1a2} A[a0,b0,c0] A[a1,b1,c1] A[a2,b2,c2]
+    (`_JOINS`), the minor of columns 3 b_n + c_n (Weyl's first fundamental
+    theorem): their 1,296 and 46,656 monomials in T group to 84 products of
+    two minors and 384 of three, with coefficients +-6, +-12, +-18.  `symbol`
+    stands in for eps; with |eps| the 165 coordinates of the symmetric T may
+    repeat a column (147 and 3,434 positive terms).  Integer arrays give numpy
+    integers, object arrays stay exact, and sums beyond the float range are
+    inf or nan, with no warning."""
+    support, values, pairs, c6, triples, c9 = _minor_tables(np.asarray(symbol, np.int64).tobytes())
+    g = np.reshape(a, 27).take(support)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = values @ (g[0] * g[1] * g[2])
+        (x, y), (u, v, w) = d.take(pairs), d.take(triples)
+        return (c6 * x) @ y, (c9 * u * v) @ w
 
 
 # --- closed normal-form formulas -------------------------------------------
@@ -304,10 +323,9 @@ def bracket(t1, t2, t3, t4, symbol=LEVI_CIVITA):
 def aronhold_raws(k) -> tuple:
     """Raw Aronhold S and T of the cubic with K tensor k, before the pinned
     scales.  The Hessian matrix d^2F/dx_a dx_b is sum_c K[a,b,c] x_c, so
-    `slice_tensor(k)` is the K tensor of the Hessian cubic; each bracket of
-    four K tensors carries the factor 6^4 of the symmetric tensors."""
-    scale = Fraction(1, 1296)
-    return bracket(k, k, k, k) * scale, bracket(k, k, k, slice_tensor(k)) * scale
+    `slice_tensor(k)` is the K tensor of the Hessian cubic."""
+    return (bracket(k, k, k, k) * _BRACKET_SCALE,
+            bracket(k, k, k, slice_tensor(k)) * _BRACKET_SCALE)
 
 
 def aronhold(cubic: Form) -> AronholdPair:
@@ -331,25 +349,24 @@ def discriminant_delta(s_val, t_val):
 def invariants(s: State) -> InvariantSet:
     """Fundamental invariants (I6, I9, I12), the derived I18 and the
     discriminant Delta of a state, as Python complex numbers: I6 and I9 as
-    signed monomial sums (`dense_raws`), I12 and Delta from the Aronhold
-    pair of its x-slice cubic, in a fixed order of numpy operations."""
+    sums over the minors of its flattening (`dense_raws`), I12 from the
+    Aronhold S of its x-slice cubic, and Delta from S and T = -I18 / 5832,
+    in a fixed order of numpy operations."""
     raw6, raw9 = dense_raws(s.amplitudes)
-    s_raw, t_raw = aronhold_raws(slice_tensor(s.amplitudes))
-    s_val = complex(s_raw) * float(ARONHOLD_S_SCALE)
-    t_val = complex(t_raw) * float(ARONHOLD_T_SCALE)
-    i6 = complex(raw6) * float(I6_DENSE_SCALE)
-    i9 = complex(raw9) * float(I9_DENSE_SCALE)
+    k = slice_tensor(s.amplitudes)
+    s_val = complex(bracket(k, k, k, k) * _BRACKET_SCALE) * float(ARONHOLD_S_SCALE)
+    i6, i9 = complex(raw6) * float(I6_DENSE_SCALE), complex(raw9) * float(I9_DENSE_SCALE)
     i12 = I12_FROM_S * s_val
     i18 = i18_from_fundamentals(i6, i9, i12)
-    return InvariantSet(i6, i9, i12, i18, discriminant_delta(s_val, t_val))
+    return InvariantSet(i6, i9, i12, i18, discriminant_delta(s_val, float(T_FROM_I18) * i18))
 
 
 def invariant_bounds(a) -> tuple:
     """Forward error bounds of the I6, I9, I12 that `invariants` computes
-    from a: the same sums on |A| with |eps|, whose signs are all positive,
-    so each bound is the sum of the moduli of the monomials `invariants`
-    adds and each rounding error is a modest multiple of eps times it
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3)."""
+    from a: the same sums on |A| with |eps|, permanents for the minors and
+    positive coefficients, each at least the sum of the moduli of the terms
+    `invariants` adds, so each rounding error is a modest multiple of eps
+    times it (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3)."""
     a, e = np.abs(a), np.abs(LEVI_CIVITA)
     raw6, raw9 = dense_raws(a, e)
     k = slice_tensor(a, e)
@@ -418,11 +435,9 @@ def projective_point(inv: InvariantSet, degree: int | None):
         return max(candidates, key=lambda c: (round(c.real, 12), round(c.imag, 12)))
 
     if degree == 6:
-        t9 = inv.i6 ** (-1.5)      # t**9 for t = i6**(-1/6)
-        t12 = inv.i6 ** (-2.0)     # t**12
-        i9n = inv.i9 * t9
+        i9n = inv.i9 * inv.i6 ** (-1.5)  # t**9 for t = i6**(-1/6)
         i9n = lex_max([i9n, -i9n])  # remaining sixth-root ambiguity is a sign
-        return (1.0 + 0.0j, i9n, inv.i12 * t12)
+        return (1.0 + 0.0j, i9n, inv.i12 * inv.i6 ** (-2.0))  # t**12
     if degree == 9:
         i12n = inv.i12 * inv.i9 ** (-12.0 / 9.0)
         cube = cmath.exp(2j * cmath.pi / 3)
@@ -488,10 +503,8 @@ def syzygy_residuals(s: State, seed: int):
     results = []
     for name in SYZYGY_NAMES:
         terms = syzygy_terms(values, name)
-        total = sum(terms)
         scale = max(abs(v) for v in terms)
-        residual = 0.0 if scale == 0 else abs(total) / scale
-        results.append((name, residual))
+        results.append((name, 0.0 if scale == 0 else abs(sum(terms)) / scale))
     return results
 
 
@@ -504,8 +517,7 @@ def _fit_constant(pairs, name):
     """pairs: (raw, target) exact values; returns target/raw, constant across
     all pairs with nonzero raw."""
     ratios = {Fraction(t) / Fraction(r) for r, t in pairs if r != 0}
-    targets_without_raw = [t for r, t in pairs if r == 0 and t != 0]
-    if targets_without_raw or len(ratios) != 1:
+    if any(r == 0 and t != 0 for r, t in pairs) or len(ratios) != 1:
         raise CalibrationError(f"constant {name} is not constant: {ratios}")
     return next(iter(ratios))
 
@@ -534,56 +546,46 @@ def calibration() -> dict:
             for t in _CAL_TRIPLES]
     targets = [c_formulas(*map(Fraction, t)) for t in _CAL_TRIPLES]
 
-    data["i6_scale"] = _fit_constant(
-        [(r["i6"], t.c6) for r, t in zip(raws, targets)], "i6_scale")
-    data["i9_scale"] = _fit_constant(
-        [(r["i9"], t.c9) for r, t in zip(raws, targets)], "i9_scale")
-    data["i12_scale"] = _fit_constant(
-        [(r["i12"], t.c12) for r, t in zip(raws, targets)], "i12_scale")
+    for key in ("i6", "i9", "i12"):
+        data[f"{key}_scale"] = _fit_constant(
+            [(r[key], getattr(t, "c" + key[1:])) for r, t in zip(raws, targets)], f"{key}_scale")
 
     # I18 = p*I6^3 + q*I6*I12 + r*I9^2, solved exactly from three normal forms
     # and verified on the fourth.
-    rows = []
-    rhs = []
+    rows, rhs = [], []
     for r, t in zip(raws, targets):
-        i6 = data["i6_scale"] * r["i6"]
-        i9 = data["i9_scale"] * r["i9"]
-        i12 = data["i12_scale"] * r["i12"]
+        i6, i9, i12 = (data[f"{key}_scale"] * r[key] for key in ("i6", "i9", "i12"))
         rows.append((i6 ** 3, i6 * i12, i9 ** 2))
         rhs.append(Fraction(t.c18))
     p, q, r_ = _solve3(rows[:3], rhs[:3])
-    for row, target in zip(rows, rhs):
-        if p * row[0] + q * row[1] + r_ * row[2] != target:
-            raise CalibrationError("i18 combination failed verification")
-    data["i18_coeff_i6_cubed"] = p
-    data["i18_coeff_i6_i12"] = q
-    data["i18_coeff_i9_sq"] = r_
+    if any(p * a + q * b + r_ * c != target for (a, b, c), target in zip(rows, rhs)):
+        raise CalibrationError("i18 combination failed verification")
+    data["i18_coeff_i6_cubed"], data["i18_coeff_i6_i12"], data["i18_coeff_i9_sq"] = p, q, r_
 
     # Aronhold scales from exact Hesse cubics -phi*(x^3+y^3+z^3) + psi*xyz,
     # where 6^4 S = -psi(psi^3 + (6 phi)^3) and
     # 6^6 T = (6 phi)^6 + 20 (6 phi)^3 psi^3 - 8 psi^6.
-    s_pairs = []
-    t_pairs = []
+    s_pairs, t_pairs = [], []
     # Python int entries, as for the normal forms above
     for (phi, psi) in ((0, 1), (1, 1), (1, 2), (-1, 0), (2, 3)):
         s_raw, t_raw = aronhold_raws(_hesse_tensor(phi, psi))
-        s_target = Fraction(-psi * (psi ** 3 + 216 * phi ** 3), 1296)
         t_target = Fraction(46656 * phi ** 6 + 4320 * phi ** 3 * psi ** 3 - 8 * psi ** 6, 46656)
-        s_pairs.append((s_raw, s_target))
+        s_pairs.append((s_raw, Fraction(-psi * (psi ** 3 + 216 * phi ** 3), 1296)))
         t_pairs.append((t_raw, t_target))
     data["aronhold_s_scale"] = _fit_constant(s_pairs, "aronhold_s_scale")
     data["aronhold_t_scale"] = _fit_constant(t_pairs, "aronhold_t_scale")
 
     # Discriminant scale: Delta = delta_scale * (64 S^3 + T^2), pinned by
-    # Delta = C12'^3 on normal forms.
-    d_pairs = []
-    for (u, v, w) in _CAL_TRIPLES:
+    # Delta = C12'^3 on normal forms, whose slice cubic is the Hesse cubic of
+    # (u v w, u^3 + v^3 + w^3); and T = t_from_i18 * I18 on the same cubics.
+    d_pairs, t18_pairs = [], []
+    for (u, v, w), i18 in zip(_CAL_TRIPLES, rhs):
         s_raw, t_raw = aronhold_raws(_hesse_tensor(u * v * w, u ** 3 + v ** 3 + w ** 3))
-        s_val = data["aronhold_s_scale"] * s_raw
-        t_val = data["aronhold_t_scale"] * t_raw
-        disc = 64 * s_val ** 3 + t_val ** 2
-        d_pairs.append((disc, Fraction(c12_prime(u, v, w)) ** 3))
+        s_val, t_val = data["aronhold_s_scale"] * s_raw, data["aronhold_t_scale"] * t_raw
+        d_pairs.append((64 * s_val ** 3 + t_val ** 2, Fraction(c12_prime(u, v, w)) ** 3))
+        t18_pairs.append((i18, t_val))
     data["delta_scale"] = _fit_constant(d_pairs, "delta_scale")
+    data["t_from_i18"] = _fit_constant(t18_pairs, "t_from_i18")
 
     return data
 
@@ -591,17 +593,11 @@ def calibration() -> dict:
 def _solve3(rows, rhs):
     """Exact 3x3 linear solve by Cramer's rule."""
     def det3(m):
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        return sum(sign * m[0][p[0]] * m[1][p[1]] * m[2][p[2]] for p, sign in PERMS3)
 
     d = det3(rows)
     if d == 0:
         raise CalibrationError("singular system while fitting i18 combination")
-    sols = []
-    for col in range(3):
-        m = [list(r) for r in rows]
-        for i in range(3):
-            m[i][col] = rhs[i]
-        sols.append(Fraction(det3(m)) / Fraction(d))
-    return tuple(sols)
+    # column col of the matrix replaced by the right-hand side
+    return tuple(Fraction(det3([row[:col] + (b,) + row[col + 1:] for row, b in zip(rows, rhs)]))
+                 / Fraction(d) for col in range(3))

@@ -452,14 +452,17 @@ def solve(inp: FormProblemInput) -> SolutionSet:
     group = reflection_group.group_k()
     # step to the point's first image in `sort_rows` order, which `orbit`
     # puts first, until that is the point: on a stratum a stabilizer image
-    # may round below it.  I.t = t, so t only descends, and the loop ends.
+    # may round below it.  I.t = t, so t only descends, through |K| images at most.
     t, e = reflection_group.unit_size(one.triples[0])
-    while True:
+    for _ in range(group.order):
         u = (group.matrices[:, 0] @ t).real
         first = reflection_group.sort_rows(group.matrices[u == u.min()] @ t)[0]
         if np.array_equal(first, t):
             break
         t = first
+    else:
+        raise FormProblemError(f"the descent to a solved point's first image did not settle "
+                               f"in {group.order} steps")
     pts = reflection_group.orbit(group, reflection_group.ldexp(t, e))
     if len(pts) != count:
         raise FormProblemError(f"the orbit of a solved point has {len(pts)} points, not {count}")

@@ -43,7 +43,6 @@ from trimoduli import reflection_group as rg
 from trimoduli.concomitants import (
     _CAL_TRIPLES,
     _fit_constant,
-    _triple_tensor,
     c12_prime,
     c_formulas,
     c_polynomials,
@@ -786,6 +785,14 @@ def aronhold_raws_loop(coeffs: dict) -> tuple:
     c = _sym_tensor(coeffs)
     return (_bracket_loop(c, c, c, c),
             _bracket_loop(c, c, c, _sym_tensor(_hessian_coeffs(coeffs))))
+
+
+def _triple_tensor(a, symbol=LEVI_CIVITA) -> np.ndarray:
+    """T[b0,b1,b2,c0,c1,c2] = eps_{a0a1a2} A[a0,b0,c0] A[a1,b1,c1] A[a2,b2,c2]:
+    three copies of the array with their party-1 legs antisymmetrized."""
+    t = np.einsum("xyz,xbj->yzbj", symbol, a)
+    t = np.einsum("yzbj,yck->zbjck", t, a)
+    return np.einsum("zbjck,zdl->bcdjkl", t, a)
 
 
 def dense_raws_einsum(a, symbol=LEVI_CIVITA) -> tuple:

@@ -334,6 +334,79 @@ class TestMonomialSums:
                 assert abs(moved.i12 - base.i12) <= 1e-12 * abs(base.i12)
 
 
+class TestMinorSums:
+    """The tables of `dense_raws`: grouped monomials in the minors of the
+    flattening, and Delta from S and I18."""
+
+    def test_grouped_term_counts(self):
+        # 84 minors, or 165 column triples with repeats under |eps|; each
+        # term's coordinates sorted; coefficients 6, 12, 18 up to sign
+        for symbol, n, n6, n9 in ((con.LEVI_CIVITA, 84, 84, 384),
+                                  (np.abs(con.LEVI_CIVITA), 165, 147, 3434)):
+            support, values, pairs, c6, triples, c9 = con._minor_tables(
+                np.asarray(symbol, np.int64).tobytes())
+            assert support.shape == (3, 6, n) and values.shape == (6,)
+            assert pairs.shape == (2, n6) and triples.shape == (3, n9)
+            assert np.all(np.diff(pairs, axis=0) >= 0) and np.all(np.diff(triples, axis=0) >= 0)
+            if symbol is con.LEVI_CIVITA:
+                assert set(np.abs(c6)) == {6, 12, 18} and set(np.abs(c9)) == {18}
+            else:
+                assert c6.min() > 0 and c9.min() > 0
+
+    def test_tables_built_once_per_symbol(self):
+        con._minor_tables.cache_clear()
+        for seed in (0, 1, 2):
+            s = random_state(seed)
+            con.invariants(s)
+            con.invariant_bounds(s.amplitudes)
+        info = con._minor_tables.cache_info()
+        assert (info.misses, info.currsize, info.hits) == (2, 2, 4)
+
+    def test_symbol_neither_alternating_nor_symmetric(self):
+        e = np.zeros((3, 3, 3), dtype=np.int64)
+        e[0, 1, 2] = 1
+        with pytest.raises(ValueError, match="neither alternating nor symmetric"):
+            con.dense_raws(np.ones((3, 3, 3)), e)
+
+    @staticmethod
+    def _exact_i18(amp):
+        raw6, raw9 = con.dense_raws(amp)
+        s_raw, t_raw = con.aronhold_raws(con.slice_tensor(amp))
+        i18 = con.i18_from_fundamentals(raw6 * con.I6_DENSE_SCALE, raw9 * con.I9_DENSE_SCALE,
+                                        s_raw * con.ARONHOLD_S_SCALE * con.I12_FROM_S)
+        return i18, t_raw * con.ARONHOLD_T_SCALE
+
+    def test_t_from_i18_on_exact_arrays(self):
+        rng = np.random.default_rng(159)
+        arrays = [rng.integers(-3, 4, size=(3, 3, 3)).astype(object) for _ in range(10)]
+        arrays.append(np.array([Fraction(int(n), int(d)) for n, d in
+                                zip(rng.integers(-9, 10, 27), rng.integers(1, 8, 27))],
+                               dtype=object).reshape(3, 3, 3))
+        for amp in arrays:
+            i18, t = self._exact_i18(amp)
+            assert isinstance(i18, Fraction) and i18 != 0
+            assert t == con.T_FROM_I18 * i18
+
+    def test_t_from_i18_equals_calibration(self, calibrated):
+        assert isinstance(con.T_FROM_I18, Fraction)
+        assert con.T_FROM_I18 == calibrated["t_from_i18"] == Fraction(-1, 5832)
+
+    def test_invariants_run_one_bracket_and_one_slice_tensor(self, monkeypatch):
+        calls = []
+        for name in ("bracket", "slice_tensor"):
+            def counted(*args, _name=name, _f=getattr(con, name)):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(con, name, counted)
+        s = random_state(160)
+        inv = con.invariants(s)
+        assert sorted(calls) == ["bracket", "slice_tensor"]
+        monkeypatch.undo()
+        pair = con.aronhold(slice_cubic(s, "x"))
+        want = con.discriminant_delta(pair.s, pair.t)
+        assert abs(inv.delta - want) <= 1e-9 * abs(want)
+
+
 class TestCFormulas:
     def test_all_ones(self):
         cv = con.c_formulas(1, 1, 1)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trimoduli"
 
-DEFAULTED = 12
+DEFAULTED = 11
 
 
 def _name(node) -> str | None:

@@ -369,6 +369,17 @@ class TestOrbitRoute:
         # the clustered near-double root leaves the row about |v - w| / 2 off t
         assert np.abs(got.triples - t).max(axis=1).min() < 2e-6
 
+    def test_descent_that_never_settles_raises(self, monkeypatch):
+        # a sort whose first row is never the point keeps the descent moving:
+        # it stops after |K| steps with an error instead of looping forever
+        cv = c_formulas(*random_parameter_triple(68))
+        inp = fp.FormProblemInput(cv.c6, cv.c12, cv.c18, i9=cv.c9)
+        monkeypatch.setattr(rg, "sort_rows", lambda pts: pts + 1)
+        with pytest.raises(fp.FormProblemError,
+                           match=r"^the descent to a solved point.s first image did not settle "
+                                 r"in 648 steps$"):
+            fp.solve(inp)
+
     @pytest.mark.parametrize("t, tol, inp", ENUMERATION_CASES,
                              ids=[f"inp{k}" for k in range(len(ENUMERATION_CASES))])
     def test_matches_enumeration(self, t, tol, inp, group_k):

@@ -33,14 +33,8 @@ def _fmt(value) -> str:
         return text % tuple(np.ascontiguousarray(value).view(float).ravel().tolist())
     if isinstance(value, complex):
         return f"[{value.real:.17g}, {value.imag:.17g}]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, str):
+    if value is None or isinstance(value, (bool, int, str)):
         return json.dumps(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.17g}"
     if isinstance(value, dict):
@@ -52,9 +46,7 @@ def _fmt(value) -> str:
 
 
 def emit_report(command: str, payload: dict) -> None:
-    report = {"command": command, "version": __version__}
-    report.update(payload)
-    sys.stdout.write(_fmt(report) + "\n")
+    sys.stdout.write(_fmt({"command": command, "version": __version__, **payload}) + "\n")
 
 
 def _parse_complex(text: str) -> complex:
@@ -70,8 +62,7 @@ def _parse_complex(text: str) -> complex:
 def _invariants_payload(inv: concomitants.InvariantSet) -> dict:
     """The invariants by name; ArithmeticError naming the first one that is
     not finite, which JSON cannot carry."""
-    payload = {"I6": inv.i6, "I9": inv.i9, "I12": inv.i12,
-               "I18": inv.i18, "Delta": inv.delta}
+    payload = dict(zip(("I6", "I9", "I12", "I18", "Delta"), inv))
     for name, value in payload.items():
         if not cmath.isfinite(value):
             raise ArithmeticError(f"invariant {name} is not finite: {value}")
@@ -92,8 +83,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    s = read_state(args.path)
-    inv = concomitants.invariants(s)
+    inv = concomitants.invariants(read_state(args.path))
+    _invariants_payload(inv)  # a non-finite invariant is a numerical failure
     oc = form_problem.classify(form_problem.FormProblemInput(
         inv.i6, inv.i12, inv.i18, i9=inv.i9))
     emit_report("classify", _orbit_class_payload(inv.i6, inv.i12, inv.i18, oc))

@@ -1,19 +1,17 @@
 """Concomitants, fundamental invariants and the ternary-cubic invariants.
 
 On the runtime path the invariants of a state are numpy sums over its 3x3x3
-array A: I6 and I9 as sums of products of the 84 3x3 minors of
-A.reshape(3, 9), from tables built once (`dense_raws`); I12 from the
-Aronhold S of its slice tensor, one einsum bracket; I18 from I6, I9, I12;
-and Delta from S and T = -I18 / 5832.  `aronhold` runs the brackets on any
-ternary cubic `Form`, exactly on exact tensors.  The concomitants are
-transvectants of the ground form f (`trilinear_form`) with the pairing
-forms P_alpha = sum xi_i x_i, P_beta = sum eta_j y_j and P_gamma = sum
-zeta_k z_k, one table from name to `poly_engine.Form` (`bundle_from_form`),
+array A: I6 and I9 over the 84 3x3 minors of A.reshape(3, 9), from tables
+built once (`dense_raws`); I12 from the Aronhold S of its slice tensor, one
+bracket of mixed adjugates; I18 from I6, I9, I12; and Delta from S and
+T = -I18 / 5832.  `aronhold` runs the brackets on any ternary cubic `Form`,
+exactly on exact tensors.  The concomitants are transvectants of the ground
+form f (`trilinear_form`) with the pairing forms P_alpha = sum xi_i x_i,
+P_beta = sum eta_j y_j and P_gamma = sum zeta_k z_k (`bundle_from_form`),
 exact on integer object arrays; the degree-6/9/12 invariants are full
-contractions of its entries (`invariant_raws`).  That route derives the
-pinned constants by calibration against the closed normal-form formulas
-(`calibration`), which the tests check the literals against.  It also
-serves the twelve syzygies, evaluated at a random point, and the tests.
+contractions of them (`invariant_raws`), from which `calibration` derives
+the pinned constants against the closed normal-form formulas.  They also
+serve the twelve syzygies, evaluated at a random point, and the tests.
 
 The closed invariants C6, C9, C12, C18 of the normal form are written once,
 in `c_formulas` (C9 alone in `c9_formula`), for every scalar type; the form
@@ -47,6 +45,7 @@ from .poly_engine import (
 )
 from .qutrit_state import (
     State,
+    mixed_adjugate,
     normal_form_amplitudes,
     slice_tensor,
     trilinear_form,
@@ -169,6 +168,11 @@ I18_COEFF_I6_I12 = Fraction(3, 2)
 I18_COEFF_I9_SQ = Fraction(216)
 # each bracket of four K tensors carries the factor 6^4 of the symmetric tensors
 _BRACKET_SCALE = Fraction(1, 1296)
+_I18_COEFFS = (I18_COEFF_I6_CUBED, I18_COEFF_I6_I12, I18_COEFF_I9_SQ)
+# the same constants as floats, converted once, for the complex path of `invariants`
+_BRACKET_F, _S_F, _I6_F, _I9_F, _T_F, _DELTA_F, *_I18_COEFFS_F = map(float, (
+    _BRACKET_SCALE, ARONHOLD_S_SCALE, I6_DENSE_SCALE, I9_DENSE_SCALE, T_FROM_I18, DELTA_SCALE,
+    *_I18_COEFFS))
 
 
 # the copies of the array whose legs each eps symbol of I6 and I9 joins:
@@ -227,13 +231,12 @@ def dense_raws(a, symbol=LEVI_CIVITA) -> tuple:
     stands in for eps; with |eps| the 165 coordinates of the symmetric T may
     repeat a column (147 and 3,434 positive terms).  Integer arrays give numpy
     integers, object arrays stay exact, and sums beyond the float range are
-    inf or nan, with no warning."""
+    inf or nan; the callers silence numpy's warnings for them."""
     support, values, pairs, c6, triples, c9 = _minor_tables(np.asarray(symbol, np.int64).tobytes())
     g = np.reshape(a, 27).take(support)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = values @ (g[0] * g[1] * g[2])
-        (x, y), (u, v, w) = d.take(pairs), d.take(triples)
-        return (c6 * x) @ y, (c9 * u * v) @ w
+    d = values @ (g[0] * g[1] * g[2])
+    (x, y), (u, v, w) = d.take(pairs), d.take(triples)
+    return (c6 * x) @ y, (c9 * u * v) @ w
 
 
 # --- closed normal-form formulas -------------------------------------------
@@ -306,18 +309,14 @@ def c_polynomials():
 # --- Aronhold invariants of a ternary cubic ---------------------------------
 
 def bracket(t1, t2, t3, t4, symbol=LEVI_CIVITA):
-    """Full contraction of four 3x3x3 tensors against the bracket monomial
-    (123)(124)(134)(234), that is eps_abc eps_def eps_ghi eps_jkl
-    t1[a,d,g] t2[b,e,j] t3[c,h,k] t4[f,i,l], in a fixed einsum order, with
-    `symbol` standing in for eps."""
-    e = symbol
-    u = np.einsum("adg,abc->dgbc", t1, e)
-    u = np.einsum("dgbc,bej->dgcej", u, t2)
-    u = np.einsum("dgcej,def->gcjf", u, e)
-    u = np.einsum("gcjf,chk->gjfhk", u, t3)
-    u = np.einsum("gjfhk,ghi->jfki", u, e)
-    v = np.einsum("fil,jkl->fijk", t4, e)
-    return np.einsum("jfki,fijk->", u, v)
+    """The bracket monomial (123)(124)(134)(234) of four 3x3x3 tensors,
+    eps_abc eps_def eps_ghi eps_jkl t1[a,d,g] t2[b,e,j] t3[c,h,k] t4[f,i,l]
+    with `symbol` for eps, as two pairs of brackets (Sturmfels, *Algorithms in
+    Invariant Theory*, 1993, ch. 3): the trace of M N for the mixed adjugates
+    M of (t1, t2) and N of (t3, t4).  t3 and t4 must be symmetric."""
+    m = mixed_adjugate(t1, t2, symbol)
+    n = m if t3 is t1 and t4 is t2 else mixed_adjugate(t3, t4, symbol)
+    return m.ravel() @ n.T.ravel()
 
 
 def aronhold_raws(k) -> tuple:
@@ -340,53 +339,48 @@ def aronhold(cubic: Form) -> AronholdPair:
 
 
 def discriminant_delta(s_val, t_val):
-    """The degree-36 discriminant invariant from a cubic's (S, T)."""
-    return DELTA_SCALE * (64 * s_val ** 3 + t_val ** 2)
+    """The degree-36 discriminant invariant from a cubic's (S, T), exact on exact ones."""
+    scale = DELTA_SCALE if is_exact((s_val, t_val)) else _DELTA_F
+    return scale * (64 * s_val ** 3 + t_val ** 2)
 
 
 # --- calibrated invariants ---------------------------------------------------
 
 def invariants(s: State) -> InvariantSet:
-    """Fundamental invariants (I6, I9, I12), the derived I18 and the
-    discriminant Delta of a state, as Python complex numbers: I6 and I9 as
-    sums over the minors of its flattening (`dense_raws`), I12 from the
-    Aronhold S of its x-slice cubic, and Delta from S and T = -I18 / 5832,
-    in a fixed order of numpy operations."""
-    raw6, raw9 = dense_raws(s.amplitudes)
-    k = slice_tensor(s.amplitudes)
-    s_val = complex(bracket(k, k, k, k) * _BRACKET_SCALE) * float(ARONHOLD_S_SCALE)
-    i6, i9 = complex(raw6) * float(I6_DENSE_SCALE), complex(raw9) * float(I9_DENSE_SCALE)
+    """Fundamental invariants (I6, I9, I12), the derived I18 and the discriminant
+    Delta of a state as Python complex numbers, by the runtime path of the module
+    docstring in a fixed order; inf or nan, with no warning, beyond the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        (raw6, raw9), k = dense_raws(s.amplitudes), slice_tensor(s.amplitudes)
+        s_val = complex(bracket(k, k, k, k)) * _BRACKET_F * _S_F
+    i6, i9 = complex(raw6) * _I6_F, complex(raw9) * _I9_F
     i12 = I12_FROM_S * s_val
     i18 = i18_from_fundamentals(i6, i9, i12)
-    return InvariantSet(i6, i9, i12, i18, discriminant_delta(s_val, float(T_FROM_I18) * i18))
+    return InvariantSet(i6, i9, i12, i18, discriminant_delta(s_val, _T_F * i18))
 
 
 def invariant_bounds(a) -> tuple:
     """Forward error bounds of the I6, I9, I12 that `invariants` computes
-    from a: the same sums on |A| with |eps|, permanents for the minors and
+    from a: the same sums on |A| with |eps| (permanents for the minors) and
     positive coefficients, each at least the sum of the moduli of the terms
     `invariants` adds, so each rounding error is a modest multiple of eps
     times it (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3)."""
     a, e = np.abs(a), np.abs(LEVI_CIVITA)
-    raw6, raw9 = dense_raws(a, e)
-    k = slice_tensor(a, e)
-    return (raw6 * abs(I6_DENSE_SCALE), raw9 * abs(I9_DENSE_SCALE),
-            bracket(k, k, k, k, e) * abs(I12_FROM_S * ARONHOLD_S_SCALE / 1296))
+    with np.errstate(over="ignore", invalid="ignore"):
+        (raw6, raw9), k = dense_raws(a, e), slice_tensor(a, e)
+        return (raw6 * abs(I6_DENSE_SCALE), raw9 * abs(I9_DENSE_SCALE),
+                bracket(k, k, k, k, e) * abs(I12_FROM_S * ARONHOLD_S_SCALE / 1296))
 
 
 def i18_from_fundamentals(i6, i9, i12):
     """I18 as the unique weighted-degree-18 combination of the fundamentals
-    matching the normal-form equation system."""
-    p, q, r = I18_COEFF_I6_CUBED, I18_COEFF_I6_I12, I18_COEFF_I9_SQ
+    matching the normal-form equation system, exact on exact values."""
+    p, q, r = _I18_COEFFS if is_exact((i6, i9, i12)) else _I18_COEFFS_F
     return p * i6 ** 3 + q * i6 * i12 + r * i9 ** 2
 
 
 # I_d vanishes when |I_d| is at most this many eps times its forward error
-# bound: rounding alone can leave that much of an exact zero.  The decision
-# is made once per state, by `leading_degree`, and passed along: to
-# `projective_point`, and in the trace of `normalize_slocc`, so a state
-# flagged semistable has a point and is filtered, and a state flagged
-# unstable is not
+# bound: rounding alone can leave that much of an exact zero (`leading_degree`)
 NULL_CONE_ULPS = 64
 
 
@@ -428,9 +422,7 @@ def projective_point(inv: InvariantSet, degree: int | None):
     """Weighted projective coordinates (I6 : I9 : I12) of invariants `inv`,
     canonicalized so the invariant of the leading degree `degree` (from
     `leading_degree`) equals 1 and the residual root-of-unity ambiguity is
-    fixed deterministically.  A degree of None (the null cone) raises
-    ValueError.
-    """
+    fixed deterministically.  A degree of None (the null cone) raises ValueError."""
     def lex_max(candidates):
         return max(candidates, key=lambda c: (round(c.real, 12), round(c.imag, 12)))
 

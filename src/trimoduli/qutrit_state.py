@@ -3,8 +3,8 @@
 A state is identified with the trilinear form sum_ijk A[i,j,k] x_i y_j z_k
 (`trilinear_form`, a `poly_engine.Form`); the local group SL(3,C)^x3 acts by
 contracting each tensor leg with the matching matrix.  This module also
-holds the slice tensor, the determinant of a slice as a symmetric 3x3x3
-tensor (by einsum against the Levi-Civita symbol of `poly_engine`), the
+holds the 9x9 mixed adjugate of two 3x3x3 tensors (`mixed_adjugate`) and on
+it the slice tensor, the determinant of a slice as a symmetric 3x3x3 tensor; the
 three-parameter normal-form family, reduced densities, the tangent map of
 sl(3)^3 on the Gell-Mann matrices as one constant matrix (`TANGENT`, for the
 filtering iteration's derivatives), and the JSON state file format.
@@ -19,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from .poly_engine import LEVI_CIVITA, Form
+from .poly_engine import LEVI_CIVITA, PERMS3, Form
 
 STATE_FORMAT = "trimoduli-state-v1"
 
@@ -110,8 +110,7 @@ def normal_form_state(t: tuple) -> State:
 
 def apply_local(s: State, g: LocalTransform) -> State:
     """Contract each tensor leg with the matching matrix."""
-    amp = np.einsum("ip,jq,kr,pqr->ijk", g.g1, g.g2, g.g3, s.amplitudes)
-    return State(amp)
+    return State(np.einsum("ip,jq,kr,pqr->ijk", g.g1, g.g2, g.g3, s.amplitudes))
 
 
 def slice_tensor(a, symbol=LEVI_CIVITA) -> np.ndarray:
@@ -119,12 +118,10 @@ def slice_tensor(a, symbol=LEVI_CIVITA) -> np.ndarray:
 
     det(sum_a x_a A[a]) = (1/6) sum_abc K[a,b,c] x_a x_b x_c and K is
     symmetric, so K is six times the symmetric coefficient tensor of that
-    cubic.  The einsum order is fixed; integer arrays give an integer K and
-    object arrays of Fractions stay exact.  `symbol` stands in for eps."""
-    t = np.einsum("jlm,ajk->almk", symbol, a)
-    t = np.einsum("almk,bln->amkbn", t, a)
-    t = np.einsum("amkbn,kno->ambo", t, symbol)
-    return np.einsum("ambo,cmo->abc", t, a)
+    cubic.  K is the mixed adjugate of At[j,k,a] = A[a,j,k] with itself times A,
+    with `symbol` for eps; integer arrays give an integer K, object arrays stay exact."""
+    at = a.transpose(1, 2, 0)
+    return (mixed_adjugate(at, at, symbol).T @ a.reshape(3, 9).T).reshape(3, 3, 3)
 
 
 def reduced_density(s: State, party: int) -> np.ndarray:
@@ -140,6 +137,25 @@ def reduced_density(s: State, party: int) -> np.ndarray:
 # row of a Gell-Mann matrix has one nonzero entry, so no entry sums two products
 TANGENT = np.array([reduce(np.kron, [l if q == p else _E for q in range(3)])
                     for p in range(3) for l in GELL_MANN]).reshape(648, 27)
+
+
+# term 2p + q of entry ((c, f), (g, j)) of `mixed_adjugate` joins (a, b, c) and
+# (d, e, f) at 2c + p and 2f + q of the support of eps, sorted by last index:
+# the flat indices of x[a,d,g], y[b,e,j], eps_abc and eps_def
+_SUPPORT = sorted((sigma for sigma, _ in PERMS3), key=lambda sigma: sigma[2])
+_a, _b, _c, _d, _e, _f = np.array([s + t for s in _SUPPORT for t in _SUPPORT]).reshape(
+    3, 2, 3, 2, 6).transpose(4, 1, 3, 0, 2).reshape(6, 4, 9, 1)
+ADJUGATE_X = 9 * _a + 3 * _d + np.repeat(np.arange(3), 3)
+ADJUGATE_Y = 9 * _b + 3 * _e + np.tile(np.arange(3), 3)
+ADJUGATE_EPS = np.array([9 * _a + 3 * _b + _c, 9 * _d + 3 * _e + _f])
+
+
+def mixed_adjugate(x, y, symbol) -> np.ndarray:
+    """The 9x9 M[(c,f),(g,j)] = sum eps_abc eps_def x[a,d,g] y[b,e,j] of two 3x3x3
+    arrays, the mixed 2x2 cofactors of x[:,:,g] and y[:,:,j], exact on integer and
+    object arrays; `symbol` stands in for eps and is read on its support."""
+    eps = symbol.take(ADJUGATE_EPS)
+    return np.add.reduce(x.take(ADJUGATE_X) * y.take(ADJUGATE_Y) * (eps[0] * eps[1]), axis=0)
 
 
 def tangent_rows(a: np.ndarray) -> np.ndarray:

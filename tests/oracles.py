@@ -7,8 +7,9 @@ symbolically, identify the slots), the sparse transvectant engine that the
 dense `poly_engine.transvectant` replaced (omega expansions distributed over
 a factored triple) with the concomitant recipes on it, a dense form written out as a sparse polynomial, the numpy
 companion-matrix root finder, the slice cubic as a direct expansion of its
-determinant, the Aronhold brackets as loops over permutations, I6 and I9 as
-chains of einsum contractions against the Levi-Civita symbols, an all-pairs
+determinant, the Aronhold brackets as loops over permutations, the slice
+tensor, the Aronhold bracket, I6 and I9 as chains of einsum contractions
+against the Levi-Civita symbols, an all-pairs
 union-find, the form problem's candidate enumeration, check and sign
 filter as scalar loops, the first-order round-robin filtering iteration
 that the Newton steps of `slocc_normalize` replaced, the orbit dimension
@@ -785,6 +786,32 @@ def aronhold_raws_loop(coeffs: dict) -> tuple:
     c = _sym_tensor(coeffs)
     return (_bracket_loop(c, c, c, c),
             _bracket_loop(c, c, c, _sym_tensor(_hessian_coeffs(coeffs))))
+
+
+def slice_tensor_einsum(a, symbol=LEVI_CIVITA) -> np.ndarray:
+    """K[a,b,c] = eps_jlm eps_kno A[a,j,k] A[b,l,n] A[c,m,o] as a chain of
+    einsums in a fixed order (the contraction that `qutrit_state.slice_tensor`
+    replaced by a mixed adjugate), with `symbol` standing in for eps."""
+    t = np.einsum("jlm,ajk->almk", symbol, a)
+    t = np.einsum("almk,bln->amkbn", t, a)
+    t = np.einsum("amkbn,kno->ambo", t, symbol)
+    return np.einsum("ambo,cmo->abc", t, a)
+
+
+def bracket_einsum(t1, t2, t3, t4, symbol=LEVI_CIVITA):
+    """The bracket monomial (123)(124)(134)(234) of four 3x3x3 tensors,
+    eps_abc eps_def eps_ghi eps_jkl t1[a,d,g] t2[b,e,j] t3[c,h,k] t4[f,i,l],
+    as a chain of einsums in a fixed order (the contraction that
+    `concomitants.bracket` replaced by two mixed adjugates); any four tensors,
+    with `symbol` standing in for eps."""
+    e = symbol
+    u = np.einsum("adg,abc->dgbc", t1, e)
+    u = np.einsum("dgbc,bej->dgcej", u, t2)
+    u = np.einsum("dgcej,def->gcjf", u, e)
+    u = np.einsum("gcjf,chk->gjfhk", u, t3)
+    u = np.einsum("gjfhk,ghi->jfki", u, e)
+    v = np.einsum("fil,jkl->fijk", t4, e)
+    return np.einsum("jfki,fijk->", u, v)
 
 
 def _triple_tensor(a, symbol=LEVI_CIVITA) -> np.ndarray:

@@ -1,8 +1,10 @@
+import cmath
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -489,14 +491,35 @@ def test_unwritable_output_path_exits_invalid_input(tmp_path, capsys, argv):
 
 
 def test_non_finite_invariant_is_a_numerical_failure(tmp_path, capsys):
-    # at scale 1e30, I12 (degree 12) overflows to nan while I6 and I9 stay finite
+    # at scale 1e30, I12 (degree 12) overflows to nan while I6 and I9 stay
+    # finite; at 1e200 I6 does too.  classify refuses them as invariants does,
+    # and prints no JSON with nan in it
     path = tmp_path / "huge.json"
-    write_state(path, random_state(7).scaled(1e30))
-    code, out, err = run_cli(capsys, "invariants", str(path))
-    assert code == cli.EXIT_NUMERICAL
-    assert out == ""
-    assert err.startswith("numerical failure: invariant I12 is not finite")
-    assert len(err.strip().splitlines()) == 1
+    for scale, name in ((1e30, "I12"), (1e200, "I6")):
+        write_state(path, random_state(7).scaled(scale))
+        for command in ("invariants", "classify"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == cli.EXIT_NUMERICAL
+            assert out == ""
+            assert err.startswith(f"numerical failure: invariant {name} is not finite")
+            assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_overflow_raises_no_warning(tmp_path, capsys):
+    # at scale 1e200 the contractions of invariants and of the bounds
+    # overflow; each path silences numpy's warnings once, so under "error"
+    # every run still ends in its documented exit
+    s = random_state(7).scaled(1e200)
+    path = tmp_path / "huge.json"
+    write_state(path, s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not all(map(cmath.isfinite, concomitants.invariants(s)))
+        assert not all(map(math.isfinite, concomitants.invariant_bounds(s.amplitudes)))
+        for command in ("invariants", "classify", "normal-form"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == cli.EXIT_NUMERICAL and out == "", command
+            assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
 
 
 def test_classify_discriminant_out_of_float_range(tmp_path, capsys):

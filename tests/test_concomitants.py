@@ -21,6 +21,7 @@ from oracles import (
     MultiPoly,
     VariableRef,
     aronhold_raws_loop,
+    bracket_einsum,
     bundle_sparse,
     c12_prime_mirrors,
     calibration_report,
@@ -32,6 +33,7 @@ from oracles import (
     poly_eval,
     slice_cubic,
     slice_cubic_expansion,
+    slice_tensor_einsum,
     write_calibration_report,
 )
 
@@ -332,6 +334,45 @@ class TestMonomialSums:
                 assert abs(moved.i6 - base.i6) <= 1e-12 * abs(base.i6)
                 assert abs(moved.i9 - sign * base.i9) <= 1e-12 * abs(base.i9)
                 assert abs(moved.i12 - base.i12) <= 1e-12 * abs(base.i12)
+
+
+class TestMixedAdjugate:
+    """`slice_tensor` and `bracket` on the mixed adjugate against the einsum
+    chains they replaced: K, S = (K K K K) and T = (K K K H), H the slice
+    tensor of K."""
+
+    @staticmethod
+    def _contractions(amp, symbol, slice_tensor, bracket):
+        k = slice_tensor(amp, symbol)
+        return k, bracket(k, k, k, k, symbol), bracket(k, k, k, slice_tensor(k, symbol), symbol)
+
+    def test_integer_and_fraction_arrays_exact(self):
+        rng = np.random.default_rng(161)
+        arrays = [int_array(rng.integers(-3, 4, size=(3, 3, 3))) for _ in range(10)]
+        arrays.append(np.array([Fraction(int(n), int(d)) for n, d in
+                                zip(rng.integers(-9, 10, 27), rng.integers(1, 8, 27))],
+                               dtype=object).reshape(3, 3, 3))
+        for symbol in (con.LEVI_CIVITA, np.abs(con.LEVI_CIVITA)):
+            for amp in arrays:
+                k, s_raw, t_raw = self._contractions(amp, symbol, con.slice_tensor, con.bracket)
+                want_k, want_s, want_t = self._contractions(amp, symbol, slice_tensor_einsum,
+                                                            bracket_einsum)
+                assert k.dtype == object and np.array_equal(k, want_k)
+                assert (s_raw, t_raw) == (want_s, want_t) and s_raw != 0
+                assert type(s_raw) is type(want_s) and type(t_raw) is type(want_t)
+                # exact S and T give an exact Delta
+                assert isinstance(con.discriminant_delta(s_raw * con.ARONHOLD_S_SCALE,
+                                                         t_raw * con.ARONHOLD_T_SCALE), Fraction)
+
+    def test_float_states(self):
+        for seed in range(10):
+            amp = random_state(seed).amplitudes
+            k, s_raw, t_raw = self._contractions(amp, con.LEVI_CIVITA, con.slice_tensor,
+                                                 con.bracket)
+            want_k, want_s, want_t = self._contractions(amp, con.LEVI_CIVITA,
+                                                        slice_tensor_einsum, bracket_einsum)
+            assert np.max(np.abs(k - want_k)) <= 1e-13 * np.max(np.abs(want_k))
+            assert _max_rel((s_raw, t_raw), (want_s, want_t)) <= 1e-13
 
 
 class TestMinorSums:

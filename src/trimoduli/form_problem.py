@@ -7,10 +7,10 @@ K acts freely, and 216, 72, 27 or 1 on them.  The case analysis `_stratum`
 decides which, and `classify` is that decision alone.  `solve` returns the
 K-orbit of one point that reproduces (a, b, c) on `concomitants.c_formulas`
 and the sign datum on `concomitants.c9_formula`: a closed form on a
-degenerate stratum, and off the mirrors a row of the radical chain, a quartic
-for psi^2 = (u^3+v^3+w^3)^2, one cubic per psi-branch whose roots are
-{u^3, v^3, w^3}, then cube roots, each branch's candidates one complex (n, 3)
-array, checked and sign-filtered.
+degenerate stratum, and off the mirrors the row of a psi-branch of the
+radical chain (a quartic for psi^2 = (u^3+v^3+w^3)^2, one cubic per branch
+whose roots are {u^3, v^3, w^3}, their principal cube roots in the order of
+the sign datum), polished by Gauss-Newton steps on the invariants.
 """
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ CANONICAL_CASES = {
 }
 
 
-# relative residual within which a psi-branch or a candidate triple
-# reproduces the input invariants, and a kept triple's I9 the sign datum
+# relative residual within which a psi-branch or a row reproduces the input
+# invariants, and a row's I9 the sign datum
 RESIDUAL_TOL = 1e-6
 
 
@@ -88,7 +88,7 @@ class OrbitClass:
 class SolutionSet:
     """Solutions of the form problem as the rows (u, v, w) of one complex
     (n, 3) array; after `filter_sign`, sorted by (Re u, Im u, ..., Im w).
-    raw_count counts the rows of both sign classes, dropped the candidates
+    raw_count counts the rows of both sign classes, dropped the chain rows
     that failed the check, and filtered_count is the number of rows."""
     triples: np.ndarray
     raw_count: int
@@ -113,23 +113,19 @@ def solve_quadratic(a, b, c) -> list[complex]:
     return [q / a, c / q]
 
 
-def _root_scale(coeffs) -> float:
-    """Characteristic root magnitude max_k |a_k/a_n|^(1/(n-k)); keeps the
-    closed formulas inside floating-point range for badly scaled inputs."""
-    lead = abs(complex(coeffs[0]))
-    return max((abs(complex(c)) / lead) ** (1.0 / k) for k, c in enumerate(coeffs[1:], start=1))
-
-
 def _rescaled(solver, coeffs) -> list[complex] | None:
-    """Roots of a_n x^n + ... + a_0, a_n != 0, at root scale lam: all zero if
-    lam = 0; None if 0.5 < lam < 2; else lam times solver's roots for the
-    monic a_k / a_n / lam^k (0 where lam^k underflows, as |a_k / a_n| <= lam^k)."""
-    lam = _root_scale(coeffs)
+    """Roots of a_n x^n + ... + a_0, a_n != 0, at the characteristic root
+    magnitude lam = max_k |a_{n-k} / a_n|^(1/k), which keeps the closed formulas
+    in float range for badly scaled inputs: all zero if lam = 0; None if
+    0.5 < lam < 2; else lam times solver's roots for the monic coefficients
+    a_{n-k} / a_n / lam^k (0 where lam^k underflows, as |a_{n-k} / a_n| <= lam^k)."""
+    lead = complex(coeffs[0])
+    lam = max((abs(complex(c)) / abs(lead)) ** (1.0 / k)
+              for k, c in enumerate(coeffs[1:], start=1))
     if lam == 0.0:
         return [0j] * (len(coeffs) - 1)
     if 0.5 < lam < 2.0:
         return None
-    lead = complex(coeffs[0])
     scaled = solver(1.0, *(complex(c) / lead / lam ** k if lam ** k else 0j
                            for k, c in enumerate(coeffs[1:], start=1)))
     return [lam * r for r in scaled]
@@ -272,81 +268,83 @@ def solve_psi_system(inp: FormProblemInput) -> list[PsiBranch]:
     return branches
 
 
-# the six orderings of the three cube roots, and for each the 27 cube-root
-# choices (cu outer, cw inner) as rows of indices into a branch's 3x3 table
-# of choices (root, choice)
-_ORDERINGS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-_PICK_ORDERING = np.repeat(np.arange(6), 27)
-_PICK_ROOT = np.repeat(np.array(_ORDERINGS), 27, axis=0)
-_PICK_CHOICE = np.tile(np.indices((3, 3, 3)).reshape(3, 27).T, (6, 1))
-_PICKS = 3 * _PICK_ROOT + _PICK_CHOICE
-
-
-def _candidates(branches) -> np.ndarray:
-    """The (u, v, w) candidates of the branch cubics as rows, branch by
-    branch: distinct orderings of each branch's roots {u^3, v^3, w^3} times
-    all cube-root choices."""
-    table, n_choices, fresh = [], [], []  # table: (branch, root, choice)
-    for br in branches:
-        coeffs = [1.0, -br.psi, br.chi, -br.lam / 216]
-        clustered = cluster_roots(solve_cubic_radicals(*coeffs), coeffs)
-        cube_scale = max((abs(r) for r, _ in clustered), default=0.0)
-        expanded = [r for r, m in clustered for _ in range(m)]
-        for r in expanded:
-            nonzero = abs(r) > 1e-9 * max(cube_scale, 1e-300)  # else one cube root, 0
-            base = r ** (1.0 / 3.0) if nonzero else 0j
-            table += (base, base * _OMEGA, base * _OMEGA ** 2)
-            n_choices.append(3 if nonzero else 1)
-        # repeated roots are identical floats after clustering, so exact
-        # values dedup the orderings at any overall scale
-        orders = [tuple(expanded[k] for k in perm) for perm in _ORDERINGS]
-        fresh += (order not in orders[:i] for i, order in enumerate(orders))
-    rows = (np.array(fresh, dtype=bool).reshape(-1, 6)[:, _PICK_ORDERING]
-            & (_PICK_CHOICE < np.array(n_choices).reshape(-1, 3)[:, _PICK_ROOT]).all(axis=2))
-    branch, pick = np.nonzero(rows)
-    return np.array(table, dtype=complex).reshape(-1, 9)[branch[:, None], _PICKS[pick]]
-
-
-def _reproduces(rows: np.ndarray, inp: FormProblemInput) -> np.ndarray:
-    """Which rows reproduce (a, b, c) on `concomitants.c_formulas`, each
-    within RESIDUAL_TOL of the larger of its invariant and the power of the
-    characteristic parameter size of its degree."""
+def _scales(inp: FormProblemInput, i9: complex) -> tuple[tuple, tuple]:
+    """(a, i9, b, c), and the scale of each in the check and the polish of a
+    row: the larger of its modulus and the power of its degree of the
+    characteristic parameter size s of (a, b, c)."""
     a, b, c = complex(inp.a), complex(inp.b), complex(inp.c)
     s = max(abs(a) ** (1 / 6), abs(b) ** (1 / 12), abs(c) ** (1 / 18), 1e-30)
-    den6, den12, den18 = max(abs(a), s ** 6), max(abs(b), s ** 12), max(abs(c), s ** 18)
-    c6, _, c12, c18 = concomitants.c_formulas(*rows.T)
-    return ((np.abs(c6 - a) <= RESIDUAL_TOL * den6)
-            & (np.abs(c12 - b) <= RESIDUAL_TOL * den12)
-            & (np.abs(c18 - c) <= RESIDUAL_TOL * den18))
+    return (a, i9, b, c), tuple(max(abs(x), s ** d) for x, d in zip((a, i9, b, c), (6, 9, 12, 18)))
 
 
-def _matches_sign(rows: np.ndarray, i9: complex) -> np.ndarray:
-    """Which rows have the alternating invariant i9, within RESIDUAL_TOL
-    times the natural degree-9 scale of the rows (with |i9| as a lower
-    bound), so the two sign classes stay separated whatever the overall
-    normalization of the input."""
-    pt_scale = float(np.abs(rows).max(initial=0.0))
-    threshold = RESIDUAL_TOL * max(abs(i9), pt_scale ** 9, 1e-300)
-    return np.abs(concomitants.c9_formula(*rows.T) - i9) < threshold
+def _reproduces(row, inp: FormProblemInput) -> bool:
+    """Whether a row (u, v, w) of Python complex numbers reproduces (a, b, c)
+    on `concomitants.c_formulas`, each within RESIDUAL_TOL of its `_scales`."""
+    got, (want, dens) = concomitants.c_formulas(*row), _scales(inp, 0j)
+    return all(abs(got[k] - want[k]) <= RESIDUAL_TOL * dens[k] for k in (0, 2, 3))
+
+
+def _matches_sign(row, i9: complex) -> bool:
+    """Whether a row of Python complex numbers has the alternating invariant i9
+    within RESIDUAL_TOL of |i9| or, if larger, the row's degree-9 scale."""
+    threshold = RESIDUAL_TOL * max(abs(i9), max(map(abs, row)) ** 9, 1e-300)
+    return abs(concomitants.c9_formula(*row) - i9) < threshold
+
+
+def _jacobian(row) -> np.ndarray:
+    """d(C6, C9, C12, C18) / d(u, v, w) at a row: 3 x^2 times the partials in
+    X = x^3, with (X, Y, Z) a cyclic shift of the cubes, through psi, chi
+    (d chi = psi - X) and lam (d lam = 216 Y Z); d C9 = (Y - Z)(2X - Y - Z)."""
+    cubes = [x * (x * x) for x in row]
+    psi, lam = sum(cubes), 216 * (cubes[0] * cubes[1] * cubes[2])
+    psi2, psi3 = psi * psi, psi * psi * psi
+    cols = []
+    for x, cx, cy, cz in zip(row, cubes, cubes[1:] + cubes[:1], cubes[2:] + cubes[:2]):
+        dlam = 216 * (cy * cz)
+        partials = (12 * cx - 10 * psi, (cy - cz) * (2 * cx - cy - cz),
+                    4 * psi3 + lam + psi * dlam,
+                    6 * psi3 * psi2 - 7.5 * lam * psi2 - (2.5 * psi3 + 0.25 * lam) * dlam)
+        cols.append([3 * (x * x) * d for d in partials])
+    return np.array(cols).T
+
+
+def _chain_row(br: PsiBranch, inp: FormProblemInput, i9: complex) -> tuple:
+    """The row of a psi-branch: the principal cube roots of its cubic's roots,
+    unclustered, in the order (0, 1, 2) or (0, 2, 1) whose C9 is nearer i9,
+    then two Gauss-Newton steps on (C6, C9, C12, C18) - (a, i9, b, c) over
+    their `_scales`.  Off the mirrors the Jacobian has full rank: C9 parts
+    cubes that nearly meet (next to a mirror of B), C18 holds the rest."""
+    x = [r ** (1 / 3) for r in solve_cubic_radicals(1.0, -br.psi, br.chi, -br.lam / 216)]
+    c9 = concomitants.c9_formula(*x)
+    if abs(c9 - i9) > abs(c9 + i9):
+        x = [x[0], x[2], x[1]]
+    target, dens = map(np.array, _scales(inp, i9))
+    for _ in range(2):
+        res = (np.array(concomitants.c_formulas(*x)) - target) / dens
+        jac = _jacobian(x) / dens[:, None]
+        if not (np.isfinite(res).all() and np.isfinite(jac).all()):
+            break  # the row then fails `_reproduces`
+        x = [xj - d for xj, d in zip(x, np.linalg.lstsq(jac, res, rcond=None)[0].tolist())]
+    return tuple(x)
 
 
 def enumerate_triples(branches, inp: FormProblemInput) -> SolutionSet:
-    """All (u, v, w) from the branch cubics: orderings of {u^3, v^3, w^3}
-    times all cube-root choices, the ones that reproduce (a, b, c) kept.
-    The rows are not sorted; `filter_sign` sorts the ones it keeps."""
-    cands = _candidates(branches)
-    ok = _reproduces(cands, inp)
-    return SolutionSet(triples=cands[ok], raw_count=int(np.count_nonzero(ok)),
-                       dropped=int(np.count_nonzero(~ok)))
+    """One `_chain_row` per psi-branch for the sign datum of `_unit_invariants`,
+    kept where it reproduces (a, b, c), the others counted in dropped."""
+    i9, _ = _unit_invariants(inp)
+    rows = [_chain_row(br, inp, i9) for br in branches]
+    kept = [row for row in rows if _reproduces(row, inp)]
+    return SolutionSet(triples=np.array(kept, dtype=complex).reshape(-1, 3),
+                       raw_count=len(kept), dropped=len(rows) - len(kept))
 
 
 def filter_sign(raw: SolutionSet, i9: complex) -> SolutionSet:
     """Keep the rows of raw.triples whose alternating invariant matches i9,
     in `reflection_group.sort_rows` order."""
-    kept = raw.triples[_matches_sign(raw.triples, i9)]
-    if not len(kept):
+    kept = [row for row in raw.triples.tolist() if _matches_sign(row, i9)]
+    if not kept:
         raise _sign_mismatch(i9)
-    return replace(raw, triples=reflection_group.sort_rows(kept))
+    return replace(raw, triples=reflection_group.sort_rows(np.array(kept, dtype=complex)))
 
 
 def _delta(a: complex, b: complex, c: complex) -> complex:
@@ -424,21 +422,19 @@ def _stratum(a: complex, b: complex, c: complex, i9: complex):
 
 def _closed_form_row(inp: FormProblemInput, i9: complex, form) -> np.ndarray:
     """A stratum's closed-form point as a (1, 3) row, checked as a chain row is."""
-    row = np.array([form(complex(inp.a), complex(inp.b), complex(inp.c), i9)])
-    if not (_reproduces(row, inp) & _matches_sign(row, i9))[0]:
+    row = form(complex(inp.a), complex(inp.b), complex(inp.c), i9)
+    if not (_reproduces(row, inp) and _matches_sign(row, i9)):
         raise _sign_mismatch(i9)
-    return row
+    return np.array([row])
 
 
 def solve(inp: FormProblemInput) -> SolutionSet:
     """The K-orbit of one checked, sign-correct point, of the size that
     `_stratum` decides, with i9 inferred from delta when absent.  The point
-    is a degenerate stratum's closed form, or off the mirrors a row of the
-    radical chain: of the first psi-branch, or of all branches where that
-    keeps no row of the sign (next to a mirror of B).  raw_count counts the
-    points of both sign classes, dropped the chain's rejected candidates.
-    The set is `orbit(group_k(), triples[0])` bit for bit: what `trimoduli
-    orbit --full` prints for the first triple that `solve --full` prints."""
+    is a degenerate stratum's closed form, or off the mirrors the polished
+    row of the first psi-branch (of all branches where that has no row of
+    the sign).  The set is `orbit(group_k(), triples[0])` bit for bit: what
+    `trimoduli orbit --full` prints for the first triple of `solve --full`."""
     i9, unit = _unit_invariants(inp)
     count, form = _stratum(*unit)
     if form is None:
@@ -467,7 +463,7 @@ def solve(inp: FormProblemInput) -> SolutionSet:
     if len(pts) != count:
         raise FormProblemError(f"the orbit of a solved point has {len(pts)} points, not {count}")
     # the two sign classes coincide where the point also matches -i9
-    sign_classes = 1 if _matches_sign(one.triples[:1], -i9)[0] else 2
+    sign_classes = 1 if _matches_sign(one.triples[0].tolist(), -i9) else 2
     return replace(one, triples=pts, raw_count=count * sign_classes)
 
 

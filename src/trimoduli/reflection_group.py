@@ -1,28 +1,22 @@
 """The symmetry groups of the normal forms, as integer arrays and complex matrices.
 
-The order-1296 group is generated by the five matrices of Table `generators`;
-dropping the bare swap B leaves the index-2 reflection subgroup of order 648
-whose polynomial invariants are exactly the closed normal-form invariants
-(G26 and G25 in the Shephard-Todd list).  Every entry of every group element
-lies in (1/3)Z[eps], so an element is stored as 3 * entry in integer pairs,
-18 ints.  One vectorised integer product, `_product`, serves the exact
-arithmetic: each round of the closure is one product of the frontier with
-the generators, the order-1296 group is the order-648 group K together with
-its coset K.B, and `is_unitary` is one product of the elements with their
-conjugate transposes.  A group is one sorted (n, 18) int64 array of its
-elements plus the (n, 3, 3) complex stack built once from that array.  The
-invariance proof takes the same integer pairs as `Eisenstein` scalars and
-evaluates `concomitants.c_formulas` on the linear forms 3g.x, each a
-`poly_engine.Poly`.
+The order-1296 group is generated by the five matrices of `generators`;
+dropping the bare swap B leaves the index-2 reflection subgroup K of order
+648 whose polynomial invariants are exactly the closed normal-form
+invariants (G26 and G25 in the Shephard-Todd list).  Every entry of every
+element lies in (1/3)Z[eps], so an element is 3 * entry in integer pairs,
+18 ints, and one vectorised integer product, `_product`, serves the closure,
+the coset K.B and `is_unitary`.  A group is one sorted (n, 18) int64 array of
+its elements plus the (n, 3, 3) complex stack built once from it; the
+invariance proof evaluates `concomitants.c_formulas` on the linear forms 3g.x
+with `Eisenstein` coefficients.
 
-`orbit` and `stabilizer` act by the stack on a triple of any scalar that
-converts to a Python complex; a stabilizer keeps its rows of the array and
-of the stack, and `stabilizer_type` labels it by probes on those
-matrices, which decide exactly because their entries are Eisenstein numbers
-with a bounded denominator.  A float triple set is one complex (n, 3) array:
-`sort_rows` orders the rows, here and in the form problem, and
-`cluster_points` (candidate pairs from a sort along one direction, then a
-union of the pairs within the radius) groups the near images of `orbit`.
+`orbit` and `stabilizer` act by the stack on a triple of any scalars that
+convert to Python complex, and `stabilizer_type` labels a stabilizer by
+exact probes on its matrices.  A float triple set is one complex (n, 3)
+array: `sort_rows` orders the rows, and `cluster_points` groups the near
+images of `orbit`, as the runs of a sort along one direction where each run
+is a star, else by a union of the pairs within the radius.
 """
 from __future__ import annotations
 
@@ -114,9 +108,7 @@ def generators() -> dict:
     ints each: A cycles (u,v,w); B swaps v,w; C and D rescale by cube roots
     of unity; E is the eps-Fourier matrix with exact prefactor
     1/(i sqrt 3) = (eps^2-eps)/3.  In 3 * entry: 1 is (3, 0), eps is (0, 3),
-    eps^2 = -1 - eps is (-3, -3), and E's entries are 3 * (eps^2-eps)/3 times
-    1, eps and eps^2, that is -1 - 2eps, 2 + eps and -1 + eps.
-    """
+    eps^2 = -1 - eps is (-3, -3), and E's are -1 - 2eps, 2 + eps, -1 + eps."""
     o, one, e, e2 = (0, 0), (3, 0), (0, 3), (-3, -3)
     p, q, r = (-1, -2), (2, 1), (-1, 1)
     entries = {
@@ -186,10 +178,9 @@ def group_k() -> MatrixGroup:
 
 @lru_cache(maxsize=None)
 def group_h() -> MatrixGroup:
-    """The order-1296 supergroup including the bare swap B: K has index 2 in
-    it and B is not in K, so it is K together with the coset K.B.  Its
-    generators are K's and B, and its rows are sorted as `generate_closure`
-    sorts them."""
+    """The order-1296 supergroup including the bare swap B, not in K: K with
+    its coset K.B, generated by K's generators and B, its rows sorted as
+    `generate_closure` sorts them."""
     g = generators()
     k = group_k()
     ints = np.concatenate([k.ints, _product(k.ints, np.array(g["B"])) // 3])
@@ -232,10 +223,10 @@ def orbit(group: MatrixGroup, triple) -> np.ndarray:
     to Python complex numbers: a complex (n, 3) array in `sort_rows` order,
     the first image in that order of each cluster of the images within 1e-9
     times their largest real or imaginary part, so its size does not depend
-    on the scale of the triple.  The images are those of the triple times the power
-    of two that brings it to unit size (`unit_size`), scaled back, so that
-    no squared distance leaves the float range; a result in the normal range
-    keeps its bits.  The orbit of zero is the zero row, without clustering."""
+    on the scale of the triple.  The images are those of the triple at unit
+    size (`unit_size`), scaled back, so that no squared distance leaves the
+    float range; a result in the normal range keeps its bits.  The orbit of
+    zero is the zero row, without clustering."""
     t, e = unit_size(triple)
     if not t.any():
         return np.zeros((1, 3), dtype=complex)
@@ -252,9 +243,9 @@ def sort_rows(pts: np.ndarray) -> np.ndarray:
     return pts[np.lexsort(pts.T[::-1])]
 
 
-# a fixed unit direction with distinct, non-zero components, so that rows
-# differing in any coordinate rarely project to the same value
-_PROJECTION = np.linspace(1.0, 2.0, 6) / np.linalg.norm(np.linspace(1.0, 2.0, 6))
+# a fixed unit direction with weights independent over Q(sqrt 3), which holds the parts
+# of the orbit points of (0, 1, -1), (1, 0, 0) and (1, 1, 0): distinct ones project apart
+_PROJECTION = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0]) / np.sqrt(41.0)
 
 
 def cluster_points(flat: np.ndarray, radius: float) -> np.ndarray:
@@ -264,28 +255,43 @@ def cluster_points(flat: np.ndarray, radius: float) -> np.ndarray:
 
     The rows are sorted by their projection on a fixed unit direction.  The
     projection shrinks distances, so the projections of a close pair are at
-    most radius apart, up to a rounding margin: `reach`.  One `searchsorted`
-    on a window 2 * reach wide gives each row its candidates later in the
-    sorted order, a candidate stays when its projected gap is at most reach,
-    and a pair is kept when its full squared distance, summed column by
-    column, is at most radius**2."""
+    most radius apart, up to a rounding margin: `reach`.  No pair crosses a
+    gap above reach, so those gaps split the sorted rows into runs.  Where
+    every row lies within radius of its run's first row, each run is a
+    cluster; otherwise `_pair_labels` joins the pairs.  A distance is its
+    square, summed column by column, against radius**2."""
     n = len(flat)
     labels = np.arange(n)
-    if n < 2:
-        return labels
     proj = flat @ _PROJECTION
     # a margin for the rounding of the projections and of the distances, so
     # that no pair within radius is missed (d * max|flat| bounds the 1-norm
     # of a row of d columns)
     d = flat.shape[1]
-    rounding = 8 * d * np.finfo(float).eps * d * float(np.abs(flat).max())
+    rounding = 8 * d * np.finfo(float).eps * d * float(np.abs(flat).max(initial=0.0))
     reach = radius * (1 + 1e-9) + rounding
     order = np.argsort(proj)
     ranked = proj[order]
-    if not (ranked[1:] - ranked[:-1] <= reach).any():
-        return labels  # no neighbouring gap within reach, so no pair at all
-    # the wider window keeps the rounding of ranked + reach from dropping a
-    # candidate; the gap test below is the exact one
+    split = ~(ranked[1:] - ranked[:-1] <= reach)
+    if split.all():
+        return labels  # every run is one row, or there is at most one row
+    starts = np.flatnonzero(np.concatenate([[True], split]))
+    run = np.concatenate([[0], np.cumsum(split)])
+    diff = flat[order] - flat[order[starts]][run]
+    d2 = np.zeros(n)
+    for col in diff.T:
+        d2 += col * col
+    if (d2 <= radius * radius).all():
+        labels[order] = np.minimum.reduceat(order, starts)[run]
+        return labels
+    return _pair_labels(labels, flat, radius, order, ranked, reach)
+
+
+def _pair_labels(labels, flat, radius, order, ranked, reach) -> np.ndarray:
+    """`cluster_points` by a union of the pairs within radius among the rows
+    whose projections lie at most reach apart."""
+    n = len(labels)
+    # candidates later in the sorted order from a window 2 * reach wide, so
+    # that rounding drops none; the gap test below is the exact one
     ends = np.searchsorted(ranked, ranked + 2 * reach, side="right")
     counts = ends - np.arange(1, n + 1)
     p = np.repeat(np.arange(n), counts)
@@ -312,12 +318,10 @@ def cluster_points(flat: np.ndarray, radius: float) -> np.ndarray:
 
 def stabilizer(group: MatrixGroup, triple, tol: float = 1e-9) -> MatrixGroup:
     """Subgroup fixing a triple of scalars that convert to Python complex
-    numbers, selected on the complex
-    matrices: the test allows tol times the largest entry of the triple, so
-    the subgroup does not depend on the scale of the triple.  The subgroup
-    keeps its rows of the group's integer array and complex matrices.  The
-    test runs on the triple at unit size (`unit_size`), so that a subnormal
-    triple keeps a tolerance above zero."""
+    numbers, selected on the complex matrices at tol times the largest entry
+    of the triple at unit size (`unit_size`): the subgroup does not depend
+    on the scale, and a subnormal triple keeps a tolerance above zero.  It
+    keeps its rows of the group's integer array and complex matrices."""
     t, _ = unit_size(triple)
     scale = float(np.max(np.abs(t)))
     fixed = np.max(np.abs(group.matrices @ t - t), axis=1) <= tol * scale

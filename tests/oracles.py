@@ -11,7 +11,8 @@ determinant, the Aronhold brackets as loops over permutations, the slice
 tensor, the Aronhold bracket, I6 and I9 as chains of einsum contractions
 against the Levi-Civita symbols, an all-pairs
 union-find, the form problem's candidate enumeration, check and sign
-filter as scalar loops, the first-order round-robin filtering iteration
+filter, as whole arrays (the oracle of the orbit that `solve` returns) and
+as scalar loops, the first-order round-robin filtering iteration
 that the Newton steps of `slocc_normalize` replaced, the orbit dimension
 of a state, the composition and the identity of local transforms,
 `Cyclo`, the exact field Q(eps) of the group entries, with the 18 ints of
@@ -45,6 +46,7 @@ from trimoduli.concomitants import (
     _CAL_TRIPLES,
     _fit_constant,
     c12_prime,
+    c9_formula,
     c_formulas,
     c_polynomials,
     calibration,
@@ -892,6 +894,87 @@ def cvalues_scalar(u, v, w):
     c12 = psi ** 4 + lam * psi
     c18 = psi ** 6 - 2.5 * lam * psi ** 3 - 0.125 * lam * lam
     return c6, c9, c12, c18
+
+
+# the six orderings of the three cube roots, and for each the 27 cube-root
+# choices (cu outer, cw inner) as rows of indices into a branch's 3x3 table
+# of choices (root, choice)
+_ORDERINGS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+_PICK_ORDERING = np.repeat(np.arange(6), 27)
+_PICK_ROOT = np.repeat(np.array(_ORDERINGS), 27, axis=0)
+_PICK_CHOICE = np.tile(np.indices((3, 3, 3)).reshape(3, 27).T, (6, 1))
+_PICKS = 3 * _PICK_ROOT + _PICK_CHOICE
+
+
+def _candidates(branches) -> np.ndarray:
+    """The (u, v, w) candidates of the branch cubics as rows, branch by
+    branch: distinct orderings of each branch's roots {u^3, v^3, w^3} times
+    all cube-root choices."""
+    table, n_choices, fresh = [], [], []  # table: (branch, root, choice)
+    for br in branches:
+        coeffs = [1.0, -br.psi, br.chi, -br.lam / 216]
+        clustered = fp.cluster_roots(fp.solve_cubic_radicals(*coeffs), coeffs)
+        cube_scale = max((abs(r) for r, _ in clustered), default=0.0)
+        expanded = [r for r, m in clustered for _ in range(m)]
+        for r in expanded:
+            nonzero = abs(r) > 1e-9 * max(cube_scale, 1e-300)  # else one cube root, 0
+            base = r ** (1.0 / 3.0) if nonzero else 0j
+            table += (base, base * fp._OMEGA, base * fp._OMEGA ** 2)
+            n_choices.append(3 if nonzero else 1)
+        # repeated roots are identical floats after clustering, so exact
+        # values dedup the orderings at any overall scale
+        orders = [tuple(expanded[k] for k in perm) for perm in _ORDERINGS]
+        fresh += (order not in orders[:i] for i, order in enumerate(orders))
+    rows = (np.array(fresh, dtype=bool).reshape(-1, 6)[:, _PICK_ORDERING]
+            & (_PICK_CHOICE < np.array(n_choices).reshape(-1, 3)[:, _PICK_ROOT]).all(axis=2))
+    branch, pick = np.nonzero(rows)
+    return np.array(table, dtype=complex).reshape(-1, 9)[branch[:, None], _PICKS[pick]]
+
+
+def reproduces_rows(rows: np.ndarray, inp) -> np.ndarray:
+    """Which rows of a complex (n, 3) array pass the check of
+    `form_problem._reproduces`, in one pass of `c_formulas` on the columns."""
+    (a, _, b, c), (den6, _, den12, den18) = fp._scales(inp, 0j)
+    c6, _, c12, c18 = c_formulas(*rows.T)
+    return ((np.abs(c6 - a) <= fp.RESIDUAL_TOL * den6)
+            & (np.abs(c12 - b) <= fp.RESIDUAL_TOL * den12)
+            & (np.abs(c18 - c) <= fp.RESIDUAL_TOL * den18))
+
+
+def matches_sign_rows(rows: np.ndarray, i9: complex) -> np.ndarray:
+    """Which rows of a complex (n, 3) array pass the sign test of
+    `form_problem._matches_sign`, its scale taken over all the rows."""
+    pt_scale = float(np.abs(rows).max(initial=0.0))
+    threshold = fp.RESIDUAL_TOL * max(abs(i9), pt_scale ** 9, 1e-300)
+    return np.abs(c9_formula(*rows.T) - i9) < threshold
+
+
+def enumerate_triples_array(branches, inp) -> fp.SolutionSet:
+    """All (u, v, w) from the branch cubics, as one complex array: orderings
+    of {u^3, v^3, w^3} times all cube-root choices (162 rows per generic
+    branch), the ones that reproduce (a, b, c) kept.  The rows are not
+    sorted; `filter_sign_array` sorts the ones it keeps."""
+    cands = _candidates(branches)
+    ok = reproduces_rows(cands, inp)
+    return fp.SolutionSet(triples=cands[ok], raw_count=int(np.count_nonzero(ok)),
+                          dropped=int(np.count_nonzero(~ok)))
+
+
+def filter_sign_array(raw: fp.SolutionSet, i9: complex) -> fp.SolutionSet:
+    """Keep the rows of raw.triples whose alternating invariant matches i9,
+    in `reflection_group.sort_rows` order."""
+    kept = raw.triples[matches_sign_rows(raw.triples, i9)]
+    if not len(kept):
+        raise fp._sign_mismatch(i9)
+    return fp.SolutionSet(triples=rg.sort_rows(kept), raw_count=raw.raw_count,
+                          dropped=raw.dropped)
+
+
+def solve_enumerated(inp) -> fp.SolutionSet:
+    """All psi-branches enumerated as arrays and sign-filtered: the oracle of
+    the orbit that `form_problem.solve` returns."""
+    i9, _ = fp._unit_invariants(inp)
+    return filter_sign_array(enumerate_triples_array(fp.solve_psi_system(inp), inp), i9)
 
 
 def enumerate_triples_loop(branches, inp):

@@ -365,14 +365,45 @@ def _planted_cloud(seed, radius):
     return cloud[rng.permutation(len(cloud))]
 
 
+def _pair_union_calls(monkeypatch):
+    """A list that grows by one entry at each call of `_pair_labels`, the
+    pair union of `cluster_points`."""
+    calls = []
+    pair_labels = rg._pair_labels
+    monkeypatch.setattr(rg, "_pair_labels",
+                        lambda *args: calls.append(len(args[0])) or pair_labels(*args))
+    return calls
+
+
 class TestClusterPoints:
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_brute_force(self, seed):
+    def test_matches_brute_force(self, seed, monkeypatch):
         radius = 2.0 ** -(3 * seed + 10)
         cloud = _planted_cloud(seed, radius)
+        calls = _pair_union_calls(monkeypatch)
         labels = rg.cluster_points(cloud, radius)
         assert np.array_equal(labels, cluster_labels_brute(cloud, radius))
         assert len(np.unique(labels)) < len(cloud)
+        assert calls == [len(cloud)]
+
+    def test_orbits_take_the_run_path(self, group_k, monkeypatch):
+        # the images that `orbit` clusters, of a generic point, of one point
+        # of the 27- and 72-point strata, and of an edge point and a mirror
+        # point of the 216-point stratum: every run of projections is a
+        # star of images within the radius of its first, so the labels come
+        # from the runs and the pair union never runs
+        calls = _pair_union_calls(monkeypatch)
+        points = ((random_parameter_triple(81), 648), ((0, 1, -1), 27), ((1, 0, 0), 72),
+                  ((1, 1, 0), 216), ((0, 0.4 - 0.8j, 1.3 + 0.2j), 216))
+        for point, size in points:
+            t, _ = rg.unit_size(point)
+            pts = rg.sort_rows(group_k.matrices @ t)
+            flat = np.column_stack([pts.real, pts.imag])
+            radius = 1e-9 * float(np.max(np.abs(flat)))
+            labels = rg.cluster_points(flat, radius)
+            assert np.array_equal(labels, cluster_labels_brute(flat, radius)), point
+            assert len(np.unique(labels)) == size
+        assert calls == []
 
     def test_stratum_rows_sharing_coordinates(self, group_k):
         # the 27-point orbit of each of the 648 rows, as solve meets it on
@@ -386,10 +417,10 @@ class TestClusterPoints:
         assert np.array_equal(rg.cluster_points(np.zeros((648, 6)), 1e-12), np.zeros(648))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_noisy_stratum_orbits_match_brute_force(self, group_k, seed):
+    def test_noisy_stratum_orbits_match_brute_force(self, group_k, seed, monkeypatch):
         # the 648 images of a complex multiple of a stratum point, each moved
-        # by noise of length up to the radius; the 27-point orbit has rows
-        # with equal projections
+        # by noise of length up to the radius, so that runs are no stars
+        calls = _pair_union_calls(monkeypatch)
         rng = np.random.default_rng(seed)
         for point in ((0.3 + 0.1j, -0.7j, 1.1), (1, 1, 0), (1, 0, 0), (0, 1, -1)):
             t = np.array([complex(c) for c in point]) * complex(*rng.standard_normal(2))
@@ -402,6 +433,7 @@ class TestClusterPoints:
                 for rows in (flat, noisy, noisy[:40]):
                     labels = rg.cluster_points(rows, radius)
                     assert np.array_equal(labels, cluster_labels_brute(rows, radius)), (point, radius)
+        assert calls
 
     def test_small_inputs(self):
         flat = np.array([[0.0, 1, 2, 3, 4, 5], [0.0, 1, 2, 3, 4, 5 + 1e-10]])

@@ -432,17 +432,13 @@ def solve(inp: FormProblemInput) -> SolutionSet:
     """The K-orbit of one checked, sign-correct point, of the size that
     `_stratum` decides, with i9 inferred from delta when absent.  The point
     is a degenerate stratum's closed form, or off the mirrors the polished
-    row of the first psi-branch (of all branches where that has no row of
-    the sign).  The set is `orbit(group_k(), triples[0])` bit for bit: what
-    `trimoduli orbit --full` prints for the first triple of `solve --full`."""
+    row of the first psi-branch.  The set is `orbit(group_k(), triples[0])`
+    bit for bit: what `trimoduli orbit --full` prints for the first triple
+    of `solve --full`."""
     i9, unit = _unit_invariants(inp)
     count, form = _stratum(*unit)
     if form is None:
-        branches = solve_psi_system(inp)
-        try:
-            one = filter_sign(enumerate_triples(branches[:1], inp), i9)
-        except FormProblemError:
-            one = filter_sign(enumerate_triples(branches, inp), i9)
+        one = filter_sign(enumerate_triples(solve_psi_system(inp)[:1], inp), i9)
     else:
         one = SolutionSet(triples=_closed_form_row(inp, i9, form), raw_count=1, dropped=0)
     group = reflection_group.group_k()

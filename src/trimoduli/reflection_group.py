@@ -108,7 +108,9 @@ def generators() -> dict:
     ints each: A cycles (u,v,w); B swaps v,w; C and D rescale by cube roots
     of unity; E is the eps-Fourier matrix with exact prefactor
     1/(i sqrt 3) = (eps^2-eps)/3.  In 3 * entry: 1 is (3, 0), eps is (0, 3),
-    eps^2 = -1 - eps is (-3, -3), and E's are -1 - 2eps, 2 + eps, -1 + eps."""
+    eps^2 = -1 - eps is (-3, -3), and E's entries are 3 * (eps^2-eps)/3 times
+    1, eps and eps^2, that is -1 - 2eps, 2 + eps and -1 + eps.
+    """
     o, one, e, e2 = (0, 0), (3, 0), (0, 3), (-3, -3)
     p, q, r = (-1, -2), (2, 1), (-1, 1)
     entries = {
@@ -178,9 +180,10 @@ def group_k() -> MatrixGroup:
 
 @lru_cache(maxsize=None)
 def group_h() -> MatrixGroup:
-    """The order-1296 supergroup including the bare swap B, not in K: K with
-    its coset K.B, generated by K's generators and B, its rows sorted as
-    `generate_closure` sorts them."""
+    """The order-1296 supergroup including the bare swap B: K has index 2 in
+    it and B is not in K, so it is K together with the coset K.B.  Its
+    generators are K's and B, and its rows are sorted as `generate_closure`
+    sorts them."""
     g = generators()
     k = group_k()
     ints = np.concatenate([k.ints, _product(k.ints, np.array(g["B"])) // 3])
@@ -223,10 +226,10 @@ def orbit(group: MatrixGroup, triple) -> np.ndarray:
     to Python complex numbers: a complex (n, 3) array in `sort_rows` order,
     the first image in that order of each cluster of the images within 1e-9
     times their largest real or imaginary part, so its size does not depend
-    on the scale of the triple.  The images are those of the triple at unit
-    size (`unit_size`), scaled back, so that no squared distance leaves the
-    float range; a result in the normal range keeps its bits.  The orbit of
-    zero is the zero row, without clustering."""
+    on the scale of the triple.  The images are those of the triple times the power
+    of two that brings it to unit size (`unit_size`), scaled back, so that
+    no squared distance leaves the float range; a result in the normal range
+    keeps its bits.  The orbit of zero is the zero row, without clustering."""
     t, e = unit_size(triple)
     if not t.any():
         return np.zeros((1, 3), dtype=complex)
@@ -243,8 +246,7 @@ def sort_rows(pts: np.ndarray) -> np.ndarray:
     return pts[np.lexsort(pts.T[::-1])]
 
 
-# a fixed unit direction with weights independent over Q(sqrt 3), which holds the parts
-# of the orbit points of (0, 1, -1), (1, 0, 0) and (1, 1, 0): distinct ones project apart
+# a unit direction with weights independent over Q(sqrt 3): orbit points project apart
 _PROJECTION = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0]) / np.sqrt(41.0)
 
 
@@ -318,10 +320,12 @@ def _pair_labels(labels, flat, radius, order, ranked, reach) -> np.ndarray:
 
 def stabilizer(group: MatrixGroup, triple, tol: float = 1e-9) -> MatrixGroup:
     """Subgroup fixing a triple of scalars that convert to Python complex
-    numbers, selected on the complex matrices at tol times the largest entry
-    of the triple at unit size (`unit_size`): the subgroup does not depend
-    on the scale, and a subnormal triple keeps a tolerance above zero.  It
-    keeps its rows of the group's integer array and complex matrices."""
+    numbers, selected on the complex
+    matrices: the test allows tol times the largest entry of the triple, so
+    the subgroup does not depend on the scale of the triple.  The subgroup
+    keeps its rows of the group's integer array and complex matrices.  The
+    test runs on the triple at unit size (`unit_size`), so that a subnormal
+    triple keeps a tolerance above zero."""
     t, _ = unit_size(triple)
     scale = float(np.max(np.abs(t)))
     fixed = np.max(np.abs(group.matrices @ t - t), axis=1) <= tol * scale

@@ -27,10 +27,11 @@ EXIT_VERIFICATION = 3
 
 def _fmt(value) -> str:
     if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == complex:
-        # a triple set: a row template repeated per row, filled by one %
-        row = "[" + ", ".join(["[%.17g, %.17g]"] * value.shape[1]) + "]"
-        text = "[" + ", ".join([row] * len(value)) + "]"
-        return text % tuple(np.ascontiguousarray(value).view(float).ravel().tolist())
+        # a triple set: each distinct float (by its bits) formatted once, one % fills the rows
+        bits, index = np.unique(np.ascontiguousarray(value).view(np.uint64), return_inverse=True)
+        texts = np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)
+        row = "[" + ", ".join(["[%s, %s]"] * value.shape[1]) + "]"
+        return "[" + ", ".join([row] * len(value)) % tuple(texts[index.ravel()].tolist()) + "]"
     if isinstance(value, complex):
         return f"[{value.real:.17g}, {value.imag:.17g}]"
     if value is None or isinstance(value, (bool, int, str)):

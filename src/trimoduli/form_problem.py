@@ -87,7 +87,7 @@ class OrbitClass:
 @dataclass
 class SolutionSet:
     """Solutions of the form problem as the rows (u, v, w) of one complex
-    (n, 3) array; after `filter_sign`, sorted by (Re u, Im u, ..., Im w).
+    (n, 3) array; after `solve`, sorted by (Re u, Im u, ..., Im w).
     raw_count counts the rows of both sign classes, dropped the chain rows
     that failed the check, and filtered_count is the number of rows."""
     triples: np.ndarray
@@ -339,12 +339,11 @@ def enumerate_triples(branches, inp: FormProblemInput) -> SolutionSet:
 
 
 def filter_sign(raw: SolutionSet, i9: complex) -> SolutionSet:
-    """Keep the rows of raw.triples whose alternating invariant matches i9,
-    in `reflection_group.sort_rows` order."""
+    """Keep the rows of raw.triples whose alternating invariant matches i9."""
     kept = [row for row in raw.triples.tolist() if _matches_sign(row, i9)]
     if not kept:
         raise _sign_mismatch(i9)
-    return replace(raw, triples=reflection_group.sort_rows(np.array(kept, dtype=complex)))
+    return replace(raw, triples=np.array(kept, dtype=complex))
 
 
 def _delta(a: complex, b: complex, c: complex) -> complex:
@@ -442,13 +441,11 @@ def solve(inp: FormProblemInput) -> SolutionSet:
     else:
         one = SolutionSet(triples=_closed_form_row(inp, i9, form), raw_count=1, dropped=0)
     group = reflection_group.group_k()
-    # step to the point's first image in `sort_rows` order, which `orbit`
-    # puts first, until that is the point: on a stratum a stabilizer image
-    # may round below it.  I.t = t, so t only descends, through |K| images at most.
+    # descend to the first image (`orbit`'s first) until it is t: stabilizer images may round below
     t, e = reflection_group.unit_size(one.triples[0])
     for _ in range(group.order):
-        u = (group.matrices[:, 0] @ t).real
-        first = reflection_group.sort_rows(group.matrices[u == u.min()] @ t)[0]
+        vals, key = reflection_group.image_keys(group, t)
+        first = vals[group.rows[np.argmin(key)]]
         if np.array_equal(first, t):
             break
         t = first

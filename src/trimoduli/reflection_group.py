@@ -7,16 +7,16 @@ invariants (G26 and G25 in the Shephard-Todd list).  Every entry of every
 element lies in (1/3)Z[eps], so an element is 3 * entry in integer pairs,
 18 ints, and one vectorised integer product, `_product`, serves the closure,
 the coset K.B and `is_unitary`.  A group is one sorted (n, 18) int64 array of
-its elements plus the (n, 3, 3) complex stack built once from it; the
-invariance proof evaluates `concomitants.c_formulas` on the linear forms 3g.x
-with `Eisenstein` coefficients.
+its elements, the 72 distinct complex rows of their matrices and an index of
+each element's rows; the invariance proof evaluates `concomitants.c_formulas`
+on the linear forms 3g.x with `Eisenstein` coefficients.
 
-`orbit` and `stabilizer` act by the stack on a triple of any scalars that
-convert to Python complex, and `stabilizer_type` labels a stabilizer by
-exact probes on its matrices.  A float triple set is one complex (n, 3)
-array: `sort_rows` orders the rows, and `cluster_points` groups the near
-images of `orbit`, as the runs of a sort along one direction where each run
-is a star, else by a union of the pairs within the radius.
+`orbit` and `stabilizer` gather the images of a triple of any scalars that
+convert to Python complex from the values of the rows on it; `stabilizer_type`
+labels a stabilizer by exact probes on its matrices.  A float triple set is
+one complex (n, 3) array in (Re u, Im u, ..., Im w) order; `cluster_points`
+groups the near images of `orbit`, as the runs of a sort along one direction
+where each run is a star, else by pair union.
 """
 from __future__ import annotations
 
@@ -94,12 +94,11 @@ class Eisenstein:
         return abs(complex(self))
 
 
-def _to_complex(ints: np.ndarray) -> np.ndarray:
-    """The (n, 3, 3) complex matrices of an (n, 18) integer array, each entry
-    a/3 + (b/3)*eps rounded as complex(a/3) + complex(b/3) * EPS_COMPLEX,
-    the embedding of `Eisenstein`."""
-    a, b = ints[:, 0::2] / 3, ints[:, 1::2] / 3
-    return (a.astype(complex) + b.astype(complex) * EPS_COMPLEX).reshape(-1, 3, 3)
+def _row_table(ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(forms, rows): the distinct matrix rows of an (n, 18) integer array, complex(a/3)
+    + complex(b/3) * EPS_COMPLEX per entry, and each element's rows as an (n, 3) index."""
+    six, rows = np.unique(ints.reshape(-1, 6), axis=0, return_inverse=True)
+    return six[:, 0::2] / 3 + six[:, 1::2] / 3 * EPS_COMPLEX, rows.reshape(-1, 3)
 
 
 @lru_cache(maxsize=None)
@@ -124,17 +123,21 @@ def generators() -> dict:
 
 
 class MatrixGroup(NamedTuple):
-    """A finite matrix group: its elements as one (n, 18) int64 array of
-    3 * entry in integer pairs, rows sorted; its generators as 18-int tuples;
-    and its (n, 3, 3) complex matrices, row for row."""
+    """A finite matrix group: its elements as one sorted (n, 18) int64 array of 3 * entry
+    in integer pairs; its generators as 18-int tuples; and its `_row_table`."""
 
     ints: np.ndarray
     gens: tuple
-    matrices: np.ndarray
+    forms: np.ndarray
+    rows: np.ndarray
 
     @property
     def order(self) -> int:
         return len(self.ints)
+
+    @property
+    def matrices(self) -> np.ndarray:
+        return self.forms[self.rows]
 
 
 CLOSURE_CAP = 100000
@@ -168,7 +171,7 @@ def generate_closure(gens) -> MatrixGroup:
         frontier = new
     # (a, b) of 3 * entry orders entries as (a, b) of the entry itself
     ints = np.array(sorted(seen), dtype=np.int64).reshape(-1, 18)
-    return MatrixGroup(ints, gens, _to_complex(ints))
+    return MatrixGroup(ints, gens, *_row_table(ints))
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +191,7 @@ def group_h() -> MatrixGroup:
     k = group_k()
     ints = np.concatenate([k.ints, _product(k.ints, np.array(g["B"])) // 3])
     ints = ints[np.lexsort(ints.T[::-1])]
-    return MatrixGroup(ints, (g["A"], g["B"], g["C"], g["D"], g["E"]), _to_complex(ints))
+    return MatrixGroup(ints, (g["A"], g["B"], g["C"], g["D"], g["E"]), *_row_table(ints))
 
 
 def is_unitary(group: MatrixGroup) -> bool:
@@ -222,28 +225,30 @@ def unit_size(a) -> tuple[np.ndarray, int]:
 
 
 def orbit(group: MatrixGroup, triple) -> np.ndarray:
-    """The orbit {g.t} without repeats, of a triple of scalars that convert
-    to Python complex numbers: a complex (n, 3) array in `sort_rows` order,
-    the first image in that order of each cluster of the images within 1e-9
-    times their largest real or imaginary part, so its size does not depend
-    on the scale of the triple.  The images are those of the triple times the power
-    of two that brings it to unit size (`unit_size`), scaled back, so that
-    no squared distance leaves the float range; a result in the normal range
-    keeps its bits.  The orbit of zero is the zero row, without clustering."""
+    """The orbit {g.t} without repeats, of a triple of scalars that convert to Python
+    complex numbers: a complex (n, 3) array in `image_keys` order, the first image of each
+    cluster of the images within 1e-9 times their largest real or imaginary part, so its
+    size does not depend on the scale of the triple.  The images are taken at unit size
+    (`unit_size`), so that no squared distance leaves the float range, and scaled back,
+    keeping their bits in the normal range; OverflowError beyond it.  Zero gives one row."""
     t, e = unit_size(triple)
     if not t.any():
         return np.zeros((1, 3), dtype=complex)
-    pts = sort_rows(group.matrices @ t)
+    vals, key = image_keys(group, t)
+    pts = vals[group.rows[np.argsort(key, kind="stable")]]
     flat = np.column_stack([pts.real, pts.imag])
+    if math.frexp(np.abs(flat).max())[1] + e > np.finfo(float).maxexp:
+        raise OverflowError(f"orbit points leave the float range at scale 2**{e}")
     labels = cluster_points(flat, 1e-9 * float(np.max(np.abs(flat))))
     return ldexp(pts[labels == np.arange(len(labels))], e)
 
 
-def sort_rows(pts: np.ndarray) -> np.ndarray:
-    """The rows sorted by (Re u, Im u, ..., Im w): numpy orders complex
-    values by real part, then imaginary part, and lexsort's primary key is
-    last."""
-    return pts[np.lexsort(pts.T[::-1])]
+def image_keys(group: MatrixGroup, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vals, key) of a complex triple: image i is vals[rows[i]], and a stable sort of key,
+    the base-m number of the ranks of its values in complex order, sorts by (Re u, ..., Im w)."""
+    vals = group.forms @ t
+    r, m = np.unique(vals, return_inverse=True)[1][group.rows], len(vals)
+    return vals, (r[:, 0] * m + r[:, 1]) * m + r[:, 2]
 
 
 # a unit direction with weights independent over Q(sqrt 3): orbit points project apart
@@ -319,19 +324,16 @@ def _pair_labels(labels, flat, radius, order, ranked, reach) -> np.ndarray:
 
 
 def stabilizer(group: MatrixGroup, triple, tol: float = 1e-9) -> MatrixGroup:
-    """Subgroup fixing a triple of scalars that convert to Python complex
-    numbers, selected on the complex
-    matrices: the test allows tol times the largest entry of the triple, so
-    the subgroup does not depend on the scale of the triple.  The subgroup
-    keeps its rows of the group's integer array and complex matrices.  The
-    test runs on the triple at unit size (`unit_size`), so that a subnormal
-    triple keeps a tolerance above zero."""
+    """Subgroup fixing a triple of scalars that convert to Python complex numbers: the
+    elements whose images, gathered from forms @ t, lie within tol times the largest entry
+    of t, taken at unit size (`unit_size`) so that the subgroup does not depend on the scale
+    and a subnormal triple keeps a tolerance above zero.  The subgroup keeps the group's
+    forms and its own rows of ints and rows."""
     t, _ = unit_size(triple)
-    scale = float(np.max(np.abs(t)))
-    fixed = np.max(np.abs(group.matrices @ t - t), axis=1) <= tol * scale
+    moved = np.max(np.abs((group.forms @ t)[group.rows] - t), axis=1)
     # a subset of the sorted element array is sorted
-    members = np.flatnonzero(fixed)
-    return MatrixGroup(group.ints[members], group.gens[:0], group.matrices[members])
+    members = np.flatnonzero(moved <= tol * float(np.max(np.abs(t))))
+    return MatrixGroup(group.ints[members], group.gens[:0], group.forms, group.rows[members])
 
 
 STABILIZER_LABELS = {1: "trivial", 3: "C3", 9: "C3xC3", 24: "G4", 648: "full"}

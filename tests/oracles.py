@@ -20,7 +20,9 @@ an element from its `Cyclo` rows (`pairs`) and back
 (`exact_rows`) and C12' as the product of the twelve mirror forms, the
 complex matrix of one group element entry by entry, the structure probes
 of a group (commutation, element orders, pseudo-reflections), its orbits
-and stabilizers in exact products of `Cyclo` rows, and the form problem
+and stabilizers in exact products of `Cyclo` rows and as products with the
+whole complex matrix stack with a six-key `lexsort` of the rows (`orbit_stack`,
+`stabilizer_stack`, `sort_rows`), and the form problem
 solved on invariants taken exactly over Q(i).  Also `set_distance`
 between two triple sets, `states_close`, the test comparison of two states, the derivative and the value of a `Poly`
 with the Jacobian of (C6, C9, C12) on them (`jacobian_check`), the slice
@@ -962,11 +964,11 @@ def enumerate_triples_array(branches, inp) -> fp.SolutionSet:
 
 def filter_sign_array(raw: fp.SolutionSet, i9: complex) -> fp.SolutionSet:
     """Keep the rows of raw.triples whose alternating invariant matches i9,
-    in `reflection_group.sort_rows` order."""
+    in `sort_rows` order."""
     kept = raw.triples[matches_sign_rows(raw.triples, i9)]
     if not len(kept):
         raise fp._sign_mismatch(i9)
-    return fp.SolutionSet(triples=rg.sort_rows(kept), raw_count=raw.raw_count,
+    return fp.SolutionSet(triples=sort_rows(kept), raw_count=raw.raw_count,
                           dropped=raw.dropped)
 
 
@@ -1393,6 +1395,42 @@ def stabilizer_exact(elements, triple) -> list:
     """The elements that fix an exact triple, by exact equality, in order."""
     t = tuple(Cyclo.coerce(c) for c in triple)
     return [g for g in elements if _apply_rows(g, t) == t]
+
+
+def sort_rows(pts: np.ndarray) -> np.ndarray:
+    """The rows sorted by (Re u, Im u, ..., Im w): numpy orders complex
+    values by real part, then imaginary part, and lexsort's primary key is
+    last.  The package's order of float triple sets before `image_keys`."""
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+def matrix_stack(ints: np.ndarray) -> np.ndarray:
+    """The (n, 3, 3) complex matrices of an (n, 18) integer array, each entry
+    a/3 + (b/3)*eps rounded as complex(a/3) + complex(b/3) * EPS_COMPLEX:
+    the stack that `MatrixGroup` kept before its row table."""
+    a, b = ints[:, 0::2] / 3, ints[:, 1::2] / 3
+    return (a.astype(complex) + b.astype(complex) * rg.EPS_COMPLEX).reshape(-1, 3, 3)
+
+
+def orbit_stack(stack: np.ndarray, triple) -> np.ndarray:
+    """`reflection_group.orbit` as the product with a group's whole matrix
+    stack (`matrix_stack`), sorted by `sort_rows` and clustered: the orbit
+    before the row table."""
+    t, e = rg.unit_size(triple)
+    if not t.any():
+        return np.zeros((1, 3), dtype=complex)
+    pts = sort_rows(stack @ t)
+    flat = np.column_stack([pts.real, pts.imag])
+    labels = rg.cluster_points(flat, 1e-9 * float(np.max(np.abs(flat))))
+    return rg.ldexp(pts[labels == np.arange(len(labels))], e)
+
+
+def stabilizer_stack(stack: np.ndarray, triple, tol: float = 1e-9) -> np.ndarray:
+    """The element indices that `reflection_group.stabilizer` selects, by the
+    product with a group's whole matrix stack."""
+    t, _ = rg.unit_size(triple)
+    scale = float(np.max(np.abs(t)))
+    return np.flatnonzero(np.max(np.abs(stack @ t - t), axis=1) <= tol * scale)
 
 
 # --- the form problem on exact invariants -------------------------------------

@@ -144,6 +144,9 @@ def test_normal_form_pipeline(tmp_path, capsys):
     assert payload["status"] == "converged"
     assert payload["verdict"]["ok"] is True
     assert payload["candidate_count"] == 648
+    # an empty sample is an empty (0, 3) array, printed as []
+    code, out, _ = run_cli(capsys, "normal-form", str(path), "--max-candidates", "0")
+    assert code == 0 and '"candidates_sample": [], ' in out
 
 
 def test_invariants_and_normal_form_agree_on_semistability(tmp_path, capsys):
@@ -307,6 +310,19 @@ def test_orbit_of_tiny_generic_triple(capsys):
     assert json.loads(out)["orbit_size"] == 648
 
 
+def test_orbit_beyond_float_range_is_a_numerical_failure(capsys):
+    # the images of a triple near the float maximum leave the float range
+    # when scaled back: one line, no points, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "orbit", "--u=1.7e308", "--v=1.7e308",
+                                 "--w=1.7e308", "--full")
+    assert code == cli.EXIT_NUMERICAL and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
+    code, out, _ = run_cli(capsys, "orbit", "--u=1.7e308", "--v=0", "--w=0", "--full")
+    assert code == 0 and json.loads(out)["orbit_size"] == 72
+
+
 def test_complex_flag_parsing(capsys):
     code, out, _ = run_cli(capsys, "orbit", "--u", "1+2j", "--v", "0.5-1j", "--w", "3")
     assert code == 0
@@ -396,11 +412,20 @@ def test_complex_array_format_matches_per_value_oracle():
     randoms = rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6)
     # each value in turn as a real and an imaginary part, in every column
     rows = np.resize(np.concatenate([specials, randoms]), (13, 6)).view(complex)
+    # a full generic solution set (144 distinct floats in 3,888), the
+    # 27-point set, and a column mixing 0.0 and -0.0, which compare equal
+    # but must keep their own text: each distinct float is told by its bits
+    generic = form_problem.solve(form_problem.FormProblemInput(1 + 2j, 0.5, 0)).triples
+    hessian = form_problem.solve(form_problem.FormProblemInput(12, 0, 0, i9=-2)).triples
+    signed = np.array([[0.0, -0.0j, 1], [-0.0, 0.0, complex(-0.0, -0.0)], [0j, 1, -0.0]])
+    assert generic.shape == (648, 3) and hessian.shape == (27, 3)
     for array in (rows, rows[:, ::-1], rows[::3], rows[:1], rows[:, :1],
-                  np.zeros((0, 3), dtype=complex), np.full((2, 3), -0.0 - 0.0j)):
+                  np.zeros((0, 3), dtype=complex), np.full((2, 3), -0.0 - 0.0j),
+                  generic, hessian, signed, signed.T):
         assert cli._fmt(array) == _rows_per_value(array), array
     assert cli._fmt({"t": rows[:2]}) == '{"t": ' + _rows_per_value(rows[:2]) + "}"
     assert cli._fmt(np.zeros((0, 3), dtype=complex)) == "[]"
+    assert "-0," in cli._fmt(signed) and "[0, " in cli._fmt(signed)
 
 
 def test_full_listings_match_per_value_oracle(capsys):

@@ -394,11 +394,13 @@ class TestOrbitRoute:
         assert np.abs(got.triples - t).max(axis=1).min() <= 1e-12 * np.abs(got.triples).max()
 
     def test_descent_that_never_settles_raises(self, monkeypatch):
-        # a sort whose first row is never the point keeps the descent moving:
+        # images whose first row is never the point keep the descent moving:
         # it stops after |K| steps with an error instead of looping forever
         cv = c_formulas(*random_parameter_triple(68))
         inp = fp.FormProblemInput(cv.c6, cv.c12, cv.c18, i9=cv.c9)
-        monkeypatch.setattr(rg, "sort_rows", lambda pts: pts + 1)
+        image_keys = rg.image_keys
+        monkeypatch.setattr(rg, "image_keys", lambda group, t: (
+            lambda vals, key: (vals + 1, key))(*image_keys(group, t)))
         with pytest.raises(fp.FormProblemError,
                            match=r"^the descent to a solved point.s first image did not settle "
                                  r"in 648 steps$"):

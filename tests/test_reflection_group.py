@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,12 +23,16 @@ from oracles import (
     inverse_rows,
     is_abelian,
     is_pseudo_reflection,
+    matrix_stack,
     mul_rows,
     orbit_exact,
+    orbit_stack,
     pairs,
     set_distance,
     solve_for_triple,
+    sort_rows,
     stabilizer_exact,
+    stabilizer_stack,
     stabilizer_type_exact,
 )
 
@@ -233,7 +238,7 @@ class TestClosure:
         row, col = np.argwhere(group_k.ints == 3)[0]
         ints = group_k.ints.copy()
         ints[row, col] = 6
-        assert not rg.is_unitary(rg.MatrixGroup(ints, group_k.gens, rg._to_complex(ints)))
+        assert not rg.is_unitary(rg.MatrixGroup(ints, group_k.gens, *rg._row_table(ints)))
 
     def test_closure_properties(self, group_k):
         assert contains(group_k, IDENTITY)
@@ -277,7 +282,7 @@ class TestOrbits:
                           tuple(Cyclo.coerce(c).to_complex() for c in triple)):
                 flo = rg.orbit(group_k, given)
                 assert flo.dtype == np.complex128 and flo.shape == (len(exact), 3)
-                assert np.array_equal(flo.view(np.uint64), rg.sort_rows(flo).view(np.uint64))
+                assert np.array_equal(flo.view(np.uint64), sort_rows(flo).view(np.uint64))
                 assert set_distance(exact_pts, flo) < 1e-12
 
     def test_sort_rows_matches_six_float_keys(self, group_k):
@@ -291,7 +296,12 @@ class TestOrbits:
             pts[-1, np.abs(pts[-1]) == 0] = complex(-0.0, -0.0)
             pts = pts[rng.permutation(len(pts))]
             want = pts[np.lexsort(pts.view(float)[:, ::-1].T)]
-            assert np.array_equal(rg.sort_rows(pts).view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(sort_rows(pts).view(np.uint64), want.view(np.uint64))
+            # and so does a stable sort of the key of `image_keys`, on the images
+            vals, key = rg.image_keys(group_k, rg.unit_size(triple)[0])
+            got = vals[group_k.rows[np.argsort(key, kind="stable")]]
+            want = got[np.lexsort(got.view(float)[:, ::-1].T)]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_float_stabilizer_matches_exact(self, group_k):
         elements = element_rows(group_k)
@@ -397,7 +407,7 @@ class TestClusterPoints:
                   ((1, 1, 0), 216), ((0, 0.4 - 0.8j, 1.3 + 0.2j), 216))
         for point, size in points:
             t, _ = rg.unit_size(point)
-            pts = rg.sort_rows(group_k.matrices @ t)
+            pts = sort_rows(group_k.matrices @ t)
             flat = np.column_stack([pts.real, pts.imag])
             radius = 1e-9 * float(np.max(np.abs(flat)))
             labels = rg.cluster_points(flat, radius)
@@ -450,6 +460,68 @@ class TestClusterPoints:
         orb = rg.orbit(group_k, tuple(t))
         assert sorted(map(tuple, pts[np.unique(labels)].view(np.uint64))) \
             == sorted(map(tuple, orb.view(np.uint64)))
+
+
+def _row_table_inputs() -> list:
+    """Triples for the row-table checks: 2,000 random complex triples over
+    twenty decades, some with a zero or a real entry; multiples of a point of
+    each degenerate stratum and of a mirror point, moved by group elements;
+    the zero triple and signed zeros; and power-of-two scales from a
+    subnormal 2**-1070 to 2**1000."""
+    rng = np.random.default_rng(33)
+    z = rng.standard_normal((2000, 3)) + 1j * rng.standard_normal((2000, 3))
+    z *= 10.0 ** rng.uniform(-10, 10, (2000, 1))
+    z[::7, 1] = 0
+    z[::11] = z[::11].real
+    triples = [tuple(t) for t in z]
+    k = rg.group_k()
+    strata = ((0, 1, -1), (1, 0, 0), (1, 1, 0), (1, -1, 0), (0, 0.4 - 0.8j, 1.3 + 0.2j))
+    for point in strata:
+        for c in (1, -1, 1j, 0.3 - 0.4j, 1e-7, 3e5 + 1j):
+            t = np.array([complex(x) * c for x in point])
+            triples += [tuple(t)] + [tuple(g @ t) for g in k.matrices[rng.integers(648, size=4)]]
+    triples += [(0, 0, 0), (0j, -0.0, complex(-0.0, -0.0)), (-0.0, 0.0, -0.0), (0, 1, -0.0)]
+    for point in ((1, 2, 5), (0.3 + 0.1j, -0.7j, 1.1)) + strata:
+        triples += [tuple(complex(x) * 2.0 ** p for x in point)
+                    for p in (*range(-1070, 1000, 83), 1000)]
+    return triples
+
+
+class TestRowTable:
+    def test_72_distinct_rows_rebuild_the_stack(self, group_k):
+        for grp in (group_k, rg.group_h()):
+            assert grp.forms.shape == (72, 3) and grp.rows.shape == (grp.order, 3)
+            assert len(np.unique(grp.forms.view(np.uint64), axis=0)) == 72
+            stack = matrix_stack(grp.ints)
+            assert np.array_equal(grp.forms[grp.rows].view(np.uint64), stack.view(np.uint64))
+            assert np.array_equal(grp.matrices.view(np.uint64), stack.view(np.uint64))
+
+    def test_orbit_and_stabilizer_match_the_stack(self, group_k):
+        # bit for bit against the product with the whole matrix stack, its
+        # six-key lexsort and its clustering
+        triples = _row_table_inputs()
+        assert len(triples) > 2000
+        for grp in (group_k, rg.group_h()):
+            stack = matrix_stack(grp.ints)
+            for t in triples:
+                got, want = rg.orbit(grp, t), orbit_stack(stack, t)
+                assert got.shape == want.shape, t
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), t
+                stab = rg.stabilizer(grp, t)
+                members = stabilizer_stack(stack, t)
+                assert np.array_equal(stab.ints, grp.ints[members]), t
+                assert stab.forms is grp.forms and np.array_equal(stab.rows, grp.rows[members])
+
+    def test_orbit_beyond_float_range_raises(self, group_k):
+        # images of (1.7e308,) * 3 reach about 2.9e308 when scaled back; the
+        # largest images of (1.7e308, 0, 0) stay at its own size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for triple in ((1.7e308,) * 3, (1.7e308, 1.7e308j, 0)):
+                with pytest.raises(OverflowError, match="float range"):
+                    rg.orbit(group_k, triple)
+            orb = rg.orbit(group_k, (1.7e308, 0, 0))
+        assert len(orb) == 72 and np.isfinite(orb).all()
 
 
 class TestStabilizerTypes:
@@ -517,7 +589,7 @@ class TestStabilizerTypes:
 
         def built(elements):
             ints = np.array(sorted(map(tuple, elements)), dtype=np.int64).reshape(-1, 18)
-            return rg.MatrixGroup(ints, (), rg._to_complex(ints))
+            return rg.MatrixGroup(ints, (), *rg._row_table(ints))
 
         e, e2 = EPS, EPS * EPS
         one = IDENTITY
